@@ -269,11 +269,21 @@ def channel_from_record(record: dict) -> GaussianChannel:
         raise ChannelSpecError("eta/nbar" if kind in ("thermal", "lossy") else "X/Y", str(exc)) from None
 
 
-def load_channel(path) -> GaussianChannel:
-    """Read a channel spec file (JSON record) from disk."""
+def load_channel(path) -> tuple[GaussianChannel, np.ndarray | None]:
+    """Read a channel spec file (JSON record) from disk.
+
+    Returns the channel and the record's optional ``omega`` field, the mode
+    frequencies, as an array of one entry per mode (None when absent).
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             record = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ChannelSpecError("<file>", f"invalid JSON: {exc}") from None
-    return channel_from_record(record)
+    channel = channel_from_record(record)
+    omega = record.get("omega")
+    if omega is not None:
+        omega = np.asarray(omega, dtype=float)
+        if omega.shape != (channel.n,):
+            raise ChannelSpecError("omega", f"expected {channel.n} entries, got {omega.size}")
+    return channel, omega

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -33,7 +34,10 @@ VERIFY_TARGETS = ("theorem1", "lemma1", "schur", "concavity", "multiplicativity"
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,25 +132,9 @@ def _base_report(args, tolerances: dict) -> dict:
     }
 
 
-def _load_channel_and_omega(path):
-    """Read a channel spec file; the optional omega[] field rides along."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            record = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ch.ChannelSpecError("<file>", f"invalid JSON: {exc}") from None
-    channel = ch.channel_from_record(record)
-    omega = record.get("omega")
-    if omega is not None:
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (channel.n,):
-            raise ch.ChannelSpecError("omega", f"expected {channel.n} entries, got {omega.size}")
-    return channel, omega
-
-
 def cmd_analyze(args) -> int:
     try:
-        channel, _ = _load_channel_and_omega(args.channel)
+        channel, _ = ch.load_channel(args.channel)
         p_values = _parse_float_list(args.p)
     except (ch.ChannelSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -185,7 +173,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_capacity(args) -> int:
     try:
-        channel, file_omega = _load_channel_and_omega(args.channel)
+        channel, file_omega = ch.load_channel(args.channel)
         if args.omega is not None:
             omega = np.asarray(_parse_float_list(args.omega))
         elif file_omega is not None:
@@ -199,7 +187,11 @@ def cmd_capacity(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = _base_report(args, {"tol_sup": args.tol if args.tol is not None else fn.TOL_OPT_SUP})
-    cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
+    try:
+        cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     report["channel"] = ch.channel_to_record(channel)
     record = cap.record()
     record.pop("search", None)  # optimizer trace summary stays compact
@@ -235,13 +227,9 @@ def _builtin_channel_pairs():
     ]
 
 
-def cmd_verify(args) -> int:
-    negate = bool(getattr(args, "self_test_negate", False))
-    t0 = time.monotonic()
-    report = _base_report(args, {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL})
-    report["target"] = args.target
+def _run_target(args, report: dict, negate: bool) -> bool:
+    """Run one verification target into ``report``; return True on failure."""
     failed = False
-
     if args.target == "theorem1":
         trial = mj.theorem1_trial(args.max_modes, trials=args.trials, seed=args.seed, _negate=negate)
         report["result"] = trial.record()
@@ -281,7 +269,19 @@ def cmd_verify(args) -> int:
         check = fn.additivity_check(pair, budget, search_budget=args.budget, seed=args.seed, tol=tol)
         report["result"] = check.record()
         failed = not check.passed
+    return failed
 
+
+def cmd_verify(args) -> int:
+    negate = bool(getattr(args, "self_test_negate", False))
+    t0 = time.monotonic()
+    report = _base_report(args, {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL})
+    report["target"] = args.target
+    try:
+        failed = _run_target(args, report, negate)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     print(f"verify {args.target}: {'FAIL' if failed else 'PASS'} ({time.monotonic() - t0:.1f} s)", file=sys.stderr)
     _emit(report, args.format, args.out)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
@@ -294,6 +294,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_INPUT_ERROR
+    for name, value in vars(args).items():
+        # Reports are strict JSON, which has no NaN or Infinity.
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"error: --{name.replace('_', '-')} must be a finite number, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "capacity":

@@ -13,6 +13,7 @@ sampled input beats a bound, not global optimality for custom channels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -23,9 +24,9 @@ from . import channels as ch
 from . import states as st
 from .symplectic import (
     _embed_unitary,
+    _spectrum,
     matrix_to_rowmajor,
     rng_stream,
-    symplectic_eigenvalues,
 )
 
 #: Tolerance for comparisons against closed-form optima (inf side).
@@ -66,7 +67,11 @@ class EnergyBudget:
 
 @dataclass
 class OptimizationReport:
-    """Outcome of a budgeted derivative-free search."""
+    """Outcome of a budgeted derivative-free search.
+
+    ``converged`` is the termination of the restart that produced
+    ``best_value``: False when that restart stopped at its evaluation cap.
+    """
 
     best_value: float
     best_input: np.ndarray
@@ -135,17 +140,30 @@ def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: i
 # ---------------------------------------------------------------------------
 # search parameterizations
 
+@functools.cache
+def _hermitian_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the diagonal, upper and lower triangle of an n x n
+    matrix; the triangles are in row-major order of the upper one."""
+    upper, lower = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), upper * n + lower, lower * n + upper
+
+
 def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
-    """Map n^2 reals to a unitary through the exponential of a Hermitian."""
-    h = np.zeros((n, n), dtype=complex)
-    idx = n
-    h[np.arange(n), np.arange(n)] = theta[:n]
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = theta[idx] + 1j * theta[idx + 1]
-            h[j, i] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
-    w, v = np.linalg.eigh(h)
+    """Map n^2 reals to a unitary through the exponential of a Hermitian.
+
+    The first n reals are the diagonal; the rest are (real, imaginary)
+    pairs of the upper triangle in row-major order.
+    """
+    if n == 1:
+        return np.exp(1j * theta[:1]).reshape(1, 1)
+    diag, upper, lower = _hermitian_slots(n)
+    re = theta[n : n * n : 2]
+    im = theta[n + 1 : n * n : 2]
+    h = np.zeros(n * n, dtype=complex)
+    h[diag] = theta[:n]
+    h[upper] = re + 1j * im
+    h[lower] = re - 1j * im
+    w, v = np.linalg.eigh(h.reshape(n, n))
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
@@ -197,10 +215,8 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
     if target <= e_vac + 1e-12:
         return np.eye(2 * n)
     if e0 <= target:
-        w = np.repeat(omega, 2)
-        coef = np.array(
-            [0.25 * float(w @ (s[:, 2 * j] ** 2 + s[:, 2 * j + 1] ** 2)) for j in range(n)]
-        )
+        sq = s**2
+        coef = 0.25 * (np.repeat(omega, 2) @ (sq[:, 0::2] + sq[:, 1::2]))
         weight = float(coef @ d)
         if weight < 1e-12:
             d = np.ones(n)
@@ -213,7 +229,10 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
 
 
 def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarray:
-    return symplectic_eigenvalues(ch.apply_cov(channel, gamma))
+    """Output spectrum through the unvalidated kernel: ``apply_cov`` returns
+    a symmetric matrix, and a failed Cholesky factorization raises
+    ``LinAlgError``, which ``_guarded`` turns into +inf."""
+    return _spectrum(ch.apply_cov(channel, gamma))
 
 
 def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts: int, scale: float = 0.8):
@@ -221,7 +240,9 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
 
     Restart starting points come from per-restart Philox streams, so the
     outcome is independent of evaluation order.  Returns the best value,
-    its parameter vector, the evaluation count, and a convergence flag.
+    its parameter vector, the evaluation count, and whether the restart
+    that produced the best value terminated by convergence (not by its
+    evaluation cap).
     """
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
@@ -230,6 +251,7 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
     best_val = np.inf
     best_x = np.zeros(dim)
     evals = 0
+    best_run = -1
     converged = False
     for run in range(restarts):
         if evals >= budget:
@@ -238,7 +260,7 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
         start_val = objective(x0)
         evals += 1
         if start_val < best_val:
-            best_val, best_x = start_val, x0
+            best_val, best_x, best_run = start_val, x0, run
         res = minimize(
             objective,
             x0,
@@ -251,8 +273,9 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
         )
         evals += res.nfev
         if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-        converged = converged or bool(res.success)
+            best_val, best_x, best_run = float(res.fun), res.x, run
+        if best_run == run:
+            converged = bool(res.success)
     return best_val, best_x, evals, converged
 
 

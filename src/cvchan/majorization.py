@@ -24,7 +24,7 @@ import numpy as np
 
 from .symplectic import (
     DimensionError,
-    _batched_symplectic_eigenvalues,
+    _spectrum,
     rng_stream,
     sample_spd,
     sample_symplectics,
@@ -189,8 +189,8 @@ def theorem1_trial(
         lane = rng_stream(seed, mode)
         a = sample_spd(lane, mode, count, nu_range)
         b = sample_spd(lane, mode, count, nu_range)
-        nu_sum = _batched_symplectic_eigenvalues(a + b)
-        nu_parts = _batched_symplectic_eigenvalues(a) + _batched_symplectic_eigenvalues(b)
+        nu_sum = _spectrum(a + b)
+        nu_parts = _spectrum(a) + _spectrum(b)
         lhs = np.cumsum(np.sort(nu_sum, axis=1), axis=1)
         rhs = np.cumsum(np.sort(nu_parts, axis=1), axis=1)
         margins = np.min(lhs - rhs, axis=1)
@@ -316,6 +316,8 @@ def lemma1_campaign(
     _negate: bool = False,
 ) -> TrialReport:
     """Run ``lemma1_trial`` over random matrices and every valid truncation size."""
+    if instances < 1:
+        raise ValueError(f"instance count must be >= 1, got {instances}")
     worst = np.inf
     worst_witness = 0.0
     failures = 0
@@ -364,6 +366,8 @@ def schur_campaign(
     inequalities and the (negated absolute) total-sum mismatch, so a pass
     requires both dominance and total equality.
     """
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
     failures = 0
     worst = np.inf
     counterexample = None

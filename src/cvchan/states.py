@@ -72,7 +72,8 @@ class GaussianState:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "omega", omega)
-        check = is_physical(gamma)
+        object.__setattr__(self, "_spectrum", symplectic_eigenvalues(gamma))
+        check = is_physical(self)
         if not check.ok:
             raise UnphysicalStateError(
                 f"minimum symplectic eigenvalue {check.min_symplectic:.12g} is below 1"
@@ -83,9 +84,8 @@ class GaussianState:
         return self.gamma.shape[0] // 2
 
     def spectrum(self) -> np.ndarray:
-        """Symplectic spectrum of the covariance matrix (cached, ascending)."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", symplectic_eigenvalues(self.gamma))
+        """Symplectic spectrum of the covariance matrix (ascending), computed
+        once at construction for the physicality check."""
         return self._spectrum
 
 
@@ -124,10 +124,14 @@ def is_physical(gamma_or_state, tol: float = TOL_PHYS) -> PhysicalityCheck:
     """Uncertainty-relation test: all symplectic eigenvalues >= 1 - tol.
 
     The equivalent Hermitian condition (gamma + iJ positive semidefinite)
-    is evaluated as a cross-check and its minimum eigenvalue reported.
+    is evaluated as a cross-check and its minimum eigenvalue reported.  A
+    state's spectrum is read from the state, not recomputed.
     """
-    gamma = gamma_or_state.gamma if isinstance(gamma_or_state, GaussianState) else np.asarray(gamma_or_state, dtype=float)
-    nu = symplectic_eigenvalues(gamma)
+    if isinstance(gamma_or_state, GaussianState):
+        gamma, nu = gamma_or_state.gamma, gamma_or_state.spectrum()
+    else:
+        gamma = np.asarray(gamma_or_state, dtype=float)
+        nu = symplectic_eigenvalues(gamma)
     n = gamma.shape[0] // 2
     herm = gamma + 1j * symplectic_form(n)
     min_herm = float(np.linalg.eigvalsh(herm)[0])

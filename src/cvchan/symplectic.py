@@ -18,6 +18,7 @@ factors entrywise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,13 +55,20 @@ def rng_stream(seed: int, *lane: int) -> np.random.Generator:
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form J, block diagonal in J1."""
+    """Return the 2n x 2n symplectic form J, block diagonal in J1.
+
+    The array is shared between callers and read-only; copy it to modify.
+    """
     if n < 1:
         raise DimensionError(f"mode count must be >= 1, got {n}")
-    out = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _J1
-    return out
+    return _form(int(n))
+
+
+@functools.cache
+def _form(n: int) -> np.ndarray:
+    j = np.kron(np.eye(n), _J1)
+    j.setflags(write=False)
+    return j
 
 
 def _mode_count(m: np.ndarray) -> int:
@@ -96,19 +104,22 @@ def is_symplectic(m: np.ndarray, tol: float = TOL_SYM) -> SymplecticCheck:
     return SymplecticCheck(res <= tol, res)
 
 
-def _check_spd(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
-    """Validate symmetry and positive-definiteness; return the eigenvalues."""
+def _check_symmetric(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
+    """Validate shape, finiteness and symmetry; return the input as a float array."""
     a = np.asarray(a, dtype=float)
     _mode_count(a)
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError("matrix has non-finite entries")
     sym = float(np.max(np.abs(a - a.T)))
     if sym > tol * max(1.0, float(np.max(np.abs(a)))):
         raise NotPositiveDefiniteError(f"matrix is not symmetric (residual {sym:.3e})")
-    evals = np.linalg.eigvalsh(a)
-    if evals[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (minimum eigenvalue {evals[0]:.3e})"
-        )
-    return evals
+    return a
+
+
+def _not_positive_definite(min_eigenvalue: float) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"matrix is not positive definite (minimum eigenvalue {min_eigenvalue:.3e})"
+    )
 
 
 def _sym_power(a: np.ndarray, power: float) -> np.ndarray:
@@ -117,14 +128,32 @@ def _sym_power(a: np.ndarray, power: float) -> np.ndarray:
     return (v * w**power) @ v.T
 
 
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of one SPD matrix or a (..., 2n, 2n) stack; unvalidated.
+
+    With the Cholesky factor A = L L^T, the matrix L^T J L is real
+    skew-symmetric and similar to J A, so the Hermitian i L^T J L has the
+    eigenvalues +/- nu_j (Bhatia & Jain, J. Math. Phys., 2015).
+    Its upper half, ascending, is the spectrum.  Only the lower triangle of
+    A is read.  The factorization is the positive-definiteness test: a
+    matrix that is not positive definite raises ``numpy.linalg.LinAlgError``.
+    Inner loops call this directly; ``symplectic_eigenvalues`` is the
+    validated entry point.
+    """
+    n = a.shape[-1] // 2
+    l = np.linalg.cholesky(a)
+    return np.linalg.eigvalsh(1j * (np.swapaxes(l, -1, -2) @ _form(n) @ l))[..., n:]
+
+
 def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive-definite matrix.
 
-    Computed as the singular values of A^{1/2} J A^{1/2}, which occur in
-    equal pairs; one representative of each pair is returned, in ascending
-    order.  This route uses only symmetric eigensolvers and an SVD; the
-    non-symmetric eigenproblem of J A is kept separately as a cross-check
-    (see ``symplectic_eigenvalues_ja``).
+    Validated entry point to ``_spectrum``: the input must be a finite
+    square matrix of even dimension, symmetric within ``tol`` (relative to
+    its largest entry), and positive definite.  The spectrum is the positive
+    half of the eigenvalues of the Hermitian i L^T J L, with L the
+    Cholesky factor of A; a failed factorization is reported with the
+    minimum eigenvalue of A, which is computed only on that path.
 
     Parameters
     ----------
@@ -136,35 +165,17 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     Returns
     -------
     (n,) array of positive reals, ascending.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If the input is not finite, not symmetric or not positive definite.
     """
-    _check_spd(a, tol)
-    n = a.shape[0] // 2
-    root = _sym_power(np.asarray(a, dtype=float), 0.5)
-    sv = np.linalg.svd(root @ symplectic_form(n) @ root, compute_uv=False)
-    return sv[::2][::-1].copy()
-
-
-def symplectic_eigenvalues_ja(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
-    """Cross-check oracle: |imaginary parts| of the eigenvalues of J A.
-
-    The eigenvalues of J A are +/- i nu_j; this path is independent of the
-    SVD route used by ``symplectic_eigenvalues``.
-    """
-    _check_spd(a, tol)
-    n = a.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(n) @ np.asarray(a, dtype=float))
-    # |imag| holds each nu twice (from +i nu and -i nu); keep one per pair.
-    return np.sort(np.abs(ev.imag))[::2]
-
-
-def _batched_symplectic_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Vectorized spectrum of a (batch, 2n, 2n) stack of SPD matrices."""
-    n = stack.shape[-1] // 2
-    w, v = np.linalg.eigh(stack)
-    root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    j = symplectic_form(n)
-    sv = np.linalg.svd(root @ j @ root, compute_uv=False)
-    return sv[..., ::2][..., ::-1]
+    a = _check_symmetric(a, tol)
+    try:
+        return _spectrum(a)
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(float(np.linalg.eigvalsh(a)[0])) from None
 
 
 def _extract_planes(columns: np.ndarray, partner) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -273,10 +284,12 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECO
         If the constructed decomposition misses the residual bound; the
         residual value is included in the message.
     """
-    a = np.asarray(a, dtype=float)
-    _check_spd(a, tol)
+    a = _check_symmetric(a, tol)
     n = a.shape[0] // 2
-    a_isqrt = _sym_power(a, -0.5)
+    w, v = np.linalg.eigh(a)
+    if w[0] <= 0.0:
+        raise _not_positive_definite(float(w[0]))
+    a_isqrt = (v * w**-0.5) @ v.T
     j = symplectic_form(n)
     b = a_isqrt @ j @ a_isqrt
     m = b.T @ b

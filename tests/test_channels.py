@@ -229,9 +229,24 @@ class TestChannelRecords:
     def test_load_channel_file(self, tmp_path):
         path = tmp_path / "channel.json"
         path.write_text(json.dumps({"n_modes": 1, "kind": "lossy", "eta": [0.25]}))
-        channel = ch.load_channel(path)
+        channel, omega = ch.load_channel(path)
         assert channel.kind == "lossy"
         assert_allclose(channel.eta, [0.25])
+        assert omega is None
+
+    def test_load_channel_file_with_omega(self, tmp_path):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"n_modes": 2, "kind": "lossy", "eta": [0.25, 0.5], "omega": [1.0, 3.0]}))
+        channel, omega = ch.load_channel(path)
+        assert channel.n == 2
+        assert_allclose(omega, [1.0, 3.0])
+
+    def test_load_channel_omega_count_names_field(self, tmp_path):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"n_modes": 1, "kind": "lossy", "eta": [0.25], "omega": [1.0, 3.0]}))
+        with pytest.raises(ch.ChannelSpecError) as info:
+            ch.load_channel(path)
+        assert info.value.field == "omega"
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -196,6 +196,30 @@ class TestVerify:
         assert code == cli.EXIT_INPUT_ERROR
 
 
+class TestInvalidInputExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem1", "--trials", "0"],
+            ["verify", "lemma1", "--instances", "0"],
+            ["verify", "schur", "--trials", "0"],
+            ["verify", "additivity", "--energy", "nan"],
+            ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--budget", "0"],
+            ["capacity", "--channel", "{thermal}", "--energy", "inf"],
+            ["analyze", "--channel", "{thermal}", "--p", "nan"],
+            ["analyze", "--channel", "{thermal}", "--p", "2,inf"],
+        ],
+        ids=lambda argv: " ".join(arg for arg in argv if arg not in ("--channel", "{thermal}")),
+    )
+    def test_exits_2_with_one_line(self, argv, thermal_spec, capsys):
+        code = cli.main([thermal_spec if arg == "{thermal}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestReportEnvelope:
     def test_reports_embed_version_seed_tolerances(self, thermal_spec, tmp_path):
         out = tmp_path / "r.json"

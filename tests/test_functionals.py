@@ -104,6 +104,72 @@ class TestNumericInfFp:
         assert np.isfinite(report.best_value)
 
 
+def unitary_from_params_loop(theta, n):
+    """Reference: the Hermitian built entry by entry, then exponentiated."""
+    h = np.zeros((n, n), dtype=complex)
+    idx = n
+    h[np.arange(n), np.arange(n)] = theta[:n]
+    for i in range(n):
+        for j in range(i + 1, n):
+            h[i, j] = theta[idx] + 1j * theta[idx + 1]
+            h[j, i] = theta[idx] - 1j * theta[idx + 1]
+            idx += 2
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def project_to_energy_loop(s, d, omega, target):
+    """Reference: per-mode energy coefficients summed one mode at a time."""
+    n = len(omega)
+    w = np.repeat(omega, 2)
+    gamma_pure = s @ s.T
+    e0 = 0.25 * float(w @ np.diag(gamma_pure))
+    coef = np.array([0.25 * float(w @ (s[:, 2 * j] ** 2 + s[:, 2 * j + 1] ** 2)) for j in range(n)])
+    alpha = (target - e0) / float(coef @ d)
+    return (s * np.repeat(1.0 + alpha * d, 2)[None, :]) @ s.T
+
+
+class TestParameterizations:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unitary_matches_loop_reference(self, n):
+        rng = sp.rng_stream(5, n)
+        for _ in range(20):
+            theta = rng.normal(scale=2.0, size=n * n)
+            u = fn._unitary_from_params(theta, n)
+            assert np.max(np.abs(u - unitary_from_params_loop(theta, n))) <= 1e-14
+            assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_energy_projection_matches_loop_reference(self, n):
+        rng = sp.rng_stream(6, n)
+        omega = rng.uniform(0.5, 2.0, n)
+        for _ in range(20):
+            s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=fn._phys_cov_dim(n)), n)
+            target = 0.25 * float(np.repeat(omega, 2) @ np.diag(s @ s.T)) + 1.0
+            gamma = fn._project_to_energy(s, d, omega, target)
+            assert_allclose(gamma, project_to_energy_loop(s, d, omega, target), rtol=1e-12, atol=1e-12)
+            assert 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma)) == pytest.approx(target, rel=1e-12)
+
+
+class TestRestartedNelderMead:
+    def test_converged_describes_the_winning_restart(self):
+        def bowl_beside_slope(x):
+            # The origin restart converges in the bowl (value 1); a restart
+            # started off the bowl runs down the slope to its evaluation cap
+            # and wins with a lower value.
+            r = abs(float(x[0]))
+            return 1.0 + r * r if r < 0.01 else -r
+
+        best, _, evals, converged = fn._restarted_nelder_mead(bowl_beside_slope, 1, 400, seed=0, restarts=2)
+        assert best < 1.0 and evals <= 400
+        assert converged is False
+
+    def test_converged_when_the_winner_converges(self):
+        _, x, _, converged = fn._restarted_nelder_mead(lambda x: float(x @ x), 2, 400, seed=0, restarts=2)
+        assert converged is True
+        assert np.max(np.abs(x)) <= 1e-6
+
+
 class TestEnergyBudget:
     def test_zero_point(self):
         budget = fn.EnergyBudget(2.0, [1.0, 3.0])

@@ -49,6 +49,19 @@ class TestConstructors:
         with pytest.raises(sp.DimensionError):
             st.coherent(2, 1.0, np.zeros(2))
 
+    def test_spectrum_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(gamma, *args, **kwargs):
+            calls.append(1)
+            return sp.symplectic_eigenvalues(gamma, *args, **kwargs)
+
+        monkeypatch.setattr(st, "symplectic_eigenvalues", counting)
+        state = st.thermal([1.0, 2.0])
+        assert_allclose(state.spectrum(), [3.0, 5.0])
+        assert st.is_physical(state).ok
+        assert len(calls) == 1
+
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(st.UnphysicalStateError):
             st.GaussianState(0.5 * np.eye(2), np.zeros(2), np.ones(1))

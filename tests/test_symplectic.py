@@ -10,6 +10,26 @@ from cvchan import symplectic as sp
 J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def symplectic_eigenvalues_ja(a):
+    """Reference spectrum: |imaginary parts| of the eigenvalues of J A.
+
+    The eigenvalues of J A are +/- i nu_j; the nonsymmetric eigensolver is
+    independent of the Cholesky route under test.  Works on stacks.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1] // 2
+    ev = np.linalg.eigvals(np.kron(np.eye(n), J1) @ a)
+    # |imag| holds each nu twice (from +i nu and -i nu); keep one per pair.
+    return np.sort(np.abs(ev.imag), axis=-1)[..., ::2]
+
+
+#: Relative agreement required between the Cholesky kernel and the J A
+#: reference.  Both are backward stable, so each nu carries an absolute
+#: error of a few eps * ||A||; with ||A|| <= z^2 nu_max = 64 * 4 and
+#: nu_min = 0.25 that is about 1e-12 relative, and 1e-10 leaves margin.
+KERNEL_RTOL = 1e-10
+
+
 class TestSymplecticForm:
     def test_single_mode(self):
         assert_allclose(sp.symplectic_form(1), J1)
@@ -30,6 +50,13 @@ class TestSymplecticForm:
     def test_rejects_zero_modes(self):
         with pytest.raises(sp.DimensionError):
             sp.symplectic_form(0)
+
+    def test_cached_and_read_only(self):
+        j = sp.symplectic_form(3)
+        assert sp.symplectic_form(3) is j
+        assert not j.flags.writeable
+        with pytest.raises(ValueError):
+            j[0, 0] = 1.0
 
 
 class TestIsSymplectic:
@@ -73,7 +100,7 @@ class TestSymplecticEigenvalues:
             a = sp.random_spd(n, (0.4, 5.0), seed=seed)
             assert_allclose(
                 sp.symplectic_eigenvalues(a),
-                sp.symplectic_eigenvalues_ja(a),
+                symplectic_eigenvalues_ja(a),
                 atol=1e-9,
             )
 
@@ -92,9 +119,57 @@ class TestSymplecticEigenvalues:
         with pytest.raises(sp.NotPositiveDefiniteError):
             sp.symplectic_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(sp.NotPositiveDefiniteError, match="non-finite"):
+            sp.symplectic_eigenvalues(np.diag([bad, 1.0]))
+
     def test_rejects_indefinite_with_diagnostic(self):
         with pytest.raises(sp.NotPositiveDefiniteError, match="-1"):
             sp.symplectic_eigenvalues(np.diag([1.0, -1.0]))
+
+
+class TestSpectrumKernel:
+    """The unvalidated kernel against the J A reference, scalar and batched."""
+
+    @staticmethod
+    def stack(n, nu_range, seed, squeeze_range=(1.0, 8.0), count=64):
+        return sp.sample_spd(sp.rng_stream(seed, n), n, count, nu_range, squeeze_range)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scalar_inputs(self, n):
+        for a in self.stack(n, (0.25, 4.0), seed=1, count=16):
+            assert_allclose(sp._spectrum(a), symplectic_eigenvalues_ja(a), rtol=KERNEL_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "nu_range", [(0.25, 4.0), (0.25, 1.0), (1.5, 1.5)], ids=["wide", "below-one", "degenerate"]
+    )
+    def test_batched_stack(self, n, nu_range):
+        a = self.stack(n, nu_range, seed=2)
+        got = sp._spectrum(a)
+        assert got.shape == (64, n)
+        assert_allclose(got, symplectic_eigenvalues_ja(a), rtol=KERNEL_RTOL, atol=0.0)
+        assert np.all(np.diff(got, axis=1) >= 0.0)
+
+    def test_batch_matches_scalar_calls(self):
+        a = self.stack(3, (0.25, 4.0), seed=3, count=8)
+        assert_allclose(sp._spectrum(a), [sp.symplectic_eigenvalues(m) for m in a], rtol=1e-13, atol=0.0)
+
+    def test_heavy_squeezing_degenerate(self):
+        # z = 8 in every mode and one repeated nu: ||A|| = 64 nu.
+        s = sp.symplectic_from_factors(
+            sp.random_unitary(4, seed=5), np.full(4, 8.0), sp.random_unitary(4, seed=6)
+        )
+        a = s @ (0.25 * s.T)
+        assert_allclose(sp._spectrum(a), np.full(4, 0.25), rtol=KERNEL_RTOL, atol=0.0)
+        assert_allclose(sp._spectrum(a), symplectic_eigenvalues_ja(a), rtol=KERNEL_RTOL, atol=0.0)
+
+    def test_indefinite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            sp._spectrum(np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            sp._spectrum(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
 
 
 class TestWilliamson:
