@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .symplectic import (
     DimensionError,
@@ -147,22 +148,12 @@ def lossy(eta) -> GaussianChannel:
     )
 
 
-def _direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    at = 0
-    for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
-
-
 def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:
     """Tensor product of channels, realized by direct sums of X and Y."""
     if len(channels) == 0:
         raise ValueError("tensor product of an empty channel list")
-    x = _direct_sum([c.x for c in channels])
-    y = _direct_sum([c.y for c in channels])
+    x = block_diag(*[c.x for c in channels])
+    y = block_diag(*[c.y for c in channels])
     kinds = {c.kind for c in channels}
     if kinds == {"classical"}:
         kind = "classical"
@@ -221,6 +212,17 @@ def channel_to_record(channel: GaussianChannel) -> dict:
     return record
 
 
+def _numeric_field(name: str, value) -> np.ndarray:
+    """A record field as a float array; entries must be finite numbers."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ChannelSpecError(name, "entries must be numbers") from None
+    if not np.isfinite(array).all():
+        raise ChannelSpecError(name, "entries must be finite")
+    return array
+
+
 def channel_from_record(record: dict) -> GaussianChannel:
     """Build a channel from its record, naming the offending field on error."""
     if "n_modes" not in record:
@@ -236,13 +238,14 @@ def channel_from_record(record: dict) -> GaussianChannel:
         raise ChannelSpecError("kind", f"unknown kind {kind!r}")
 
     def matrix_field(name: str) -> np.ndarray:
+        values = _numeric_field(name, record[name])
         try:
-            return matrix_from_rowmajor(record[name], 2 * n, 2 * n)
+            return matrix_from_rowmajor(values, 2 * n, 2 * n)
         except (TypeError, ValueError, DimensionError) as exc:
             raise ChannelSpecError(name, str(exc)) from None
 
     def vector_field(name: str) -> np.ndarray:
-        value = np.asarray(record.get(name, []), dtype=float)
+        value = _numeric_field(name, record.get(name, []))
         if value.shape != (n,):
             raise ChannelSpecError(name, f"expected {n} entries, got shape {value.shape}")
         return value
@@ -283,7 +286,7 @@ def load_channel(path) -> tuple[GaussianChannel, np.ndarray | None]:
     channel = channel_from_record(record)
     omega = record.get("omega")
     if omega is not None:
-        omega = np.asarray(omega, dtype=float)
+        omega = _numeric_field("omega", omega)
         if omega.shape != (channel.n,):
             raise ChannelSpecError("omega", f"expected {channel.n} entries, got {omega.size}")
     return channel, omega

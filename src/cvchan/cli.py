@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="random seed recorded in the report")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="report path (default: stdout)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
+    common.add_argument("--tol", type=float, default=None, help="tolerance override (every verify target)")
 
     analyze = sub.add_parser("analyze", parents=[common], help="output p-norms and minimal entropy")
     analyze.add_argument("--channel", required=True, help="channel spec file (JSON)")
@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=int, default=20000)
     verify.add_argument("--instances", type=int, default=100, help="matrix instances for the lemma1 campaign")
     verify.add_argument("--energy", type=float, default=3.0, help="total budget for the additivity campaign")
-    verify.add_argument("--self-test-negate", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -227,11 +226,24 @@ def _builtin_channel_pairs():
     ]
 
 
-def _run_target(args, report: dict, negate: bool) -> bool:
+#: Per verify target: the report key and the default of the tolerance
+#: that --tol sets.
+_VERIFY_TOLERANCES = {
+    "theorem1": ("prefix_atol", mj.PREFIX_ATOL),
+    "lemma1": ("prefix_atol", mj.PREFIX_ATOL),
+    "schur": ("prefix_atol", mj.PREFIX_ATOL),
+    "concavity": ("concavity_bound", 1e-9),
+    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED),
+    "additivity": ("tol_sup", fn.TOL_OPT_SUP),
+}
+
+
+def _run_target(args, report: dict) -> bool:
     """Run one verification target into ``report``; return True on failure."""
     failed = False
+    tol = _VERIFY_TOLERANCES[args.target][1] if args.tol is None else args.tol
     if args.target == "theorem1":
-        trial = mj.theorem1_trial(args.max_modes, trials=args.trials, seed=args.seed, _negate=negate)
+        trial = mj.theorem1_trial(args.max_modes, trials=args.trials, seed=args.seed, atol=tol)
         report["result"] = trial.record()
         failed = not trial.passed
     elif args.target == "lemma1":
@@ -240,23 +252,21 @@ def _run_target(args, report: dict, negate: bool) -> bool:
             max_modes=min(args.max_modes, 3),
             samples=args.trials,
             seed=args.seed,
-            _negate=negate,
+            atol=tol,
         )
         report["result"] = campaign.record()
         failed = not campaign.passed or abs(campaign.witness_gap) > 1e-8
     elif args.target == "schur":
-        campaign = mj.schur_campaign(trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, _negate=negate)
+        campaign = mj.schur_campaign(trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)
         report["result"] = campaign.record()
         failed = not campaign.passed
     elif args.target == "concavity":
-        bound = -1.0 if negate else 1e-9
-        check = fn.log_fp_concavity_check(bound=bound)
+        check = fn.log_fp_concavity_check(bound=tol)
         report["result"] = check.record()
         failed = not check.passed
     elif args.target == "multiplicativity":
         results = []
         for label, p, pair in _builtin_channel_pairs():
-            tol = -1.0 if negate else (args.tol if args.tol is not None else fn.TOL_OPT_CLOSED)
             check = fn.multiplicativity_check(pair, p, search_budget=args.budget, seed=args.seed, tol=tol)
             entry = {"pair": label, **check.record()}
             results.append(entry)
@@ -265,7 +275,6 @@ def _run_target(args, report: dict, negate: bool) -> bool:
     else:  # additivity
         pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
         budget = fn.EnergyBudget(args.energy, np.ones(2))
-        tol = -1.0 if negate else (args.tol if args.tol is not None else fn.TOL_OPT_SUP)
         check = fn.additivity_check(pair, budget, search_budget=args.budget, seed=args.seed, tol=tol)
         report["result"] = check.record()
         failed = not check.passed
@@ -273,12 +282,14 @@ def _run_target(args, report: dict, negate: bool) -> bool:
 
 
 def cmd_verify(args) -> int:
-    negate = bool(getattr(args, "self_test_negate", False))
     t0 = time.monotonic()
-    report = _base_report(args, {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL})
+    tolerances = {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL}
+    if args.tol is not None:
+        tolerances[_VERIFY_TOLERANCES[args.target][0]] = args.tol
+    report = _base_report(args, tolerances)
     report["target"] = args.target
     try:
-        failed = _run_target(args, report, negate)
+        failed = _run_target(args, report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from . import channels as ch
@@ -52,8 +53,8 @@ class EnergyBudget:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.atleast_1d(np.asarray(self.omega, dtype=float)))
-        if np.any(self.omega <= 0.0):
-            raise ValueError("mode frequencies must be positive")
+        if not np.all((self.omega > 0.0) & np.isfinite(self.omega)):
+            raise ValueError("mode frequencies must be positive and finite")
 
     @property
     def zero_point(self) -> float:
@@ -231,7 +232,7 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
 def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarray:
     """Output spectrum through the unvalidated kernel: ``apply_cov`` returns
     a symmetric matrix, and a failed Cholesky factorization raises
-    ``LinAlgError``, which ``_guarded`` turns into +inf."""
+    ``LinAlgError``, which the ``_search`` objective scores as +inf."""
     return _spectrum(ch.apply_cov(channel, gamma))
 
 
@@ -279,17 +280,36 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
     return best_val, best_x, evals, converged
 
 
-def _guarded(value_fn):
-    """Wrap an objective so numerical failures count as +inf."""
+def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, seed: int, restarts: int):
+    """Minimize a score of the output spectrum over parameterized inputs.
 
-    def wrapped(theta):
+    ``cov_of`` maps a parameter vector of length ``dim`` to an input
+    covariance and ``score`` maps the output spectrum, clamped at the
+    physical floor 1 that rounding can undercut, to a real.  Numerical
+    failures and non-finite scores count as +inf; the minimization is
+    ``_restarted_nelder_mead`` under the evaluation ``budget``.  The report
+    holds the best score, the covariance that produced it, the evaluation
+    count and whether the restart that found it converged; callers map
+    the score to the figure they report.
+    """
+
+    def objective(theta):
         try:
-            out = value_fn(theta)
+            out = score(np.maximum(_output_spectrum(channel, cov_of(theta)), 1.0))
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
             return np.inf
         return out if np.isfinite(out) else np.inf
 
-    return wrapped
+    best, best_x, evals, converged = _restarted_nelder_mead(objective, dim, budget, seed, restarts)
+    return OptimizationReport(float(best), cov_of(best_x), evals, budget, converged)
+
+
+def _gap_to_closed_form(best: float, closed_form, channel: ch.GaussianChannel) -> float | None:
+    """best - closed_form(channel), or None for kinds without a closed form."""
+    try:
+        return best - closed_form(channel)
+    except UnsupportedKindError:
+        return None
 
 
 def numeric_inf_fp(
@@ -309,28 +329,13 @@ def numeric_inf_fp(
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     n = channel.n
-
-    def log_fp(theta):
-        gamma = _pure_cov(theta, n)
-        nu = np.maximum(_output_spectrum(channel, gamma), 1.0)
-        return float(np.sum(np.log(st.f_p(nu, p))))
-
-    best_log, best_x, evals, converged = _restarted_nelder_mead(
-        _guarded(log_fp), _pure_cov_dim(n), budget, seed, restarts
+    report = _search(
+        channel, lambda nu: float(np.sum(np.log(st.f_p(nu, p)))), lambda theta: _pure_cov(theta, n),
+        _pure_cov_dim(n), budget, seed, restarts,
     )
-    best = float(np.exp(best_log))
-    try:
-        gap = best - min_output_fp_closed(channel, p)
-    except UnsupportedKindError:
-        gap = None
-    return OptimizationReport(
-        best_value=best,
-        best_input=_pure_cov(best_x, n),
-        evaluations=evals,
-        budget=budget,
-        converged=converged,
-        gap_to_closed_form=gap,
-    )
+    report.best_value = float(np.exp(report.best_value))
+    report.gap_to_closed_form = _gap_to_closed_form(report.best_value, lambda c: min_output_fp_closed(c, p), channel)
+    return report
 
 
 def numeric_min_entropy(
@@ -341,26 +346,11 @@ def numeric_min_entropy(
 ) -> OptimizationReport:
     """Numeric twin of ``min_output_entropy`` for channels without a closed form."""
     n = channel.n
-
-    def entropy_obj(theta):
-        gamma = _pure_cov(theta, n)
-        return st.von_neumann_entropy(np.maximum(_output_spectrum(channel, gamma), 1.0))
-
-    best, best_x, evals, converged = _restarted_nelder_mead(
-        _guarded(entropy_obj), _pure_cov_dim(n), budget, seed, restarts
+    report = _search(
+        channel, st.von_neumann_entropy, lambda theta: _pure_cov(theta, n), _pure_cov_dim(n), budget, seed, restarts
     )
-    try:
-        gap = best - min_output_entropy_closed_only(channel)
-    except UnsupportedKindError:
-        gap = None
-    return OptimizationReport(
-        best_value=float(best),
-        best_input=_pure_cov(best_x, n),
-        evaluations=evals,
-        budget=budget,
-        converged=converged,
-        gap_to_closed_form=gap,
-    )
+    report.gap_to_closed_form = _gap_to_closed_form(report.best_value, min_output_entropy_closed_only, channel)
+    return report
 
 
 def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
@@ -394,23 +384,14 @@ def max_output_entropy_under_energy(
         raise InfeasibleEnergyError(
             f"energy {budget.total} below zero-point {budget.zero_point}"
         )
-
-    def neg_entropy(theta):
-        s, d = _phys_cov_factors(theta, n)
-        gamma = _project_to_energy(s, d, budget.omega, budget.total)
-        return -st.von_neumann_entropy(np.maximum(_output_spectrum(channel, gamma), 1.0))
-
-    best_neg, best_x, evals, converged = _restarted_nelder_mead(
-        _guarded(neg_entropy), _phys_cov_dim(n), search_budget, seed, restarts
+    report = _search(
+        channel,
+        lambda nu: -st.von_neumann_entropy(nu),
+        lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget.omega, budget.total),
+        _phys_cov_dim(n), search_budget, seed, restarts,
     )
-    s, d = _phys_cov_factors(best_x, n)
-    return OptimizationReport(
-        best_value=float(-best_neg),
-        best_input=_project_to_energy(s, d, budget.omega, budget.total),
-        evaluations=evals,
-        budget=search_budget,
-        converged=converged,
-    )
+    report.best_value = -report.best_value
+    return report
 
 
 @dataclass
@@ -485,7 +466,7 @@ def separable_optimal_input(channel_list) -> np.ndarray:
             blocks.append(s_inv @ s_inv.T)
         else:
             raise UnsupportedKindError(f"no optimal-input witness for kind {channel.kind!r}")
-    return ch._direct_sum(blocks)
+    return block_diag(*blocks)
 
 
 @dataclass

@@ -160,7 +160,6 @@ def theorem1_trial(
     seed: int = 23,
     atol: float = PREFIX_ATOL,
     rtol: float = PREFIX_RTOL,
-    _negate: bool = False,
 ) -> TrialReport:
     """Randomized check that nu(A + B) is weakly supermajorized by nu(A) + nu(B).
 
@@ -169,9 +168,6 @@ def theorem1_trial(
     required by the inequality, so nu below 1 is allowed).  The margin of
     a trial is the smallest ascending-prefix gap; a trial fails when its
     margin drops below the prefix tolerance.
-
-    ``_negate`` flips every margin; it exists only so the verification
-    harness can prove it detects failures.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -194,8 +190,6 @@ def theorem1_trial(
         lhs = np.cumsum(np.sort(nu_sum, axis=1), axis=1)
         rhs = np.cumsum(np.sort(nu_parts, axis=1), axis=1)
         margins = np.min(lhs - rhs, axis=1)
-        if _negate:
-            margins = -margins
         tol = atol + rtol * max(float(np.max(rhs)), 1.0)
         bad = margins < -tol
         failures += int(np.sum(bad))
@@ -229,7 +223,6 @@ def lemma1_trial(
     rtol: float = PREFIX_RTOL,
     batch: int = 2048,
     near_tol: float = 1e-6,
-    _negate: bool = False,
 ) -> TrialReport:
     """Randomized lower-bound check of the truncated-symplectic trace minimum.
 
@@ -267,8 +260,6 @@ def lemma1_trial(
         sk = s[:, : 2 * k, :]
         traces = np.einsum("bij,jk,bik->b", sk, a, sk)
         margins = traces - bound
-        if _negate:
-            margins = -margins
         bad = margins < -tol
         failures += int(np.sum(bad))
         near_attainers += int(np.sum(np.abs(margins) <= near_tol))
@@ -313,9 +304,12 @@ def lemma1_campaign(
     samples: int = 10000,
     nu_range: tuple[float, float] = (0.3, 4.0),
     seed: int = 29,
-    _negate: bool = False,
+    atol: float = PREFIX_ATOL,
 ) -> TrialReport:
-    """Run ``lemma1_trial`` over random matrices and every valid truncation size."""
+    """Run ``lemma1_trial`` over random matrices and every valid truncation size.
+
+    ``atol`` is the absolute prefix slack of every trial.
+    """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
     worst = np.inf
@@ -328,7 +322,7 @@ def lemma1_campaign(
         n = int(rng.integers(1, max_modes + 1))
         a = sample_spd(rng, n, 1, nu_range)[0]
         for k in range(1, n + 1):
-            report = lemma1_trial(a, k, samples=samples, seed=seed + 7919 * inst + k, _negate=_negate)
+            report = lemma1_trial(a, k, samples=samples, seed=seed + 7919 * inst + k, atol=atol)
             total += report.trials
             failures += report.failures
             if report.worst_margin < worst:
@@ -358,7 +352,6 @@ def schur_campaign(
     seed: int = 17,
     atol: float = PREFIX_ATOL,
     rtol: float = PREFIX_RTOL,
-    _negate: bool = False,
 ) -> TrialReport:
     """Schur theorem over random real symmetric matrices of dimension <= max_dim.
 
@@ -379,8 +372,6 @@ def schur_campaign(
         pd = np.cumsum(np.sort(np.diag(a))[::-1])
         pl = np.cumsum(np.sort(np.linalg.eigvalsh(a))[::-1])
         margin = min(float(np.min((pl - pd)[:-1])), -abs(float(pl[-1] - pd[-1])))
-        if _negate:
-            margin = -margin - 1.0
         tol = atol + rtol * max(abs(float(pl[-1])), 1.0) * dim
         if margin < -tol:
             failures += 1

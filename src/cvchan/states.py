@@ -241,11 +241,6 @@ def von_neumann_entropy(state_or_spectrum) -> float:
     return float(np.sum(out))
 
 
-def entropy_of_nu(nu: float) -> float:
-    """Single-mode entropy s(nu); convenience scalar form."""
-    return von_neumann_entropy(np.array([nu]))
-
-
 def state_to_record(state: GaussianState) -> dict:
     """Structured-text record {n, omega, gamma (row-major), m}."""
     return {

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 #: Membership tolerance for symplectic / orthogonal / unitary residuals.
 TOL_SYM = 1e-10
@@ -116,33 +117,44 @@ def _check_symmetric(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     return a
 
 
-def _not_positive_definite(min_eigenvalue: float) -> NotPositiveDefiniteError:
-    return NotPositiveDefiniteError(
-        f"matrix is not positive definite (minimum eigenvalue {min_eigenvalue:.3e})"
-    )
-
-
 def _sym_power(a: np.ndarray, power: float) -> np.ndarray:
     """Symmetric matrix power via eigendecomposition; input assumed SPD."""
     w, v = np.linalg.eigh(a)
     return (v * w**power) @ v.T
 
 
+def _hermitian(l: np.ndarray) -> np.ndarray:
+    """The Hermitian i L^T J L of a Cholesky factor L, or of a stack of them.
+
+    L^T J L is real skew-symmetric and similar to J A for A = L L^T, so the
+    Hermitian has the eigenvalues +/- nu_j (Bhatia & Jain, J. Math. Phys.,
+    2015).  ``_spectrum`` and ``williamson`` both diagonalize this matrix.
+    """
+    n = l.shape[-1] // 2
+    return 1j * (np.swapaxes(l, -1, -2) @ _form(n) @ l)
+
+
 def _spectrum(a: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of one SPD matrix or a (..., 2n, 2n) stack; unvalidated.
 
-    With the Cholesky factor A = L L^T, the matrix L^T J L is real
-    skew-symmetric and similar to J A, so the Hermitian i L^T J L has the
-    eigenvalues +/- nu_j (Bhatia & Jain, J. Math. Phys., 2015).
-    Its upper half, ascending, is the spectrum.  Only the lower triangle of
-    A is read.  The factorization is the positive-definiteness test: a
-    matrix that is not positive definite raises ``numpy.linalg.LinAlgError``.
-    Inner loops call this directly; ``symplectic_eigenvalues`` is the
-    validated entry point.
+    The upper half, ascending, of the eigenvalues of ``_hermitian`` of the
+    Cholesky factor of A.  Only the lower triangle of A is read.  The
+    factorization is the positive-definiteness test: a matrix that is not
+    positive definite raises ``numpy.linalg.LinAlgError``.  Inner loops call
+    this directly; ``symplectic_eigenvalues`` is the validated entry point.
     """
     n = a.shape[-1] // 2
-    l = np.linalg.cholesky(a)
-    return np.linalg.eigvalsh(1j * (np.swapaxes(l, -1, -2) @ _form(n) @ l))[..., n:]
+    return np.linalg.eigvalsh(_hermitian(np.linalg.cholesky(a)))[..., n:]
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a validated symmetric matrix; a failure is reported
+    with the minimum eigenvalue of A, which is computed only on that path."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        min_eigenvalue = float(np.linalg.eigvalsh(a)[0])
+    raise NotPositiveDefiniteError(f"matrix is not positive definite (minimum eigenvalue {min_eigenvalue:.3e})")
 
 
 def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
@@ -152,8 +164,8 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     square matrix of even dimension, symmetric within ``tol`` (relative to
     its largest entry), and positive definite.  The spectrum is the positive
     half of the eigenvalues of the Hermitian i L^T J L, with L the
-    Cholesky factor of A; a failed factorization is reported with the
-    minimum eigenvalue of A, which is computed only on that path.
+    Cholesky factor of A, as in ``_spectrum``; a failed factorization is
+    reported with the minimum eigenvalue of A.
 
     Parameters
     ----------
@@ -172,20 +184,21 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
         If the input is not finite, not symmetric or not positive definite.
     """
     a = _check_symmetric(a, tol)
-    try:
-        return _spectrum(a)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(float(np.linalg.eigvalsh(a)[0])) from None
+    return np.linalg.eigvalsh(_hermitian(_cholesky(a)))[a.shape[0] // 2 :]
 
 
-def _extract_planes(columns: np.ndarray, partner) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic symplectic Gram-Schmidt over a degenerate cluster.
+def _extract_planes(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthosymplectic basis, as (v, -J v) pairs, of a J-invariant subspace.
 
-    ``columns`` spans an even-dimensional invariant subspace; ``partner``
-    maps a unit vector v to its (automatically orthogonal) plane partner.
-    Each step takes the largest remaining direction, deflates the pair,
-    and drops columns that the extracted planes have absorbed.
+    ``columns`` (2n x 2m) spans an invariant subspace of J of dimension 2m,
+    such as an eigenspace of a positive symplectic matrix, in a basis that
+    need not respect the pairing.  Each step takes the longest remaining
+    column v, normalized, pairs it with -J v (a unit vector orthogonal to v,
+    since J is orthogonal and skew), and projects the pair out of the rest,
+    dropping columns left numerically empty.  Raises ``ArithmeticError``
+    unless exactly m pairs come out.
     """
+    j = _form(columns.shape[0] // 2)
     expected = columns.shape[1] // 2
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     rest = columns
@@ -195,7 +208,7 @@ def _extract_planes(columns: np.ndarray, partner) -> list[tuple[np.ndarray, np.n
         if norms[pick] < 1e-6:
             break
         v = rest[:, pick] / norms[pick]
-        w = partner(v)
+        w = -j @ v
         pairs.append((v, w))
         rest = np.delete(rest, pick, axis=1)
         rest = rest - np.outer(v, v @ rest) - np.outer(w, w @ rest)
@@ -205,40 +218,6 @@ def _extract_planes(columns: np.ndarray, partner) -> list[tuple[np.ndarray, np.n
             f"plane pairing extracted {len(pairs)} planes from a cluster of dimension {2 * expected}"
         )
     return pairs
-
-
-def _pair_planes(b: np.ndarray, basis: np.ndarray, groups: Sequence[Sequence[int]]):
-    """Pair invariant 2-planes of a skew-symmetric matrix ``b``.
-
-    ``basis`` holds orthonormal eigenvectors of b^T b; ``groups`` indexes
-    numerically degenerate clusters.  Returns (nu, w, v) triples with
-    nu = 1 / ||B v||.
-    """
-    def partner(v):
-        bv = b @ v
-        norm = np.linalg.norm(bv)
-        if norm <= 0.0:
-            raise NotPositiveDefiniteError("skew canonical form: singular 2-plane")
-        return bv / norm
-
-    planes = []
-    for group in groups:
-        for v, w in _extract_planes(basis[:, list(group)], partner):
-            planes.append((1.0 / float(np.linalg.norm(b @ v)), w, v))
-    return planes
-
-
-def _degenerate_groups(values: np.ndarray, width: float) -> list[list[int]]:
-    """Split a sorted vector into clusters of numerically equal entries."""
-    groups: list[list[int]] = []
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and abs(values[j] - values[i]) <= width:
-            j += 1
-        groups.append(list(range(i, j)))
-        i = j
-    return groups
 
 
 @dataclass(frozen=True)
@@ -257,11 +236,23 @@ class WilliamsonDecomposition:
 def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECOMP) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite matrix.
 
-    Construction: form the skew-symmetric B = A^{-1/2} J A^{-1/2}, reduce
-    it to its real canonical form B = O (+_j nu_j^{-1} J1) O^T with O
-    orthogonal (symmetric eigenproblem of B^T B plus pairing of invariant
-    2-planes), and return S = D^{1/2} O^T A^{-1/2}.  Only symmetric
-    eigensolvers are involved.
+    Construction: factor A = L L^T and take the eigenvectors u_j of the n
+    positive eigenvalues nu_j of the Hermitian i L^T J L, the matrix whose
+    eigenvalues ``_spectrum`` returns.  Writing u_j = x_j + i y_j, the real
+    skew K = L^T J L acts as K y_j = -nu_j x_j and K x_j = nu_j y_j, so the
+    orthogonal O with columns (sqrt2 y_j, sqrt2 x_j) gives
+    K = O (+_j nu_j J1) O^T.  Then S = D^{1/2} O^T L^{-1}, computed by a
+    triangular solve, satisfies S A S^T = D and S J S^T = J.
+
+    Repeated or nearly repeated nu need no special handling: since K is
+    real, conj(u_j) is the eigenvector for -nu_j, and the gap between nu_j
+    and -nu_j is at least 2 nu_min.  So the u_j are orthogonal to every
+    conj(u_k) to working precision, which is what makes the columns of O
+    orthonormal, whichever basis ``eigh`` picks inside a repeated nu.  The
+    factor S is only defined up to an orthosymplectic gauge and is
+    ill-conditioned near degeneracy (Idel, Soto Gaona & Wolf, Linear
+    Algebra Appl., 2017); the contract is the residual, which this
+    backward-stable route meets whatever the gaps.
 
     Parameters
     ----------
@@ -279,33 +270,25 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECO
     Raises
     ------
     NotPositiveDefiniteError
-        If the input is not symmetric positive-definite.
+        If the input is not finite, not symmetric within ``tol``, or not
+        positive definite (the message names the minimum eigenvalue).
     ArithmeticError
         If the constructed decomposition misses the residual bound; the
         residual value is included in the message.
     """
     a = _check_symmetric(a, tol)
     n = a.shape[0] // 2
-    w, v = np.linalg.eigh(a)
-    if w[0] <= 0.0:
-        raise _not_positive_definite(float(w[0]))
-    a_isqrt = (v * w**-0.5) @ v.T
-    j = symplectic_form(n)
-    b = a_isqrt @ j @ a_isqrt
-    m = b.T @ b
-    mu, basis = np.linalg.eigh(m)
-    width = 1e-10 * max(1.0, float(mu[-1]))
-    planes = _pair_planes(b, basis, _degenerate_groups(mu, width))
-    planes.sort(key=lambda plane: plane[0])
-
-    spectrum = np.array([plane[0] for plane in planes])
+    l = _cholesky(a)
+    values, vectors = np.linalg.eigh(_hermitian(l))
+    spectrum = values[n:]
+    u = np.sqrt(2.0) * vectors[:, n:]
     o = np.empty((2 * n, 2 * n))
-    for k, (_, w, v) in enumerate(planes):
-        o[:, 2 * k] = w
-        o[:, 2 * k + 1] = v
-    s = np.sqrt(np.repeat(spectrum, 2))[:, None] * (o.T @ a_isqrt)
+    o[:, 0::2] = u.imag
+    o[:, 1::2] = u.real
+    d = np.repeat(spectrum, 2)
+    s = np.sqrt(d)[:, None] * solve_triangular(l, o, lower=True, trans="T").T
 
-    residual = float(np.max(np.abs(s @ a @ s.T - np.diag(np.repeat(spectrum, 2)))))
+    residual = float(np.max(np.abs(s @ a @ s.T - np.diag(d))))
     if residual > tol_decomp:
         raise ArithmeticError(f"Williamson residual {residual:.3e} exceeds {tol_decomp:.1e}")
     return WilliamsonDecomposition(s=s, spectrum=spectrum)
@@ -370,7 +353,7 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL
         u = vec[:, i]
         cols.extend([u, -j @ u])
         zs.append(float(lam[i]))
-    for v, w in _extract_planes(vec[:, unit], lambda v: -j @ v):
+    for v, w in _extract_planes(vec[:, unit]):
         cols.extend([v, w])
         zs.append(1.0)
 

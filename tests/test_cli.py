@@ -156,18 +156,31 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.read_text())["result"]["witness_gap"] <= 1e-8
 
-    def test_negation_hook_fails_with_counterexample(self, tmp_path):
+    @pytest.mark.parametrize(
+        "target, key, counts",
+        [
+            ("theorem1", "prefix_atol", ["--trials", "100", "--max-modes", "2"]),
+            ("lemma1", "prefix_atol", ["--instances", "2", "--trials", "100", "--max-modes", "2"]),
+            ("schur", "prefix_atol", ["--trials", "50", "--max-modes", "2"]),
+            ("concavity", "concavity_bound", []),
+            ("multiplicativity", "tol_opt", ["--budget", "200"]),
+        ],
+        ids=["theorem1", "lemma1", "schur", "concavity", "multiplicativity"],
+    )
+    def test_negative_tolerance_fails_with_counterexample(self, target, key, counts, tmp_path):
+        # --tol=-1e6 demands a margin no check can meet, so every target must
+        # detect, count and report the violation.  The '=' form keeps argparse
+        # from reading -1e6 as an option.
         out = tmp_path / "v.json"
-        code = cli.main(
-            [
-                "verify", "theorem1", "--trials", "100", "--max-modes", "2",
-                "--self-test-negate", "--out", str(out),
-            ]
-        )
+        code = cli.main(["verify", target, *counts, "--tol=-1e6", "--out", str(out)])
         assert code == cli.EXIT_VERIFY_FAILED
         report = json.loads(out.read_text())
-        assert report["result"]["pass"] is False
-        assert report["result"]["counterexample"] is not None
+        assert report["tolerances"][key] == -1e6
+        results = report.get("results") or [report["result"]]
+        assert all(entry["pass"] is False for entry in results)
+        if target in ("theorem1", "lemma1", "schur"):
+            assert results[0]["failures"] > 0
+            assert results[0]["counterexample"] is not None
 
     def test_verify_reports_deterministic(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -218,6 +231,38 @@ class TestInvalidInputExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestInvalidChannelFiles:
+    @pytest.mark.parametrize(
+        "field, record, command",
+        [
+            ("eta", {"n_modes": 1, "kind": "thermal", "eta": {"a": 1}, "nbar": [1.0]}, ["analyze"]),
+            ("eta", {"n_modes": 1, "kind": "thermal", "eta": [float("nan")], "nbar": [1.0]}, ["analyze"]),
+            (
+                "X",
+                {"n_modes": 1, "kind": "custom", "X": [float("nan"), 0.0, 0.0, 1.0], "Y": [1.0, 0.0, 0.0, 1.0]},
+                ["analyze", "--numeric", "--budget", "100"],
+            ),
+            (
+                "omega",
+                {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0], "omega": [float("nan")]},
+                ["capacity", "--energy", "1.5", "--budget", "100"],
+            ),
+        ],
+        ids=["eta-object", "eta-nan", "custom-X-nan", "omega-nan"],
+    )
+    def test_exits_2_naming_the_field(self, field, record, command, tmp_path, capsys):
+        # json.dumps writes NaN as the literal that Python's json reads back.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        code = cli.main([command[0], "--channel", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"'{field}'" in captured.err
 
 
 class TestReportEnvelope:

@@ -98,9 +98,11 @@ class TestSchurDiagCheck:
         assert report.passed
         assert report.failures == 0
 
-    def test_campaign_negation_hook_detects(self):
-        report = mj.schur_campaign(trials=50, max_dim=4, seed=17, _negate=True)
+    def test_campaign_detects_violation_under_negative_tolerance(self):
+        # A negative slack turns every trial into a violation.
+        report = mj.schur_campaign(trials=50, max_dim=4, seed=17, atol=-1e6)
         assert not report.passed
+        assert report.failures > 0
         assert report.counterexample is not None
 
 
@@ -132,8 +134,8 @@ class TestTheorem1:
         b = mj.theorem1_trial(2, trials=100, seed=5)
         assert a.worst_margin == b.worst_margin
 
-    def test_negation_hook_detects(self):
-        report = mj.theorem1_trial(2, trials=100, seed=5, _negate=True)
+    def test_detects_violation_under_negative_tolerance(self):
+        report = mj.theorem1_trial(2, trials=100, seed=5, atol=-1e6)
         assert report.failures > 0
         assert report.counterexample is not None
 
@@ -168,9 +170,10 @@ class TestLemma1:
         with pytest.raises(sp.DimensionError):
             mj.lemma1_trial(np.eye(4), 3, samples=10)
 
-    def test_negation_hook_detects(self):
-        report = mj.lemma1_trial(np.eye(4), 1, samples=100, seed=1, _negate=True)
+    def test_detects_violation_under_negative_tolerance(self):
+        report = mj.lemma1_trial(np.eye(4), 1, samples=100, seed=1, atol=-1e6)
         assert report.failures > 0
+        assert report.counterexample is not None
 
     def test_campaign_smoke(self):
         report = mj.lemma1_campaign(instances=5, max_modes=2, samples=400, seed=29)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvchan import symplectic as sp
@@ -199,17 +201,18 @@ class TestWilliamson:
         assert sp.is_symplectic(dec.s).ok
 
     def test_spectrum_matches_independent_path(self):
-        # The skew-canonical route must agree with the SVD route.
+        # williamson shares the Cholesky route of symplectic_eigenvalues, so
+        # the reference is the J A eigenvalue oracle.
         for seed in range(25):
             n = 1 + seed % 4
             a = sp.random_spd(n, (0.5, 4.0), seed=seed)
             assert_allclose(
                 sp.williamson(a).spectrum,
-                sp.symplectic_eigenvalues(a),
+                symplectic_eigenvalues_ja(a),
                 atol=1e-8,
             )
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(5))
     def test_degenerate_clusters_scrambled(self, case):
         # Repeated symplectic eigenvalues hidden by a random congruence.
         for seed in range(20):
@@ -221,15 +224,44 @@ class TestWilliamson:
                 nu = np.repeat([1.5, 3.0], [n - n // 2, n // 2])
             elif case == 2:
                 nu = np.ones(n)
-            else:
+            elif case == 3:
                 nu = np.full(n, 2.0)
                 nu[0] = 2.0 + 1e-13
+            else:
+                # Splits of 1e-9 to 1e-7: distinct, yet close enough to
+                # defeat any cluster-width heuristic.
+                nu = 2.0 + (1e-9, 1e-8, 1e-7)[seed % 3] * np.arange(n)
             s = sp.sample_symplectics(rng, n, 1, (1.0, 4.0))[0]
             si = sp.symplectic_inverse(s)
             a = si @ np.diag(np.repeat(nu, 2)) @ si.T
             dec = sp.williamson(a)
             assert np.max(np.abs(dec.s @ a @ dec.s.T - dec.diagonal)) <= 1e-9
             assert sp.symplectic_residual(dec.s) <= 1e-9
+
+
+@st.composite
+def williamson_inputs(draw):
+    """SPD matrices S^{-1} D S^{-T} with exact and near repeats in the
+    spectrum D (nu in [0.25, 4]) and squeezings z in [1, 4]."""
+    n = draw(st.integers(1, 4))
+    nu = [draw(st.floats(0.25, 4.0))]
+    for _ in range(n - 1):
+        step = draw(st.sampled_from([None, 0.0, 1e-13, 1e-9, 1e-7]))
+        nu.append(draw(st.floats(0.25, 4.0)) if step is None else min(nu[-1] + step, 4.0))
+    z = draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
+    rng = sp.rng_stream(draw(st.integers(0, 2**32 - 1)))
+    s = sp.symplectic_from_factors(sp._haar_unitary(rng, n), np.array(z), sp._haar_unitary(rng, n))
+    si = sp.symplectic_inverse(s)
+    return si @ np.diag(np.repeat(nu, 2)) @ si.T
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(williamson_inputs())
+def test_williamson_property(a):
+    dec = sp.williamson(a)
+    assert np.max(np.abs(dec.s @ a @ dec.s.T - dec.diagonal)) <= 1e-9
+    assert sp.symplectic_residual(dec.s) <= 1e-9
+    assert_allclose(dec.spectrum, symplectic_eigenvalues_ja(a), rtol=KERNEL_RTOL, atol=0.0)
 
 
 class TestEulerDecomposition:
