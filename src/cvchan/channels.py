@@ -8,6 +8,7 @@ a channel never mutates its input state.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,10 +173,7 @@ def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     """Channel action: gamma -> X^T gamma X + Y and m -> X^T m."""
     if state.n != channel.n:
         raise DimensionError(f"channel acts on {channel.n} modes, state has {state.n}")
-    gamma = channel.x.T @ state.gamma @ channel.x + channel.y
-    gamma = 0.5 * (gamma + gamma.T)
-    m = channel.x.T @ state.m
-    return GaussianState(gamma, m, state.omega)
+    return GaussianState(apply_cov(channel, state.gamma), channel.x.T @ state.m, state.omega)
 
 
 def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
@@ -184,18 +182,23 @@ def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def noise_spectrum(channel: GaussianChannel, eps: float = NOISE_EPS) -> np.ndarray:
-    """Symplectic spectrum of the noise matrix Y, ascending.
+def regularized_noise(channel: GaussianChannel, eps: float = NOISE_EPS) -> np.ndarray:
+    """The noise matrix Y, or Y + eps I when its minimum eigenvalue is below eps.
 
-    Singular Y is handled by the epsilon-regularized Williamson route:
-    the spectrum of Y + eps I is computed and reported as the limit values
-    (entries at the eps scale correspond to exact zeros).  The channel
-    itself keeps the exact Y; the regularizer never enters the action.
+    Singular Y has no Williamson form; its regularization does, and the
+    entries of its spectrum at the eps scale stand for exact zeros.  The
+    channel itself keeps the exact Y; the regularizer never enters the action.
     """
     y = channel.y
     if float(np.linalg.eigvalsh(y)[0]) < eps:
         y = y + eps * np.eye(y.shape[0])
-    return symplectic_eigenvalues(y)
+    return y
+
+
+def noise_spectrum(channel: GaussianChannel, eps: float = NOISE_EPS) -> np.ndarray:
+    """Symplectic spectrum of the noise matrix Y, ascending, through
+    ``regularized_noise``: entries at the eps scale are exact zeros."""
+    return symplectic_eigenvalues(regularized_noise(channel, eps))
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:
@@ -212,8 +215,20 @@ def channel_to_record(channel: GaussianChannel) -> dict:
     return record
 
 
+def _numbers_only(value) -> bool:
+    """True for a real number or a (nested) list of them; booleans are not numbers."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(entry) for entry in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _numeric_field(name: str, value) -> np.ndarray:
-    """A record field as a float array; entries must be finite numbers."""
+    """A record field as a float array; entries must be finite numbers, so
+    booleans and strings are rejected rather than converted."""
+    if not _numbers_only(value):
+        raise ChannelSpecError(name, "entries must be numbers")
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -227,10 +242,10 @@ def channel_from_record(record: dict) -> GaussianChannel:
     """Build a channel from its record, naming the offending field on error."""
     if "n_modes" not in record:
         raise ChannelSpecError("n_modes", "missing")
-    try:
-        n = int(record["n_modes"])
-    except (TypeError, ValueError):
-        raise ChannelSpecError("n_modes", "must be an integer") from None
+    n = record["n_modes"]
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ChannelSpecError("n_modes", "must be an integer")
+    n = int(n)
     if n < 1:
         raise ChannelSpecError("n_modes", "must be >= 1")
     kind = record.get("kind")

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="random seed recorded in the report")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="report path (default: stdout)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override (every verify target)")
 
     analyze = sub.add_parser("analyze", parents=[common], help="output p-norms and minimal entropy")
     analyze.add_argument("--channel", required=True, help="channel spec file (JSON)")
@@ -68,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="randomized verification campaigns")
     verify.add_argument("target", choices=VERIFY_TARGETS)
+    verify.add_argument("--tol", type=float, default=None, help="tolerance override of the target's check")
     verify.add_argument("--trials", type=int, default=10000)
     verify.add_argument("--max-modes", type=int, default=4)
     verify.add_argument("--budget", type=int, default=20000)
@@ -138,7 +138,7 @@ def cmd_analyze(args) -> int:
     except (ch.ChannelSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = _base_report(args, {"tol_opt": args.tol if args.tol is not None else fn.TOL_OPT_CLOSED})
+    report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     results = []
     for p in p_values:
         entry = {"p": p, "kind": channel.kind}
@@ -185,7 +185,7 @@ def cmd_capacity(args) -> int:
     except (ch.ChannelSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = _base_report(args, {"tol_sup": args.tol if args.tol is not None else fn.TOL_OPT_SUP})
+    report = _base_report(args, {"tol_sup": fn.TOL_OPT_SUP})
     try:
         cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
     except ValueError as exc:

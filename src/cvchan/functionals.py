@@ -25,6 +25,8 @@ from . import channels as ch
 from . import states as st
 from .symplectic import (
     _embed_unitary,
+    _euler_form,
+    _paired_squeeze,
     _spectrum,
     matrix_to_rowmajor,
     rng_stream,
@@ -125,6 +127,11 @@ def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
     return 2.0**channel.n / inf_fp ** (1.0 / p)
 
 
+def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
+    """Closed-form minimal output entropy; raises for unsupported kinds."""
+    return st.von_neumann_entropy(_closed_form_arguments(channel))
+
+
 def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> float:
     """Minimal output entropy over Gaussian inputs.
 
@@ -132,10 +139,9 @@ def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: i
     entropy objective otherwise.
     """
     try:
-        args = _closed_form_arguments(channel)
+        return min_output_entropy_closed_only(channel)
     except UnsupportedKindError:
         return numeric_min_entropy(channel, budget=budget, seed=seed).best_value
-    return st.von_neumann_entropy(args)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +181,7 @@ def _pure_cov_dim(n: int) -> int:
 def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
     """Pure covariance gamma = T Z^2 T^T from n^2 + n parameters."""
     t = _embed_unitary(_unitary_from_params(theta[: n * n], n))
-    z2 = np.exp(2.0 * np.clip(theta[n * n :], -12.0, 12.0))
-    zz = np.repeat(z2, 2)
-    zz[1::2] = 1.0 / z2
+    zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[n * n :], -12.0, 12.0)))
     return (t * zz[None, :]) @ t.T
 
 
@@ -189,10 +193,8 @@ def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters."""
     t1 = _embed_unitary(_unitary_from_params(theta[: n * n], n))
     z = np.exp(np.clip(theta[n * n : n * n + n], -12.0, 12.0))
-    zz = np.repeat(z, 2)
-    zz[1::2] = 1.0 / z
     t2 = _embed_unitary(_unitary_from_params(theta[n * n + n : 2 * n * n + n], n))
-    s = t1 @ (zz[:, None] * t2)
+    s = _euler_form(t1, z, t2)
     d = np.clip(theta[2 * n * n + n :], -1e3, 1e3) ** 2
     return s, d
 
@@ -353,11 +355,6 @@ def numeric_min_entropy(
     return report
 
 
-def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
-    """Closed-form minimal output entropy; raises for unsupported kinds."""
-    return st.von_neumann_entropy(_closed_form_arguments(channel))
-
-
 def max_output_entropy_under_energy(
     channel: ch.GaussianChannel,
     budget: EnergyBudget,
@@ -458,10 +455,7 @@ def separable_optimal_input(channel_list) -> np.ndarray:
         if channel.kind in ("thermal", "lossy"):
             blocks.append(np.eye(2 * channel.n))
         elif channel.kind == "classical":
-            y = channel.y
-            if float(np.linalg.eigvalsh(y)[0]) < ch.NOISE_EPS:
-                y = y + ch.NOISE_EPS * np.eye(y.shape[0])
-            s = williamson(y).s
+            s = williamson(ch.regularized_noise(channel)).s
             s_inv = symplectic_inverse(s)
             blocks.append(s_inv @ s_inv.T)
         else:

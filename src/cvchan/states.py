@@ -208,8 +208,7 @@ def trace_p(state_or_spectrum, p: float) -> float:
         raise ValueError(f"order must be >= 1, got {p}")
     if p == 1.0:
         return 1.0
-    nu = _clamp_physical(_spectrum_of(state_or_spectrum))
-    return float(np.prod(2.0**p / f_p(nu, p)))
+    return _trace_power(_clamp_physical(_spectrum_of(state_or_spectrum)), p)
 
 
 def _trace_power(nu: np.ndarray, p: float) -> float:

@@ -117,12 +117,6 @@ def _check_symmetric(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     return a
 
 
-def _sym_power(a: np.ndarray, power: float) -> np.ndarray:
-    """Symmetric matrix power via eigendecomposition; input assumed SPD."""
-    w, v = np.linalg.eigh(a)
-    return (v * w**power) @ v.T
-
-
 def _hermitian(l: np.ndarray) -> np.ndarray:
     """The Hermitian i L^T J L of a Cholesky factor L, or of a stack of them.
 
@@ -185,39 +179,6 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     """
     a = _check_symmetric(a, tol)
     return np.linalg.eigvalsh(_hermitian(_cholesky(a)))[a.shape[0] // 2 :]
-
-
-def _extract_planes(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthosymplectic basis, as (v, -J v) pairs, of a J-invariant subspace.
-
-    ``columns`` (2n x 2m) spans an invariant subspace of J of dimension 2m,
-    such as an eigenspace of a positive symplectic matrix, in a basis that
-    need not respect the pairing.  Each step takes the longest remaining
-    column v, normalized, pairs it with -J v (a unit vector orthogonal to v,
-    since J is orthogonal and skew), and projects the pair out of the rest,
-    dropping columns left numerically empty.  Raises ``ArithmeticError``
-    unless exactly m pairs come out.
-    """
-    j = _form(columns.shape[0] // 2)
-    expected = columns.shape[1] // 2
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    rest = columns
-    while rest.shape[1] > 0:
-        norms = np.linalg.norm(rest, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-6:
-            break
-        v = rest[:, pick] / norms[pick]
-        w = -j @ v
-        pairs.append((v, w))
-        rest = np.delete(rest, pick, axis=1)
-        rest = rest - np.outer(v, v @ rest) - np.outer(w, w @ rest)
-        rest = rest[:, np.linalg.norm(rest, axis=0) > 1e-6]
-    if len(pairs) != expected:
-        raise ArithmeticError(
-            f"plane pairing extracted {len(pairs)} planes from a cluster of dimension {2 * expected}"
-        )
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -309,67 +270,67 @@ class EulerDecomposition:
 
 
 def _paired_squeeze(z: np.ndarray) -> np.ndarray:
-    zz = np.repeat(np.asarray(z, dtype=float), 2)
-    zz[1::2] = 1.0 / zz[1::2]
+    """The diagonal (z_1, 1/z_1, ..., z_n, 1/z_n) of Z, along the last axis."""
+    zz = np.repeat(np.asarray(z, dtype=float), 2, axis=-1)
+    zz[..., 1::2] = 1.0 / zz[..., 1::2]
     return zz
+
+
+def _euler_form(t1: np.ndarray, z: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """T1 Z T2 for squeezings z, for one triple or stacks along leading axes."""
+    return t1 @ (_paired_squeeze(z)[..., :, None] * t2)
 
 
 def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECOMP) -> EulerDecomposition:
     """Euler (orthosymplectic - squeeze - orthosymplectic) factorization.
 
-    Uses the polar decomposition S = O P: the positive factor
-    P = (S^T S)^{1/2} is symplectic, so its eigenvalues come in (z, 1/z)
-    pairs and its invariant 2-planes are symplectic.  Orthonormal
-    eigenvector pairs (u, -J u) assemble an orthosymplectic C with
-    P = C Z C^T; then T2 = C^T and T1 = S C Z^{-1}.
+    Construction: S^T S = C Z^2 C^T for an orthosymplectic C, so its
+    eigenvalues come in pairs (z_j^2, 1/z_j^2).  One ``eigh`` of S^T S gives
+    the n largest eigenvalues lambda_j and their eigenvectors v_j, taken in
+    descending order.  Each v_j = (q, p), interleaved, maps to the complex
+    column u_j = q - i p; a complex QR of those columns, with the phases of
+    diag(R) moved into Q so that each column stays in its own plane
+    (v_j, -J v_j), is a unitary whose K(n) image is C.  Then
+    z_j = sqrt(max(lambda_j, 1)), T2 = C^T and T1 = S C Z^{-1}.
+
+    C is orthosymplectic to rounding by construction, whatever ``eigh``
+    returns.  Close or repeated z, z near 1 included, need no special
+    handling: ``eigh`` may mix eigenvectors inside a cluster of nearly equal
+    eigenvalues, and that costs only rounding in C^T S^T S C.  The unit
+    eigenvalues come last, so a column that QR has to complete lies in the
+    z = 1 eigenspace, where every basis is valid.
 
     The factors are gauge-dependent; only the recomposition residual and
-    the K(n) membership of T1, T2 are contractual.
+    the K(n) membership of T1, T2 are contractual, and both are verified
+    before returning.
 
     Raises
     ------
     NotSymplecticError
         If the input fails the symplectic membership test at ``tol``.
+    ArithmeticError
+        If a factor leaves K(n) by more than ``tol`` or the recomposition
+        residual exceeds ``tol_decomp``; the residual is in the message.
     """
     s = np.asarray(s, dtype=float)
     n = _mode_count(s)
     ok, res = is_symplectic(s, tol)
     if not ok:
         raise NotSymplecticError(f"input is not symplectic (residual {res:.3e} > {tol:.1e})")
-    j = symplectic_form(n)
 
-    p = _sym_power(s.T @ s, 0.5)
-    lam, vec = np.linalg.eigh(p)
-    # Cluster width below which an eigenvalue is treated as exactly 1; the
-    # z=1 eigenspace is the only place eigh can mix the (z, 1/z) partners.
-    width = 200.0 * np.finfo(float).eps * float(lam[-1])
-    top = [i for i in range(2 * n) if lam[i] > 1.0 + width]
-    unit = [i for i in range(2 * n) if abs(lam[i] - 1.0) <= width]
-    top.sort(key=lambda i: -lam[i])
-
-    cols = []
-    zs = []
-    for i in top:
-        u = vec[:, i]
-        cols.extend([u, -j @ u])
-        zs.append(float(lam[i]))
-    for v, w in _extract_planes(vec[:, unit]):
-        cols.extend([v, w])
-        zs.append(1.0)
-
-    if len(zs) != n:
-        raise ArithmeticError(f"Euler pairing produced {len(zs)} planes, expected {n}")
-    c = np.column_stack(cols)
-    z = np.array(zs)
+    lam, vec = np.linalg.eigh(s.T @ s)
+    top = vec[:, ::-1][:, :n]
+    q, r = np.linalg.qr(top[0::2] - 1j * top[1::2])
+    c = _embed_unitary(q * np.exp(1j * np.angle(np.diag(r))))
+    z = np.sqrt(np.maximum(lam[::-1][:n], 1.0))
     t2 = c.T
-    t1 = s @ (c / _paired_squeeze(z)[None, :])
+    t1 = s @ (c / _paired_squeeze(z))
 
     for name, t in (("T1", t1), ("T2", t2)):
         worst = max(symplectic_residual(t), orthogonality_residual(t))
         if worst > tol:
             raise ArithmeticError(f"Euler factor {name} leaves K(n) (residual {worst:.3e})")
-    recomposed = t1 @ (_paired_squeeze(z)[:, None] * t2)
-    residual = float(np.max(np.abs(recomposed - s)))
+    residual = float(np.max(np.abs(_euler_form(t1, z, t2) - s)))
     if residual > tol_decomp:
         raise ArithmeticError(f"Euler recomposition residual {residual:.3e} exceeds {tol_decomp:.1e}")
     return EulerDecomposition(t1=t1, z=z, t2=t2)
@@ -420,9 +381,7 @@ def orthosymplectic_to_unitary(t: np.ndarray, tol: float = TOL_SYM) -> np.ndarra
 
 def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Assemble T(U1) Z T(U2) from two unitaries and squeeze values z > 0."""
-    t1 = unitary_to_orthosymplectic(u1)
-    t2 = unitary_to_orthosymplectic(u2)
-    return t1 @ (_paired_squeeze(np.asarray(z, dtype=float))[:, None] * t2)
+    return _euler_form(unitary_to_orthosymplectic(u1), z, unitary_to_orthosymplectic(u2))
 
 
 def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
@@ -462,9 +421,7 @@ def sample_symplectics(
         z = np.exp(rng.uniform(np.log(lo), np.log(hi), (count, n)))
     else:
         z = rng.uniform(lo, hi, (count, n))
-    zz = np.repeat(z, 2, axis=1)
-    zz[:, 1::2] = 1.0 / zz[:, 1::2]
-    return t1 @ (zz[:, :, None] * t2)
+    return _euler_form(t1, z, t2)
 
 
 def random_symplectic(n: int, squeeze_range: tuple[float, float] = (1.0, 4.0), seed: int = 0) -> np.ndarray:

@@ -50,6 +50,15 @@ class TestAnalyze:
         assert entry["xi_p"] == pytest.approx(2.0 / np.sqrt(8.0), rel=1e-9)
         assert entry["inf_F_p"] == pytest.approx(8.0)
 
+    @pytest.mark.parametrize(
+        "command", [["analyze", "--p", "2"], ["capacity", "--energy", "1.5"]], ids=["analyze", "capacity"]
+    )
+    def test_tol_is_not_an_option(self, command, thermal_spec, capsys):
+        # --tol belongs to verify; analyze and capacity have no check it sets.
+        code = cli.main([command[0], "--channel", thermal_spec, *command[1:], "--tol", "5"])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "--tol" in capsys.readouterr().err
+
     def test_malformed_spec_exits_2_naming_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         # Asymmetric Y: row-major [[1, 0.5], [0, 1]].
@@ -249,8 +258,28 @@ class TestInvalidChannelFiles:
                 {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0], "omega": [float("nan")]},
                 ["capacity", "--energy", "1.5", "--budget", "100"],
             ),
+            ("n_modes", {"n_modes": 1.7, "kind": "thermal", "eta": ["0.5"], "nbar": [1]}, ["analyze"]),
+            ("n_modes", {"n_modes": True, "kind": "lossy", "eta": [True]}, ["analyze"]),
+            ("n_modes", {"n_modes": "1", "kind": "lossy", "eta": [0.5]}, ["analyze"]),
+            ("eta", {"n_modes": 1, "kind": "thermal", "eta": ["0.5"], "nbar": [1]}, ["analyze"]),
+            ("eta", {"n_modes": 1, "kind": "lossy", "eta": [True]}, ["analyze"]),
+            ("nbar", {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": ["1"]}, ["analyze"]),
+            ("Y", {"n_modes": 1, "kind": "classical", "Y": [True, 0, 0, True]}, ["analyze"]),
+            (
+                "X",
+                {"n_modes": 1, "kind": "custom", "X": ["1", 0.0, 0.0, 1.0], "Y": [1.0, 0.0, 0.0, 1.0]},
+                ["analyze", "--numeric", "--budget", "100"],
+            ),
+            (
+                "omega",
+                {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0], "omega": [True]},
+                ["capacity", "--energy", "1.5", "--budget", "100"],
+            ),
         ],
-        ids=["eta-object", "eta-nan", "custom-X-nan", "omega-nan"],
+        ids=[
+            "eta-object", "eta-nan", "custom-X-nan", "omega-nan", "n_modes-fractional", "n_modes-bool",
+            "n_modes-string", "eta-string", "eta-bool", "nbar-string", "Y-bool", "custom-X-string", "omega-bool",
+        ],
     )
     def test_exits_2_naming_the_field(self, field, record, command, tmp_path, capsys):
         # json.dumps writes NaN as the literal that Python's json reads back.

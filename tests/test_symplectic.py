@@ -264,6 +264,32 @@ def test_williamson_property(a):
     assert_allclose(dec.spectrum, symplectic_eigenvalues_ja(a), rtol=KERNEL_RTOL, atol=0.0)
 
 
+@st.composite
+def euler_inputs(draw):
+    """Symplectic T(U1) Z T(U2) with exact and near repeats among the
+    squeezings z in [1, 4], around z = 1 and above it."""
+    n = draw(st.integers(1, 4))
+    fresh = st.one_of(st.just(1.0), st.floats(1.0, 4.0))
+    z = [draw(fresh)]
+    for _ in range(n - 1):
+        step = draw(st.sampled_from([None, 0.0, 1e-13, 1e-9, 1e-7]))
+        z.append(draw(fresh) if step is None else min(z[-1] + step, 4.0))
+    rng = sp.rng_stream(draw(st.integers(0, 2**32 - 1)))
+    z = np.array(z)
+    return sp.symplectic_from_factors(sp._haar_unitary(rng, n), z, sp._haar_unitary(rng, n)), z
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(euler_inputs())
+def test_euler_property(case):
+    s, z = case
+    dec = sp.euler_decompose(s)
+    assert np.max(np.abs(dec.t1 @ dec.z_matrix @ dec.t2 - s)) <= 1e-10
+    for t in (dec.t1, dec.t2):
+        assert max(sp.symplectic_residual(t), sp.orthogonality_residual(t)) <= 1e-10
+    assert_allclose(dec.z, np.sort(z)[::-1], rtol=1e-10, atol=0.0)
+
+
 class TestEulerDecomposition:
     def test_orthosymplectic_input_gives_unit_squeezing(self):
         t = sp.unitary_to_orthosymplectic(sp.random_unitary(3, seed=5))
@@ -290,9 +316,10 @@ class TestEulerDecomposition:
         with pytest.raises(sp.NotSymplecticError):
             sp.euler_decompose(2.0 * np.eye(2))
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(11))
     def test_repeated_and_unit_squeezings(self, case):
-        # Degenerate z clusters, exact and near-unit squeezings.
+        # Degenerate z clusters, exact and near-unit squeezings, and a wide
+        # log-uniform range.
         for seed in range(20):
             rng = sp.rng_stream(seed, 1001 + case)
             n = int(rng.integers(2, 5))
@@ -303,9 +330,18 @@ class TestEulerDecomposition:
             elif case == 2:
                 z = np.ones(n)
                 z[0] = 3.0
-            else:
+            elif case == 3:
                 z = np.full(n, 1.0 + 1e-14)
                 z[-1] = 2.0
+            elif case < 10:
+                # Splits of 1e-12 to 1e-7 above 1: distinct squeezings, yet
+                # close enough to 1 to defeat any cluster-width heuristic;
+                # cases 7 to 9 add one z = 2 mode.
+                z = 1.0 + (1e-12, 1e-9, 1e-7)[(case - 4) % 3] * np.arange(1, n + 1)
+                if case >= 7:
+                    z[0] = 2.0
+            else:
+                z = np.exp(rng.uniform(0.0, np.log(300.0), n))
             s = sp.symplectic_from_factors(sp._haar_unitary(rng, n), z, sp._haar_unitary(rng, n))
             dec = sp.euler_decompose(s)
             assert np.max(np.abs(dec.t1 @ dec.z_matrix @ dec.t2 - s)) <= 1e-10
