@@ -145,7 +145,11 @@ def cmd_analyze(args) -> int:
         try:
             inf_fp = fn.min_output_fp_closed(channel, p)
             entry["closed_form"] = True
-            entry["inf_F_p"] = inf_fp
+            if math.isfinite(inf_fp):
+                entry["inf_F_p"] = inf_fp
+            else:  # the product overflows; its log does not
+                entry["inf_F_p"] = None
+                entry["log_inf_F_p"] = fn.log_min_output_fp_closed(channel, p)
             entry["xi_p"] = fn.max_output_p_norm(channel, p)
             entry["S_min"] = fn.min_output_entropy_closed_only(channel)
         except fn.UnsupportedKindError:

@@ -50,6 +50,23 @@ class TestAnalyze:
         assert entry["xi_p"] == pytest.approx(2.0 / np.sqrt(8.0), rel=1e-9)
         assert entry["inf_F_p"] == pytest.approx(8.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_is_strict_json(self, tmp_path):
+        # F_400 of three thermal(0.5, 1) modes is (3^400 - 1)^3, beyond float range.
+        spec = tmp_path / "thermal3.json"
+        spec.write_text(json.dumps({"n_modes": 3, "kind": "thermal", "eta": [0.5] * 3, "nbar": [1.0] * 3}))
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--channel", str(spec), "--p", "400", "--out", str(out)]) == 0
+
+        def reject(literal):
+            raise ValueError(f"non-JSON literal {literal}")
+
+        entry = json.loads(out.read_text(), parse_constant=reject)["results"][0]
+        log_fp = 400.0 * np.log(3.0) + np.log1p(-(3.0**-400))
+        assert entry["inf_F_p"] is None
+        assert entry["log_inf_F_p"] == pytest.approx(3.0 * log_fp, rel=1e-14)
+        assert entry["xi_p"] == pytest.approx(8.0 * np.exp(-3.0 * log_fp / 400.0), rel=1e-12)
+
     @pytest.mark.parametrize(
         "command", [["analyze", "--p", "2"], ["capacity", "--energy", "1.5"]], ids=["analyze", "capacity"]
     )
@@ -212,6 +229,17 @@ class TestVerify:
         code = cli.main(["verify", "additivity", "--energy", "2.0", "--budget", "3000", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["result"]["pass"] is True
+
+    def test_additivity_readme_configuration_is_exact(self, tmp_path):
+        # The best split of classical(2 I) x classical(I) at E = 3 is exact,
+        # so the joint search meets it far inside the 1e-3 tolerance.
+        out = tmp_path / "v.json"
+        code = cli.main(["verify", "additivity", "--energy", "3.0", "--budget", "8000", "--out", str(out)])
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        assert abs(result["margin"]) <= 1e-6
+        assert result["best_split"] == pytest.approx([1.25, 1.75], abs=1e-12)
+        assert result["best_split_value"] == pytest.approx(1.2640841428955, abs=1e-12)
 
     def test_unknown_target_is_usage_error(self, capsys):
         code = cli.main(["verify", "nonsense"])

@@ -236,6 +236,22 @@ class TestCapacity:
         )
         assert cap.value >= 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_gap_to_water_filled_capacity(self, seed):
+        # README thermal spec at E = 1.5; the search never beats the exact optimum.
+        cap = fn.gaussian_holevo_capacity(
+            ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(1.5, [1.0]), search_budget=20000, seed=seed
+        )
+        gap = cap.search.gap_to_closed_form
+        assert abs(gap) <= 1e-3
+        assert gap <= 1e-9
+
+    def test_no_gap_without_closed_form(self):
+        cap = fn.gaussian_holevo_capacity(
+            ch.make_channel(0.5 * np.eye(2), np.eye(2)), fn.EnergyBudget(1.5, [1.0]), search_budget=200, seed=0
+        )
+        assert cap.search.gap_to_closed_form is None
+
 
 class TestMultiplicativity:
     def test_identity_pair(self):
@@ -288,7 +304,7 @@ class TestAdditivity:
     def test_two_classical_channels(self):
         pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
         report = fn.additivity_check(
-            pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, per_channel_budget=3000, seed=0
+            pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, seed=0
         )
         assert report.passed, report.record()
         assert abs(report.margin) <= 1e-3
@@ -296,7 +312,7 @@ class TestAdditivity:
     def test_identical_channels_symmetric_split(self):
         pair = [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5], [1.0])]
         report = fn.additivity_check(
-            pair, fn.EnergyBudget(2.0, np.ones(2)), search_budget=8000, per_channel_budget=3000, seed=1
+            pair, fn.EnergyBudget(2.0, np.ones(2)), search_budget=8000, seed=1
         )
         assert report.passed
         # Best split of identical channels sits at the symmetric point.
@@ -306,6 +322,89 @@ class TestAdditivity:
         pair = [identity_channel(), identity_channel()]
         with pytest.raises(fn.InfeasibleEnergyError):
             fn.additivity_check(pair, fn.EnergyBudget(0.5, np.ones(2)))
+
+    def test_one_search(self, monkeypatch):
+        # The best split is exact, so the joint capacity search is the only one.
+        calls = []
+        search = fn._search
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(fn, "_search", counting)
+        pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
+        report = fn.additivity_check(pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=2000, seed=0)
+        assert report.passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            ch.make_channel(0.5 * np.eye(2), np.eye(2)),
+            ch.classical_noise(np.diag([2.0, 0.5])),
+            ch.classical_noise(np.array([[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.3],
+                                         [0.3, 0.0, 1.0, 0.0], [0.0, 0.3, 0.0, 1.0]])),
+        ],
+        ids=["custom", "anisotropic classical", "mode-coupling classical"],
+    )
+    def test_unsupported_factor_raises(self, factor):
+        pair = [ch.thermal_noise([0.5], [1.0]), factor]
+        budget = fn.EnergyBudget(4.0, np.ones(1 + factor.n))
+        with pytest.raises(fn.UnsupportedKindError):
+            fn.additivity_check(pair, budget, search_budget=100)
+
+
+def holevo_werner_g(x):
+    """g(x) = (x + 1) ln(x + 1) - x ln x, with g(0) = 0."""
+    x = np.asarray(x, dtype=float)
+    return (x + 1.0) * np.log(x + 1.0) - x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+class TestWaterFilling:
+    @pytest.mark.parametrize(
+        "eta, nbar, energy, omega", [(0.5, 1.0, 1.5, 1.0), (0.3, 2.0, 4.0, 1.0), (0.9, 0.2, 2.0, 1.7)]
+    )
+    def test_single_mode_is_holevo_werner(self, eta, nbar, energy, omega):
+        value, photons = fn._water_filled_capacity(
+            [ch.thermal_noise([eta], [nbar])], np.array([omega]), energy
+        )
+        n_in = (energy - 0.5 * omega) / omega
+        expected = holevo_werner_g(eta * n_in + (1.0 - eta) * nbar) - holevo_werner_g((1.0 - eta) * nbar)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert photons[0] == pytest.approx(n_in, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "y, omega, energy, inactive",
+        [(1.5, (1.0, 1.7, 0.6), 4.0, None), (6.0, (1.0, 2.0, 0.6), 3.5, 1)],
+        ids=["all modes filled", "noisy mode left empty"],
+    )
+    def test_exact_split_tops_dense_grid(self, y, omega, energy, inactive):
+        # thermal(0.7, 2) x classical(y I) x lossy(0.5): output photons a N + b.
+        channels = [ch.thermal_noise([0.7], [2.0]), ch.classical_noise(y * np.eye(2)), ch.lossy([0.5])]
+        a = np.array([0.7, 1.0, 0.5])
+        b = np.array([0.3 * 2.0, 0.5 * y, 0.0])
+        omega = np.array(omega)
+        value, photons = fn._water_filled_capacity(channels, omega, energy)
+        surplus = energy - 0.5 * np.sum(omega)
+        assert float(omega @ photons) == pytest.approx(surplus, abs=1e-12)
+        if inactive is not None:
+            assert photons[inactive] == 0.0
+            assert np.all(np.delete(photons, inactive) > 0.0)
+
+        grid = 300
+        step = surplus / grid
+        e1, e2 = np.meshgrid(np.arange(grid + 1) * step, np.arange(grid + 1) * step, indexing="ij")
+        e3 = surplus - e1 - e2
+        keep = e3 >= -1e-12
+        n_grid = np.stack([e1[keep] / omega[0], e2[keep] / omega[1], np.maximum(e3[keep], 0.0) / omega[2]])
+        grid_values = np.sum(
+            holevo_werner_g(a[:, None] * n_grid + b[:, None]) - holevo_werner_g(b)[:, None], axis=0
+        )
+        assert value >= float(np.max(grid_values)) - 1e-12
+        # The grid has a point within one step of the optimum in every
+        # coordinate, where the value is flat to first order.
+        assert value - float(np.max(grid_values)) <= step**2
 
 
 class TestSubadditivityOfOutputEntropy:

@@ -180,6 +180,20 @@ class TestLemma1:
         assert report.failures == 0
         assert report.witness_gap <= 1e-8
 
+    def test_campaign_streams_are_lanes_of_its_seed(self, monkeypatch):
+        # Streams keyed by (seed, lane) only: campaigns at different seeds
+        # never share one.
+        keys = []
+
+        def recording(seed, *lane):
+            keys.append((seed, lane))
+            return sp.rng_stream(seed, *lane)
+
+        monkeypatch.setattr(mj, "rng_stream", recording)
+        mj.lemma1_campaign(instances=3, max_modes=2, samples=3000, seed=29)
+        assert {seed for seed, _ in keys} == {29}
+        assert len(set(keys)) == len(keys)
+
 
 class TestTrialReportInvariant:
     def test_failures_iff_margin_below_tolerance(self):
