@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ class GaussianChannel:
 
     ``kind`` is one of "classical", "thermal", "lossy", "custom"; the
     constructor parameters (eta, nbar) are retained for the kinds that
-    have them so closed-form functionals can consume them directly.
+    have them.  A tensor product keeps its primitive ``factors`` in mode order.
     """
 
     n: int
@@ -59,6 +59,12 @@ class GaussianChannel:
     eta: np.ndarray | None
     nbar: np.ndarray | None
     cp_eigenvalue: float
+    factors: tuple[GaussianChannel, ...] = ()
+
+    @property
+    def leaves(self) -> tuple[GaussianChannel, ...]:
+        """The primitive factors in mode order; a primitive channel is its own leaf."""
+        return self.factors or (self,)
 
     def is_identity(self, tol: float = TOL_CP) -> bool:
         eye = np.eye(2 * self.n)
@@ -143,30 +149,24 @@ def thermal_noise(eta, nbar) -> GaussianChannel:
 
 def lossy(eta) -> GaussianChannel:
     """Pure loss (attenuation): the zero-temperature thermal channel."""
-    ch = thermal_noise(eta, np.zeros(np.atleast_1d(np.asarray(eta)).size))
-    return GaussianChannel(
-        n=ch.n, x=ch.x, y=ch.y, kind="lossy", eta=ch.eta, nbar=ch.nbar, cp_eigenvalue=ch.cp_eigenvalue
-    )
+    return replace(thermal_noise(eta, np.zeros(np.atleast_1d(np.asarray(eta)).size)), kind="lossy")
 
 
 def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:
-    """Tensor product of channels, realized by direct sums of X and Y."""
+    """Tensor product of channels, realized by direct sums of X and Y; it
+    keeps the leaves of every factor in mode order, nested products flattened."""
     if len(channels) == 0:
         raise ValueError("tensor product of an empty channel list")
     x = block_diag(*[c.x for c in channels])
     y = block_diag(*[c.y for c in channels])
     kinds = {c.kind for c in channels}
-    if kinds == {"classical"}:
-        kind = "classical"
-        eta = nbar = None
-    elif kinds <= {"thermal", "lossy"}:
+    if kinds <= {"thermal", "lossy"}:
         kind = "lossy" if kinds == {"lossy"} else "thermal"
-        eta = np.concatenate([c.eta for c in channels])
-        nbar = np.concatenate([c.nbar for c in channels])
+        eta, nbar = np.concatenate([c.eta for c in channels]), np.concatenate([c.nbar for c in channels])
     else:
-        kind = "custom"
-        eta = nbar = None
-    return make_channel(x, y, kind=kind, eta=eta, nbar=nbar)
+        kind, eta, nbar = "classical" if kinds == {"classical"} else "custom", None, None
+    leaves = tuple(leaf for c in channels for leaf in c.leaves)
+    return replace(make_channel(x, y, kind=kind, eta=eta, nbar=nbar), factors=leaves)
 
 
 def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -233,6 +233,8 @@ def _numeric_field(name: str, value) -> np.ndarray:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ChannelSpecError(name, "entries must be numbers") from None
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ChannelSpecError(name, "entries must be finite") from None
     if not np.isfinite(array).all():
         raise ChannelSpecError(name, "entries must be finite")
     return array

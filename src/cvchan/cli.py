@@ -24,6 +24,8 @@ from . import __version__
 from . import channels as ch
 from . import functionals as fn
 from . import majorization as mj
+from . import states as st
+from .symplectic import symplectic_eigenvalues
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -140,33 +142,38 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT_ERROR
     report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     results = []
+    s_min = None  # the numeric S_min does not depend on p: one search per command
     for p in p_values:
         entry = {"p": p, "kind": channel.kind}
         try:
             inf_fp = fn.min_output_fp_closed(channel, p)
             entry["closed_form"] = True
-            if math.isfinite(inf_fp):
-                entry["inf_F_p"] = inf_fp
-            else:  # the product overflows; its log does not
-                entry["inf_F_p"] = None
-                entry["log_inf_F_p"] = fn.log_min_output_fp_closed(channel, p)
-            entry["xi_p"] = fn.max_output_p_norm(channel, p)
             entry["S_min"] = fn.min_output_entropy_closed_only(channel)
         except fn.UnsupportedKindError:
             if not args.numeric:
-                print(
-                    f"error: kind {channel.kind!r} has no closed form; rerun with --numeric",
-                    file=sys.stderr,
-                )
+                print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
                 return EXIT_UNSUPPORTED
             search = fn.numeric_inf_fp(channel, p, budget=args.budget, seed=args.seed)
+            if s_min is None:
+                s_min = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
+            inf_fp = search.best_value
             entry["closed_form"] = False
-            entry["inf_F_p"] = search.best_value
-            entry["xi_p"] = 2.0**channel.n / search.best_value ** (1.0 / p)
-            entry["S_min"] = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
+            entry["S_min"] = s_min
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        if math.isfinite(inf_fp):
+            entry["inf_F_p"] = inf_fp
+            entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
+        else:  # the product overflows; its log does not
+            if entry["closed_form"]:
+                log_inf_fp = fn.log_min_output_fp_closed(channel, p)
+            else:
+                nu = symplectic_eigenvalues(ch.apply_cov(channel, search.best_input))
+                log_inf_fp = float(np.sum(st.log_f_p(np.maximum(nu, 1.0), p)))
+            entry["inf_F_p"] = None
+            entry["log_inf_F_p"] = log_inf_fp
+            entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)
         results.append(entry)
     report["channel"] = ch.channel_to_record(channel)
     report["results"] = results
@@ -197,12 +204,7 @@ def cmd_capacity(args) -> int:
         return EXIT_INPUT_ERROR
     report["channel"] = ch.channel_to_record(channel)
     record = cap.record()
-    record.pop("search", None)  # optimizer trace summary stays compact
     record["flag"] = "ok" if cap.feasible else "infeasible"
-    if cap.search is not None:
-        record["evaluations"] = cap.search.evaluations
-        record["budget"] = cap.search.budget
-        record["converged"] = cap.search.converged
     report["energy"] = args.energy
     report["omega"] = [float(w) for w in budget.omega]
     report["result"] = record

@@ -1,8 +1,9 @@
 """Channel figures of merit: output p-norms, minimal output entropy,
 energy-constrained Holevo capacity, and multiplicativity/additivity checks.
 
-Closed forms exist for classical-noise and thermal-noise channels; every
-other channel goes through a derivative-free search over Gaussian inputs.
+Closed forms exist for classical-noise, thermal-noise and lossy channels
+and their tensor products, read leaf by leaf in mode order; every other
+channel goes through a derivative-free search over Gaussian inputs.
 The search parameterizes covariances through the Euler form (two unitary
 factors plus squeezings), so physicality holds by construction, and the
 energy constraint is enforced by an exact projection, never a penalty.
@@ -28,7 +29,6 @@ from .symplectic import (
     _euler_form,
     _paired_squeeze,
     _spectrum,
-    matrix_to_rowmajor,
     rng_stream,
 )
 
@@ -83,39 +83,30 @@ class OptimizationReport:
     converged: bool
     gap_to_closed_form: float | None = None
 
-    def record(self) -> dict:
-        out = {
-            "best_value": self.best_value,
-            "best_input": matrix_to_rowmajor(self.best_input),
-            "evaluations": self.evaluations,
-            "budget": self.budget,
-            "converged": self.converged,
-        }
-        if self.gap_to_closed_form is not None:
-            out["gap_to_closed_form"] = self.gap_to_closed_form
-        return out
-
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 def _closed_form_arguments(channel: ch.GaussianChannel) -> np.ndarray:
-    """Per-mode output spectrum at the optimal input, by channel kind."""
-    if channel.kind == "classical":
-        return 1.0 + ch.noise_spectrum(channel)
-    if channel.kind in ("thermal", "lossy"):
-        return 1.0 + 2.0 * (1.0 - channel.eta) * channel.nbar
-    raise UnsupportedKindError(
-        f"no closed form for kind {channel.kind!r}; use the numeric search"
-    )
+    """Per-mode output spectrum at the optimal input, leaf by leaf in mode order."""
+    parts = []
+    for leaf in channel.leaves:
+        if leaf.kind == "classical":
+            parts.append(1.0 + ch.noise_spectrum(leaf))
+        elif leaf.kind in ("thermal", "lossy"):
+            parts.append(1.0 + 2.0 * (1.0 - leaf.eta) * leaf.nbar)
+        else:
+            raise UnsupportedKindError(f"no closed form for kind {leaf.kind!r}; use the numeric search")
+    return np.concatenate(parts)
 
 
 def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     """Closed-form infimum of F_p over pure Gaussian inputs.
 
     Classical noise: product of f_p(1 + y_k) over the symplectic spectrum
-    of Y.  Thermal noise: product of f_p(1 + 2 (1 - eta_k) nbar_k).  The
-    product is inf where it overflows; ``log_min_output_fp_closed`` is finite.
+    of Y.  Thermal noise: product of f_p(1 + 2 (1 - eta_k) nbar_k).  Both
+    extend over the leaves of a product.  The product is inf where it
+    overflows; ``log_min_output_fp_closed`` is finite.
     """
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
@@ -124,19 +115,15 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
 
 def log_min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     """ln of ``min_output_fp_closed``, sum_k ln f_p(x_k), finite where the
-    product overflows: ln f_p(x) = p ln(x + 1) + ln(1 - ((x - 1)/(x + 1))^p)."""
+    product overflows."""
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
-    x = _closed_form_arguments(channel)
-    return float(np.sum(p * np.log(x + 1.0) + np.log1p(-(((x - 1.0) / (x + 1.0)) ** p))))
+    return float(np.sum(st.log_f_p(_closed_form_arguments(channel), p)))
 
 
 def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
     """Maximal output Schatten p-norm: 2^n / (inf F_p)^{1/p}, from the log
-    of inf F_p when the product overflows."""
-    inf_fp = min_output_fp_closed(channel, p)
-    if math.isfinite(inf_fp):
-        return 2.0**channel.n / inf_fp ** (1.0 / p)
+    of inf F_p, which does not overflow."""
     return 2.0**channel.n * math.exp(-log_min_output_fp_closed(channel, p) / p)
 
 
@@ -148,8 +135,8 @@ def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
 def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> float:
     """Minimal output entropy over Gaussian inputs.
 
-    Closed form for classical/thermal kinds; a numeric search with the
-    entropy objective otherwise.
+    Closed form when every leaf is classical, thermal or lossy; a numeric
+    search with the entropy objective otherwise.
     """
     try:
         return min_output_entropy_closed_only(channel)
@@ -338,17 +325,18 @@ def numeric_inf_fp(
 
     The search space covers all pure Gaussian covariances of the full
     input, so entangled inputs to tensor-product channels are included.
-    The objective is minimized in log form for conditioning; the report
-    carries the gap to the closed form when one exists.
+    The objective is ln F_p, which conditions the search and does not
+    overflow; the report carries the gap to the closed form when one exists.
     """
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     n = channel.n
     report = _search(
-        channel, lambda nu: float(np.sum(np.log(st.f_p(nu, p)))), lambda theta: _pure_cov(theta, n),
+        channel, lambda nu: float(np.sum(st.log_f_p(nu, p))), lambda theta: _pure_cov(theta, n),
         _pure_cov_dim(n), budget, seed, restarts,
     )
-    report.best_value = float(np.exp(report.best_value))
+    with np.errstate(over="ignore"):  # F_p beyond the float range is inf; ln F_p is finite
+        report.best_value = float(np.exp(report.best_value))
     report.gap_to_closed_form = _gap_to_closed_form(report.best_value, lambda c: min_output_fp_closed(c, p), channel)
     return report
 
@@ -423,29 +411,35 @@ class CapacityReport:
         if self.sup_entropy is not None:
             out["sup_entropy"] = self.sup_entropy
         if self.search is not None:
-            out["search"] = self.search.record()
+            out["evaluations"] = self.search.evaluations
+            out["budget"] = self.search.budget
+            out["converged"] = self.search.converged
         return out
 
 
 def _photon_maps(channel: ch.GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode (a_k, b_k) of a phase-insensitive channel: a thermal input
-    mode with N photons leaves as a thermal mode with a_k N + b_k photons.
+    """Per-mode (a_k, b_k) of a phase-insensitive channel, leaf by leaf in
+    mode order: a thermal input mode with N photons leaves as a thermal mode
+    with a_k N + b_k photons.
 
     Thermal and lossy: a = eta, b = (1 - eta) nbar.  Classical noise with
-    Y = (+)_k y_k I_2: a = 1, b = y_k / 2.  Any other channel raises
+    Y = (+)_k y_k I_2: a = 1, b = y_k / 2.  Any other leaf raises
     ``UnsupportedKindError``.
     """
-    if channel.kind in ("thermal", "lossy"):
-        return channel.eta, (1.0 - channel.eta) * channel.nbar
-    if channel.kind == "classical":
-        y = channel.y
-        y_k = np.diag(y)[0::2]
-        if np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y)))):
-            return np.ones(channel.n), 0.5 * y_k
-    raise UnsupportedKindError(
-        f"no closed-form capacity for a {channel.kind} channel; it needs thermal or lossy "
-        "modes or classical noise that is a multiple of the identity on each mode"
-    )
+    a, b = [], []
+    for leaf in channel.leaves:
+        y, y_k = leaf.y, np.diag(leaf.y)[0::2]
+        isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
+        if leaf.kind in ("thermal", "lossy"):
+            a.append(leaf.eta)
+            b.append((1.0 - leaf.eta) * leaf.nbar)
+        elif leaf.kind == "classical" and isotropic:
+            a.append(np.ones(leaf.n))
+            b.append(0.5 * y_k)
+        else:
+            raise UnsupportedKindError(f"no closed-form capacity for a {leaf.kind} leaf; it needs thermal or "
+                                       "lossy modes or classical noise that is isotropic on each mode")
+    return np.concatenate(a), np.concatenate(b)
 
 
 def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float) -> np.ndarray:
@@ -479,16 +473,16 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
     return photons
 
 
-def _water_filled_capacity(channel_list, omega: np.ndarray, total: float) -> tuple[float, np.ndarray]:
-    """Exact Gaussian capacity of the tensor product of ``channel_list`` at
-    energy ``total`` over the mode frequencies ``omega``, and the photon
-    number of every input mode that attains it.
+def _water_filled_capacity(channel: ch.GaussianChannel, omega: np.ndarray, total: float) -> tuple[float, np.ndarray]:
+    """Exact Gaussian capacity of ``channel`` at energy ``total`` over the
+    mode frequencies ``omega``, and the photon number of every input mode
+    that attains it.
 
     A mode with N photons carries S(1 + 2 (a N + b)) - S(1 + 2 b), the
     Holevo-Werner capacity g(eta N + (1 - eta) nbar) - g((1 - eta) nbar) of
     a thermal mode (PRA 63, 032312, 2001), with (a, b) from ``_photon_maps``.
     """
-    a, b = (np.concatenate(part) for part in zip(*map(_photon_maps, channel_list)))
+    a, b = _photon_maps(channel)
     photons = _water_fill(a, b, omega, total - 0.5 * float(np.sum(omega)))
     value = st.von_neumann_entropy(1.0 + 2.0 * (a * photons + b)) - st.von_neumann_entropy(1.0 + 2.0 * b)
     return value, photons
@@ -504,8 +498,8 @@ def gaussian_holevo_capacity(
     """Capacity = sup of output entropy at the energy budget minus the
     minimal output entropy; exactly zero for infeasible budgets.
 
-    For thermal, lossy and per-mode isotropic classical channels the search
-    report carries the gap to the exact water-filled capacity.
+    When every leaf is thermal, lossy or per-mode isotropic classical, the
+    search report carries the gap to the exact water-filled capacity.
     """
     smin = min_output_entropy(channel, budget=search_budget, seed=seed)
     if not budget.feasible:
@@ -515,7 +509,7 @@ def gaussian_holevo_capacity(
     )
     value = max(sup.best_value - smin, 0.0)
     sup.gap_to_closed_form = _gap_to_closed_form(
-        value, lambda c: _water_filled_capacity([c], budget.omega, budget.total)[0], channel
+        value, lambda c: _water_filled_capacity(c, budget.omega, budget.total)[0], channel
     )
     return CapacityReport(
         value=value,
@@ -529,25 +523,25 @@ def gaussian_holevo_capacity(
 # ---------------------------------------------------------------------------
 # multiplicativity / additivity
 
-def separable_optimal_input(channel_list) -> np.ndarray:
-    """Block-diagonal pure covariance attaining the product of optima.
+def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
+    """Block-diagonal pure covariance attaining the product of optima, one
+    block per leaf in mode order.
 
-    Thermal factors take the vacuum block; classical factors take the
-    inverse Williamson frame of their (regularized) noise matrix, which
+    Thermal and lossy leaves take the vacuum block; classical leaves take
+    the inverse Williamson frame of their (regularized) noise matrix, which
     aligns the input with Y so the output spectrum is exactly 1 + y_k.
     """
     from .symplectic import symplectic_inverse, williamson
 
     blocks = []
-    for channel in channel_list:
-        if channel.kind in ("thermal", "lossy"):
-            blocks.append(np.eye(2 * channel.n))
-        elif channel.kind == "classical":
-            s = williamson(ch.regularized_noise(channel)).s
-            s_inv = symplectic_inverse(s)
+    for leaf in channel.leaves:
+        if leaf.kind in ("thermal", "lossy"):
+            blocks.append(np.eye(2 * leaf.n))
+        elif leaf.kind == "classical":
+            s_inv = symplectic_inverse(williamson(ch.regularized_noise(leaf)).s)
             blocks.append(s_inv @ s_inv.T)
         else:
-            raise UnsupportedKindError(f"no optimal-input witness for kind {channel.kind!r}")
+            raise UnsupportedKindError(f"no optimal-input witness for kind {leaf.kind!r}")
     return block_diag(*blocks)
 
 
@@ -586,12 +580,10 @@ def multiplicativity_check(
     separable witness attains the product."""
     if len(channel_list) < 2:
         raise ValueError("multiplicativity needs at least two channels")
-    product = 1.0
-    for channel in channel_list:
-        product *= min_output_fp_closed(channel, p)
     joint = ch.tensor(channel_list)
+    product = min_output_fp_closed(joint, p)
     search = numeric_inf_fp(joint, p, budget=search_budget, seed=seed)
-    witness_gamma = separable_optimal_input(channel_list)
+    witness_gamma = separable_optimal_input(joint)
     witness_nu = np.maximum(_output_spectrum(joint, witness_gamma), 1.0)
     witness_value = float(np.prod(st.f_p(witness_nu, p)))
     margin = search.best_value - product
@@ -639,9 +631,9 @@ def additivity_check(
     """Compare C_G of the tensor channel, found by one joint search, with the
     best split of the energy budget across factors, computed exactly.
 
-    Every factor must be thermal, lossy, or classical with noise
+    Every leaf must be thermal, lossy, or classical with noise
     Y = (+)_k y_k I_2 (``UnsupportedKindError`` otherwise).  A mode of such
-    a factor carries its Holevo-Werner capacity, so the best split
+    a leaf carries its Holevo-Werner capacity, so the best split
     water-fills the energy above the zero points over every mode of every
     factor.  ``best_split`` is each factor's energy,
     sum_k omega_k (N_k + 1/2) over its modes, and PASS means the joint
@@ -651,18 +643,13 @@ def additivity_check(
         raise ValueError("additivity needs at least two channels")
     mode_counts = [c.n for c in channel_list]
     if budget.omega.shape != (sum(mode_counts),):
-        raise ValueError(
-            f"budget frequencies must cover {sum(mode_counts)} modes, got {budget.omega.shape}"
-        )
+        raise ValueError(f"budget frequencies must cover {sum(mode_counts)} modes, got {budget.omega.shape}")
     if not budget.feasible:
-        raise InfeasibleEnergyError(
-            f"energy {budget.total} below joint zero-point {budget.zero_point}"
-        )
-    best_value, photons = _water_filled_capacity(channel_list, budget.omega, budget.total)
+        raise InfeasibleEnergyError(f"energy {budget.total} below joint zero-point {budget.zero_point}")
+    joint = ch.tensor(channel_list)
+    best_value, photons = _water_filled_capacity(joint, budget.omega, budget.total)
     energies = np.split(budget.omega * (photons + 0.5), np.cumsum(mode_counts)[:-1])
-    joint_cap = gaussian_holevo_capacity(
-        ch.tensor(channel_list), budget, search_budget=search_budget, seed=seed
-    ).value
+    joint_cap = gaussian_holevo_capacity(joint, budget, search_budget=search_budget, seed=seed).value
     margin = joint_cap - best_value
     return AdditivityReport(
         total_energy=budget.total,

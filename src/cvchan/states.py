@@ -176,6 +176,11 @@ def f_p(x, p: float):
     return float(out) if out.ndim == 0 else out
 
 
+def log_f_p(x, p: float):
+    """ln f_p(x) = p ln(x + 1) + ln(1 - ((x - 1)/(x + 1))^p), finite where f_p overflows."""
+    return p * np.log(x + 1.0) + np.log1p(-(((x - 1.0) / (x + 1.0)) ** p))
+
+
 def g_p(x, p: float):
     """Nonnegativity witness 4p (x^2-1)^{p-2} + f_p(x) f_{p-2}(x), p >= 2."""
     x = np.asarray(x, dtype=float)

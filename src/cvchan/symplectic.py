@@ -284,21 +284,24 @@ def _euler_form(t1: np.ndarray, z: np.ndarray, t2: np.ndarray) -> np.ndarray:
 def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECOMP) -> EulerDecomposition:
     """Euler (orthosymplectic - squeeze - orthosymplectic) factorization.
 
-    Construction: S^T S = C Z^2 C^T for an orthosymplectic C, so its
-    eigenvalues come in pairs (z_j^2, 1/z_j^2).  One ``eigh`` of S^T S gives
-    the n largest eigenvalues lambda_j and their eigenvectors v_j, taken in
+    Construction: S = U Z C^T for an orthosymplectic C, so the singular
+    values of S come in pairs (z_j, 1/z_j).  One SVD of S gives the n
+    largest singular values and their right singular vectors v_j, in
     descending order.  Each v_j = (q, p), interleaved, maps to the complex
     column u_j = q - i p; a complex QR of those columns, with the phases of
     diag(R) moved into Q so that each column stays in its own plane
     (v_j, -J v_j), is a unitary whose K(n) image is C.  Then
-    z_j = sqrt(max(lambda_j, 1)), T2 = C^T and T1 = S C Z^{-1}.
+    z_j = max(sigma_j, 1), T2 = C^T and T1 = S C Z^{-1}.
 
-    C is orthosymplectic to rounding by construction, whatever ``eigh``
+    C is orthosymplectic to rounding by construction, whatever the SVD
     returns.  Close or repeated z, z near 1 included, need no special
-    handling: ``eigh`` may mix eigenvectors inside a cluster of nearly equal
-    eigenvalues, and that costs only rounding in C^T S^T S C.  The unit
-    eigenvalues come last, so a column that QR has to complete lies in the
-    z = 1 eigenspace, where every basis is valid.
+    handling: the SVD may mix singular vectors inside a cluster of nearly
+    equal singular values, and that costs only rounding in C^T S^T S C.  The
+    unit singular values come last, so a column that QR has to complete
+    lies in the z = 1 subspace, where every basis is valid.
+
+    T1 is rebuilt from the unitary that its z_j columns encode: they carry
+    rounding of order eps z_max / z_j, the 1/z_j columns eps z_max z_j.
 
     The factors are gauge-dependent; only the recomposition residual and
     the K(n) membership of T1, T2 are contractual, and both are verified
@@ -318,13 +321,13 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL
     if not ok:
         raise NotSymplecticError(f"input is not symplectic (residual {res:.3e} > {tol:.1e})")
 
-    lam, vec = np.linalg.eigh(s.T @ s)
-    top = vec[:, ::-1][:, :n]
-    q, r = np.linalg.qr(top[0::2] - 1j * top[1::2])
+    _, sigma, vt = np.linalg.svd(s)
+    q, r = np.linalg.qr(vt[:n, 0::2].T - 1j * vt[:n, 1::2].T)
     c = _embed_unitary(q * np.exp(1j * np.angle(np.diag(r))))
-    z = np.sqrt(np.maximum(lam[::-1][:n], 1.0))
+    z = np.maximum(sigma[:n], 1.0)
     t2 = c.T
     t1 = s @ (c / _paired_squeeze(z))
+    t1 = _embed_unitary(t1[0::2, 0::2] - 1j * t1[1::2, 0::2])
 
     for name, t in (("T1", t1), ("T2", t2)):
         worst = max(symplectic_residual(t), orthogonality_residual(t))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 import cvchan.channels as ch
@@ -118,6 +120,15 @@ class TestTensor:
     def test_mixed_kinds_are_custom(self):
         joint = ch.tensor([ch.classical_noise(np.eye(2)), ch.thermal_noise([0.5], [1.0])])
         assert joint.kind == "custom"
+
+    def test_nested_products_keep_their_leaves_in_mode_order(self):
+        a = ch.thermal_noise([0.5], [1.0])
+        b = ch.classical_noise(np.eye(2))
+        c = ch.lossy([0.3])
+        assert a.leaves == (a,)
+        joint = ch.tensor([ch.tensor([a, b]), c])
+        assert joint.leaves == (a, b, c)
+        assert_allclose(joint.x, ch.tensor([a, b, c]).x)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -253,3 +264,67 @@ class TestChannelRecords:
         path.write_text("{not json")
         with pytest.raises(ch.ChannelSpecError):
             ch.load_channel(path)
+
+
+@hst.composite
+def valid_records(draw):
+    """Records of every kind on 1 to 3 modes that describe a valid channel."""
+    n = draw(hst.integers(1, 3))
+    kind = draw(hst.sampled_from(("classical", "thermal", "lossy", "custom")))
+    record = {"n_modes": n, "kind": kind}
+    if kind in ("thermal", "lossy"):
+        record["eta"] = draw(hst.lists(hst.floats(0.0, 1.0), min_size=n, max_size=n))
+        if kind == "thermal":
+            record["nbar"] = draw(hst.lists(hst.floats(0.0, 10.0), min_size=n, max_size=n))
+        return record
+    entries = hst.lists(hst.floats(-1.0, 1.0), min_size=4 * n * n, max_size=4 * n * n)
+    a = np.array(draw(entries)).reshape(2 * n, 2 * n)
+    x = np.array(draw(entries)).reshape(2 * n, 2 * n) if kind == "custom" else np.eye(2 * n)
+    # Y >= (1 + |X|^2) I dominates i (J - X^T J X), so (X, Y) is completely positive.
+    y = a @ a.T + (1.0 + np.linalg.norm(x, 2) ** 2) * np.eye(2 * n)
+    record["Y"] = (0.5 * (y + y.T)).ravel().tolist()
+    if kind == "custom":
+        record["X"] = x.ravel().tolist()
+    return record
+
+
+#: Any value a JSON document can hold, NaN and Infinity literals and
+#: integers beyond float range included.
+json_values = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.integers(min_value=2**1024) | hst.floats() | hst.text(max_size=4),
+    lambda inner: hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@hst.composite
+def mutated_records(draw):
+    """A valid record with one field dropped, replaced, or one entry changed."""
+    record = draw(valid_records())
+    key = draw(hst.sampled_from(sorted(record) + ["X", "Y", "eta", "nbar"]))
+    action = draw(hst.sampled_from(("drop", "replace", "entry")))
+    if action == "drop":
+        record.pop(key, None)
+    elif action == "replace" or not isinstance(record.get(key), list):
+        record[key] = draw(json_values)
+    else:
+        record[key][draw(hst.integers(0, len(record[key]) - 1))] = draw(json_values)
+    return record
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(valid_records())
+def test_valid_records_round_trip(record):
+    back = ch.channel_to_record(ch.channel_from_record(record))
+    assert {key: back[key] for key in record} == record
+    assert ch.channel_to_record(ch.channel_from_record(back)) == back
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(mutated_records())
+def test_any_record_gives_a_channel_or_names_a_field(record):
+    try:
+        channel = ch.channel_from_record(record)
+    except ch.ChannelSpecError:
+        return
+    assert isinstance(channel, ch.GaussianChannel)

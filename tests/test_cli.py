@@ -7,6 +7,7 @@ import pytest
 
 from cvchan import cli
 from cvchan import channels as ch
+from cvchan import symplectic as sp
 
 
 @pytest.fixture
@@ -66,6 +67,39 @@ class TestAnalyze:
         assert entry["inf_F_p"] is None
         assert entry["log_inf_F_p"] == pytest.approx(3.0 * log_fp, rel=1e-14)
         assert entry["xi_p"] == pytest.approx(8.0 * np.exp(-3.0 * log_fp / 400.0), rel=1e-12)
+
+    def test_overflowing_numeric_search_is_strict_json(self, tmp_path):
+        # F_1000 of any 2-mode output exceeds 2^2000, beyond float range.
+        x = np.diag([0.9, 0.6, 0.7, 0.8])
+        y = np.diag([0.5, 0.8, 0.9, 0.4])
+        spec = tmp_path / "custom2.json"
+        spec.write_text(json.dumps(ch.channel_to_record(ch.make_channel(x, y))))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--channel", str(spec), "--numeric", "--p", "1000", "--budget", "300", "--out", str(out)]
+        assert cli.main(argv) == 0
+
+        def reject(literal):
+            raise ValueError(f"non-JSON literal {literal}")
+
+        entry = json.loads(out.read_text(), parse_constant=reject)["results"][0]
+        assert entry["closed_form"] is False
+        assert entry["inf_F_p"] is None
+        # The search starts at the vacuum input and never goes below the
+        # purity floor F_p = 2^(p n).
+        nu = sp.symplectic_eigenvalues(x.T @ x + y)
+        log_vacuum = float(np.sum(1000.0 * np.log1p(nu) + np.log1p(-(((nu - 1.0) / (nu + 1.0)) ** 1000))))
+        assert 2000.0 * np.log(2.0) <= entry["log_inf_F_p"] <= log_vacuum + 1e-9
+        assert entry["xi_p"] == pytest.approx(4.0 * np.exp(-entry["log_inf_F_p"] / 1000.0), rel=1e-12)
+        assert 0.0 < entry["xi_p"] <= 1.0
+
+    def test_numeric_min_entropy_is_searched_once(self, custom_spec, tmp_path, search_calls):
+        # S_min does not depend on p: one F_p search per p plus one S_min search.
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--channel", custom_spec, "--numeric", "--p", "2,3", "--budget", "300", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(search_calls) == 3
+        first, second = json.loads(out.read_text())["results"]
+        assert first["S_min"] == second["S_min"]
 
     @pytest.mark.parametrize(
         "command", [["analyze", "--p", "2"], ["capacity", "--energy", "1.5"]], ids=["analyze", "capacity"]
@@ -303,10 +337,12 @@ class TestInvalidChannelFiles:
                 {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0], "omega": [True]},
                 ["capacity", "--energy", "1.5", "--budget", "100"],
             ),
+            ("eta", {"n_modes": 1, "kind": "lossy", "eta": [10**400]}, ["analyze"]),
         ],
         ids=[
             "eta-object", "eta-nan", "custom-X-nan", "omega-nan", "n_modes-fractional", "n_modes-bool",
             "n_modes-string", "eta-string", "eta-bool", "nbar-string", "Y-bool", "custom-X-string", "omega-bool",
+            "eta-integer-beyond-float",
         ],
     )
     def test_exits_2_naming_the_field(self, field, record, command, tmp_path, capsys):

@@ -323,20 +323,12 @@ class TestAdditivity:
         with pytest.raises(fn.InfeasibleEnergyError):
             fn.additivity_check(pair, fn.EnergyBudget(0.5, np.ones(2)))
 
-    def test_one_search(self, monkeypatch):
+    def test_one_search(self, search_calls):
         # The best split is exact, so the joint capacity search is the only one.
-        calls = []
-        search = fn._search
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(fn, "_search", counting)
         pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
         report = fn.additivity_check(pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=2000, seed=0)
         assert report.passed
-        assert len(calls) == 1
+        assert len(search_calls) == 1
 
     @pytest.mark.parametrize(
         "factor",
@@ -367,7 +359,7 @@ class TestWaterFilling:
     )
     def test_single_mode_is_holevo_werner(self, eta, nbar, energy, omega):
         value, photons = fn._water_filled_capacity(
-            [ch.thermal_noise([eta], [nbar])], np.array([omega]), energy
+            ch.tensor([ch.thermal_noise([eta], [nbar])]), np.array([omega]), energy
         )
         n_in = (energy - 0.5 * omega) / omega
         expected = holevo_werner_g(eta * n_in + (1.0 - eta) * nbar) - holevo_werner_g((1.0 - eta) * nbar)
@@ -385,7 +377,7 @@ class TestWaterFilling:
         a = np.array([0.7, 1.0, 0.5])
         b = np.array([0.3 * 2.0, 0.5 * y, 0.0])
         omega = np.array(omega)
-        value, photons = fn._water_filled_capacity(channels, omega, energy)
+        value, photons = fn._water_filled_capacity(ch.tensor(channels), omega, energy)
         surplus = energy - 0.5 * np.sum(omega)
         assert float(omega @ photons) == pytest.approx(surplus, abs=1e-12)
         if inactive is not None:
@@ -405,6 +397,51 @@ class TestWaterFilling:
         # The grid has a point within one step of the optimum in every
         # coordinate, where the value is flat to first order.
         assert value - float(np.max(grid_values)) <= step**2
+
+
+class TestMixedProduct:
+    """thermal(0.5, 1) x classical(I): every closed form is read leaf by leaf."""
+
+    FACTORS = (ch.thermal_noise([0.5], [1.0]), ch.classical_noise(np.eye(2)))
+
+    def product(self):
+        return ch.tensor(list(self.FACTORS))
+
+    def test_fp_is_the_product_of_the_factors(self):
+        # Both leaves leave the optimal input with spectrum 2, and f_2(2) = 8.
+        assert fn.min_output_fp_closed(self.product(), 2.0) == 64.0
+        assert fn.min_output_fp_closed(self.product(), 2.0) == fn.min_output_fp_closed(
+            self.FACTORS[0], 2.0
+        ) * fn.min_output_fp_closed(self.FACTORS[1], 2.0)
+
+    def test_min_entropy_is_closed_form(self, search_calls):
+        value = fn.min_output_entropy(self.product())
+        assert search_calls == []
+        assert value == pytest.approx(2.0 * st.von_neumann_entropy([2.0]), abs=1e-12)
+
+    def test_witness_attains_the_product(self):
+        joint = self.product()
+        gamma = fn.separable_optimal_input(joint)
+        assert st.is_pure(st.GaussianState(gamma, np.zeros(4), np.ones(2)))
+        nu = sp.symplectic_eigenvalues(ch.apply_cov(joint, gamma))
+        assert_allclose(nu, [2.0, 2.0], atol=1e-9)
+
+    def test_additivity_makes_one_search(self, search_calls):
+        report = fn.additivity_check(
+            list(self.FACTORS), fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, seed=0
+        )
+        assert len(search_calls) == 1
+        assert abs(report.margin) <= 1e-6
+        assert report.passed
+
+    def test_capacity_has_a_gap_to_the_water_filled_value(self):
+        cap = fn.gaussian_holevo_capacity(
+            self.product(), fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, seed=0
+        )
+        gap = cap.search.gap_to_closed_form
+        assert gap is not None
+        assert gap <= 1e-9
+        assert abs(gap) <= 1e-3
 
 
 class TestSubadditivityOfOutputEntropy:

@@ -316,13 +316,15 @@ class TestEulerDecomposition:
         with pytest.raises(sp.NotSymplecticError):
             sp.euler_decompose(2.0 * np.eye(2))
 
-    @pytest.mark.parametrize("case", range(11))
+    @pytest.mark.parametrize("case", range(12))
     def test_repeated_and_unit_squeezings(self, case):
-        # Degenerate z clusters, exact and near-unit squeezings, and a wide
-        # log-uniform range.
-        for seed in range(20):
-            rng = sp.rng_stream(seed, 1001 + case)
-            n = int(rng.integers(2, 5))
+        # Degenerate z clusters, exact and near-unit squeezings, and two wide
+        # log-uniform ranges; case 11 holds the 3-mode inputs with z up to
+        # 3000 whose rounding in S C Z^-1 once left T1 outside K(n).
+        decomposed = 0
+        for seed in range(50 if case == 11 else 20):
+            rng = sp.rng_stream(seed, 7 if case == 11 else 1001 + case)
+            n = 3 if case == 11 else int(rng.integers(2, 5))
             if case == 0:
                 z = np.full(n, 2.0)
             elif case == 1:
@@ -341,12 +343,16 @@ class TestEulerDecomposition:
                 if case >= 7:
                     z[0] = 2.0
             else:
-                z = np.exp(rng.uniform(0.0, np.log(300.0), n))
+                z = np.exp(rng.uniform(0.0, np.log(300.0 if case == 10 else 3000.0), n))
             s = sp.symplectic_from_factors(sp._haar_unitary(rng, n), z, sp._haar_unitary(rng, n))
+            if case == 11 and not sp.is_symplectic(s).ok:
+                continue  # building S at z ~ 3000 can itself round past the input check
             dec = sp.euler_decompose(s)
+            decomposed += 1
             assert np.max(np.abs(dec.t1 @ dec.z_matrix @ dec.t2 - s)) <= 1e-10
             for t in (dec.t1, dec.t2):
                 assert max(sp.symplectic_residual(t), sp.orthogonality_residual(t)) <= 1e-10
+        assert decomposed == (44 if case == 11 else 20)
 
 
 class TestUnitaryIsomorphism:
