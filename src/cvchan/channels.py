@@ -79,18 +79,14 @@ def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def make_channel(
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = TOL_CP,
-    kind: str = "custom",
-    eta: np.ndarray | None = None,
-    nbar: np.ndarray | None = None,
-) -> GaussianChannel:
-    """Validate and build a Gaussian channel from its matrix pair.
+def make_channel(x: np.ndarray, y: np.ndarray, tol: float = TOL_CP) -> GaussianChannel:
+    """Validate and build a ``custom`` Gaussian channel from its matrix pair.
 
     Raises ``CompletePositivityError`` when the certificate eigenvalue
-    falls below -tol, and rejects asymmetric or indefinite Y.
+    falls below -tol, and rejects asymmetric or indefinite Y.  The kind is
+    set only by ``classical_noise``, ``thermal_noise``, ``lossy`` and
+    ``tensor``, since a declared kind that (X, Y) do not have would select
+    closed forms that do not hold for the channel.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -109,21 +105,13 @@ def make_channel(
         raise CompletePositivityError(
             f"complete positivity violated: certificate eigenvalue {cp_min:.3e}"
         )
-    return GaussianChannel(
-        n=x.shape[0] // 2,
-        x=x,
-        y=y,
-        kind=kind,
-        eta=None if eta is None else np.asarray(eta, dtype=float),
-        nbar=None if nbar is None else np.asarray(nbar, dtype=float),
-        cp_eigenvalue=cp_min,
-    )
+    return GaussianChannel(n=x.shape[0] // 2, x=x, y=y, kind="custom", eta=None, nbar=None, cp_eigenvalue=cp_min)
 
 
 def classical_noise(y: np.ndarray, tol: float = TOL_CP) -> GaussianChannel:
     """Additive classical Gaussian noise: gamma -> gamma + Y, Y >= 0."""
     y = np.asarray(y, dtype=float)
-    return make_channel(np.eye(y.shape[0]), y, tol=tol, kind="classical")
+    return replace(make_channel(np.eye(y.shape[0]), y, tol=tol), kind="classical")
 
 
 def thermal_noise(eta, nbar) -> GaussianChannel:
@@ -144,7 +132,7 @@ def thermal_noise(eta, nbar) -> GaussianChannel:
         raise ValueError("reservoir occupations must be nonnegative")
     x = np.diag(np.repeat(np.sqrt(eta), 2))
     y = np.diag(np.repeat((2.0 * nbar + 1.0) * (1.0 - eta), 2))
-    return make_channel(x, y, kind="thermal", eta=eta, nbar=nbar)
+    return replace(make_channel(x, y), kind="thermal", eta=eta, nbar=nbar)
 
 
 def lossy(eta) -> GaussianChannel:
@@ -166,7 +154,7 @@ def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:
     else:
         kind, eta, nbar = "classical" if kinds == {"classical"} else "custom", None, None
     leaves = tuple(leaf for c in channels for leaf in c.leaves)
-    return replace(make_channel(x, y, kind=kind, eta=eta, nbar=nbar), factors=leaves)
+    return replace(make_channel(x, y), kind=kind, eta=eta, nbar=nbar, factors=leaves)
 
 
 def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -242,6 +230,8 @@ def _numeric_field(name: str, value) -> np.ndarray:
 
 def channel_from_record(record: dict) -> GaussianChannel:
     """Build a channel from its record, naming the offending field on error."""
+    if not isinstance(record, dict):
+        raise ChannelSpecError("<file>", "expected a JSON object")
     if "n_modes" not in record:
         raise ChannelSpecError("n_modes", "missing")
     n = record["n_modes"]

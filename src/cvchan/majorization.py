@@ -50,37 +50,38 @@ def _check_lengths(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _prefix_gaps(x, y, descending: bool = False) -> np.ndarray:
+    """Prefix sums of sorted x minus those of sorted y along the last axis,
+    ascending unless ``descending``; takes one vector or a batch of rows."""
+    x, y = np.sort(x), np.sort(y)
+    if descending:
+        x, y = x[..., ::-1], y[..., ::-1]
+    return np.cumsum(x, axis=-1) - np.cumsum(y, axis=-1)
+
+
 def majorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
     """x majorized by y: decreasing prefix-sum dominance with equal totals."""
     x, y = _check_lengths(x, y)
     tol = _prefix_tolerance(x, y, atol, rtol)
-    px = np.cumsum(np.sort(x)[::-1])
-    py = np.cumsum(np.sort(y)[::-1])
-    return bool(np.all(px <= py + tol) and abs(px[-1] - py[-1]) <= tol)
+    gaps = _prefix_gaps(x, y, descending=True)
+    return bool(np.all(gaps <= tol) and abs(gaps[-1]) <= tol)
 
 
 def weak_submajorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
     """x weakly submajorized by y: decreasing prefix sums of x never exceed y's."""
     x, y = _check_lengths(x, y)
-    tol = _prefix_tolerance(x, y, atol, rtol)
-    px = np.cumsum(np.sort(x)[::-1])
-    py = np.cumsum(np.sort(y)[::-1])
-    return bool(np.all(px <= py + tol))
+    return bool(np.all(_prefix_gaps(x, y, descending=True) <= _prefix_tolerance(x, y, atol, rtol)))
 
 
 def weak_supermajorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
     """x weakly supermajorized by y: ascending prefix sums of x dominate y's."""
     x, y = _check_lengths(x, y)
-    tol = _prefix_tolerance(x, y, atol, rtol)
-    px = np.cumsum(np.sort(x))
-    py = np.cumsum(np.sort(y))
-    return bool(np.all(px >= py - tol))
+    return bool(np.all(_prefix_gaps(x, y) >= -_prefix_tolerance(x, y, atol, rtol)))
 
 
 def supermajorization_margin(x, y) -> float:
     """Smallest ascending-prefix gap sum(x) - sum(y); negative means violation."""
-    x, y = _check_lengths(x, y)
-    return float(np.min(np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))))
+    return float(np.min(_prefix_gaps(*_check_lengths(x, y))))
 
 
 def t_transform(x, i: int, j: int, lam: float) -> np.ndarray:
@@ -123,12 +124,18 @@ def schur_diag_check(a, tol: float = 1e-9) -> bool:
 
 @dataclass
 class TrialReport:
-    """Summary of a randomized campaign; failures == 0 iff worst_margin >= -tol."""
+    """Summary of a randomized campaign; failures == 0 iff worst_margin >= -tol.
 
-    trials: int
-    failures: int
-    worst_margin: float
-    seed: int
+    A campaign creates its report up front and folds its samples in with
+    ``fold`` (or whole sub-campaigns with ``add``).  The counterexample is
+    the worst failing sample: the one with the smallest margin among those
+    below -tol.
+    """
+
+    trials: int = 0
+    failures: int = 0
+    worst_margin: float = np.inf
+    seed: int = 0
     parameters: dict = field(default_factory=dict)
     witness_gap: float | None = None
     counterexample: dict | None = None
@@ -136,6 +143,29 @@ class TrialReport:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def fold(self, margins, tol, example) -> None:
+        """Fold in an array of sample margins; sample i fails when its margin is
+        below -tol (a scalar or one per sample), and ``example(i)`` describes it."""
+        bad = margins < -tol
+        self.trials += margins.size
+        self.failures += int(np.count_nonzero(bad))
+        self.worst_margin = min(self.worst_margin, float(np.min(margins)))
+        if np.any(bad):
+            i = int(np.argmin(np.where(bad, margins, np.inf)))
+            self._offer({**example(i), "margin": float(margins[i])})
+
+    def add(self, sub: TrialReport, context: dict) -> None:
+        """Add a sub-campaign's report; ``context`` prefixes its counterexample."""
+        self.trials += sub.trials
+        self.failures += sub.failures
+        self.worst_margin = min(self.worst_margin, sub.worst_margin)
+        if sub.counterexample is not None:
+            self._offer({**context, **sub.counterexample})
+
+    def _offer(self, counterexample: dict) -> None:
+        if self.counterexample is None or counterexample["margin"] < self.counterexample["margin"]:
+            self.counterexample = counterexample
 
     def record(self) -> dict:
         out = {
@@ -173,11 +203,10 @@ def theorem1_trial(
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if n < 1:
         raise DimensionError(f"max mode count must be >= 1, got {n}")
-    rng = rng_stream(seed)
-    modes = rng.integers(1, n + 1, size=trials)
-    worst = np.inf
-    failures = 0
-    counterexample = None
+    modes = rng_stream(seed).integers(1, n + 1, size=trials)
+    report = TrialReport(
+        seed=seed, parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": rtol}
+    )
     for mode in range(1, n + 1):
         count = int(np.sum(modes == mode))
         if count == 0:
@@ -185,32 +214,11 @@ def theorem1_trial(
         lane = rng_stream(seed, mode)
         a = sample_spd(lane, mode, count, nu_range)
         b = sample_spd(lane, mode, count, nu_range)
-        nu_sum = _spectrum(a + b)
         nu_parts = _spectrum(a) + _spectrum(b)
-        lhs = np.cumsum(np.sort(nu_sum, axis=1), axis=1)
-        rhs = np.cumsum(np.sort(nu_parts, axis=1), axis=1)
-        margins = np.min(lhs - rhs, axis=1)
-        tol = atol + rtol * max(float(np.max(rhs)), 1.0)
-        bad = margins < -tol
-        failures += int(np.sum(bad))
-        idx = int(np.argmin(margins))
-        if margins[idx] < worst:
-            worst = float(margins[idx])
-            if bad[idx]:
-                counterexample = {
-                    "n": mode,
-                    "A": a[idx].tolist(),
-                    "B": b[idx].tolist(),
-                    "margin": float(margins[idx]),
-                }
-    return TrialReport(
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        seed=seed,
-        parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": rtol},
-        counterexample=counterexample,
-    )
+        margins = np.min(_prefix_gaps(_spectrum(a + b), nu_parts), axis=1)
+        tol = atol + rtol * max(float(np.max(np.sum(nu_parts, axis=1))), 1.0)
+        report.fold(margins, tol, lambda i: {"n": mode, "A": a[i].tolist(), "B": b[i].tolist()})
+    return report
 
 
 def lemma1_trial(
@@ -246,57 +254,24 @@ def lemma1_trial(
     nu = symplectic_eigenvalues(a)
     bound = 2.0 * float(np.sum(nu[:k]))
     tol = atol + rtol * max(abs(bound), 1.0)
-
-    worst = np.inf
-    failures = 0
-    near_attainers = 0
-    nearest = None
-    counterexample = None
-    done = 0
-    b = 0
-    while done < samples:
-        take = min(batch, samples - done)
+    parameters = {"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound, "near_attainers": 0}
+    report = TrialReport(seed=seed, parameters=parameters)
+    for b, done in enumerate(range(0, samples, batch)):
         rng = rng_stream(seed, *lane, b)
-        s = sample_symplectics(rng, n, take, (1.0, squeeze_max), log_squeeze=True)
+        s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
         sk = s[:, : 2 * k, :]
-        traces = np.einsum("bij,jk,bik->b", sk, a, sk)
-        margins = traces - bound
-        bad = margins < -tol
-        failures += int(np.sum(bad))
-        near_attainers += int(np.sum(np.abs(margins) <= near_tol))
+        margins = np.einsum("bij,jk,bik->b", sk, a, sk) - bound
+        parameters["near_attainers"] += int(np.sum(np.abs(margins) <= near_tol))
         idx = int(np.argmin(margins))
-        if margins[idx] < worst:
-            worst = float(margins[idx])
-            if bad[idx]:
-                counterexample = {"S": sk[idx].tolist(), "margin": float(margins[idx])}
-            elif margins[idx] <= near_tol:
-                nearest = sk[idx].tolist()
-        done += take
-        b += 1
+        if -tol <= margins[idx] <= near_tol and margins[idx] < report.worst_margin:
+            parameters["nearest_sampled"] = sk[idx].tolist()
+        report.fold(margins, tol, lambda i: {"S": sk[i].tolist()})
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.
-    s_w = williamson(a).s
-    witness = s_w[: 2 * k, :]
-    witness_gap = float(np.einsum("ij,jk,ik->", witness, a, witness) - bound)
-    parameters = {
-        "n": n,
-        "k": k,
-        "squeeze_max": squeeze_max,
-        "bound": bound,
-        "near_attainers": near_attainers,
-    }
-    if nearest is not None:
-        parameters["nearest_sampled"] = nearest
-    return TrialReport(
-        trials=samples,
-        failures=failures,
-        worst_margin=worst,
-        seed=seed,
-        parameters=parameters,
-        witness_gap=witness_gap,
-        counterexample=counterexample,
-    )
+    witness = williamson(a).s[: 2 * k, :]
+    report.witness_gap = float(np.einsum("ij,jk,ik->", witness, a, witness) - bound)
+    return report
 
 
 def lemma1_campaign(
@@ -315,38 +290,22 @@ def lemma1_campaign(
     """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
-    worst = np.inf
-    worst_witness = 0.0
-    failures = 0
-    total = 0
-    counterexample = None
+    parameters = {
+        "instances": instances,
+        "max_modes": max_modes,
+        "samples_per_truncation": samples,
+        "nu_range": list(nu_range),
+    }
+    report = TrialReport(seed=seed, parameters=parameters, witness_gap=0.0)
     for inst in range(instances):
         rng = rng_stream(seed, inst)
         n = int(rng.integers(1, max_modes + 1))
         a = sample_spd(rng, n, 1, nu_range)[0]
         for k in range(1, n + 1):
-            report = lemma1_trial(a, k, samples=samples, seed=seed, atol=atol, lane=(inst, k))
-            total += report.trials
-            failures += report.failures
-            if report.worst_margin < worst:
-                worst = report.worst_margin
-                if report.counterexample is not None:
-                    counterexample = {"A": a.tolist(), "k": k, **report.counterexample}
-            worst_witness = max(worst_witness, abs(report.witness_gap))
-    return TrialReport(
-        trials=total,
-        failures=failures,
-        worst_margin=worst,
-        seed=seed,
-        parameters={
-            "instances": instances,
-            "max_modes": max_modes,
-            "samples_per_truncation": samples,
-            "nu_range": list(nu_range),
-        },
-        witness_gap=worst_witness,
-        counterexample=counterexample,
-    )
+            sub = lemma1_trial(a, k, samples=samples, seed=seed, atol=atol, lane=(inst, k))
+            report.add(sub, {"A": a.tolist(), "k": k})
+            report.witness_gap = max(report.witness_gap, abs(sub.witness_gap))
+    return report
 
 
 def schur_campaign(
@@ -364,28 +323,16 @@ def schur_campaign(
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
-    failures = 0
-    worst = np.inf
-    counterexample = None
+    report = TrialReport(seed=seed, parameters={"max_dim": max_dim})
+    matrices, margins, tols = [], [], []
     for trial in range(trials):
         rng = rng_stream(seed, trial)
         dim = int(rng.integers(2, max_dim + 1))
         g = rng.standard_normal((dim, dim))
         a = 0.5 * (g + g.T)
-        pd = np.cumsum(np.sort(np.diag(a))[::-1])
-        pl = np.cumsum(np.sort(np.linalg.eigvalsh(a))[::-1])
-        margin = min(float(np.min((pl - pd)[:-1])), -abs(float(pl[-1] - pd[-1])))
-        tol = atol + rtol * max(abs(float(pl[-1])), 1.0) * dim
-        if margin < -tol:
-            failures += 1
-            if counterexample is None:
-                counterexample = {"A": a.tolist(), "margin": margin}
-        worst = min(worst, margin)
-    return TrialReport(
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        seed=seed,
-        parameters={"max_dim": max_dim},
-        counterexample=counterexample,
-    )
+        gaps = _prefix_gaps(np.linalg.eigvalsh(a), np.diag(a), descending=True)
+        matrices.append(a)
+        margins.append(min(float(np.min(gaps[:-1])), -abs(float(gaps[-1]))))
+        tols.append(atol + rtol * max(abs(float(np.trace(a))), 1.0) * dim)
+    report.fold(np.array(margins), np.array(tols), lambda i: {"A": matrices[i].tolist()})
+    return report

@@ -217,8 +217,12 @@ def trace_p(state_or_spectrum, p: float) -> float:
 
 
 def _trace_power(nu: np.ndarray, p: float) -> float:
-    """Tr rho^p continued to all p > 0; internal oracle support."""
-    return float(np.prod(2.0**p / ((nu + 1.0) ** p - (nu - 1.0) ** p)))
+    """Tr rho^p continued to all p > 0; internal oracle support.
+
+    Summed in logs, prod 2^p / f_p = exp(sum(p ln 2 - ln f_p)), because 2^p
+    and f_p overflow a double above p = 1024 while Tr rho^p lies in (0, 1].
+    """
+    return float(np.exp(np.sum(p * np.log(2.0) - log_f_p(nu, p))))
 
 
 def schatten_norm(state_or_spectrum, p: float) -> float:

@@ -36,6 +36,13 @@ class TestMakeChannel:
         with pytest.raises(ch.CompletePositivityError):
             ch.make_channel(np.eye(2), np.diag([1.0, -0.5]))
 
+    def test_kind_is_not_a_parameter(self):
+        # A declared kind would select closed forms that (X, Y) do not obey:
+        # labelled thermal(0.5, 0), X = I and Y = 5 I would report F_2 = 4, not 24.
+        with pytest.raises(TypeError):
+            ch.make_channel(np.eye(2), 5.0 * np.eye(2), kind="thermal", eta=[0.5], nbar=[0.0])
+        assert ch.make_channel(np.eye(2), 5.0 * np.eye(2)).kind == "custom"
+
 
 class TestClassicalNoise:
     def test_zero_noise_is_identity(self):

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, report determinism, formats."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from test_channels import json_values, mutated_records, valid_records
 
 from cvchan import cli
 from cvchan import channels as ch
@@ -338,11 +343,14 @@ class TestInvalidChannelFiles:
                 ["capacity", "--energy", "1.5", "--budget", "100"],
             ),
             ("eta", {"n_modes": 1, "kind": "lossy", "eta": [10**400]}, ["analyze"]),
+            ("<file>", 5, ["analyze"]),
+            ("<file>", None, ["analyze"]),
+            ("<file>", "n_modes", ["analyze"]),
         ],
         ids=[
             "eta-object", "eta-nan", "custom-X-nan", "omega-nan", "n_modes-fractional", "n_modes-bool",
             "n_modes-string", "eta-string", "eta-bool", "nbar-string", "Y-bool", "custom-X-string", "omega-bool",
-            "eta-integer-beyond-float",
+            "eta-integer-beyond-float", "top-level-number", "top-level-null", "top-level-string",
         ],
     )
     def test_exits_2_naming_the_field(self, field, record, command, tmp_path, capsys):
@@ -366,3 +374,32 @@ class TestReportEnvelope:
         assert report["tool"] == "cvchan"
         assert report["seed"] == 5
         assert "version" in report and "tolerances" in report
+
+
+#: A spec file holds any JSON value, a valid record, or a valid record with
+#: one field mutated; the p lists include a rejected order and an overflowing one.
+spec_documents = hst.one_of(json_values, valid_records(), mutated_records())
+p_lists = hst.sampled_from(("2", "1.5,3", "0.5", "400"))
+
+
+def _reject_literal(literal):
+    raise ValueError(f"non-JSON literal {literal}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec_documents, p_lists)
+def test_analyze_exit_code_is_total(tmp_path_factory, document, p):
+    # Without --numeric no search runs: a channel without a closed form exits 3.
+    path = tmp_path_factory.mktemp("spec") / "channel.json"
+    path.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--channel", str(path), "--p", p])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_UNSUPPORTED)
+    if code == cli.EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_reject_literal)
+    if code == cli.EXIT_INPUT_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

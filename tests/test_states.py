@@ -165,6 +165,11 @@ class TestTraceP:
         values = [st.trace_p(np.array([nu]), 2.0) for nu in grid]
         assert np.all(np.diff(values) <= 0.0)
 
+    def test_high_order_underflows_instead_of_overflowing(self):
+        # thermal(1.0) has nu = 3, so Tr rho^p = 2^p / (4^p - 2^p) = 1 / (2^p - 1).
+        assert st.trace_p(st.thermal(1.0), 1030.0) == pytest.approx(2.0**-1030, rel=1e-12)
+        assert st.trace_p(st.thermal(1.0), 1100.0) == 0.0  # 2^-1100 rounds to 0
+
 
 class TestEntropy:
     def test_pure_state_zero(self):
