@@ -1,8 +1,9 @@
 """Command-line surface: channel analysis, capacity, verification campaigns.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 input or configuration error, 3 unsupported request (closed form asked
-for a kind that has none, without --numeric).
+2 input or configuration error (``main`` maps every ``ValueError`` and
+``OSError`` to it, with one ``error:`` line), 3 unsupported request
+(closed form asked for a kind that has none, without --numeric).
 
 Reports are deterministic: identical (config, seed) produce identical
 bytes.  Progress and timing go to stderr; reports go to --out or stdout.
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, fmt: str, out_path) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = _to_csv(report)
     if out_path is None:
@@ -134,12 +135,8 @@ def _base_report(args, tolerances: dict) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        channel, _ = ch.load_channel(args.channel)
-        p_values = _parse_float_list(args.p)
-    except (ch.ChannelSpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    channel, _ = ch.load_channel(args.channel)
+    p_values = _parse_float_list(args.p)
     report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     results = []
     s_min = None  # the numeric S_min does not depend on p: one search per command
@@ -159,9 +156,6 @@ def cmd_analyze(args) -> int:
             inf_fp = search.best_value
             entry["closed_form"] = False
             entry["S_min"] = s_min
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
@@ -182,26 +176,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    try:
-        channel, file_omega = ch.load_channel(args.channel)
-        if args.omega is not None:
-            omega = np.asarray(_parse_float_list(args.omega))
-        elif file_omega is not None:
-            omega = file_omega
-        else:
-            omega = np.ones(channel.n)
-        budget = fn.EnergyBudget(args.energy, omega)
-        if budget.omega.shape != (channel.n,):
-            raise ValueError(f"expected {channel.n} frequencies, got {budget.omega.size}")
-    except (ch.ChannelSpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    channel, file_omega = ch.load_channel(args.channel)
+    if args.omega is not None:
+        omega = np.asarray(_parse_float_list(args.omega))
+    elif file_omega is not None:
+        omega = file_omega
+    else:
+        omega = np.ones(channel.n)
+    budget = fn.EnergyBudget(args.energy, omega)
+    cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
     report = _base_report(args, {"tol_sup": fn.TOL_OPT_SUP})
-    try:
-        cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     report["channel"] = ch.channel_to_record(channel)
     record = cap.record()
     record["flag"] = "ok" if cap.feasible else "infeasible"
@@ -294,14 +278,24 @@ def cmd_verify(args) -> int:
         tolerances[_VERIFY_TOLERANCES[args.target][0]] = args.tol
     report = _base_report(args, tolerances)
     report["target"] = args.target
-    try:
-        failed = _run_target(args, report)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    print(f"verify {args.target}: {'FAIL' if failed else 'PASS'} ({time.monotonic() - t0:.1f} s)", file=sys.stderr)
+    failed = _run_target(args, report)
     _emit(report, args.format, args.out)
+    print(f"verify {args.target}: {'FAIL' if failed else 'PASS'} ({time.monotonic() - t0:.1f} s)", file=sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
+
+
+#: Smallest accepted value of the integer options every command shares.
+_MINIMUMS = {"seed": 0, "budget": 1}
+
+
+def _check_arguments(args) -> None:
+    for name, value in vars(args).items():
+        option = "--" + name.replace("_", "-")
+        # Reports are strict JSON, which has no NaN or Infinity.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{option} must be a finite number, got {value}")
+        if name in _MINIMUMS and value < _MINIMUMS[name]:
+            raise ValueError(f"{option} must be >= {_MINIMUMS[name]}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -311,16 +305,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_INPUT_ERROR
-    for name, value in vars(args).items():
-        # Reports are strict JSON, which has no NaN or Infinity.
-        if isinstance(value, float) and not math.isfinite(value):
-            print(f"error: --{name.replace('_', '-')} must be a finite number, got {value}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "capacity":
-        return cmd_capacity(args)
-    return cmd_verify(args)
+    command = {"analyze": cmd_analyze, "capacity": cmd_capacity, "verify": cmd_verify}[args.command]
+    try:
+        _check_arguments(args)
+        return command(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

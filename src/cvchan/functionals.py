@@ -67,6 +67,11 @@ class EnergyBudget:
     def feasible(self) -> bool:
         return self.total >= self.zero_point - 1e-12
 
+    def check_modes(self, n: int) -> None:
+        """Raise ``ValueError`` unless the budget gives one frequency per mode."""
+        if self.omega.shape != (n,):
+            raise ValueError(f"budget frequencies must cover {n} modes, got {self.omega.shape}")
+
 
 @dataclass
 class OptimizationReport:
@@ -238,7 +243,7 @@ def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarr
     return _spectrum(ch.apply_cov(channel, gamma))
 
 
-def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts: int, scale: float = 0.8):
+def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts: int = 6):
     """Budgeted Nelder-Mead restarts; the first start is the origin.
 
     Restart starting points come from per-restart Philox streams, so the
@@ -249,7 +254,6 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
     """
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
-    restarts = max(1, restarts)
     per_run = max(dim + 2, budget // restarts)
     best_val = np.inf
     best_x = np.zeros(dim)
@@ -259,7 +263,7 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
     for run in range(restarts):
         if evals >= budget:
             break
-        x0 = np.zeros(dim) if run == 0 else rng_stream(seed, run).normal(scale=scale, size=dim)
+        x0 = np.zeros(dim) if run == 0 else rng_stream(seed, run).normal(scale=0.8, size=dim)
         start_val = objective(x0)
         evals += 1
         if start_val < best_val:
@@ -282,7 +286,7 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
     return best_val, best_x, evals, converged
 
 
-def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, seed: int, restarts: int):
+def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, seed: int):
     """Minimize a score of the output spectrum over parameterized inputs.
 
     ``cov_of`` maps a parameter vector of length ``dim`` to an input
@@ -302,7 +306,7 @@ def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, s
             return np.inf
         return out if np.isfinite(out) else np.inf
 
-    best, best_x, evals, converged = _restarted_nelder_mead(objective, dim, budget, seed, restarts)
+    best, best_x, evals, converged = _restarted_nelder_mead(objective, dim, budget, seed)
     return OptimizationReport(float(best), cov_of(best_x), evals, budget, converged)
 
 
@@ -314,13 +318,7 @@ def _gap_to_closed_form(best: float, closed_form, channel: ch.GaussianChannel) -
         return None
 
 
-def numeric_inf_fp(
-    channel: ch.GaussianChannel,
-    p: float,
-    budget: int = 20000,
-    seed: int = 0,
-    restarts: int = 6,
-) -> OptimizationReport:
+def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
     """Derivative-free minimization of F_p(nu(output)) over pure inputs.
 
     The search space covers all pure Gaussian covariances of the full
@@ -333,7 +331,7 @@ def numeric_inf_fp(
     n = channel.n
     report = _search(
         channel, lambda nu: float(np.sum(st.log_f_p(nu, p))), lambda theta: _pure_cov(theta, n),
-        _pure_cov_dim(n), budget, seed, restarts,
+        _pure_cov_dim(n), budget, seed,
     )
     with np.errstate(over="ignore"):  # F_p beyond the float range is inf; ln F_p is finite
         report.best_value = float(np.exp(report.best_value))
@@ -341,34 +339,24 @@ def numeric_inf_fp(
     return report
 
 
-def numeric_min_entropy(
-    channel: ch.GaussianChannel,
-    budget: int = 20000,
-    seed: int = 0,
-    restarts: int = 6,
-) -> OptimizationReport:
+def numeric_min_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> OptimizationReport:
     """Numeric twin of ``min_output_entropy`` for channels without a closed form."""
     n = channel.n
-    report = _search(
-        channel, st.von_neumann_entropy, lambda theta: _pure_cov(theta, n), _pure_cov_dim(n), budget, seed, restarts
-    )
+    report = _search(channel, st.von_neumann_entropy, lambda theta: _pure_cov(theta, n), _pure_cov_dim(n), budget, seed)
     report.gap_to_closed_form = _gap_to_closed_form(report.best_value, min_output_entropy_closed_only, channel)
     return report
 
 
 def max_output_entropy_under_energy(
-    channel: ch.GaussianChannel,
-    budget: EnergyBudget,
-    search_budget: int = 20000,
-    seed: int = 0,
-    restarts: int = 6,
+    channel: ch.GaussianChannel, budget: EnergyBudget, search_budget: int = 20000, seed: int = 0
 ) -> OptimizationReport:
     """Maximize the output entropy over physical inputs at fixed energy.
 
     The linear constraint sum_k omega_k Tr gamma_[k] = 4 E is enforced
     exactly by ``_project_to_energy``; the origin start corresponds to the
     mode-symmetric thermal candidate, so the result can never fall below
-    that benchmark.
+    that benchmark.  The report carries the gap to the exact water-filled
+    output entropy when every leaf has one.
 
     Raises
     ------
@@ -376,19 +364,19 @@ def max_output_entropy_under_energy(
         When the budget lies below the total zero-point energy.
     """
     n = channel.n
-    if budget.omega.shape != (n,):
-        raise ValueError(f"budget frequencies must cover {n} modes, got {budget.omega.shape}")
+    budget.check_modes(n)
     if not budget.feasible:
-        raise InfeasibleEnergyError(
-            f"energy {budget.total} below zero-point {budget.zero_point}"
-        )
+        raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
     report = _search(
         channel,
         lambda nu: -st.von_neumann_entropy(nu),
         lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget.omega, budget.total),
-        _phys_cov_dim(n), search_budget, seed, restarts,
+        _phys_cov_dim(n), search_budget, seed,
     )
     report.best_value = -report.best_value
+    report.gap_to_closed_form = _gap_to_closed_form(
+        report.best_value, lambda c: _water_filled_capacity(c, budget.omega, budget.total)[1], channel
+    )
     return report
 
 
@@ -473,10 +461,12 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
     return photons
 
 
-def _water_filled_capacity(channel: ch.GaussianChannel, omega: np.ndarray, total: float) -> tuple[float, np.ndarray]:
+def _water_filled_capacity(
+    channel: ch.GaussianChannel, omega: np.ndarray, total: float
+) -> tuple[float, float, np.ndarray]:
     """Exact Gaussian capacity of ``channel`` at energy ``total`` over the
-    mode frequencies ``omega``, and the photon number of every input mode
-    that attains it.
+    mode frequencies ``omega``, the output entropy that attains it, and the
+    photon number of every input mode.
 
     A mode with N photons carries S(1 + 2 (a N + b)) - S(1 + 2 b), the
     Holevo-Werner capacity g(eta N + (1 - eta) nbar) - g((1 - eta) nbar) of
@@ -484,40 +474,31 @@ def _water_filled_capacity(channel: ch.GaussianChannel, omega: np.ndarray, total
     """
     a, b = _photon_maps(channel)
     photons = _water_fill(a, b, omega, total - 0.5 * float(np.sum(omega)))
-    value = st.von_neumann_entropy(1.0 + 2.0 * (a * photons + b)) - st.von_neumann_entropy(1.0 + 2.0 * b)
-    return value, photons
+    sup = st.von_neumann_entropy(1.0 + 2.0 * (a * photons + b))
+    return sup - st.von_neumann_entropy(1.0 + 2.0 * b), sup, photons
 
 
 def gaussian_holevo_capacity(
-    channel: ch.GaussianChannel,
-    budget: EnergyBudget,
-    search_budget: int = 20000,
-    seed: int = 0,
-    restarts: int = 6,
+    channel: ch.GaussianChannel, budget: EnergyBudget, search_budget: int = 20000, seed: int = 0
 ) -> CapacityReport:
     """Capacity = sup of output entropy at the energy budget minus the
     minimal output entropy; exactly zero for infeasible budgets.
 
-    When every leaf is thermal, lossy or per-mode isotropic classical, the
-    search report carries the gap to the exact water-filled capacity.
+    When every leaf is thermal, lossy or per-mode isotropic classical the
+    capacity is the exact water-filled value and ``search`` is None; any
+    other channel goes through ``max_output_entropy_under_energy``.
     """
+    budget.check_modes(channel.n)
     smin = min_output_entropy(channel, budget=search_budget, seed=seed)
     if not budget.feasible:
-        return CapacityReport(value=0.0, feasible=False, min_entropy=smin)
-    sup = max_output_entropy_under_energy(
-        channel, budget, search_budget=search_budget, seed=seed, restarts=restarts
-    )
-    value = max(sup.best_value - smin, 0.0)
-    sup.gap_to_closed_form = _gap_to_closed_form(
-        value, lambda c: _water_filled_capacity(c, budget.omega, budget.total)[0], channel
-    )
-    return CapacityReport(
-        value=value,
-        feasible=True,
-        min_entropy=smin,
-        sup_entropy=sup.best_value,
-        search=sup,
-    )
+        return CapacityReport(0.0, False, smin)
+    try:
+        value, sup, _ = _water_filled_capacity(channel, budget.omega, budget.total)
+    except UnsupportedKindError:
+        search = max_output_entropy_under_energy(channel, budget, search_budget=search_budget, seed=seed)
+        value = max(search.best_value - smin, 0.0)
+        return CapacityReport(value, True, smin, sup_entropy=search.best_value, search=search)
+    return CapacityReport(value, True, smin, sup_entropy=sup)
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +618,18 @@ def additivity_check(
     water-fills the energy above the zero points over every mode of every
     factor.  ``best_split`` is each factor's energy,
     sum_k omega_k (N_k + 1/2) over its modes, and PASS means the joint
-    search lands within ``tol`` of the exact optimum.
+    search lands within ``tol`` of the exact optimum.  The search is the
+    cross-check: an entangled input beating every split would show as a
+    positive margin.
     """
     if len(channel_list) < 2:
         raise ValueError("additivity needs at least two channels")
-    mode_counts = [c.n for c in channel_list]
-    if budget.omega.shape != (sum(mode_counts),):
-        raise ValueError(f"budget frequencies must cover {sum(mode_counts)} modes, got {budget.omega.shape}")
-    if not budget.feasible:
-        raise InfeasibleEnergyError(f"energy {budget.total} below joint zero-point {budget.zero_point}")
     joint = ch.tensor(channel_list)
-    best_value, photons = _water_filled_capacity(joint, budget.omega, budget.total)
-    energies = np.split(budget.omega * (photons + 0.5), np.cumsum(mode_counts)[:-1])
-    joint_cap = gaussian_holevo_capacity(joint, budget, search_budget=search_budget, seed=seed).value
+    budget.check_modes(joint.n)
+    best_value, _, photons = _water_filled_capacity(joint, budget.omega, budget.total)
+    energies = np.split(budget.omega * (photons + 0.5), np.cumsum([c.n for c in channel_list])[:-1])
+    search = max_output_entropy_under_energy(joint, budget, search_budget=search_budget, seed=seed)
+    joint_cap = max(search.best_value - min_output_entropy_closed_only(joint), 0.0)
     margin = joint_cap - best_value
     return AdditivityReport(
         total_energy=budget.total,

@@ -229,8 +229,6 @@ def lemma1_trial(
     squeeze_max: float = 8.0,
     atol: float = PREFIX_ATOL,
     rtol: float = PREFIX_RTOL,
-    batch: int = 2048,
-    near_tol: float = 1e-6,
     lane: tuple[int, ...] = (),
 ) -> TrialReport:
     """Randomized lower-bound check of the truncated-symplectic trace minimum.
@@ -241,9 +239,10 @@ def lemma1_trial(
     and verifies that the first 2k rows of the Williamson transform of A
     attain the bound (``witness_gap``).
 
-    Sampled matrices that come within ``near_tol`` of the bound are counted
-    as near-attainers (reported, not classified); the closest one is kept
-    in the report parameters.  Batch b draws from ``rng_stream(seed, *lane, b)``.
+    Sampled matrices that come within 1e-6 of the bound are counted as
+    near-attainers (reported, not classified); the closest one is kept in
+    the report parameters.  Batch b of 2048 samples draws from
+    ``rng_stream(seed, *lane, b)``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0] // 2
@@ -256,6 +255,7 @@ def lemma1_trial(
     tol = atol + rtol * max(abs(bound), 1.0)
     parameters = {"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound, "near_attainers": 0}
     report = TrialReport(seed=seed, parameters=parameters)
+    batch, near_tol = 2048, 1e-6
     for b, done in enumerate(range(0, samples, batch)):
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)

@@ -166,13 +166,19 @@ def mean_energy(state: GaussianState) -> ModeEnergy:
 
 
 def f_p(x, p: float):
-    """The output-purity kernel (x + 1)^p - (x - 1)^p, for x >= 1, p >= 1."""
+    """The output-purity kernel (x + 1)^p - (x - 1)^p, for x >= 1, p >= 1.
+
+    inf where (x + 1)^p overflows a double, where the difference of the two
+    powers would be inf - inf; ``log_f_p`` is finite there.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError(f"argument must be >= 1, got minimum {np.min(x)}")
     if p < 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
-    out = (x + 1.0) ** p - (x - 1.0) ** p
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = (x + 1.0) ** p
+        out = np.where(np.isinf(up), np.inf, up - (x - 1.0) ** p)
     return float(out) if out.ndim == 0 else out
 
 

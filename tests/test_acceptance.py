@@ -179,6 +179,10 @@ def test_criterion_9_capacity_behavior():
 
     cap = fn.gaussian_holevo_capacity(identity, fn.EnergyBudget(1.5, [1.0]), search_budget=8000, seed=5)
     value_ok = abs(cap.value - TWO_LN_2) <= 1e-3
+    # The exact water-filled value above; the search route must reach it too.
+    sup = fn.max_output_entropy_under_energy(identity, fn.EnergyBudget(1.5, [1.0]), search_budget=8000, seed=5)
+    searched = sup.best_value - fn.min_output_entropy(identity)
+    value_ok = value_ok and abs(searched - TWO_LN_2) <= 1e-3
 
     infeasible = fn.gaussian_holevo_capacity(identity, fn.EnergyBudget(0.2, [1.0]), search_budget=100, seed=5)
     infeasible_ok = infeasible.value == 0.0 and not infeasible.feasible
@@ -195,7 +199,7 @@ def test_criterion_9_capacity_behavior():
         9,
         "energy-constrained capacity",
         ok,
-        f"C(1.5)={cap.value:.6f} (target {TWO_LN_2:.6f}), infeasible={infeasible.value}, "
+        f"C(1.5)={cap.value:.6f}, searched {searched:.6f} (target {TWO_LN_2:.6f}), infeasible={infeasible.value}, "
         f"grid min step {np.min(np.diff(values)):.2e}",
     )
     assert ok, (cap.value, infeasible.value, values)

@@ -12,6 +12,7 @@ from test_channels import json_values, mutated_records, valid_records
 
 from cvchan import cli
 from cvchan import channels as ch
+from cvchan import functionals as fn
 from cvchan import symplectic as sp
 
 
@@ -174,6 +175,19 @@ class TestCapacity:
         assert cli.main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_readme_configuration_is_exact(self, tmp_path):
+        # The water-filled value g(1) - g(0.5), with no search fields in the record.
+        path = tmp_path / "thermal.json"
+        path.write_text(json.dumps({"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0], "omega": [1.0]}))
+        out = tmp_path / "cap.json"
+        argv = ["capacity", "--channel", str(path), "--energy", "1.5", "--budget", "20000", "--seed", "1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        g_1, g_half = 2.0 * np.log(2.0), 1.5 * np.log(1.5) - 0.5 * np.log(0.5)
+        assert abs(result["capacity"] - (g_1 - g_half)) <= 1e-12
+        assert result["sup_entropy"] == pytest.approx(g_1, abs=1e-12)
+        assert not {"evaluations", "budget", "converged"} & set(result)
+
     def test_bad_omega_count(self, thermal_spec, capsys):
         code = cli.main(["capacity", "--channel", thermal_spec, "--energy", "1.0", "--omega", "1.0,2.0"])
         assert code == cli.EXIT_INPUT_ERROR
@@ -297,11 +311,55 @@ class TestInvalidInputExitCodes:
             ["capacity", "--channel", "{thermal}", "--energy", "inf"],
             ["analyze", "--channel", "{thermal}", "--p", "nan"],
             ["analyze", "--channel", "{thermal}", "--p", "2,inf"],
+            ["analyze", "--channel", "{thermal}", "--seed", "-1"],
+            ["verify", "concavity", "--seed", "-1"],
+            ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--seed", "-1"],
+            ["analyze", "--channel", "{thermal}", "--budget", "0"],
+            ["verify", "theorem1", "--trials", "10", "--budget", "-3"],
         ],
         ids=lambda argv: " ".join(arg for arg in argv if arg not in ("--channel", "{thermal}")),
     )
     def test_exits_2_with_one_line(self, argv, thermal_spec, capsys):
         code = cli.main([thermal_spec if arg == "{thermal}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "schur", "--trials", "10", "--seed", "-1"], "--seed"),
+            (["capacity", "--channel", "{thermal}", "--energy", "1.5", "--budget", "0"], "--budget"),
+        ],
+    )
+    def test_seed_and_budget_errors_name_the_option(self, argv, option, thermal_spec, capsys):
+        assert cli.main([thermal_spec if arg == "{thermal}" else arg for arg in argv]) == cli.EXIT_INPUT_ERROR
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--channel", "{thermal}"],
+            ["capacity", "--channel", "{thermal}", "--energy", "1.5"],
+            ["verify", "concavity"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_2_with_one_line(self, argv, thermal_spec, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = cli.main([thermal_spec if arg == "{thermal}" else arg for arg in argv] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_finite_result_exits_2_not_invalid_json(self, thermal_spec, monkeypatch, capsys):
+        nan_report = fn.CapacityReport(float("nan"), True, 0.0)
+        monkeypatch.setattr(fn, "gaussian_holevo_capacity", lambda *args, **kwargs: nan_report)
+        code = cli.main(["capacity", "--channel", thermal_spec, "--energy", "1.5"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == ""
@@ -386,20 +444,66 @@ def _reject_literal(literal):
     raise ValueError(f"non-JSON literal {literal}")
 
 
+def _run_and_check_streams(argv: list[str], json_report: bool = True) -> int:
+    """Run the CLI; on exit 2 stdout is empty and stderr one error line, and
+    any other exit writes a strict-JSON report when the format is JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == cli.EXIT_INPUT_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    elif json_report and code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED):
+        json.loads(out.getvalue(), parse_constant=_reject_literal)
+    return code
+
+
+def _spec_file(tmp_path_factory, document) -> str:
+    path = tmp_path_factory.mktemp("spec") / "channel.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(spec_documents, p_lists)
 def test_analyze_exit_code_is_total(tmp_path_factory, document, p):
     # Without --numeric no search runs: a channel without a closed form exits 3.
-    path = tmp_path_factory.mktemp("spec") / "channel.json"
-    path.write_text(json.dumps(document))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["analyze", "--channel", str(path), "--p", p])
+    code = _run_and_check_streams(["analyze", "--channel", _spec_file(tmp_path_factory, document), "--p", p])
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_UNSUPPORTED)
-    if code == cli.EXIT_OK:
-        json.loads(out.getvalue(), parse_constant=_reject_literal)
-    if code == cli.EXIT_INPUT_ERROR:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    spec_documents,
+    hst.sampled_from(("-1", "0.2", "1.5")),
+    hst.sampled_from(([], ["--omega", "1"], ["--omega", "1,2"], ["--omega", "0.5,1,2"])),
+    hst.integers(-1, 20),
+)
+def test_capacity_exit_code_is_total(tmp_path_factory, document, energy, omega, budget):
+    argv = ["capacity", "--channel", _spec_file(tmp_path_factory, document), f"--energy={energy}", *omega]
+    code = _run_and_check_streams(argv + [f"--budget={budget}"])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    hst.sampled_from(cli.VERIFY_TARGETS),
+    hst.fixed_dictionaries(
+        {
+            "--trials": hst.integers(-1, 30),
+            "--instances": hst.integers(-1, 3),
+            "--max-modes": hst.integers(-1, 3),
+            "--budget": hst.integers(-1, 20),
+            "--energy": hst.sampled_from((-1.0, 0.0, 0.2, 3.0)),
+            "--seed": hst.integers(-1, 3),
+        }
+    ),
+    hst.sampled_from(([], ["--tol=-1e6"])),
+    hst.sampled_from(("json", "csv")),
+)
+def test_verify_exit_code_is_total(target, options, tol, fmt):
+    argv = ["verify", target, *(f"{name}={value}" for name, value in options.items()), *tol, "--format", fmt]
+    code = _run_and_check_streams(argv, json_report=fmt == "json")
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_INPUT_ERROR)

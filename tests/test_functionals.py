@@ -1,5 +1,7 @@
 """Channel functionals: closed forms, numeric searches, capacity, checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -63,6 +65,14 @@ class TestClosedForms:
     def test_p_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             fn.min_output_fp_closed(identity_channel(), 1.0)
+
+    def test_overflowing_product_is_inf_without_warning(self):
+        # f_400(10) overflows a double; its log does not.
+        channel = ch.thermal_noise([0.5], [9.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn.min_output_fp_closed(channel, 400.0) == np.inf
+        assert np.isfinite(fn.log_min_output_fp_closed(channel, 400.0))
 
 
 class TestNumericInfFp:
@@ -239,12 +249,43 @@ class TestCapacity:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_search_gap_to_water_filled_capacity(self, seed):
         # README thermal spec at E = 1.5; the search never beats the exact optimum.
-        cap = fn.gaussian_holevo_capacity(
+        search = fn.max_output_entropy_under_energy(
             ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(1.5, [1.0]), search_budget=20000, seed=seed
         )
-        gap = cap.search.gap_to_closed_form
+        gap = search.gap_to_closed_form
         assert abs(gap) <= 1e-3
         assert gap <= 1e-9
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ch.thermal_noise([0.5], [1.0]),
+            ch.lossy([0.3, 0.8]),
+            ch.classical_noise(np.diag([2.0, 2.0, 0.5, 0.5])),
+            ch.tensor([ch.classical_noise(np.eye(2)), ch.thermal_noise([0.5], [1.0])]),
+        ],
+        ids=["thermal", "lossy", "isotropic-classical", "classical-x-thermal"],
+    )
+    def test_supported_channels_are_not_searched(self, channel, search_calls):
+        budget = fn.EnergyBudget(2.5, np.ones(channel.n))
+        cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=20000, seed=0)
+        assert search_calls == []
+        assert cap.search is None
+        assert cap.value == pytest.approx(cap.sup_entropy - cap.min_entropy, abs=1e-12)
+        assert not {"evaluations", "budget", "converged"} & set(cap.record())
+
+    def test_other_channels_search_the_sup_entropy_once(self, search_calls):
+        # A custom channel has no closed form: one search for S_min, one for the sup entropy.
+        cap = fn.gaussian_holevo_capacity(
+            ch.make_channel(0.5 * np.eye(2), np.eye(2)), fn.EnergyBudget(1.5, [1.0]), search_budget=200, seed=0
+        )
+        assert len(search_calls) == 2
+        assert cap.record()["evaluations"] == cap.search.evaluations > 0
+
+    def test_frequency_count_checked_before_feasibility(self):
+        # Energy 1.0 lies below the zero point 1.5 of the frequencies (1, 2), one too many for one mode.
+        with pytest.raises(ValueError, match="frequencies"):
+            fn.gaussian_holevo_capacity(ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(1.0, [1.0, 2.0]))
 
     def test_no_gap_without_closed_form(self):
         cap = fn.gaussian_holevo_capacity(
@@ -358,7 +399,7 @@ class TestWaterFilling:
         "eta, nbar, energy, omega", [(0.5, 1.0, 1.5, 1.0), (0.3, 2.0, 4.0, 1.0), (0.9, 0.2, 2.0, 1.7)]
     )
     def test_single_mode_is_holevo_werner(self, eta, nbar, energy, omega):
-        value, photons = fn._water_filled_capacity(
+        value, _, photons = fn._water_filled_capacity(
             ch.tensor([ch.thermal_noise([eta], [nbar])]), np.array([omega]), energy
         )
         n_in = (energy - 0.5 * omega) / omega
@@ -377,7 +418,7 @@ class TestWaterFilling:
         a = np.array([0.7, 1.0, 0.5])
         b = np.array([0.3 * 2.0, 0.5 * y, 0.0])
         omega = np.array(omega)
-        value, photons = fn._water_filled_capacity(ch.tensor(channels), omega, energy)
+        value, _, photons = fn._water_filled_capacity(ch.tensor(channels), omega, energy)
         surplus = energy - 0.5 * np.sum(omega)
         assert float(omega @ photons) == pytest.approx(surplus, abs=1e-12)
         if inactive is not None:
@@ -435,10 +476,10 @@ class TestMixedProduct:
         assert report.passed
 
     def test_capacity_has_a_gap_to_the_water_filled_value(self):
-        cap = fn.gaussian_holevo_capacity(
+        search = fn.max_output_entropy_under_energy(
             self.product(), fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, seed=0
         )
-        gap = cap.search.gap_to_closed_form
+        gap = search.gap_to_closed_form
         assert gap is not None
         assert gap <= 1e-9
         assert abs(gap) <= 1e-3

@@ -1,5 +1,7 @@
 """Gaussian states: constructors, physicality, energy, purity functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -122,6 +124,13 @@ class TestFp:
             st.f_p(0.5, 2.0)
         with pytest.raises(ValueError):
             st.f_p(2.0, 0.5)
+
+    def test_overflow_is_inf_without_warning(self):
+        # 20^400 and 18^400 both overflow; their difference must not be inf - inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert st.f_p(19.0, 400.0) == np.inf
+            assert_allclose(st.f_p(np.array([2.0, 19.0]), 400.0), [3.0**400 - 1.0, np.inf])
 
     def test_g_p_nonnegative_small_cases(self):
         assert st.g_p(1.0, 2.0) == pytest.approx(8.0)  # f_0 = 0 leaves the 4p term
