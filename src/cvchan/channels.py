@@ -170,23 +170,24 @@ def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def regularized_noise(channel: GaussianChannel, eps: float = NOISE_EPS) -> np.ndarray:
-    """The noise matrix Y, or Y + eps I when its minimum eigenvalue is below eps.
+def regularized_noise(channel: GaussianChannel) -> np.ndarray:
+    """The noise matrix Y, or Y + eps I when its minimum eigenvalue is below
+    eps = ``NOISE_EPS``.
 
     Singular Y has no Williamson form; its regularization does, and the
     entries of its spectrum at the eps scale stand for exact zeros.  The
     channel itself keeps the exact Y; the regularizer never enters the action.
     """
     y = channel.y
-    if float(np.linalg.eigvalsh(y)[0]) < eps:
-        y = y + eps * np.eye(y.shape[0])
+    if float(np.linalg.eigvalsh(y)[0]) < NOISE_EPS:
+        y = y + NOISE_EPS * np.eye(y.shape[0])
     return y
 
 
-def noise_spectrum(channel: GaussianChannel, eps: float = NOISE_EPS) -> np.ndarray:
+def noise_spectrum(channel: GaussianChannel) -> np.ndarray:
     """Symplectic spectrum of the noise matrix Y, ascending, through
     ``regularized_noise``: entries at the eps scale are exact zeros."""
-    return symplectic_eigenvalues(regularized_noise(channel, eps))
+    return symplectic_eigenvalues(regularized_noise(channel))
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:

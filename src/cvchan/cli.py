@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,9 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
-
-VERIFY_TARGETS = ("theorem1", "lemma1", "schur", "concavity", "multiplicativity", "additivity")
-
 
 def _parse_float_list(text: str) -> list[float]:
     values = [float(part) for part in text.split(",") if part.strip()]
@@ -103,25 +101,39 @@ def _flatten(prefix: str, value, row: dict) -> None:
 
 
 def _to_csv(report: dict) -> str:
-    rows = report.get("results")
-    if not isinstance(rows, list):
-        rows = [report]
-    flat_rows = []
-    for entry in rows:
-        row: dict = {}
+    """One row per entry of ``results``, or one for the whole report; the
+    header lists every key in the order of first appearance."""
+    entries = report["results"] if isinstance(report.get("results"), list) else [report]
+    rows = [{} for _ in entries]
+    for entry, row in zip(entries, rows):
         _flatten("", entry, row)
-        flat_rows.append(row)
-    header: list[str] = []
-    for row in flat_rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for row in rows for key in row))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
     writer.writeheader()
-    for row in flat_rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+#: Report names of the result fields that are not written under their own name.
+_FIELD_NAMES = {"value": "capacity", "passed": "pass"}
+
+
+def record_of(result) -> dict:
+    """The report fields of a library result: its dataclass fields in
+    declaration order, None values left out, ``value`` written as
+    ``capacity`` and ``passed`` (a field or a property) as ``pass``; a
+    search writes its ``evaluations``, ``budget`` and ``converged``."""
+    record = {}
+    for item in dataclasses.fields(result):
+        value = getattr(result, item.name)
+        if isinstance(value, fn.OptimizationReport):
+            record.update(evaluations=value.evaluations, budget=value.budget, converged=value.converged)
+        elif value is not None:
+            record[_FIELD_NAMES.get(item.name, item.name)] = value
+    if hasattr(result, "passed"):
+        record["pass"] = result.passed
+    return record
 
 
 def _base_report(args, tolerances: dict) -> dict:
@@ -139,23 +151,22 @@ def cmd_analyze(args) -> int:
     p_values = _parse_float_list(args.p)
     report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     results = []
-    s_min = None  # the numeric S_min does not depend on p: one search per command
+    s_min = None  # S_min does not depend on p: one call per command
     for p in p_values:
         entry = {"p": p, "kind": channel.kind}
         try:
             inf_fp = fn.min_output_fp_closed(channel, p)
             entry["closed_form"] = True
-            entry["S_min"] = fn.min_output_entropy_closed_only(channel)
         except fn.UnsupportedKindError:
             if not args.numeric:
                 print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
                 return EXIT_UNSUPPORTED
             search = fn.numeric_inf_fp(channel, p, budget=args.budget, seed=args.seed)
-            if s_min is None:
-                s_min = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
             inf_fp = search.best_value
             entry["closed_form"] = False
-            entry["S_min"] = s_min
+        if s_min is None:
+            s_min = fn.min_output_entropy(channel, budget=args.budget, seed=args.seed)
+        entry["S_min"] = s_min
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
@@ -187,11 +198,9 @@ def cmd_capacity(args) -> int:
     cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=args.budget, seed=args.seed)
     report = _base_report(args, {"tol_sup": fn.TOL_OPT_SUP})
     report["channel"] = ch.channel_to_record(channel)
-    record = cap.record()
-    record["flag"] = "ok" if cap.feasible else "infeasible"
     report["energy"] = args.energy
     report["omega"] = [float(w) for w in budget.omega]
-    report["result"] = record
+    report["result"] = {**record_of(cap), "flag": "ok" if cap.feasible else "infeasible"}
     _emit(report, args.format, args.out)
     return EXIT_OK
 
@@ -216,69 +225,41 @@ def _builtin_channel_pairs():
     ]
 
 
-#: Per verify target: the report key and the default of the tolerance
-#: that --tol sets.
-_VERIFY_TOLERANCES = {
-    "theorem1": ("prefix_atol", mj.PREFIX_ATOL),
-    "lemma1": ("prefix_atol", mj.PREFIX_ATOL),
-    "schur": ("prefix_atol", mj.PREFIX_ATOL),
-    "concavity": ("concavity_bound", 1e-9),
-    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED),
-    "additivity": ("tol_sup", fn.TOL_OPT_SUP),
+#: Per verify target: the report key and the default of the tolerance that
+#: --tol sets, and the check, called with the arguments and the tolerance.
+#: A check returns one result, or a dict of results by channel pair.
+VERIFY_TARGETS = {
+    "theorem1": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.theorem1_trial(
+        args.max_modes, trials=args.trials, seed=args.seed, atol=tol)),
+    "lemma1": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.lemma1_campaign(
+        instances=args.instances, max_modes=min(args.max_modes, 3), samples=args.trials, seed=args.seed, atol=tol)),
+    "schur": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.schur_campaign(
+        trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)),
+    "concavity": ("concavity_bound", 1e-9, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
+    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, lambda args, tol: {
+        label: fn.multiplicativity_check(pair, p, search_budget=args.budget, seed=args.seed, tol=tol)
+        for label, p, pair in _builtin_channel_pairs()}),
+    "additivity": ("tol_sup", fn.TOL_OPT_SUP, lambda args, tol: fn.additivity_check(
+        [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))],
+        fn.EnergyBudget(args.energy, np.ones(2)), search_budget=args.budget, seed=args.seed, tol=tol)),
 }
-
-
-def _run_target(args, report: dict) -> bool:
-    """Run one verification target into ``report``; return True on failure."""
-    failed = False
-    tol = _VERIFY_TOLERANCES[args.target][1] if args.tol is None else args.tol
-    if args.target == "theorem1":
-        trial = mj.theorem1_trial(args.max_modes, trials=args.trials, seed=args.seed, atol=tol)
-        report["result"] = trial.record()
-        failed = not trial.passed
-    elif args.target == "lemma1":
-        campaign = mj.lemma1_campaign(
-            instances=args.instances,
-            max_modes=min(args.max_modes, 3),
-            samples=args.trials,
-            seed=args.seed,
-            atol=tol,
-        )
-        report["result"] = campaign.record()
-        failed = not campaign.passed or abs(campaign.witness_gap) > 1e-8
-    elif args.target == "schur":
-        campaign = mj.schur_campaign(trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)
-        report["result"] = campaign.record()
-        failed = not campaign.passed
-    elif args.target == "concavity":
-        check = fn.log_fp_concavity_check(bound=tol)
-        report["result"] = check.record()
-        failed = not check.passed
-    elif args.target == "multiplicativity":
-        results = []
-        for label, p, pair in _builtin_channel_pairs():
-            check = fn.multiplicativity_check(pair, p, search_budget=args.budget, seed=args.seed, tol=tol)
-            entry = {"pair": label, **check.record()}
-            results.append(entry)
-            failed = failed or not check.passed
-        report["results"] = results
-    else:  # additivity
-        pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
-        budget = fn.EnergyBudget(args.energy, np.ones(2))
-        check = fn.additivity_check(pair, budget, search_budget=args.budget, seed=args.seed, tol=tol)
-        report["result"] = check.record()
-        failed = not check.passed
-    return failed
 
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    key, default, check = VERIFY_TARGETS[args.target]
     tolerances = {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL}
     if args.tol is not None:
-        tolerances[_VERIFY_TOLERANCES[args.target][0]] = args.tol
+        tolerances[key] = args.tol
     report = _base_report(args, tolerances)
     report["target"] = args.target
-    failed = _run_target(args, report)
+    outcome = check(args, default if args.tol is None else args.tol)
+    if isinstance(outcome, dict):
+        report["results"] = [{"pair": label, **record_of(result)} for label, result in outcome.items()]
+        failed = not all(result.passed for result in outcome.values())
+    else:
+        report["result"] = record_of(outcome)
+        failed = not outcome.passed
     _emit(report, args.format, args.out)
     print(f"verify {args.target}: {'FAIL' if failed else 'PASS'} ({time.monotonic() - t0:.1f} s)", file=sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK

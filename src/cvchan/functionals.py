@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -105,6 +105,12 @@ def _closed_form_arguments(channel: ch.GaussianChannel) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _fp_product(x: np.ndarray, p: float) -> float:
+    """prod_k f_p(x_k), inf where it overflows a double."""
+    with np.errstate(over="ignore"):
+        return float(np.prod(st.f_p(x, p)))
+
+
 def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     """Closed-form infimum of F_p over pure Gaussian inputs.
 
@@ -115,7 +121,7 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     """
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
-    return float(np.prod(st.f_p(_closed_form_arguments(channel), p)))
+    return _fp_product(_closed_form_arguments(channel), p)
 
 
 def log_min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
@@ -310,10 +316,11 @@ def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, s
     return OptimizationReport(float(best), cov_of(best_x), evals, budget, converged)
 
 
-def _gap_to_closed_form(best: float, closed_form, channel: ch.GaussianChannel) -> float | None:
-    """best - closed_form(channel), or None for kinds without a closed form."""
+def _gap_to_closed_form(gap) -> float | None:
+    """gap(), the search's best minus the closed form, or None for kinds
+    without a closed form."""
     try:
-        return best - closed_form(channel)
+        return gap()
     except UnsupportedKindError:
         return None
 
@@ -324,7 +331,8 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
     The search space covers all pure Gaussian covariances of the full
     input, so entangled inputs to tensor-product channels are included.
     The objective is ln F_p, which conditions the search and does not
-    overflow; the report carries the gap to the closed form when one exists.
+    overflow; the report carries the gap to the closed form when one exists,
+    the gap of ln F_p where the closed-form product overflows a double.
     """
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
@@ -333,9 +341,17 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
         channel, lambda nu: float(np.sum(st.log_f_p(nu, p))), lambda theta: _pure_cov(theta, n),
         _pure_cov_dim(n), budget, seed,
     )
+    log_best = report.best_value
     with np.errstate(over="ignore"):  # F_p beyond the float range is inf; ln F_p is finite
-        report.best_value = float(np.exp(report.best_value))
-    report.gap_to_closed_form = _gap_to_closed_form(report.best_value, lambda c: min_output_fp_closed(c, p), channel)
+        report.best_value = float(np.exp(log_best))
+
+    def gap():
+        product = min_output_fp_closed(channel, p)
+        if math.isfinite(product):
+            return report.best_value - product
+        return log_best - log_min_output_fp_closed(channel, p)
+
+    report.gap_to_closed_form = _gap_to_closed_form(gap)
     return report
 
 
@@ -343,7 +359,7 @@ def numeric_min_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: 
     """Numeric twin of ``min_output_entropy`` for channels without a closed form."""
     n = channel.n
     report = _search(channel, st.von_neumann_entropy, lambda theta: _pure_cov(theta, n), _pure_cov_dim(n), budget, seed)
-    report.gap_to_closed_form = _gap_to_closed_form(report.best_value, min_output_entropy_closed_only, channel)
+    report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_entropy_closed_only(channel))
     return report
 
 
@@ -375,7 +391,7 @@ def max_output_entropy_under_energy(
     )
     report.best_value = -report.best_value
     report.gap_to_closed_form = _gap_to_closed_form(
-        report.best_value, lambda c: _water_filled_capacity(c, budget.omega, budget.total)[1], channel
+        lambda: report.best_value - _water_filled_capacity(channel, budget.omega, budget.total)[1]
     )
     return report
 
@@ -389,20 +405,6 @@ class CapacityReport:
     min_entropy: float
     sup_entropy: float | None = None
     search: OptimizationReport | None = None
-
-    def record(self) -> dict:
-        out = {
-            "capacity": self.value,
-            "feasible": self.feasible,
-            "min_entropy": self.min_entropy,
-        }
-        if self.sup_entropy is not None:
-            out["sup_entropy"] = self.sup_entropy
-        if self.search is not None:
-            out["evaluations"] = self.search.evaluations
-            out["budget"] = self.search.budget
-            out["converged"] = self.search.converged
-        return out
 
 
 def _photon_maps(channel: ch.GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +457,11 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
     # is at least the surplus; every N_k is below 1 / (lam omega_k), so the
     # total is below it at lam = count / surplus.  The widening by e keeps
     # rounding from closing the bracket.
-    lo = float(np.log(np.max(a / w * np.log1p(1.0 / (b + a * surplus / w))))) - 1.0
+    # 1 / (b_k + a_k surplus / omega_k) is capped at the largest double, where
+    # the sum is subnormal or zero.
+    with np.errstate(over="ignore", divide="ignore"):
+        inverse = np.minimum(1.0 / (b + a * surplus / w), np.finfo(float).max)
+    lo = float(np.log(np.max(a / w * np.log1p(inverse)))) - 1.0
     hi = float(np.log(a.size / surplus)) + 1.0
     photons[live] = fill(brentq(lambda t: float(w @ fill(t)) - surplus, lo, hi, xtol=1e-15))
     return photons
@@ -536,17 +542,6 @@ class MultiplicativityReport:
     witness_value: float
     margin: float
     passed: bool
-    search: OptimizationReport | None = field(repr=False, default=None)
-
-    def record(self) -> dict:
-        return {
-            "p": self.p,
-            "product_of_optima": self.product_of_optima,
-            "numeric_best": self.numeric_best,
-            "witness_value": self.witness_value,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
 
 
 def multiplicativity_check(
@@ -558,25 +553,27 @@ def multiplicativity_check(
 ) -> MultiplicativityReport:
     """Search for an entangled input beating the product of single-channel
     optima of F_p; PASS means none was found within tolerance and the
-    separable witness attains the product."""
+    separable witness attains the product.  Where the product overflows a
+    double, ``margin`` and the witness test compare ln F_p instead."""
     if len(channel_list) < 2:
         raise ValueError("multiplicativity needs at least two channels")
     joint = ch.tensor(channel_list)
     product = min_output_fp_closed(joint, p)
     search = numeric_inf_fp(joint, p, budget=search_budget, seed=seed)
-    witness_gamma = separable_optimal_input(joint)
-    witness_nu = np.maximum(_output_spectrum(joint, witness_gamma), 1.0)
-    witness_value = float(np.prod(st.f_p(witness_nu, p)))
-    margin = search.best_value - product
-    passed = bool(margin >= -tol and abs(witness_value - product) <= tol * max(1.0, product))
+    witness_nu = np.maximum(_output_spectrum(joint, separable_optimal_input(joint)), 1.0)
+    witness_value = _fp_product(witness_nu, p)
+    margin = search.gap_to_closed_form  # search.best_value - product, in ln F_p where F_p overflows
+    if math.isfinite(product):
+        witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
+    else:
+        witness_ok = abs(float(np.sum(st.log_f_p(witness_nu, p))) - log_min_output_fp_closed(joint, p)) <= tol
     return MultiplicativityReport(
         p=p,
         product_of_optima=product,
         numeric_best=search.best_value,
         witness_value=witness_value,
         margin=float(margin),
-        passed=passed,
-        search=search,
+        passed=bool(margin >= -tol and witness_ok),
     )
 
 
@@ -590,16 +587,6 @@ class AdditivityReport:
     best_split: tuple[float, ...]
     margin: float
     passed: bool
-
-    def record(self) -> dict:
-        return {
-            "total_energy": self.total_energy,
-            "joint_capacity": self.joint_capacity,
-            "best_split_value": self.best_split_value,
-            "best_split": list(self.best_split),
-            "margin": self.margin,
-            "pass": self.passed,
-        }
 
 
 def additivity_check(
@@ -653,27 +640,15 @@ class ConcavityReport:
     grid_size: int
     passed: bool
 
-    def record(self) -> dict:
-        return {
-            "worst_second_difference": self.worst_second_difference,
-            "min_witness": self.min_witness,
-            "grid_size": self.grid_size,
-            "pass": self.passed,
-        }
 
-
-def log_fp_concavity_check(
-    ps=(1.1, 2.0, 3.0, 7.0),
-    x_low: float = 1.0 + 1e-3,
-    x_high: float = 50.0,
-    points: int = 160,
-    bound: float = 1e-9,
-) -> ConcavityReport:
-    """Second central differences of ln f_p on a log grid in x - 1.
+def log_fp_concavity_check(ps=(1.1, 2.0, 3.0, 7.0), points: int = 160, bound: float = 1e-9) -> ConcavityReport:
+    """Second central differences of ln f_p on a log grid in x - 1 over
+    x in [1.001, 50].
 
     The step shrinks near x = 1 where the curvature blows up, keeping the
     truncation error well below the magnitude of the (negative) value.
     """
+    x_low, x_high = 1.0 + 1e-3, 50.0
     xs = 1.0 + np.geomspace(x_low - 1.0, x_high - 1.0, points)
     worst = -np.inf
     min_witness = np.inf

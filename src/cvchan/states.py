@@ -243,15 +243,20 @@ def von_neumann_entropy(state_or_spectrum) -> float:
     """Von Neumann entropy in nats, from the symplectic spectrum.
 
     Closed form per mode: ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2),
-    with the nu = 1 term equal to 0 by continuity.  The closed form agrees
-    with the p -> 1+ derivative of the Schatten norm (checked in tests).
+    with the nu = 1 term equal to 0 by continuity.  The two terms cancel
+    for large nu, so above nu = 1e4 the same number is taken as
+    ln((nu+1)/2) + ((nu-1)/2) ln(1 + 2/(nu-1)), finite up to the largest
+    double.  The closed form agrees with the p -> 1+ derivative of the
+    Schatten norm (checked in tests).
     """
     nu = _clamp_physical(_spectrum_of(state_or_spectrum))
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    out = up * np.log(up)
-    mask = dn > 0.0
+    large = nu > 1e4
+    out = np.where(large, 1.0, up) * np.log(up)
+    mask = (dn > 0.0) & ~large
     out[mask] -= dn[mask] * np.log(dn[mask])
+    out[large] += dn[large] * np.log1p(1.0 / dn[large])
     return float(np.sum(out))
 
 

@@ -194,7 +194,7 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.spectrum, 2))
 
 
-def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECOMP) -> WilliamsonDecomposition:
+def williamson(a: np.ndarray, tol: float = TOL_SYM) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite matrix.
 
     Construction: factor A = L L^T and take the eigenvectors u_j of the n
@@ -219,14 +219,14 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECO
     ----------
     a : (2n, 2n) array
         Symmetric positive-definite matrix.
-    tol, tol_decomp : float
-        Input-validation tolerance and residual bound for the output.
+    tol : float
+        Input-validation tolerance.
 
     Returns
     -------
     WilliamsonDecomposition
         ``s`` symplectic, ``spectrum`` ascending; the congruence residual
-        is verified to be at most ``tol_decomp`` before returning.
+        is verified to be at most ``TOL_DECOMP`` before returning.
 
     Raises
     ------
@@ -250,8 +250,8 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECO
     s = np.sqrt(d)[:, None] * solve_triangular(l, o, lower=True, trans="T").T
 
     residual = float(np.max(np.abs(s @ a @ s.T - np.diag(d))))
-    if residual > tol_decomp:
-        raise ArithmeticError(f"Williamson residual {residual:.3e} exceeds {tol_decomp:.1e}")
+    if residual > TOL_DECOMP:
+        raise ArithmeticError(f"Williamson residual {residual:.3e} exceeds {TOL_DECOMP:.1e}")
     return WilliamsonDecomposition(s=s, spectrum=spectrum)
 
 
@@ -281,7 +281,7 @@ def _euler_form(t1: np.ndarray, z: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return t1 @ (_paired_squeeze(z)[..., :, None] * t2)
 
 
-def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL_DECOMP) -> EulerDecomposition:
+def euler_decompose(s: np.ndarray, tol: float = TOL_SYM) -> EulerDecomposition:
     """Euler (orthosymplectic - squeeze - orthosymplectic) factorization.
 
     Construction: S = U Z C^T for an orthosymplectic C, so the singular
@@ -313,7 +313,7 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL
         If the input fails the symplectic membership test at ``tol``.
     ArithmeticError
         If a factor leaves K(n) by more than ``tol`` or the recomposition
-        residual exceeds ``tol_decomp``; the residual is in the message.
+        residual exceeds ``TOL_DECOMP``; the residual is in the message.
     """
     s = np.asarray(s, dtype=float)
     n = _mode_count(s)
@@ -334,8 +334,8 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM, tol_decomp: float = TOL
         if worst > tol:
             raise ArithmeticError(f"Euler factor {name} leaves K(n) (residual {worst:.3e})")
     residual = float(np.max(np.abs(_euler_form(t1, z, t2) - s)))
-    if residual > tol_decomp:
-        raise ArithmeticError(f"Euler recomposition residual {residual:.3e} exceeds {tol_decomp:.1e}")
+    if residual > TOL_DECOMP:
+        raise ArithmeticError(f"Euler recomposition residual {residual:.3e} exceeds {TOL_DECOMP:.1e}")
     return EulerDecomposition(t1=t1, z=z, t2=t2)
 
 

@@ -96,7 +96,7 @@ def test_criterion_4_log_fp_concavity_grid():
         ok,
         f"worst second difference {report.worst_second_difference:.2e}, min witness {report.min_witness:.2e}",
     )
-    assert ok, report.record()
+    assert ok, report
 
 
 def test_criterion_5_supermajorization_campaign():
@@ -110,7 +110,7 @@ def test_criterion_5_supermajorization_campaign():
         ok,
         f"{report.trials} trials, {report.failures} failures, worst margin {report.worst_margin:.2e}, {elapsed:.1f} s",
     )
-    assert ok, report.record()
+    assert ok, report
 
 
 def test_criterion_6_trace_minimum_campaign():
@@ -123,7 +123,7 @@ def test_criterion_6_trace_minimum_campaign():
         f"{report.trials} samples over {report.parameters['instances']} matrices, "
         f"{report.failures} violations, worst witness gap {report.witness_gap:.2e}",
     )
-    assert ok, report.record()
+    assert ok, report
 
 
 def test_criterion_7_closed_form_optima():
@@ -214,4 +214,4 @@ def test_criterion_10_schur_theorem_campaign():
         ok,
         f"{report.trials} matrices, {report.failures} failures, worst margin {report.worst_margin:.2e}",
     )
-    assert ok, report.record()
+    assert ok, report

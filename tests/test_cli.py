@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report determinism, formats."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -13,6 +14,7 @@ from test_channels import json_values, mutated_records, valid_records
 from cvchan import cli
 from cvchan import channels as ch
 from cvchan import functionals as fn
+from cvchan import majorization as mj
 from cvchan import symplectic as sp
 
 
@@ -188,6 +190,17 @@ class TestCapacity:
         assert result["sup_entropy"] == pytest.approx(g_1, abs=1e-12)
         assert not {"evaluations", "budget", "converged"} & set(result)
 
+    def test_extreme_frequency_and_energy(self, tmp_path, capsys):
+        # 1e306 output photons: the entropy must neither cancel to NaN nor warn.
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n_modes": 1, "kind": "thermal", "eta": [1.0], "nbar": [1.0]}))
+        code = cli.main(["capacity", "--channel", str(path), "--omega", "1e-300", "--energy", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        result = json.loads(captured.out, parse_constant=_reject_literal)["result"]
+        assert result["capacity"] == pytest.approx(1.0 + 306.0 * np.log(10.0), rel=1e-12)
+
     def test_bad_omega_count(self, thermal_spec, capsys):
         code = cli.main(["capacity", "--channel", thermal_spec, "--energy", "1.0", "--omega", "1.0,2.0"])
         assert code == cli.EXIT_INPUT_ERROR
@@ -297,6 +310,49 @@ class TestVerify:
     def test_unknown_target_is_usage_error(self, capsys):
         code = cli.main(["verify", "nonsense"])
         assert code == cli.EXIT_INPUT_ERROR
+
+
+#: A small configuration of every verify target.
+SMALL_VERIFY = {
+    "theorem1": ["--trials", "100", "--max-modes", "2"],
+    "lemma1": ["--instances", "2", "--trials", "100", "--max-modes", "2"],
+    "schur": ["--trials", "50", "--max-modes", "2"],
+    "concavity": [],
+    "multiplicativity": ["--budget", "200"],
+    "additivity": ["--budget", "200"],
+}
+
+
+class TestVerifyPassIsExitStatus:
+    """A verify report passes exactly when the command exits 0."""
+
+    @staticmethod
+    def _run(target, tmp_path, *extra):
+        out = tmp_path / "v.json"
+        code = cli.main(["verify", target, *SMALL_VERIFY[target], *extra, "--out", str(out)])
+        report = json.loads(out.read_text())
+        return code, [entry["pass"] for entry in report.get("results") or [report["result"]]], report
+
+    def test_every_target_is_covered(self):
+        assert set(SMALL_VERIFY) == set(cli.VERIFY_TARGETS)
+
+    @pytest.mark.parametrize("tol", [[], ["--tol=-1e6"]], ids=["default", "negative-tol"])
+    @pytest.mark.parametrize("target", list(SMALL_VERIFY))
+    def test_pass_is_exit_status(self, target, tol, tmp_path):
+        code, passes, _ = self._run(target, tmp_path, *tol)
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
+        assert all(passes) == (code == cli.EXIT_OK)
+
+    def test_lemma1_witness_off_its_bound_fails(self, tmp_path, monkeypatch):
+        # Williamson rows scaled by 1.001 miss the trace bound; no sample
+        # fails, so only the witness bound can fail the campaign.
+        williamson = mj.williamson
+        monkeypatch.setattr(mj, "williamson", lambda a: dataclasses.replace(williamson(a), s=1.001 * williamson(a).s))
+        code, passes, report = self._run("lemma1", tmp_path)
+        assert report["result"]["failures"] == 0
+        assert report["result"]["witness_gap"] > mj.WITNESS_ATOL
+        assert passes == [False]
+        assert code == cli.EXIT_VERIFY_FAILED
 
 
 class TestInvalidInputExitCodes:
@@ -489,7 +545,7 @@ def test_capacity_exit_code_is_total(tmp_path_factory, document, energy, omega, 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
-    hst.sampled_from(cli.VERIFY_TARGETS),
+    hst.sampled_from(tuple(cli.VERIFY_TARGETS)),
     hst.fixed_dictionaries(
         {
             "--trials": hst.integers(-1, 30),

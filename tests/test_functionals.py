@@ -10,6 +10,7 @@ import cvchan.channels as ch
 import cvchan.functionals as fn
 import cvchan.states as st
 from cvchan import symplectic as sp
+from cvchan.cli import record_of
 
 TWO_LN_2 = 2.0 * np.log(2.0)
 
@@ -112,6 +113,12 @@ class TestNumericInfFp:
         report = fn.numeric_inf_fp(channel, 2.0, budget=2000, seed=3)
         assert report.gap_to_closed_form is None
         assert np.isfinite(report.best_value)
+
+    def test_gap_is_finite_where_fp_overflows(self):
+        search = fn.numeric_inf_fp(ch.thermal_noise([0.5] * 3, [1.0] * 3), 400.0, budget=300)
+        assert np.isinf(search.best_value)
+        assert np.isfinite(search.gap_to_closed_form)
+        assert abs(search.gap_to_closed_form) <= 1e-6
 
 
 def unitary_from_params_loop(theta, n):
@@ -272,7 +279,7 @@ class TestCapacity:
         assert search_calls == []
         assert cap.search is None
         assert cap.value == pytest.approx(cap.sup_entropy - cap.min_entropy, abs=1e-12)
-        assert not {"evaluations", "budget", "converged"} & set(cap.record())
+        assert not {"evaluations", "budget", "converged"} & set(record_of(cap))
 
     def test_other_channels_search_the_sup_entropy_once(self, search_calls):
         # A custom channel has no closed form: one search for S_min, one for the sup entropy.
@@ -280,7 +287,7 @@ class TestCapacity:
             ch.make_channel(0.5 * np.eye(2), np.eye(2)), fn.EnergyBudget(1.5, [1.0]), search_budget=200, seed=0
         )
         assert len(search_calls) == 2
-        assert cap.record()["evaluations"] == cap.search.evaluations > 0
+        assert record_of(cap)["evaluations"] == cap.search.evaluations > 0
 
     def test_frequency_count_checked_before_feasibility(self):
         # Energy 1.0 lies below the zero point 1.5 of the frequencies (1, 2), one too many for one mode.
@@ -340,6 +347,15 @@ class TestMultiplicativity:
         with pytest.raises(ValueError):
             fn.multiplicativity_check([identity_channel()], 2.0)
 
+    def test_overflowing_fp_compares_logs(self):
+        # F_p overflows a double at p = 400 on three modes: margin and witness compare ln F_p.
+        report = fn.multiplicativity_check(
+            [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5, 0.5], [1.0, 1.0])], 400.0, search_budget=200
+        )
+        assert np.isinf(report.product_of_optima)
+        assert np.isfinite(report.margin)
+        assert report.passed
+
 
 class TestAdditivity:
     def test_two_classical_channels(self):
@@ -347,7 +363,7 @@ class TestAdditivity:
         report = fn.additivity_check(
             pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=8000, seed=0
         )
-        assert report.passed, report.record()
+        assert report.passed, report
         assert abs(report.margin) <= 1e-3
 
     def test_identical_channels_symmetric_split(self):
@@ -438,6 +454,21 @@ class TestWaterFilling:
         # The grid has a point within one step of the optimum in every
         # coordinate, where the value is flat to first order.
         assert value - float(np.max(grid_values)) <= step**2
+
+    def test_subnormal_gain_keeps_the_bracket(self):
+        # b + a surplus / omega is subnormal on the first mode, so 1 / it overflows;
+        # that mode carries nothing and mode 2 takes the whole surplus 1e6 / 2 photons.
+        cap = fn.gaussian_holevo_capacity(
+            ch.thermal_noise([5e-324, 0.5], [0.0, 1.0]), fn.EnergyBudget(1.5 + 1e6, [1.0, 2.0])
+        )
+        expected = holevo_werner_g(0.5 * 5e5 + 0.5) - holevo_werner_g(0.5)
+        assert cap.value == pytest.approx(expected, rel=1e-9)
+
+    def test_huge_energy_keeps_the_capacity_positive(self):
+        cap = fn.gaussian_holevo_capacity(
+            ch.thermal_noise([1.0, 0.5], [0.0, 1.0]), fn.EnergyBudget(1.5 + 1e300, [1.0, 2.0])
+        )
+        assert np.isfinite(cap.value) and cap.value > 0.0
 
 
 class TestMixedProduct:

@@ -5,6 +5,7 @@ import pytest
 
 import cvchan.majorization as mj
 from cvchan import symplectic as sp
+from cvchan.cli import record_of
 
 
 class TestMajorize:
@@ -163,7 +164,7 @@ class TestLemma1:
         a = sp.random_spd(3, (0.5, 3.0), seed=29)
         for k in (1, 2, 3):
             report = mj.lemma1_trial(a, k, samples=1000, seed=29 + k)
-            assert report.failures == 0, report.record()
+            assert report.failures == 0, report
             assert abs(report.witness_gap) <= 1e-8
 
     def test_k_out_of_range(self):
@@ -199,6 +200,12 @@ class TestTrialReportInvariant:
     def test_failures_iff_margin_below_tolerance(self):
         report = mj.theorem1_trial(2, trials=300, seed=11)
         assert (report.failures == 0) == (report.worst_margin >= -1e-9)
-        record = report.record()
+        record = record_of(report)
         assert record["pass"] is True
         assert record["trials"] == 300
+
+    def test_witness_beyond_its_bound_fails(self):
+        report = mj.TrialReport(trials=1, worst_margin=0.0, witness_gap=-2.0 * mj.WITNESS_ATOL)
+        assert report.failures == 0
+        assert not report.passed
+        assert mj.TrialReport(trials=1, worst_margin=0.0, witness_gap=mj.WITNESS_ATOL).passed

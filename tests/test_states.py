@@ -214,6 +214,17 @@ class TestEntropy:
             s_val = st.von_neumann_entropy(nu)
             assert abs(fd + s_val) <= 1e-4 * s_val
 
+    def test_large_nu_does_not_cancel(self):
+        # S(nu) = ln((nu+1)/2) + 1 + O(1/nu); up ln up - dn ln dn gives 0 at 1e17.
+        assert st.von_neumann_entropy(1e17) == pytest.approx(1.0 + np.log(5e16), rel=1e-12)
+        big = st.von_neumann_entropy(np.array([1e306, np.finfo(float).max]))
+        assert np.isfinite(big) and big > 0.0
+
+    def test_large_nu_form_joins_the_closed_form(self):
+        # Below the switch at 1e4 the closed form carries about 1e-11 of cancellation.
+        below, above = st.von_neumann_entropy(1e4), st.von_neumann_entropy(np.nextafter(1e4, np.inf))
+        assert above == pytest.approx(below, abs=1e-10)
+
 
 class TestSchurConcavityOfFp:
     def test_fp_product_increasing(self):
