@@ -66,9 +66,9 @@ class GaussianChannel:
         """The primitive factors in mode order; a primitive channel is its own leaf."""
         return self.factors or (self,)
 
-    def is_identity(self, tol: float = TOL_CP) -> bool:
+    def is_identity(self) -> bool:
         eye = np.eye(2 * self.n)
-        return bool(np.max(np.abs(self.x - eye)) <= tol and np.max(np.abs(self.y)) <= tol)
+        return bool(np.max(np.abs(self.x - eye)) <= TOL_CP and np.max(np.abs(self.y)) <= TOL_CP)
 
 
 def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
@@ -79,14 +79,14 @@ def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def make_channel(x: np.ndarray, y: np.ndarray, tol: float = TOL_CP) -> GaussianChannel:
+def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
     """Validate and build a ``custom`` Gaussian channel from its matrix pair.
 
-    Raises ``CompletePositivityError`` when the certificate eigenvalue
-    falls below -tol, and rejects asymmetric or indefinite Y.  The kind is
-    set only by ``classical_noise``, ``thermal_noise``, ``lossy`` and
-    ``tensor``, since a declared kind that (X, Y) do not have would select
-    closed forms that do not hold for the channel.
+    Rejects non-finite X or Y and asymmetric or indefinite Y, and raises
+    ``CompletePositivityError`` when the certificate eigenvalue falls below
+    -``TOL_CP``.  The kind is set only by ``classical_noise``, ``thermal_noise``,
+    ``lossy`` and ``tensor``, since a declared kind that (X, Y) do not have
+    would select closed forms that do not hold for the channel.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -94,24 +94,24 @@ def make_channel(x: np.ndarray, y: np.ndarray, tol: float = TOL_CP) -> GaussianC
         raise DimensionError(f"X must be 2n x 2n, got shape {x.shape}")
     if y.shape != x.shape:
         raise DimensionError(f"Y must match X, got {y.shape} vs {x.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("X and Y must have finite entries")
     asym = float(np.max(np.abs(y - y.T)))
-    if asym > tol * max(1.0, float(np.max(np.abs(y)))):
+    if asym > TOL_CP * max(1.0, float(np.max(np.abs(y)))):
         raise CompletePositivityError(f"Y is not symmetric (residual {asym:.3e})")
     y_min = float(np.linalg.eigvalsh(y)[0])
-    if y_min < -tol:
+    if y_min < -TOL_CP:
         raise CompletePositivityError(f"Y has a negative eigenvalue ({y_min:.3e})")
     cp_min = cp_certificate_eigenvalue(x, y)
-    if cp_min < -tol:
-        raise CompletePositivityError(
-            f"complete positivity violated: certificate eigenvalue {cp_min:.3e}"
-        )
+    if cp_min < -TOL_CP:
+        raise CompletePositivityError(f"complete positivity violated: certificate eigenvalue {cp_min:.3e}")
     return GaussianChannel(n=x.shape[0] // 2, x=x, y=y, kind="custom", eta=None, nbar=None, cp_eigenvalue=cp_min)
 
 
-def classical_noise(y: np.ndarray, tol: float = TOL_CP) -> GaussianChannel:
+def classical_noise(y: np.ndarray) -> GaussianChannel:
     """Additive classical Gaussian noise: gamma -> gamma + Y, Y >= 0."""
     y = np.asarray(y, dtype=float)
-    return replace(make_channel(np.eye(y.shape[0]), y, tol=tol), kind="classical")
+    return replace(make_channel(np.eye(y.shape[0]), y), kind="classical")
 
 
 def thermal_noise(eta, nbar) -> GaussianChannel:

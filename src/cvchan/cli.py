@@ -36,8 +36,8 @@ EXIT_UNSUPPORTED = 3
 
 def _parse_float_list(text: str) -> list[float]:
     values = [float(part) for part in text.split(",") if part.strip()]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"expected finite numbers, got {text!r}")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected a comma-separated list of finite numbers, got {text!r}")
     return values
 
 
@@ -235,7 +235,7 @@ VERIFY_TARGETS = {
         instances=args.instances, max_modes=min(args.max_modes, 3), samples=args.trials, seed=args.seed, atol=tol)),
     "schur": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.schur_campaign(
         trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)),
-    "concavity": ("concavity_bound", 1e-9, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
+    "concavity": ("concavity_bound", fn.CONCAVITY_BOUND, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
     "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, lambda args, tol: {
         label: fn.multiplicativity_check(pair, p, search_budget=args.budget, seed=args.seed, tol=tol)
         for label, p, pair in _builtin_channel_pairs()}),

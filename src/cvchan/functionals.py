@@ -36,6 +36,8 @@ from .symplectic import (
 TOL_OPT_CLOSED = 1e-6
 #: Tolerance for the flatter sup-side searches (capacity).
 TOL_OPT_SUP = 1e-3
+#: Largest second difference of ln f_p that the concavity grid accepts.
+CONCAVITY_BOUND = 1e-9
 
 
 class UnsupportedKindError(ValueError):
@@ -641,7 +643,9 @@ class ConcavityReport:
     passed: bool
 
 
-def log_fp_concavity_check(ps=(1.1, 2.0, 3.0, 7.0), points: int = 160, bound: float = 1e-9) -> ConcavityReport:
+def log_fp_concavity_check(
+    ps=(1.1, 2.0, 3.0, 7.0), points: int = 160, bound: float = CONCAVITY_BOUND
+) -> ConcavityReport:
     """Second central differences of ln f_p on a log grid in x - 1 over
     x in [1.001, 50].
 

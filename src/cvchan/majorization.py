@@ -18,7 +18,6 @@ are reproducible and independent of batching or execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -35,14 +34,16 @@ from .symplectic import (
 #: Absolute and relative slack for prefix-sum comparisons.
 PREFIX_ATOL = 1e-9
 PREFIX_RTOL = 1e-12
+#: Hermitian residual bound of ``schur_diag_check``, relative to the largest entry.
+HERMITIAN_TOL = 1e-9
 #: Largest |witness_gap| of a passing campaign: the Williamson rows attain
 #: the trace bound to rounding.
 WITNESS_ATOL = 1e-8
 
 
-def _prefix_tolerance(x: np.ndarray, y: np.ndarray, atol: float, rtol: float) -> float:
+def _prefix_tolerance(x: np.ndarray, y: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), 1.0) * len(x)
-    return atol + rtol * scale
+    return PREFIX_ATOL + PREFIX_RTOL * scale
 
 
 def _check_lengths(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -62,24 +63,24 @@ def _prefix_gaps(x, y, descending: bool = False) -> np.ndarray:
     return np.cumsum(x, axis=-1) - np.cumsum(y, axis=-1)
 
 
-def majorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
+def majorize(x, y) -> bool:
     """x majorized by y: decreasing prefix-sum dominance with equal totals."""
     x, y = _check_lengths(x, y)
-    tol = _prefix_tolerance(x, y, atol, rtol)
+    tol = _prefix_tolerance(x, y)
     gaps = _prefix_gaps(x, y, descending=True)
     return bool(np.all(gaps <= tol) and abs(gaps[-1]) <= tol)
 
 
-def weak_submajorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
+def weak_submajorize(x, y) -> bool:
     """x weakly submajorized by y: decreasing prefix sums of x never exceed y's."""
     x, y = _check_lengths(x, y)
-    return bool(np.all(_prefix_gaps(x, y, descending=True) <= _prefix_tolerance(x, y, atol, rtol)))
+    return bool(np.all(_prefix_gaps(x, y, descending=True) <= _prefix_tolerance(x, y)))
 
 
-def weak_supermajorize(x, y, atol: float = PREFIX_ATOL, rtol: float = PREFIX_RTOL) -> bool:
+def weak_supermajorize(x, y) -> bool:
     """x weakly supermajorized by y: ascending prefix sums of x dominate y's."""
     x, y = _check_lengths(x, y)
-    return bool(np.all(_prefix_gaps(x, y) >= -_prefix_tolerance(x, y, atol, rtol)))
+    return bool(np.all(_prefix_gaps(x, y) >= -_prefix_tolerance(x, y)))
 
 
 def supermajorization_margin(x, y) -> float:
@@ -114,13 +115,13 @@ def random_majorization_pair(n: int, seed: int = 0, transforms: int | None = Non
     return x, y
 
 
-def schur_diag_check(a, tol: float = 1e-9) -> bool:
-    """Schur theorem instance: diag(A) majorized by the spectrum of Hermitian A."""
+def schur_diag_check(a) -> bool:
+    """Schur theorem instance: diag(A) majorized by the spectrum of A, Hermitian within ``HERMITIAN_TOL``."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > tol * max(1.0, float(np.max(np.abs(a)))):
+    if herm > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
     return majorize(np.real(np.diag(a)), np.linalg.eigvalsh(a))
 
@@ -216,7 +217,6 @@ def lemma1_trial(
     samples: int = 10000,
     seed: int = 29,
     atol: float = PREFIX_ATOL,
-    rtol: float = PREFIX_RTOL,
     lane: tuple[int, ...] = (),
 ) -> TrialReport:
     """Randomized lower-bound check of the truncated-symplectic trace minimum.
@@ -240,7 +240,7 @@ def lemma1_trial(
         raise ValueError(f"sample count must be >= 1, got {samples}")
     nu = symplectic_eigenvalues(a)
     bound = 2.0 * float(np.sum(nu[:k]))
-    tol = atol + rtol * max(abs(bound), 1.0)
+    tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
     batch, near_tol, squeeze_max = 2048, 1e-6, 8.0
     parameters = {"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound, "near_attainers": 0}
     report = TrialReport(seed=seed, parameters=parameters)
@@ -266,18 +266,19 @@ def lemma1_campaign(
     instances: int = 100,
     max_modes: int = 3,
     samples: int = 10000,
-    nu_range: tuple[float, float] = (0.3, 4.0),
     seed: int = 29,
     atol: float = PREFIX_ATOL,
 ) -> TrialReport:
     """Run ``lemma1_trial`` over random matrices and every valid truncation size.
 
-    Instance ``inst`` draws its matrix from ``rng_stream(seed, inst)`` and its
-    truncation-size-k trial samples on the lane (inst, k); ``atol`` is the
-    absolute prefix slack of every trial.
+    Instance ``inst`` draws its matrix (symplectic spectrum in [0.3, 4.0])
+    from ``rng_stream(seed, inst)`` and its truncation-size-k trial samples
+    on the lane (inst, k); ``atol`` is the absolute prefix slack of every
+    trial.
     """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
+    nu_range = (0.3, 4.0)
     parameters = {
         "instances": instances,
         "max_modes": max_modes,
@@ -301,7 +302,6 @@ def schur_campaign(
     max_dim: int = 8,
     seed: int = 17,
     atol: float = PREFIX_ATOL,
-    rtol: float = PREFIX_RTOL,
 ) -> TrialReport:
     """Schur theorem over random real symmetric matrices of dimension <= max_dim.
 
@@ -321,6 +321,6 @@ def schur_campaign(
         gaps = _prefix_gaps(np.linalg.eigvalsh(a), np.diag(a), descending=True)
         matrices.append(a)
         margins.append(min(float(np.min(gaps[:-1])), -abs(float(gaps[-1]))))
-        tols.append(atol + rtol * max(abs(float(np.trace(a))), 1.0) * dim)
+        tols.append(atol + PREFIX_RTOL * max(abs(float(np.trace(a))), 1.0) * dim)
     report.fold(np.array(margins), np.array(tols), lambda i: {"A": matrices[i].tolist()})
     return report

@@ -10,7 +10,7 @@ in units with hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,8 @@ def _as_omega(omega, n: int) -> np.ndarray:
         w = np.full(n, float(w))
     if w.shape != (n,):
         raise DimensionError(f"expected {n} mode frequencies, got shape {w.shape}")
-    if np.any(w <= 0.0):
-        raise ValueError("mode frequencies must be positive")
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise ValueError("mode frequencies must be positive and finite")
     return w
 
 
@@ -72,12 +72,10 @@ class GaussianState:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "_spectrum", symplectic_eigenvalues(gamma))
-        check = is_physical(self)
-        if not check.ok:
-            raise UnphysicalStateError(
-                f"minimum symplectic eigenvalue {check.min_symplectic:.12g} is below 1"
-            )
+        nu = symplectic_eigenvalues(gamma)
+        object.__setattr__(self, "_spectrum", nu)
+        if nu[0] < 1.0 - TOL_PHYS:
+            raise UnphysicalStateError(f"minimum symplectic eigenvalue {nu[0]:.12g} is below 1")
 
     @property
     def n(self) -> int:
@@ -120,8 +118,8 @@ class PhysicalityCheck(NamedTuple):
     min_hermitian: float
 
 
-def is_physical(gamma_or_state, tol: float = TOL_PHYS) -> PhysicalityCheck:
-    """Uncertainty-relation test: all symplectic eigenvalues >= 1 - tol.
+def is_physical(gamma_or_state) -> PhysicalityCheck:
+    """Uncertainty-relation test: all symplectic eigenvalues >= 1 - ``TOL_PHYS``.
 
     The equivalent Hermitian condition (gamma + iJ positive semidefinite)
     is evaluated as a cross-check and its minimum eigenvalue reported.  A
@@ -135,14 +133,14 @@ def is_physical(gamma_or_state, tol: float = TOL_PHYS) -> PhysicalityCheck:
     n = gamma.shape[0] // 2
     herm = gamma + 1j * symplectic_form(n)
     min_herm = float(np.linalg.eigvalsh(herm)[0])
-    ok = bool(nu[0] >= 1.0 - tol)
+    ok = bool(nu[0] >= 1.0 - TOL_PHYS)
     return PhysicalityCheck(ok, float(nu[0]), min_herm)
 
 
-def is_pure(state: GaussianState, tol: float = TOL_PHYS) -> bool:
-    """Purity test: det gamma = 1, equivalently all nu_j = 1 (both checked)."""
-    det_ok = abs(float(np.linalg.det(state.gamma)) - 1.0) <= tol
-    nu_ok = bool(np.max(np.abs(state.spectrum() - 1.0)) <= tol)
+def is_pure(state: GaussianState) -> bool:
+    """Purity test within ``TOL_PHYS``: det gamma = 1, equivalently all nu_j = 1 (both checked)."""
+    det_ok = abs(float(np.linalg.det(state.gamma)) - 1.0) <= TOL_PHYS
+    nu_ok = bool(np.max(np.abs(state.spectrum() - 1.0)) <= TOL_PHYS)
     return det_ok and nu_ok
 
 
@@ -202,9 +200,9 @@ def _spectrum_of(state_or_spectrum) -> np.ndarray:
     return np.atleast_1d(np.asarray(state_or_spectrum, dtype=float))
 
 
-def _clamp_physical(nu: np.ndarray, tol: float = TOL_PHYS) -> np.ndarray:
-    """Clamp spectrum noise just below the purity boundary up to 1."""
-    if np.any(nu < 1.0 - tol):
+def _clamp_physical(nu: np.ndarray) -> np.ndarray:
+    """Clamp spectrum noise within ``TOL_PHYS`` below the purity boundary up to 1."""
+    if np.any(nu < 1.0 - TOL_PHYS):
         raise UnphysicalStateError(f"spectrum entry {np.min(nu)} is below 1")
     return np.maximum(nu, 1.0)
 

@@ -99,20 +99,20 @@ def orthogonality_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
 
 
-def is_symplectic(m: np.ndarray, tol: float = TOL_SYM) -> SymplecticCheck:
-    """Test membership in Sp(2n, R); always reports the residual."""
+def is_symplectic(m: np.ndarray) -> SymplecticCheck:
+    """Test membership in Sp(2n, R) at ``TOL_SYM``; always reports the residual."""
     res = symplectic_residual(m)
-    return SymplecticCheck(res <= tol, res)
+    return SymplecticCheck(res <= TOL_SYM, res)
 
 
-def _check_symmetric(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
-    """Validate shape, finiteness and symmetry; return the input as a float array."""
+def _check_symmetric(a: np.ndarray) -> np.ndarray:
+    """Validate shape, finiteness and symmetry within ``TOL_SYM``; return a float array."""
     a = np.asarray(a, dtype=float)
     _mode_count(a)
     if not np.isfinite(a).all():
         raise NotPositiveDefiniteError("matrix has non-finite entries")
     sym = float(np.max(np.abs(a - a.T)))
-    if sym > tol * max(1.0, float(np.max(np.abs(a)))):
+    if sym > TOL_SYM * max(1.0, float(np.max(np.abs(a)))):
         raise NotPositiveDefiniteError(f"matrix is not symmetric (residual {sym:.3e})")
     return a
 
@@ -151,11 +151,11 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError(f"matrix is not positive definite (minimum eigenvalue {min_eigenvalue:.3e})")
 
 
-def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
+def symplectic_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive-definite matrix.
 
     Validated entry point to ``_spectrum``: the input must be a finite
-    square matrix of even dimension, symmetric within ``tol`` (relative to
+    square matrix of even dimension, symmetric within ``TOL_SYM`` (relative to
     its largest entry), and positive definite.  The spectrum is the positive
     half of the eigenvalues of the Hermitian i L^T J L, with L the
     Cholesky factor of A, as in ``_spectrum``; a failed factorization is
@@ -165,8 +165,6 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     ----------
     a : (2n, 2n) array
         Symmetric positive-definite matrix.
-    tol : float
-        Symmetry tolerance for input validation.
 
     Returns
     -------
@@ -177,7 +175,7 @@ def symplectic_eigenvalues(a: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     NotPositiveDefiniteError
         If the input is not finite, not symmetric or not positive definite.
     """
-    a = _check_symmetric(a, tol)
+    a = _check_symmetric(a)
     return np.linalg.eigvalsh(_hermitian(_cholesky(a)))[a.shape[0] // 2 :]
 
 
@@ -194,7 +192,7 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.spectrum, 2))
 
 
-def williamson(a: np.ndarray, tol: float = TOL_SYM) -> WilliamsonDecomposition:
+def williamson(a: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite matrix.
 
     Construction: factor A = L L^T and take the eigenvectors u_j of the n
@@ -219,8 +217,6 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM) -> WilliamsonDecomposition:
     ----------
     a : (2n, 2n) array
         Symmetric positive-definite matrix.
-    tol : float
-        Input-validation tolerance.
 
     Returns
     -------
@@ -231,13 +227,13 @@ def williamson(a: np.ndarray, tol: float = TOL_SYM) -> WilliamsonDecomposition:
     Raises
     ------
     NotPositiveDefiniteError
-        If the input is not finite, not symmetric within ``tol``, or not
+        If the input is not finite, not symmetric within ``TOL_SYM``, or not
         positive definite (the message names the minimum eigenvalue).
     ArithmeticError
         If the constructed decomposition misses the residual bound; the
         residual value is included in the message.
     """
-    a = _check_symmetric(a, tol)
+    a = _check_symmetric(a)
     n = a.shape[0] // 2
     l = _cholesky(a)
     values, vectors = np.linalg.eigh(_hermitian(l))
@@ -281,7 +277,7 @@ def _euler_form(t1: np.ndarray, z: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return t1 @ (_paired_squeeze(z)[..., :, None] * t2)
 
 
-def euler_decompose(s: np.ndarray, tol: float = TOL_SYM) -> EulerDecomposition:
+def euler_decompose(s: np.ndarray) -> EulerDecomposition:
     """Euler (orthosymplectic - squeeze - orthosymplectic) factorization.
 
     Construction: S = U Z C^T for an orthosymplectic C, so the singular
@@ -310,16 +306,16 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM) -> EulerDecomposition:
     Raises
     ------
     NotSymplecticError
-        If the input fails the symplectic membership test at ``tol``.
+        If the input fails the symplectic membership test at ``TOL_SYM``.
     ArithmeticError
-        If a factor leaves K(n) by more than ``tol`` or the recomposition
+        If a factor leaves K(n) by more than ``TOL_SYM`` or the recomposition
         residual exceeds ``TOL_DECOMP``; the residual is in the message.
     """
     s = np.asarray(s, dtype=float)
     n = _mode_count(s)
-    ok, res = is_symplectic(s, tol)
+    ok, res = is_symplectic(s)
     if not ok:
-        raise NotSymplecticError(f"input is not symplectic (residual {res:.3e} > {tol:.1e})")
+        raise NotSymplecticError(f"input is not symplectic (residual {res:.3e} > {TOL_SYM:.1e})")
 
     _, sigma, vt = np.linalg.svd(s)
     q, r = np.linalg.qr(vt[:n, 0::2].T - 1j * vt[:n, 1::2].T)
@@ -331,7 +327,7 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM) -> EulerDecomposition:
 
     for name, t in (("T1", t1), ("T2", t2)):
         worst = max(symplectic_residual(t), orthogonality_residual(t))
-        if worst > tol:
+        if worst > TOL_SYM:
             raise ArithmeticError(f"Euler factor {name} leaves K(n) (residual {worst:.3e})")
     residual = float(np.max(np.abs(_euler_form(t1, z, t2) - s)))
     if residual > TOL_DECOMP:
@@ -339,7 +335,7 @@ def euler_decompose(s: np.ndarray, tol: float = TOL_SYM) -> EulerDecomposition:
     return EulerDecomposition(t1=t1, z=z, t2=t2)
 
 
-def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
+def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
     """Embed an n x n unitary into K(n) = Sp(2n, R) intersect O(2n).
 
     Block (j, k) of the image is [[Re u_jk, Im u_jk], [-Im u_jk, Re u_jk]];
@@ -349,8 +345,8 @@ def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYM) -> np.ndarra
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {u.shape}")
     res = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if res > tol:
-        raise NotSymplecticError(f"input is not unitary (residual {res:.3e} > {tol:.1e})")
+    if res > TOL_SYM:
+        raise NotSymplecticError(f"input is not unitary (residual {res:.3e} > {TOL_SYM:.1e})")
     return _embed_unitary(u)
 
 
@@ -365,18 +361,18 @@ def _embed_unitary(u: np.ndarray) -> np.ndarray:
     return t
 
 
-def orthosymplectic_to_unitary(t: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
+def orthosymplectic_to_unitary(t: np.ndarray) -> np.ndarray:
     """Inverse of ``unitary_to_orthosymplectic`` on K(n).
 
-    Rejects inputs that are not simultaneously symplectic and orthogonal,
-    reporting the larger of the two residuals.  The paired block structure
+    Rejects inputs that are not simultaneously symplectic and orthogonal
+    within ``TOL_SYM``, reporting the larger of the two residuals.  The paired block structure
     is implied by K(n) membership; entries are read off symmetrized.
     """
     t = np.asarray(t, dtype=float)
     _mode_count(t)
     res = max(symplectic_residual(t), orthogonality_residual(t))
-    if res > tol:
-        raise NotSymplecticError(f"input is not in K(n) (residual {res:.3e} > {tol:.1e})")
+    if res > TOL_SYM:
+        raise NotSymplecticError(f"input is not in K(n) (residual {res:.3e} > {TOL_SYM:.1e})")
     re = 0.5 * (t[0::2, 0::2] + t[1::2, 1::2])
     im = 0.5 * (t[0::2, 1::2] - t[1::2, 0::2])
     return re + 1j * im
@@ -494,15 +490,15 @@ def truncation_residual(sk: np.ndarray, n: int) -> float:
     return float(np.max(np.abs(sk @ symplectic_form(n) @ sk.T - symplectic_form(k))))
 
 
-def truncate_rows(s: np.ndarray, k: int, tol: float = TOL_SYM) -> np.ndarray:
-    """First 2k rows of a symplectic matrix; satisfies S J_n S^T = J_k."""
+def truncate_rows(s: np.ndarray, k: int) -> np.ndarray:
+    """First 2k rows of a symplectic matrix; satisfies S J_n S^T = J_k within ``TOL_SYM``."""
     s = np.asarray(s, dtype=float)
     n = _mode_count(s)
     if not 1 <= k <= n:
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
     sk = s[: 2 * k, :].copy()
     res = truncation_residual(sk, n)
-    if res > tol:
+    if res > TOL_SYM:
         raise NotSymplecticError(f"truncated rows violate the form relation (residual {res:.3e})")
     return sk
 

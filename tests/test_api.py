@@ -1,0 +1,78 @@
+"""Package surface: which signatures take a tolerance, and no unused imports."""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+import cvchan
+from cvchan import majorization as mj
+
+#: The only public parameters named tol, atol or rtol.  Each is set by a
+#: caller: ``verify --tol`` sets the campaigns' atol and the checks' tol,
+#: the acceptance test runs theorem1_trial at rtol 0, and every campaign
+#: passes its per-sample slack to ``TrialReport.fold``.
+TOLERANCE_PARAMETERS = {
+    "TrialReport.fold": {"tol"},
+    "theorem1_trial": {"atol", "rtol"},
+    "lemma1_trial": {"atol"},
+    "lemma1_campaign": {"atol"},
+    "schur_campaign": {"atol"},
+    "multiplicativity_check": {"tol"},
+    "additivity_check": {"tol"},
+}
+
+SOURCE = pathlib.Path(cvchan.__file__).parent
+
+
+def _public_callables():
+    """Every exported function, every method of an exported class, and
+    ``schur_diag_check``, by qualified name."""
+    found = {"schur_diag_check": mj.schur_diag_check}
+    for name in cvchan.__all__:
+        obj = getattr(cvchan, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    found[f"{name}.{attr}"] = member
+        elif callable(obj):
+            found[name] = obj
+    return found
+
+
+def test_only_the_kept_checks_take_a_tolerance():
+    taken = {}
+    for name, function in _public_callables().items():
+        tolerances = {p for p in inspect.signature(function).parameters if p in ("tol", "atol", "rtol")}
+        if tolerances:
+            taken[name] = tolerances
+    assert taken == TOLERANCE_PARAMETERS
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # a package re-exports what it lists in __all__
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nfrom typing import NamedTuple, Sequence\n\nx: Sequence[int] = []\n")
+    assert _unused_imports(module) == ["module.py:2 NamedTuple", "module.py:1 os"]

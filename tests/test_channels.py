@@ -1,5 +1,6 @@
 """Gaussian channels: CP certificates, constructors, tensor products, action."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -42,6 +43,30 @@ class TestMakeChannel:
         with pytest.raises(TypeError):
             ch.make_channel(np.eye(2), 5.0 * np.eye(2), kind="thermal", eta=[0.5], nbar=[0.0])
         assert ch.make_channel(np.eye(2), 5.0 * np.eye(2)).kind == "custom"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("matrix", ["X", "Y"])
+    def test_non_finite_entries_rejected(self, matrix, bad):
+        # Every comparison with NaN is false, so no CP test could catch it.
+        x, y = np.eye(2), np.eye(2)
+        (x if matrix == "X" else y)[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ch.make_channel(x, y)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ch.classical_noise(np.diag([np.nan, 1.0])),
+            lambda: ch.thermal_noise([np.nan], [1.0]),
+            lambda: ch.thermal_noise([0.5], [np.inf]),
+            lambda: ch.lossy([np.nan]),
+            lambda: ch.tensor([ch.lossy([0.5]), dataclasses.replace(ch.lossy([0.5]), y=np.full((2, 2), np.nan))]),
+        ],
+        ids=["classical_noise", "thermal_noise-eta", "thermal_noise-nbar", "lossy", "tensor"],
+    )
+    def test_kinds_reject_non_finite_parameters(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestClassicalNoise:

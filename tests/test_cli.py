@@ -367,6 +367,8 @@ class TestInvalidInputExitCodes:
             ["capacity", "--channel", "{thermal}", "--energy", "inf"],
             ["analyze", "--channel", "{thermal}", "--p", "nan"],
             ["analyze", "--channel", "{thermal}", "--p", "2,inf"],
+            ["analyze", "--channel", "{thermal}", "--p", ""],
+            ["analyze", "--channel", "{thermal}", "--p", ","],
             ["analyze", "--channel", "{thermal}", "--seed", "-1"],
             ["verify", "concavity", "--seed", "-1"],
             ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--seed", "-1"],

@@ -68,6 +68,27 @@ class TestConstructors:
         with pytest.raises(st.UnphysicalStateError):
             st.GaussianState(0.5 * np.eye(2), np.zeros(2), np.ones(1))
 
+    def test_physicality_is_read_from_the_held_spectrum(self, monkeypatch):
+        # Construction decides nu_min >= 1 - TOL_PHYS from its own spectrum;
+        # the Hermitian cross-check of is_physical is for direct callers.
+        def fail(*args, **kwargs):
+            raise AssertionError("is_physical called during construction")
+
+        monkeypatch.setattr(st, "is_physical", fail)
+        assert_allclose(st.thermal([1.0, 2.0]).spectrum(), [3.0, 5.0])
+        st.GaussianState((1.0 - 0.5 * st.TOL_PHYS) * np.eye(2), np.zeros(2), np.ones(1))
+        with pytest.raises(st.UnphysicalStateError, match="minimum symplectic eigenvalue 0.5 is below 1"):
+            st.GaussianState(0.5 * np.eye(2), np.zeros(2), np.ones(1))
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, [1.0, np.nan], [np.inf, 1.0]])
+    def test_non_finite_frequencies_rejected(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            st.vacuum(2, omega)
+        with pytest.raises(ValueError, match="finite"):
+            st.thermal([0.5, 1.0], omega)
+        with pytest.raises(ValueError, match="finite"):
+            st.GaussianState(np.eye(4), np.zeros(4), omega)
+
 
 class TestPhysicality:
     def test_vacuum(self):
