@@ -26,8 +26,6 @@ from . import __version__
 from . import channels as ch
 from . import functionals as fn
 from . import majorization as mj
-from . import states as st
-from .symplectic import symplectic_eigenvalues
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -161,8 +159,8 @@ def cmd_analyze(args) -> int:
             if not args.numeric:
                 print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
                 return EXIT_UNSUPPORTED
-            search = fn.numeric_inf_fp(channel, p, budget=args.budget, seed=args.seed)
-            inf_fp = search.best_value
+            s_p = fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value
+            inf_fp = fn.fp_of_renyi(channel.n, p, s_p)[0]
             entry["closed_form"] = False
         if s_min is None:
             s_min = fn.min_output_entropy(channel, budget=args.budget, seed=args.seed)
@@ -170,12 +168,10 @@ def cmd_analyze(args) -> int:
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
-        else:  # the product overflows; its log does not
+        else:  # the product overflows; its log, read from the minimal S_p, does not
             if entry["closed_form"]:
-                log_inf_fp = fn.log_min_output_fp_closed(channel, p)
-            else:
-                nu = symplectic_eigenvalues(ch.apply_cov(channel, search.best_input))
-                log_inf_fp = float(np.sum(st.log_f_p(np.maximum(nu, 1.0), p)))
+                s_p = fn.min_output_renyi_closed(channel, p)
+            log_inf_fp = fn.fp_of_renyi(channel.n, p, s_p)[1]
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
             entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)

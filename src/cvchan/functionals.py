@@ -113,36 +113,38 @@ def _fp_product(x: np.ndarray, p: float) -> float:
         return float(np.prod(st.f_p(x, p)))
 
 
-def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
-    """Closed-form infimum of F_p over pure Gaussian inputs.
+def min_output_renyi_closed(channel: ch.GaussianChannel, p: float) -> float:
+    """Closed-form minimal output Renyi-p entropy over Gaussian inputs, p in
+    (0, inf]: classical noise leaves 1 + y_k over the symplectic spectrum of
+    Y, thermal noise 1 + 2 (1 - eta_k) nbar_k.  The other optima read it."""
+    return st.renyi_entropy(_closed_form_arguments(channel), p)
 
-    Classical noise: product of f_p(1 + y_k) over the symplectic spectrum
-    of Y.  Thermal noise: product of f_p(1 + 2 (1 - eta_k) nbar_k).  Both
-    extend over the leaves of a product.  The product is inf where it
-    overflows; ``log_min_output_fp_closed`` is finite.
-    """
+
+def fp_of_renyi(n: int, p: float, s_p: float) -> tuple[float, float]:
+    """(F_p, ln F_p) of an n-mode output with Renyi-p entropy ``s_p``, from
+    ln F_p = n p ln 2 + (p - 1) S_p; F_p is inf where it overflows a double."""
+    log_fp = n * p * math.log(2.0) + (p - 1.0) * s_p
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_fp)), log_fp
+
+
+def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
+    """Closed-form infimum of F_p over pure Gaussian inputs, p > 1: the
+    product of f_p over the optimal output spectrum, inf where it overflows
+    (its log, from ``min_output_renyi_closed``, is finite)."""
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     return _fp_product(_closed_form_arguments(channel), p)
 
 
-def log_min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
-    """ln of ``min_output_fp_closed``, sum_k ln f_p(x_k), finite where the
-    product overflows."""
-    if p <= 1.0:
-        raise ValueError(f"order must be > 1, got {p}")
-    return float(np.sum(st.log_f_p(_closed_form_arguments(channel), p)))
-
-
 def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
-    """Maximal output Schatten p-norm: 2^n / (inf F_p)^{1/p}, from the log
-    of inf F_p, which does not overflow."""
-    return 2.0**channel.n * math.exp(-log_min_output_fp_closed(channel, p) / p)
+    """Maximal output Schatten p-norm, exp(-(1 - 1/p) min S_p), p in (0, inf]."""
+    return math.exp(min_output_renyi_closed(channel, p) * (1.0 / p - 1.0))
 
 
 def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
     """Closed-form minimal output entropy; raises for unsupported kinds."""
-    return st.von_neumann_entropy(_closed_form_arguments(channel))
+    return min_output_renyi_closed(channel, 1.0)
 
 
 def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> float:
@@ -327,42 +329,40 @@ def _gap_to_closed_form(gap) -> float | None:
         return None
 
 
-def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
-    """Derivative-free minimization of F_p(nu(output)) over pure inputs.
+def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: int) -> OptimizationReport:
+    """Derivative-free minimization of the output Renyi-p entropy over pure
+    inputs, p in (0, inf].
 
     The search space covers all pure Gaussian covariances of the full
     input, so entangled inputs to tensor-product channels are included.
-    The objective is ln F_p, which conditions the search and does not
-    overflow; the report carries the gap to the closed form when one exists,
-    the gap of ln F_p where the closed-form product overflows a double.
+    The report carries the gap to ``min_output_renyi_closed`` when one exists.
     """
+    if not p > 0.0:
+        raise ValueError(f"order must be positive, got {p}")
+    n = channel.n
+    report = _search(channel, lambda nu: st._renyi(nu, p), lambda x: _pure_cov(x, n), _pure_cov_dim(n), budget, seed)
+    report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_renyi_closed(channel, p))
+    return report
+
+
+def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
+    """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyi`` read through
+    ``fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The gap
+    to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
-    n = channel.n
-    report = _search(
-        channel, lambda nu: float(np.sum(st.log_f_p(nu, p))), lambda theta: _pure_cov(theta, n),
-        _pure_cov_dim(n), budget, seed,
-    )
-    log_best = report.best_value
-    with np.errstate(over="ignore"):  # F_p beyond the float range is inf; ln F_p is finite
-        report.best_value = float(np.exp(log_best))
-
-    def gap():
+    report = numeric_min_renyi(channel, p, budget, seed)
+    gap = report.gap_to_closed_form
+    report.best_value = fp_of_renyi(channel.n, p, report.best_value)[0]
+    if gap is not None:
         product = min_output_fp_closed(channel, p)
-        if math.isfinite(product):
-            return report.best_value - product
-        return log_best - log_min_output_fp_closed(channel, p)
-
-    report.gap_to_closed_form = _gap_to_closed_form(gap)
+        report.gap_to_closed_form = report.best_value - product if math.isfinite(product) else (p - 1.0) * gap
     return report
 
 
 def numeric_min_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> OptimizationReport:
-    """Numeric twin of ``min_output_entropy`` for channels without a closed form."""
-    n = channel.n
-    report = _search(channel, st.von_neumann_entropy, lambda theta: _pure_cov(theta, n), _pure_cov_dim(n), budget, seed)
-    report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_entropy_closed_only(channel))
-    return report
+    """Numeric twin of ``min_output_entropy``: ``numeric_min_renyi`` at p = 1."""
+    return numeric_min_renyi(channel, 1.0, budget, seed)
 
 
 def max_output_entropy_under_energy(
@@ -387,7 +387,7 @@ def max_output_entropy_under_energy(
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
     report = _search(
         channel,
-        lambda nu: -st.von_neumann_entropy(nu),
+        lambda nu: -st._renyi(nu, 1.0),
         lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget.omega, budget.total),
         _phys_cov_dim(n), search_budget, seed,
     )
@@ -534,14 +534,18 @@ def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
     return block_diag(*blocks)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MultiplicativityReport:
-    """Joint-search evidence for multiplicativity of the output p-norm."""
+    """Joint-search evidence for multiplicativity of the output p-norm.  Where
+    the product overflows a double, the F_p values give way to ``log_`` twins."""
 
     p: float
-    product_of_optima: float
-    numeric_best: float
-    witness_value: float
+    product_of_optima: float | None = None
+    log_product_of_optima: float | None = None
+    numeric_best: float | None = None
+    log_numeric_best: float | None = None
+    witness_value: float | None = None
+    log_witness_value: float | None = None
     margin: float
     passed: bool
 
@@ -563,20 +567,18 @@ def multiplicativity_check(
     product = min_output_fp_closed(joint, p)
     search = numeric_inf_fp(joint, p, budget=search_budget, seed=seed)
     witness_nu = np.maximum(_output_spectrum(joint, separable_optimal_input(joint)), 1.0)
-    witness_value = _fp_product(witness_nu, p)
     margin = search.gap_to_closed_form  # search.best_value - product, in ln F_p where F_p overflows
     if math.isfinite(product):
+        witness_value = _fp_product(witness_nu, p)
         witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
+        values = {"product_of_optima": product, "numeric_best": search.best_value, "witness_value": witness_value}
     else:
-        witness_ok = abs(float(np.sum(st.log_f_p(witness_nu, p))) - log_min_output_fp_closed(joint, p)) <= tol
-    return MultiplicativityReport(
-        p=p,
-        product_of_optima=product,
-        numeric_best=search.best_value,
-        witness_value=witness_value,
-        margin=float(margin),
-        passed=bool(margin >= -tol and witness_ok),
-    )
+        log_product = fp_of_renyi(joint.n, p, min_output_renyi_closed(joint, p))[1]
+        log_witness = fp_of_renyi(joint.n, p, st.renyi_entropy(witness_nu, p))[1]
+        witness_ok = abs(log_witness - log_product) <= tol
+        values = {"log_product_of_optima": log_product, "log_numeric_best": log_product + margin,
+                  "log_witness_value": log_witness}
+    return MultiplicativityReport(p=p, margin=float(margin), passed=bool(margin >= -tol and witness_ok), **values)
 
 
 @dataclass

@@ -167,7 +167,8 @@ def f_p(x, p: float):
     """The output-purity kernel (x + 1)^p - (x - 1)^p, for x >= 1, p >= 1.
 
     inf where (x + 1)^p overflows a double, where the difference of the two
-    powers would be inf - inf; ``log_f_p`` is finite there.
+    powers would be inf - inf; its log p ln 2 + (p - 1) S_p(x), from
+    ``renyi_entropy``, is finite there.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
@@ -178,11 +179,6 @@ def f_p(x, p: float):
         up = (x + 1.0) ** p
         out = np.where(np.isinf(up), np.inf, up - (x - 1.0) ** p)
     return float(out) if out.ndim == 0 else out
-
-
-def log_f_p(x, p: float):
-    """ln f_p(x) = p ln(x + 1) + ln(1 - ((x - 1)/(x + 1))^p), finite where f_p overflows."""
-    return p * np.log(x + 1.0) + np.log1p(-(((x - 1.0) / (x + 1.0)) ** p))
 
 
 def g_p(x, p: float):
@@ -207,55 +203,54 @@ def _clamp_physical(nu: np.ndarray) -> np.ndarray:
     return np.maximum(nu, 1.0)
 
 
-def trace_p(state_or_spectrum, p: float) -> float:
-    """Tr rho^p for a Gaussian state: prod_j 2^p / f_p(nu_j), in (0, 1].
+def _renyi(nu: np.ndarray, p: float) -> float:
+    """Renyi-p entropy sum_j S_p(nu_j) in nats of a spectrum nu >= 1, unchecked.
 
-    Independent of the displacement.  p = 1 short-circuits to the
-    normalization value 1; p < 1 is rejected.
+    Per mode Tr rho^p = 1 / (u^p - d^p) with u = (nu + 1)/2 and d = u - 1, so
+    S_p = ln u + ln(1 - d expm1((p - 1) ln r)) / (p - 1), r = d/u = 1/(1 + 1/d),
+    two nonnegative terms; S_inf = ln u.  d is floored inside ln r, so a pure
+    mode gives exactly 0 at every p.  p = 1 is u ln u - d ln d, taken above
+    nu = 1e4 as ln u + d ln(1 + 1/d), where the two terms would cancel.
     """
+    if p == 1.0:
+        up = 0.5 * (nu + 1.0)
+        dn = 0.5 * (nu - 1.0)
+        large = nu > 1e4
+        out = np.where(large, 1.0, up) * np.log(up)
+        mask = (dn > 0.0) & ~large
+        out[mask] -= dn[mask] * np.log(dn[mask])
+        out[large] += dn[large] * np.log1p(1.0 / dn[large])
+        return float(np.sum(out))
+    d = 0.5 * (nu - 1.0)
+    x = np.expm1((1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300)))
+    return float((np.log1p(d) + np.log1p(-d * x) / (p - 1.0)).sum())
+
+
+def renyi_entropy(state_or_spectrum, p: float) -> float:
+    """Renyi-p entropy S_p = ln(Tr rho^p) / (1 - p) in nats, p in (0, inf], from
+    the symplectic spectrum: S_1 is the von Neumann entropy, S_inf minus the
+    log of the largest eigenvalue, and ln F_p = n p ln 2 + (p - 1) S_p."""
+    if not p > 0.0:
+        raise ValueError(f"order must be positive, got {p}")
+    return _renyi(_clamp_physical(_spectrum_of(state_or_spectrum)), p)
+
+
+def trace_p(state_or_spectrum, p: float) -> float:
+    """Tr rho^p = exp((1 - p) S_p) for a Gaussian state, in (0, 1]; p < 1 is rejected."""
     if p < 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
-    if p == 1.0:
-        return 1.0
-    return _trace_power(_clamp_physical(_spectrum_of(state_or_spectrum)), p)
-
-
-def _trace_power(nu: np.ndarray, p: float) -> float:
-    """Tr rho^p continued to all p > 0; internal oracle support.
-
-    Summed in logs, prod 2^p / f_p = exp(sum(p ln 2 - ln f_p)), because 2^p
-    and f_p overflow a double above p = 1024 while Tr rho^p lies in (0, 1].
-    """
-    return float(np.exp(np.sum(p * np.log(2.0) - log_f_p(nu, p))))
+    return float(np.exp((1.0 - p) * renyi_entropy(state_or_spectrum, p)))
 
 
 def schatten_norm(state_or_spectrum, p: float) -> float:
-    """(Tr rho^p)^{1/p}; defined for all p > 0 to support derivative checks."""
-    if p <= 0.0:
-        raise ValueError(f"order must be positive, got {p}")
-    nu = _clamp_physical(_spectrum_of(state_or_spectrum))
-    return _trace_power(nu, p) ** (1.0 / p)
+    """(Tr rho^p)^{1/p} = exp(-(1 - 1/p) S_p), p in (0, inf]; below p = 1 it
+    is not a norm, but it gives the derivative at p = 1 from both sides."""
+    return float(np.exp(renyi_entropy(state_or_spectrum, p) * (1.0 / p - 1.0)))
 
 
 def von_neumann_entropy(state_or_spectrum) -> float:
-    """Von Neumann entropy in nats, from the symplectic spectrum.
-
-    Closed form per mode: ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2),
-    with the nu = 1 term equal to 0 by continuity.  The two terms cancel
-    for large nu, so above nu = 1e4 the same number is taken as
-    ln((nu+1)/2) + ((nu-1)/2) ln(1 + 2/(nu-1)), finite up to the largest
-    double.  The closed form agrees with the p -> 1+ derivative of the
-    Schatten norm (checked in tests).
-    """
-    nu = _clamp_physical(_spectrum_of(state_or_spectrum))
-    up = 0.5 * (nu + 1.0)
-    dn = 0.5 * (nu - 1.0)
-    large = nu > 1e4
-    out = np.where(large, 1.0, up) * np.log(up)
-    mask = (dn > 0.0) & ~large
-    out[mask] -= dn[mask] * np.log(dn[mask])
-    out[large] += dn[large] * np.log1p(1.0 / dn[large])
-    return float(np.sum(out))
+    """Von Neumann entropy in nats: ``renyi_entropy`` at p = 1."""
+    return renyi_entropy(state_or_spectrum, 1.0)
 
 
 def state_to_record(state: GaussianState) -> dict:

@@ -1,4 +1,4 @@
-"""Package surface: which signatures take a tolerance, and no unused imports."""
+"""Package surface: which names are public, which signatures take a tolerance, and no unused imports."""
 
 import ast
 import inspect
@@ -22,6 +22,30 @@ TOLERANCE_PARAMETERS = {
     "multiplicativity_check": {"tol"},
     "additivity_check": {"tol"},
 }
+
+#: The package surface, in order.  A name leaves it only with an argued
+#: entry in CHANGES.md, so a removal must show up here.
+PUBLIC_NAMES = [
+    "__version__", "TOL_SYM", "TOL_DECOMP", "SymplecticCheck", "WilliamsonDecomposition",
+    "EulerDecomposition", "symplectic_form", "is_symplectic", "symplectic_eigenvalues",
+    "williamson", "euler_decompose", "unitary_to_orthosymplectic", "orthosymplectic_to_unitary",
+    "symplectic_from_factors", "symplectic_inverse", "random_unitary", "random_symplectic",
+    "random_covariance", "random_spd", "rng_stream", "truncate_rows", "TOL_PHYS", "GaussianState",
+    "ModeEnergy", "vacuum", "thermal", "coherent", "is_physical", "is_pure", "mean_energy", "f_p",
+    "g_p", "trace_p", "renyi_entropy", "von_neumann_entropy", "GaussianChannel", "make_channel",
+    "classical_noise", "thermal_noise", "lossy", "tensor", "apply", "noise_spectrum",
+    "EnergyBudget", "OptimizationReport", "CapacityReport", "min_output_fp_closed",
+    "max_output_p_norm", "min_output_entropy", "numeric_inf_fp", "max_output_entropy_under_energy",
+    "gaussian_holevo_capacity", "multiplicativity_check", "additivity_check",
+    "log_fp_concavity_check", "TrialReport", "majorize", "weak_submajorize", "weak_supermajorize",
+    "t_transform", "random_majorization_pair", "schur_diag_check", "theorem1_trial", "lemma1_trial",
+    "lemma1_campaign", "schur_campaign",
+]
+
+
+def test_public_names_are_pinned():
+    assert cvchan.__all__ == PUBLIC_NAMES
+
 
 SOURCE = pathlib.Path(cvchan.__file__).parent
 

@@ -1,5 +1,7 @@
 """Channel functionals: closed forms, numeric searches, capacity, checks."""
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import cvchan.channels as ch
 import cvchan.functionals as fn
 import cvchan.states as st
 from cvchan import symplectic as sp
-from cvchan.cli import record_of
+from cvchan.cli import _builtin_channel_pairs, record_of
 
 TWO_LN_2 = 2.0 * np.log(2.0)
 
@@ -73,7 +75,7 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fn.min_output_fp_closed(channel, 400.0) == np.inf
-        assert np.isfinite(fn.log_min_output_fp_closed(channel, 400.0))
+        assert np.isfinite(fn.fp_of_renyi(1, 400.0, fn.min_output_renyi_closed(channel, 400.0))[1])
 
 
 class TestNumericInfFp:
@@ -348,13 +350,45 @@ class TestMultiplicativity:
             fn.multiplicativity_check([identity_channel()], 2.0)
 
     def test_overflowing_fp_compares_logs(self):
-        # F_p overflows a double at p = 400 on three modes: margin and witness compare ln F_p.
+        # F_p overflows a double at p = 400 on three modes: margin and witness compare ln F_p,
+        # and the record carries ln F_p twins in place of the F_p values, so it is strict JSON.
         report = fn.multiplicativity_check(
             [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5, 0.5], [1.0, 1.0])], 400.0, search_budget=200
         )
-        assert np.isinf(report.product_of_optima)
+        assert report.product_of_optima is None and report.numeric_best is None and report.witness_value is None
+        log_product = 3.0 * (400.0 * np.log(3.0) + np.log1p(-(3.0**-400)))  # f_400(2) = 3^400 - 1 per mode
+        assert report.log_product_of_optima == pytest.approx(log_product, rel=1e-14)
+        assert report.log_witness_value == pytest.approx(log_product, rel=1e-14)
+        assert report.log_numeric_best >= log_product - 1e-9
         assert np.isfinite(report.margin)
         assert report.passed
+        record = json.loads(json.dumps(record_of(report), allow_nan=False))
+        assert set(record) == {"p", "log_product_of_optima", "log_numeric_best", "log_witness_value", "margin", "pass"}
+
+    def test_finite_fp_record_has_no_log_twins(self):
+        report = fn.multiplicativity_check([identity_channel(), identity_channel()], 2.0, search_budget=300, seed=0)
+        assert report.log_product_of_optima is None and report.log_numeric_best is None
+        assert report.log_witness_value is None
+        assert list(record_of(report)) == ["p", "product_of_optima", "numeric_best", "witness_value", "margin", "pass"]
+
+
+class TestRenyiAdditivityOfPairs:
+    """The paper's consequence at the ends of the p range: the minimal output
+    entropy S_1 (additivity) and S_inf of a tensor pair are the sums over the
+    factors, and a joint search over entangled inputs does not undercut them."""
+
+    PAIRS = {label: pair for label, _, pair in _builtin_channel_pairs()}
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    @pytest.mark.parametrize("label", ["classical(2,2) x thermal(0.5, 1)", "thermal 2-mode x classical(1.5, 0.7)"])
+    def test_joint_search_never_undercuts_the_sum(self, label, p):
+        pair = self.PAIRS[label]
+        joint = ch.tensor(pair)
+        total = sum(fn.min_output_renyi_closed(channel, p) for channel in pair)
+        assert fn.min_output_renyi_closed(joint, p) == pytest.approx(total, rel=1e-14)
+        search = fn.numeric_min_renyi(joint, p, 2000, 5)
+        assert search.best_value >= total - fn.TOL_OPT_CLOSED
+        assert search.gap_to_closed_form >= -fn.TOL_OPT_CLOSED
 
 
 class TestAdditivity:

@@ -1,5 +1,7 @@
 """Gaussian states: constructors, physicality, energy, purity functionals."""
 
+import decimal
+import math
 import warnings
 
 import numpy as np
@@ -245,6 +247,62 @@ class TestEntropy:
         # Below the switch at 1e4 the closed form carries about 1e-11 of cancellation.
         below, above = st.von_neumann_entropy(1e4), st.von_neumann_entropy(np.nextafter(1e4, np.inf))
         assert above == pytest.approx(below, abs=1e-10)
+
+
+def renyi_reference(nu: float, p: float) -> decimal.Decimal:
+    """S_p of one mode at 50 digits: ln(u^p - d^p) / (p - 1), and ln u at p = inf."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        u = (decimal.Decimal(nu) + 1) / 2
+        d = u - 1
+        if d == 0:
+            return decimal.Decimal(0)
+        if p == math.inf:
+            return u.ln()
+        q = decimal.Decimal(p)
+        return ((q * u.ln()).exp() - (q * d.ln()).exp()).ln() / (q - 1)
+
+
+class TestRenyiKernel:
+    ORDERS = (0.5, 1.0 + 1e-12, 1.0 + 1e-8, 1.1, 2.0, 7.0, 400.0, math.inf)
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_matches_decimal_reference(self, p):
+        # nu = 1 and a log grid in nu - 1 up to nu = 1e4, near-pure modes included.
+        for nu in np.concatenate([[1.0], 1.0 + np.geomspace(1e-9, 1e4 - 1.0, 40)]):
+            reference = renyi_reference(float(nu), p)
+            value = st.renyi_entropy([nu], p)
+            assert abs(decimal.Decimal(value) - reference) <= decimal.Decimal(1e-13) * reference, (nu, value)
+
+    def test_huge_spectrum_stays_finite(self):
+        for p in (*self.ORDERS, 1.0):
+            for nu in (1e306, np.finfo(float).max):
+                assert np.isfinite(st.renyi_entropy([nu], p)), (nu, p)
+
+    def test_pure_modes_give_exactly_zero(self):
+        # RuntimeWarnings are errors in this suite, so a 0 * inf would fail here too.
+        for p in (0.5, 1.0, 2.0, math.inf):
+            assert st.renyi_entropy(st.vacuum(3), p) == 0.0
+            assert st.renyi_entropy([1.0, 3.0], p) == st.renyi_entropy([3.0], p)
+
+    def test_views_agree_with_the_kernel(self):
+        nu = np.array([1.7, 3.1])
+        for p in (2.0, 7.0):
+            # ln F_p = n p ln 2 + (p - 1) S_p against the polynomial f_p
+            s_p = st.renyi_entropy(nu, p)
+            assert np.sum(np.log(st.f_p(nu, p))) == pytest.approx(2 * p * np.log(2.0) + (p - 1.0) * s_p, rel=1e-14)
+            assert st.trace_p(nu, p) == pytest.approx(np.exp((1.0 - p) * s_p), rel=1e-14)
+        for p in (0.5, 2.0, math.inf):
+            assert st.schatten_norm(nu, p) == pytest.approx(np.exp(-(1.0 - 1.0 / p) * st.renyi_entropy(nu, p)))
+        assert st.schatten_norm(nu, math.inf) == pytest.approx(1.0 / (1.35 * 2.05))  # prod_j 1 / u_j
+        assert st.renyi_entropy(nu, 1.0) == st.von_neumann_entropy(nu)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+    def test_order_must_be_positive(self, p):
+        with pytest.raises(ValueError):
+            st.renyi_entropy([2.0], p)
+        with pytest.raises(ValueError):
+            st.schatten_norm([2.0], p)
 
 
 class TestSchurConcavityOfFp:
