@@ -160,7 +160,8 @@ def cmd_analyze(args) -> int:
                 print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
                 return EXIT_UNSUPPORTED
             s_p = fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value
-            inf_fp = fn.fp_of_renyi(channel.n, p, s_p)[0]
+            log_inf_fp = fn.log_fp_of_renyi(channel.n, p, s_p)
+            inf_fp = fn.exp_or_inf(log_inf_fp)
             entry["closed_form"] = False
         if s_min is None:
             s_min = fn.min_output_entropy(channel, budget=args.budget, seed=args.seed)
@@ -170,8 +171,7 @@ def cmd_analyze(args) -> int:
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
         else:  # the product overflows; its log, read from the minimal S_p, does not
             if entry["closed_form"]:
-                s_p = fn.min_output_renyi_closed(channel, p)
-            log_inf_fp = fn.fp_of_renyi(channel.n, p, s_p)[1]
+                log_inf_fp = fn.log_fp_of_renyi(channel.n, p, fn.min_output_renyi_closed(channel, p))
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
             entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)

@@ -120,12 +120,15 @@ def min_output_renyi_closed(channel: ch.GaussianChannel, p: float) -> float:
     return st.renyi_entropy(_closed_form_arguments(channel), p)
 
 
-def fp_of_renyi(n: int, p: float, s_p: float) -> tuple[float, float]:
-    """(F_p, ln F_p) of an n-mode output with Renyi-p entropy ``s_p``, from
-    ln F_p = n p ln 2 + (p - 1) S_p; F_p is inf where it overflows a double."""
-    log_fp = n * p * math.log(2.0) + (p - 1.0) * s_p
+def log_fp_of_renyi(n: int, p: float, s_p: float) -> float:
+    """ln F_p = n p ln 2 + (p - 1) S_p of an n-mode output with Renyi-p entropy ``s_p``."""
+    return n * p * math.log(2.0) + (p - 1.0) * s_p
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), inf where it overflows a double: F_p from ln F_p."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_fp)), log_fp
+        return float(np.exp(x))
 
 
 def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
@@ -138,7 +141,10 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
 
 
 def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
-    """Maximal output Schatten p-norm, exp(-(1 - 1/p) min S_p), p in (0, inf]."""
+    """Maximal output Schatten p-norm, exp(-(1 - 1/p) min S_p), p in (1, inf];
+    below p = 1 the p-quasi-norm grows with S_p and has no maximum."""
+    if p <= 1.0:
+        raise ValueError(f"order must be > 1, got {p}")
     return math.exp(min_output_renyi_closed(channel, p) * (1.0 / p - 1.0))
 
 
@@ -214,11 +220,6 @@ def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return s, d
 
 
-def _energy_of_cov(gamma: np.ndarray, omega: np.ndarray) -> float:
-    w = np.repeat(omega, 2)
-    return 0.25 * float(w @ np.diag(gamma))
-
-
 def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: float) -> np.ndarray:
     """Physical covariance S D S^T with exact energy ``target``.
 
@@ -228,7 +229,7 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
     """
     n = len(omega)
     gamma_pure = s @ s.T
-    e0 = _energy_of_cov(gamma_pure, omega)
+    e0 = 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma_pure))
     e_vac = 0.5 * float(np.sum(omega))
     if target <= e_vac + 1e-12:
         return np.eye(2 * n)
@@ -347,13 +348,13 @@ def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: 
 
 def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
     """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyi`` read through
-    ``fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The gap
-    to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
+    ``log_fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The
+    gap to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
     if p <= 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     report = numeric_min_renyi(channel, p, budget, seed)
     gap = report.gap_to_closed_form
-    report.best_value = fp_of_renyi(channel.n, p, report.best_value)[0]
+    report.best_value = exp_or_inf(log_fp_of_renyi(channel.n, p, report.best_value))
     if gap is not None:
         product = min_output_fp_closed(channel, p)
         report.gap_to_closed_form = report.best_value - product if math.isfinite(product) else (p - 1.0) * gap
@@ -565,16 +566,19 @@ def multiplicativity_check(
         raise ValueError("multiplicativity needs at least two channels")
     joint = ch.tensor(channel_list)
     product = min_output_fp_closed(joint, p)
-    search = numeric_inf_fp(joint, p, budget=search_budget, seed=seed)
+    s_best = numeric_min_renyi(joint, p, search_budget, seed).best_value
     witness_nu = np.maximum(_output_spectrum(joint, separable_optimal_input(joint)), 1.0)
-    margin = search.gap_to_closed_form  # search.best_value - product, in ln F_p where F_p overflows
     if math.isfinite(product):
+        numeric_best = exp_or_inf(log_fp_of_renyi(joint.n, p, s_best))
         witness_value = _fp_product(witness_nu, p)
+        margin = numeric_best - product
         witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
-        values = {"product_of_optima": product, "numeric_best": search.best_value, "witness_value": witness_value}
+        values = {"product_of_optima": product, "numeric_best": numeric_best, "witness_value": witness_value}
     else:
-        log_product = fp_of_renyi(joint.n, p, min_output_renyi_closed(joint, p))[1]
-        log_witness = fp_of_renyi(joint.n, p, st.renyi_entropy(witness_nu, p))[1]
+        s_closed = min_output_renyi_closed(joint, p)
+        log_product = log_fp_of_renyi(joint.n, p, s_closed)
+        margin = (p - 1.0) * (s_best - s_closed)
+        log_witness = log_fp_of_renyi(joint.n, p, st.renyi_entropy(witness_nu, p))
         witness_ok = abs(log_witness - log_product) <= tol
         values = {"log_product_of_optima": log_product, "log_numeric_best": log_product + margin,
                   "log_witness_value": log_witness}

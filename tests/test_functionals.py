@@ -41,6 +41,16 @@ class TestClosedForms:
         assert fn.min_output_fp_closed(channel, 2.0) == pytest.approx(8.0)
         assert fn.max_output_p_norm(channel, 2.0) == pytest.approx(2.0 / np.sqrt(8.0))
 
+    def test_max_norm_refuses_orders_up_to_one(self):
+        # Below p = 1 the p-quasi-norm grows with S_p, so it has no finite maximum.
+        for p in (0.5, 1.0):
+            with pytest.raises(ValueError, match="order must be > 1"):
+                fn.max_output_p_norm(identity_channel(), p)
+
+    def test_max_operator_norm_is_the_largest_eigenvalue(self):
+        # thermal(0.5, 1): output nu = 2, largest eigenvalue 2 / (nu + 1) = 2/3.
+        assert fn.max_output_p_norm(ch.thermal_noise([0.5], [1.0]), np.inf) == pytest.approx(2.0 / 3.0, rel=1e-14)
+
     def test_classical_entropy_example(self):
         channel = ch.classical_noise(np.diag([2.0, 2.0]))
         assert fn.min_output_entropy(channel) == pytest.approx(TWO_LN_2, rel=1e-9)
@@ -75,7 +85,7 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fn.min_output_fp_closed(channel, 400.0) == np.inf
-        assert np.isfinite(fn.fp_of_renyi(1, 400.0, fn.min_output_renyi_closed(channel, 400.0))[1])
+        assert np.isfinite(fn.log_fp_of_renyi(1, 400.0, fn.min_output_renyi_closed(channel, 400.0)))
 
 
 class TestNumericInfFp:
