@@ -17,6 +17,7 @@ from scipy.linalg import block_diag
 
 from .symplectic import (
     DimensionError,
+    _hermitian,
     matrix_from_rowmajor,
     matrix_to_rowmajor,
     symplectic_eigenvalues,
@@ -26,7 +27,7 @@ from .states import GaussianState
 
 #: Slack on the complete-positivity certificate eigenvalue.
 TOL_CP = 1e-10
-#: Regularizer for symplectic spectra of singular noise matrices.
+#: Noise eigenvalues below this count as singular; ``regularized_noise`` adds it to Y.
 NOISE_EPS = 1e-10
 
 
@@ -49,7 +50,8 @@ class GaussianChannel:
 
     ``kind`` is one of "classical", "thermal", "lossy", "custom"; the
     constructor parameters (eta, nbar) are retained for the kinds that
-    have them.  A tensor product keeps its primitive ``factors`` in mode order.
+    have them.  A tensor product is "custom" and keeps its primitive
+    ``factors`` in mode order: its leaves are its one description.
     """
 
     n: int
@@ -145,16 +147,9 @@ def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:
     keeps the leaves of every factor in mode order, nested products flattened."""
     if len(channels) == 0:
         raise ValueError("tensor product of an empty channel list")
-    x = block_diag(*[c.x for c in channels])
-    y = block_diag(*[c.y for c in channels])
-    kinds = {c.kind for c in channels}
-    if kinds <= {"thermal", "lossy"}:
-        kind = "lossy" if kinds == {"lossy"} else "thermal"
-        eta, nbar = np.concatenate([c.eta for c in channels]), np.concatenate([c.nbar for c in channels])
-    else:
-        kind, eta, nbar = "classical" if kinds == {"classical"} else "custom", None, None
     leaves = tuple(leaf for c in channels for leaf in c.leaves)
-    return replace(make_channel(x, y), kind=kind, eta=eta, nbar=nbar, factors=leaves)
+    joint = make_channel(block_diag(*[c.x for c in channels]), block_diag(*[c.y for c in channels]))
+    return replace(joint, factors=leaves)
 
 
 def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -174,9 +169,9 @@ def regularized_noise(channel: GaussianChannel) -> np.ndarray:
     """The noise matrix Y, or Y + eps I when its minimum eigenvalue is below
     eps = ``NOISE_EPS``.
 
-    Singular Y has no Williamson form; its regularization does, and the
-    entries of its spectrum at the eps scale stand for exact zeros.  The
-    channel itself keeps the exact Y; the regularizer never enters the action.
+    Singular Y has no Williamson form; its regularization does, and its
+    frame aligns an input with Y.  The channel itself keeps the exact Y;
+    the regularizer never enters the action or ``noise_spectrum``.
     """
     y = channel.y
     if float(np.linalg.eigvalsh(y)[0]) < NOISE_EPS:
@@ -185,9 +180,15 @@ def regularized_noise(channel: GaussianChannel) -> np.ndarray:
 
 
 def noise_spectrum(channel: GaussianChannel) -> np.ndarray:
-    """Symplectic spectrum of the noise matrix Y, ascending, through
-    ``regularized_noise``: entries at the eps scale are exact zeros."""
-    return symplectic_eigenvalues(regularized_noise(channel))
+    """Symplectic spectrum of the noise matrix Y, ascending.  Y with an
+    eigenvalue below ``NOISE_EPS`` has no usable Cholesky factor, so the
+    PSD factor L = V sqrt(W) of Y = V W V^T takes its place (i L^T J L has
+    the eigenvalues +/- nu_j of i J Y): a null mode of Y gives an exact 0."""
+    y = channel.y
+    if float(np.linalg.eigvalsh(y)[0]) >= NOISE_EPS:
+        return symplectic_eigenvalues(y)
+    w, v = np.linalg.eigh(y)
+    return np.maximum(np.linalg.eigvalsh(_hermitian(v * np.sqrt(np.maximum(w, 0.0))))[channel.n :], 0.0)
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:

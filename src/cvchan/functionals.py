@@ -38,6 +38,8 @@ TOL_OPT_CLOSED = 1e-6
 TOL_OPT_SUP = 1e-3
 #: Largest second difference of ln f_p that the concavity grid accepts.
 CONCAVITY_BOUND = 1e-9
+#: Nelder-Mead runs per search; each gets an equal share of the budget.
+RESTARTS = 6
 
 
 class UnsupportedKindError(ValueError):
@@ -195,19 +197,11 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _pure_cov_dim(n: int) -> int:
-    return n * n + n
-
-
 def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
     """Pure covariance gamma = T Z^2 T^T from n^2 + n parameters."""
     t = _embed_unitary(_unitary_from_params(theta[: n * n], n))
     zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[n * n :], -12.0, 12.0)))
     return (t * zz[None, :]) @ t.T
-
-
-def _phys_cov_dim(n: int) -> int:
-    return 2 * n * n + 2 * n
 
 
 def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,31 +248,23 @@ def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarr
     return _spectrum(ch.apply_cov(channel, gamma))
 
 
-def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts: int = 6):
-    """Budgeted Nelder-Mead restarts; the first start is the origin.
+def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
+    """Budgeted Nelder-Mead, ``RESTARTS`` runs; the first starts at the origin.
 
     Restart starting points come from per-restart Philox streams, so the
-    outcome is independent of evaluation order.  Returns the best value,
-    its parameter vector, the evaluation count, and whether the restart
-    that produced the best value terminated by convergence (not by its
-    evaluation cap).
+    outcome is independent of evaluation order.  A start is scored once, as
+    the first vertex of its simplex.  Returns the best value, its parameter
+    vector, the evaluation count, and whether the restart that produced the
+    best value terminated by convergence (not by its evaluation cap).
     """
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
-    per_run = max(dim + 2, budget // restarts)
-    best_val = np.inf
-    best_x = np.zeros(dim)
-    evals = 0
-    best_run = -1
-    converged = False
-    for run in range(restarts):
+    per_run = max(dim + 2, budget // RESTARTS)
+    best_val, best_x, evals, converged = np.inf, np.zeros(dim), 0, False
+    for run in range(RESTARTS):
         if evals >= budget:
             break
         x0 = np.zeros(dim) if run == 0 else rng_stream(seed, run).normal(scale=0.8, size=dim)
-        start_val = objective(x0)
-        evals += 1
-        if start_val < best_val:
-            best_val, best_x, best_run = start_val, x0, run
         res = minimize(
             objective,
             x0,
@@ -291,9 +277,7 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int, restarts
         )
         evals += res.nfev
         if res.fun < best_val:
-            best_val, best_x, best_run = float(res.fun), res.x, run
-        if best_run == run:
-            converged = bool(res.success)
+            best_val, best_x, converged = float(res.fun), res.x, bool(res.success)
     return best_val, best_x, evals, converged
 
 
@@ -341,7 +325,7 @@ def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: 
     if not p > 0.0:
         raise ValueError(f"order must be positive, got {p}")
     n = channel.n
-    report = _search(channel, lambda nu: st._renyi(nu, p), lambda x: _pure_cov(x, n), _pure_cov_dim(n), budget, seed)
+    report = _search(channel, lambda nu: st._renyi(nu, p), lambda x: _pure_cov(x, n), n * n + n, budget, seed)
     report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_renyi_closed(channel, p))
     return report
 
@@ -390,7 +374,7 @@ def max_output_entropy_under_energy(
         channel,
         lambda nu: -st._renyi(nu, 1.0),
         lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget.omega, budget.total),
-        _phys_cov_dim(n), search_budget, seed,
+        2 * n * n + 2 * n, search_budget, seed,
     )
     report.best_value = -report.best_value
     report.gap_to_closed_form = _gap_to_closed_form(

@@ -83,11 +83,6 @@ def weak_supermajorize(x, y) -> bool:
     return bool(np.all(_prefix_gaps(x, y) >= -_prefix_tolerance(x, y)))
 
 
-def supermajorization_margin(x, y) -> float:
-    """Smallest ascending-prefix gap sum(x) - sum(y); negative means violation."""
-    return float(np.min(_prefix_gaps(*_check_lengths(x, y))))
-
-
 def t_transform(x, i: int, j: int, lam: float) -> np.ndarray:
     """Pinch coordinates i and j toward each other by weight lam in [0, 1]."""
     if not 0.0 <= lam <= 1.0:

@@ -14,13 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symplectic import (
-    DimensionError,
-    matrix_from_rowmajor,
-    matrix_to_rowmajor,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from .symplectic import DimensionError, symplectic_eigenvalues, symplectic_form
 
 #: Physicality slack on the symplectic spectrum (nu_j >= 1 - TOL_PHYS).
 TOL_PHYS = 1e-8
@@ -236,10 +230,12 @@ def renyi_entropy(state_or_spectrum, p: float) -> float:
 
 
 def trace_p(state_or_spectrum, p: float) -> float:
-    """Tr rho^p = exp((1 - p) S_p) for a Gaussian state, in (0, 1]; p < 1 is rejected."""
+    """Tr rho^p = exp((1 - p) S_p) for a Gaussian state, in [0, 1]; p < 1 is rejected.
+    A pure state gives 1 at every p, p = inf included, where (1 - p) S_p is -inf * 0."""
     if p < 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
-    return float(np.exp((1.0 - p) * renyi_entropy(state_or_spectrum, p)))
+    s_p = renyi_entropy(state_or_spectrum, p)
+    return 1.0 if s_p == 0.0 else float(np.exp((1.0 - p) * s_p))
 
 
 def schatten_norm(state_or_spectrum, p: float) -> float:
@@ -252,21 +248,3 @@ def von_neumann_entropy(state_or_spectrum) -> float:
     """Von Neumann entropy in nats: ``renyi_entropy`` at p = 1."""
     return renyi_entropy(state_or_spectrum, 1.0)
 
-
-def state_to_record(state: GaussianState) -> dict:
-    """Structured-text record {n, omega, gamma (row-major), m}."""
-    return {
-        "n": state.n,
-        "omega": [float(w) for w in state.omega],
-        "gamma": matrix_to_rowmajor(state.gamma),
-        "m": [float(x) for x in state.m],
-    }
-
-
-def state_from_record(record: dict) -> GaussianState:
-    """Rebuild a state from its record; inverse of ``state_to_record``."""
-    n = int(record["n"])
-    gamma = matrix_from_rowmajor(record["gamma"], 2 * n, 2 * n)
-    m = np.asarray(record["m"], dtype=float)
-    omega = np.asarray(record["omega"], dtype=float)
-    return GaussianState(gamma, m, omega)

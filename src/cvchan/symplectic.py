@@ -118,11 +118,11 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(l: np.ndarray) -> np.ndarray:
-    """The Hermitian i L^T J L of a Cholesky factor L, or of a stack of them.
+    """The Hermitian i L^T J L of a factor L of A = L L^T, or of a stack of them.
 
-    L^T J L is real skew-symmetric and similar to J A for A = L L^T, so the
+    L^T J L is real skew-symmetric and has the eigenvalues of J A, so the
     Hermitian has the eigenvalues +/- nu_j (Bhatia & Jain, J. Math. Phys.,
-    2015).  ``_spectrum`` and ``williamson`` both diagonalize this matrix.
+    2015).  ``_spectrum`` and ``williamson`` diagonalize it for a Cholesky L.
     """
     n = l.shape[-1] // 2
     return 1j * (np.swapaxes(l, -1, -2) @ _form(n) @ l)

@@ -1,4 +1,5 @@
-"""Package surface: which names are public, which signatures take a tolerance, and no unused imports."""
+"""Package surface: which names are public, which signatures take a tolerance, no unused imports,
+and no module-level definition without a caller."""
 
 import ast
 import inspect
@@ -32,7 +33,7 @@ PUBLIC_NAMES = [
     "symplectic_from_factors", "symplectic_inverse", "random_unitary", "random_symplectic",
     "random_covariance", "random_spd", "rng_stream", "truncate_rows", "TOL_PHYS", "GaussianState",
     "ModeEnergy", "vacuum", "thermal", "coherent", "is_physical", "is_pure", "mean_energy", "f_p",
-    "g_p", "trace_p", "renyi_entropy", "von_neumann_entropy", "GaussianChannel", "make_channel",
+    "g_p", "trace_p", "schatten_norm", "renyi_entropy", "von_neumann_entropy", "GaussianChannel", "make_channel",
     "classical_noise", "thermal_noise", "lossy", "tensor", "apply", "noise_spectrum",
     "EnergyBudget", "OptimizationReport", "CapacityReport", "min_output_fp_closed",
     "max_output_p_norm", "min_output_entropy", "numeric_inf_fp", "max_output_entropy_under_energy",
@@ -74,6 +75,15 @@ def test_only_the_kept_checks_take_a_tolerance():
     assert taken == TOLERANCE_PARAMETERS
 
 
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return names
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
@@ -85,9 +95,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):  # a package re-exports what it lists in __all__
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    used |= _exported(tree)  # a package re-exports what it lists in __all__
     return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -100,3 +108,36 @@ def test_unused_import_is_detected(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import os\nfrom typing import NamedTuple, Sequence\n\nx: Sequence[int] = []\n")
     assert _unused_imports(module) == ["module.py:2 NamedTuple", "module.py:1 os"]
+
+
+def _uncalled_definitions(paths) -> list[str]:
+    """Module-level functions and classes that no other top-level statement
+    of the given modules names, and that ``__all__`` does not export."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _exported(tree)
+        for statement in tree.body:
+            names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, statement.name))
+                names.discard(statement.name)  # a definition does not call itself into use
+            used |= names
+    return [f"{module}:{name}" for module, name in defined if name not in used]
+
+
+def test_every_definition_has_a_caller():
+    assert _uncalled_definitions(sorted(SOURCE.glob("*.py"))) == []
+
+
+def test_uncalled_definition_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "__all__ = ['api']\n\n"
+        "def api():\n    return _helper()\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def _orphan():\n    return _orphan()\n\n"
+        "class Unused:\n    pass\n"
+    )
+    assert _uncalled_definitions([module]) == ["module.py:_orphan", "module.py:Unused"]

@@ -82,9 +82,19 @@ class TestClassicalNoise:
         y = np.diag([2.0, 2.0, 0.0, 0.0])
         channel = ch.classical_noise(y)
         nu = ch.noise_spectrum(channel)
-        # Singular directions report the epsilon-scale limit values.
-        assert nu[0] <= 1e-8
+        # A null mode of Y is an exact zero, not an epsilon-scale value.
+        assert nu[0] <= 1e-14
         assert nu[1] == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("y, expected", [
+        (np.diag([2.0, 0.0]), 0.0),
+        (np.zeros((2, 2)), 0.0),
+        (np.diag([2.0, 1e-12]), np.sqrt(2e-12)),  # below NOISE_EPS, yet not regularized
+    ])
+    def test_singular_noise_spectrum_is_exact(self, y, expected):
+        nu = ch.noise_spectrum(ch.classical_noise(y))
+        assert nu.shape == (1,)
+        assert nu[0] == pytest.approx(expected, rel=1e-6, abs=1e-15)
 
     def test_nondiagonal_noise(self):
         rot = sp.unitary_to_orthosymplectic(sp.random_unitary(1, seed=2))
@@ -140,18 +150,29 @@ class TestTensor:
         y1 = np.diag([2.0, 2.0])
         y2 = np.diag([1.0, 1.0])
         joint = ch.tensor([ch.classical_noise(y1), ch.classical_noise(y2)])
-        assert joint.kind == "classical"
+        assert joint.kind == "custom"
+        assert [leaf.kind for leaf in joint.leaves] == ["classical", "classical"]
         assert_allclose(joint.y, np.diag([2.0, 2.0, 1.0, 1.0]))
 
     def test_thermal_concatenates_parameters(self):
+        # A product keeps no eta or nbar of its own; its leaves carry them.
         joint = ch.tensor([ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.3], [2.0])])
-        assert joint.kind == "thermal"
-        assert_allclose(joint.eta, [0.5, 0.3])
-        assert_allclose(joint.nbar, [1.0, 2.0])
+        assert joint.eta is None and joint.nbar is None
+        assert [leaf.kind for leaf in joint.leaves] == ["thermal", "thermal"]
+        assert_allclose(np.concatenate([leaf.eta for leaf in joint.leaves]), [0.5, 0.3])
+        assert_allclose(np.concatenate([leaf.nbar for leaf in joint.leaves]), [1.0, 2.0])
 
     def test_mixed_kinds_are_custom(self):
         joint = ch.tensor([ch.classical_noise(np.eye(2)), ch.thermal_noise([0.5], [1.0])])
         assert joint.kind == "custom"
+        assert [leaf.kind for leaf in joint.leaves] == ["classical", "thermal"]
+
+    def test_product_record_is_its_matrices(self):
+        joint = ch.tensor([ch.thermal_noise([0.5], [1.0]), ch.lossy([0.3])])
+        back = ch.channel_from_record(ch.channel_to_record(joint))
+        assert back.kind == "custom"
+        assert_allclose(back.x, joint.x)
+        assert_allclose(back.y, joint.y)
 
     def test_nested_products_keep_their_leaves_in_mode_order(self):
         a = ch.thermal_noise([0.5], [1.0])

@@ -58,6 +58,13 @@ class TestClosedForms:
     def test_identity_entropy_zero(self):
         assert fn.min_output_entropy(identity_channel()) == pytest.approx(0.0, abs=1e-7)
 
+    def test_singular_classical_noise_is_exact(self):
+        # Y = diag(2, 0) has symplectic spectrum 0: the vacuum passes as a pure state.
+        channel = ch.classical_noise(np.diag([2.0, 0.0]))
+        assert fn.min_output_fp_closed(channel, 2.0) == pytest.approx(4.0, rel=1e-15)
+        assert fn.min_output_entropy(channel) == pytest.approx(0.0, abs=1e-15)
+        assert fn.numeric_inf_fp(channel, 2.0, 4000, 0).gap_to_closed_form >= -fn.TOL_OPT_CLOSED
+
     def test_entropy_additive_over_tensor(self):
         c1 = ch.classical_noise(np.diag([2.0, 2.0]))
         c2 = ch.thermal_noise([0.5], [1.0])
@@ -173,7 +180,7 @@ class TestParameterizations:
         rng = sp.rng_stream(6, n)
         omega = rng.uniform(0.5, 2.0, n)
         for _ in range(20):
-            s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=fn._phys_cov_dim(n)), n)
+            s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=2 * n * n + 2 * n), n)
             target = 0.25 * float(np.repeat(omega, 2) @ np.diag(s @ s.T)) + 1.0
             gamma = fn._project_to_energy(s, d, omega, target)
             assert_allclose(gamma, project_to_energy_loop(s, d, omega, target), rtol=1e-12, atol=1e-12)
@@ -189,14 +196,27 @@ class TestRestartedNelderMead:
             r = abs(float(x[0]))
             return 1.0 + r * r if r < 0.01 else -r
 
-        best, _, evals, converged = fn._restarted_nelder_mead(bowl_beside_slope, 1, 400, seed=0, restarts=2)
-        assert best < 1.0 and evals <= 400
+        best, _, evals, converged = fn._restarted_nelder_mead(bowl_beside_slope, 1, 1200, seed=0)
+        assert best < 1.0 and evals <= 1200
         assert converged is False
 
     def test_converged_when_the_winner_converges(self):
-        _, x, _, converged = fn._restarted_nelder_mead(lambda x: float(x @ x), 2, 400, seed=0, restarts=2)
+        _, x, _, converged = fn._restarted_nelder_mead(lambda x: float(x @ x), 2, 1200, seed=0)
         assert converged is True
         assert np.max(np.abs(x)) <= 1e-6
+
+    def test_each_start_is_evaluated_once(self):
+        # Nelder-Mead evaluates its start as the first simplex vertex; the
+        # driver must not score the start a second time.
+        points = []
+
+        def shifted_bowl(x):
+            points.append(x.copy())
+            return float((x - 1.0) @ (x - 1.0))
+
+        _, _, evals, _ = fn._restarted_nelder_mead(shifted_bowl, 2, 1200, seed=0)
+        assert sum(not np.any(x) for x in points) == 1
+        assert evals == len(points)
 
 
 class TestEnergyBudget:

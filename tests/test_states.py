@@ -185,6 +185,11 @@ class TestTraceP:
         coherent = st.coherent(1, 1.0, np.array([2.0, -1.0]))
         assert st.trace_p(coherent, 2.0) == pytest.approx(st.trace_p(st.vacuum(1), 2.0))
 
+    def test_infinite_order(self):
+        # Tr rho^inf: 1 for a pure state (where (1 - p) S_p is -inf * 0), 0 for a mixed one.
+        assert st.trace_p(st.vacuum(2), np.inf) == 1.0
+        assert st.trace_p(st.thermal(1.0), np.inf) == 0.0
+
     def test_p_one_returns_normalization(self):
         assert st.trace_p(st.thermal(1.0), 1.0) == 1.0
 
@@ -328,15 +333,3 @@ class TestSchurConcavityOfFp:
             for p in (1.5, 2.0, 3.0):
                 assert np.prod(st.f_p(x, p)) >= np.prod(st.f_p(y, p)) * (1.0 - 1e-12)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        state = st.GaussianState(
-            sp.random_covariance(2, (1.0, 2.0), seed=8),
-            np.array([0.5, -1.0, 0.0, 2.0]),
-            np.array([1.0, 2.0]),
-        )
-        back = st.state_from_record(st.state_to_record(state))
-        assert_allclose(back.gamma, state.gamma)
-        assert_allclose(back.m, state.m)
-        assert_allclose(back.omega, state.omega)
