@@ -160,9 +160,10 @@ def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
 
 
 def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
-    """Covariance-only channel action; no physicality re-validation."""
+    """Covariance-only channel action on one covariance or a stack of them;
+    no physicality re-validation."""
     out = channel.x.T @ gamma @ channel.x + channel.y
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.mT)
 
 
 def regularized_noise(channel: GaussianChannel) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from . import channels as ch
 from . import states as st
@@ -179,130 +179,228 @@ def _hermitian_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
-    """Map n^2 reals to a unitary through the exponential of a Hermitian.
+    """Map n^2 reals to a unitary through the exponential of a Hermitian,
+    along the last axis of ``theta``, so a stack of parameter vectors gives
+    a stack of unitaries.
 
     The first n reals are the diagonal; the rest are (real, imaginary)
     pairs of the upper triangle in row-major order.
     """
     if n == 1:
-        return np.exp(1j * theta[:1]).reshape(1, 1)
+        return np.exp(1j * theta[..., :1])[..., None]
     diag, upper, lower = _hermitian_slots(n)
-    re = theta[n : n * n : 2]
-    im = theta[n + 1 : n * n : 2]
-    h = np.zeros(n * n, dtype=complex)
-    h[diag] = theta[:n]
-    h[upper] = re + 1j * im
-    h[lower] = re - 1j * im
-    w, v = np.linalg.eigh(h.reshape(n, n))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    re = theta[..., n : n * n : 2]
+    im = theta[..., n + 1 : n * n : 2]
+    h = np.zeros(theta.shape[:-1] + (n * n,), dtype=complex)
+    h[..., diag] = theta[..., :n]
+    h[..., upper] = re + 1j * im
+    h[..., lower] = re - 1j * im
+    w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().mT
 
 
 def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
-    """Pure covariance gamma = T Z^2 T^T from n^2 + n parameters."""
-    t = _embed_unitary(_unitary_from_params(theta[: n * n], n))
-    zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[n * n :], -12.0, 12.0)))
-    return (t * zz[None, :]) @ t.T
+    """Pure covariance gamma = T Z^2 T^T from n^2 + n parameters, or a stack
+    of them from a stack of parameter vectors."""
+    t = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
+    zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
+    return (t * zz[..., None, :]) @ t.mT
 
 
 def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters."""
-    t1 = _embed_unitary(_unitary_from_params(theta[: n * n], n))
-    z = np.exp(np.clip(theta[n * n : n * n + n], -12.0, 12.0))
-    t2 = _embed_unitary(_unitary_from_params(theta[n * n + n : 2 * n * n + n], n))
+    """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters,
+    stacked like ``theta``."""
+    t1 = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
+    z = np.exp(np.clip(theta[..., n * n : n * n + n], -12.0, 12.0))
+    t2 = _embed_unitary(_unitary_from_params(theta[..., n * n + n : 2 * n * n + n], n))
     s = _euler_form(t1, z, t2)
-    d = np.clip(theta[2 * n * n + n :], -1e3, 1e3) ** 2
+    d = np.clip(theta[..., 2 * n * n + n :], -1e3, 1e3) ** 2
     return s, d
 
 
 def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: float) -> np.ndarray:
-    """Physical covariance S D S^T with exact energy ``target``.
+    """Physical covariances S D S^T with exact energy ``target``, one per
+    row of the stacks s (m, 2n, 2n) and d (m, n).
 
-    Rescales the excess spectrum d when the pure part S S^T fits in the
-    budget; otherwise shrinks toward the vacuum along the segment to the
-    identity (both operations preserve physicality).
+    Rescales the excess spectrum d of the rows whose pure part S S^T fits
+    in the budget; the other rows shrink toward the vacuum along the
+    segment to the identity (both operations preserve physicality).  The
+    energies are per-row dot products: a stacked matrix-vector product sums
+    in another order, and a row would then differ from its batch of one.
     """
     n = len(omega)
-    gamma_pure = s @ s.T
-    e0 = 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma_pure))
+    eye = np.eye(2 * n)
     e_vac = 0.5 * float(np.sum(omega))
     if target <= e_vac + 1e-12:
-        return np.eye(2 * n)
-    if e0 <= target:
-        sq = s**2
-        coef = 0.25 * (np.repeat(omega, 2) @ (sq[:, 0::2] + sq[:, 1::2]))
-        weight = float(coef @ d)
-        if weight < 1e-12:
-            d = np.ones(n)
-            weight = float(np.sum(coef))
-        alpha = (target - e0) / weight
-        dd = np.repeat(1.0 + alpha * d, 2)
-        return (s * dd[None, :]) @ s.T
-    t = (target - e_vac) / (e0 - e_vac)
-    return t * gamma_pure + (1.0 - t) * np.eye(2 * n)
+        return np.broadcast_to(eye, s.shape).copy()
+    w = np.repeat(omega, 2)
+    gamma_pure = s @ s.mT
+    e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
+    out = np.empty_like(gamma_pure)
+    fits = e0 <= target
+    if fits.any():
+        sf, df = s[fits], d[fits].copy()
+        sq = sf**2
+        coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
+        weight = (coef[:, None, :] @ df[:, :, None])[:, 0, 0]
+        flat = weight < 1e-12
+        df[flat] = 1.0
+        weight[flat] = np.sum(coef[flat], axis=-1)
+        alpha = (target - e0[fits]) / weight
+        dd = np.repeat(1.0 + alpha[:, None] * df, 2, axis=-1)
+        out[fits] = (sf * dd[:, None, :]) @ sf.mT
+    if not fits.all():
+        t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
+        out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye
+    return out
 
 
 def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarray:
-    """Output spectrum through the unvalidated kernel: ``apply_cov`` returns
-    a symmetric matrix, and a failed Cholesky factorization raises
-    ``LinAlgError``, which the ``_search`` objective scores as +inf."""
+    """Output spectrum of one input covariance or a stack of them through the
+    unvalidated kernel: ``apply_cov`` returns symmetric matrices, and a
+    failed Cholesky factorization raises ``LinAlgError`` for the whole stack."""
     return _spectrum(ch.apply_cov(channel, gamma))
 
 
 def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
-    """Budgeted Nelder-Mead, ``RESTARTS`` runs; the first starts at the origin.
+    """Budgeted Nelder-Mead, ``RESTARTS`` runs in lockstep; the first starts
+    at the origin.
 
-    Restart starting points come from per-restart Philox streams, so the
-    outcome is independent of evaluation order.  A start is scored once, as
-    the first vertex of its simplex.  Returns the best value, its parameter
-    vector, the evaluation count, and whether the restart that produced the
-    best value terminated by convergence (not by its evaluation cap).
+    ``objective`` scores an (m, dim) stack of parameter vectors in one call
+    and returns m values.  Each run follows the path of scipy's
+    ``minimize(method="Nelder-Mead")`` with ``xatol=1e-12``, ``fatol=1e-14``
+    and ``maxfev`` its cap, step for step: the same initial simplex,
+    coefficients (1, 2, 0.5, 0.5), vertex order and convergence test, and
+    the cap checked before every evaluation, so a shrink cut short by it
+    leaves the interrupted vertex moved but with its old value.  All runs
+    advance together through at most three objective calls per step:
+    reflections, then expansions and contractions, then shrinks.
+
+    Run r's cap is min(per_run, budget - r per_run), the cap it would get
+    after r sequential runs: a cap is cut only when per_run = dim + 2, and
+    no run can converge within its first dim + 2 evaluations, because its
+    initial simplex is wider than ``xatol``.  Starting points come
+    from per-restart Philox streams, and a start is scored once, as the
+    first vertex of its simplex.  Returns the best value, its parameter
+    vector (the earlier run wins a tie), the evaluation count, and whether
+    the run that produced the best value stopped by convergence (not at its
+    evaluation cap).
     """
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
     per_run = max(dim + 2, budget // RESTARTS)
-    best_val, best_x, evals, converged = np.inf, np.zeros(dim), 0, False
-    for run in range(RESTARTS):
-        if evals >= budget:
+    cap = np.array([min(per_run, budget - run * per_run) for run in range(RESTARTS)])
+    cap = cap[cap > 0]
+    runs, verts = len(cap), dim + 1
+    starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, runs)]
+    sim = np.repeat(np.array(starts)[:, None, :], verts, axis=1)
+    k = np.arange(dim)
+    edge = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(edge != 0, 1.05 * edge, 0.00025)
+
+    fsim = np.full((runs, verts), np.inf)
+    evals = np.minimum(cap, verts)
+    initial = np.arange(verts) < evals[:, None]
+    fsim[initial] = objective(sim[initial])
+    for _ in range(2):  # scipy sorts the initial simplex twice; argsort may reorder ties
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = np.take_along_axis(sim, order[:, :, None], 1), np.take_along_axis(fsim, order, 1)
+
+    converged = np.zeros(runs, dtype=bool)
+    while True:
+        idx = np.flatnonzero((evals < cap) & ~converged)
+        if not idx.size:
             break
-        x0 = np.zeros(dim) if run == 0 else rng_stream(seed, run).normal(scale=0.8, size=dim)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": min(per_run, budget - evals),
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-            },
-        )
-        evals += res.nfev
-        if res.fun < best_val:
-            best_val, best_x, converged = float(res.fun), res.x, bool(res.success)
-    return best_val, best_x, evals, converged
+        s, f = sim[idx], fsim[idx]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as in scipy
+            flat = np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= 1e-14
+        done = flat & (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= 1e-12)
+        converged[idx[done]] = True
+        idx, s, f = idx[~done], s[~done], f[~done]
+        if not idx.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / dim
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
+        fxr = objective(xr)
+        evals[idx] += 1
+
+        # scipy's branches: expand below the best, accept below the second
+        # worst, else contract outside (below the worst) or inside.
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        inside = ~expand & ~accept & ~outside
+        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
+                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst))
+        second = ~accept & (evals[idx] < cap[idx])
+        ftrial = np.full(len(idx), np.inf)
+        if second.any():
+            ftrial[second] = objective(trial[second])
+            evals[idx[second]] += 1
+        won = second & (expand & (ftrial < fxr) | outside & (ftrial <= fxr) | inside & (ftrial < f[:, -1]))
+        keep_r = accept | second & expand & ~won
+        s[keep_r, -1], f[keep_r, -1] = xr[keep_r], fxr[keep_r]
+        s[won, -1], f[won, -1] = trial[won], ftrial[won]
+
+        shrink = second & ~expand & ~won
+        if shrink.any():
+            # With `left` evaluations left, the vertices after the best move
+            # and are scored up to the one the cap interrupts, which moves
+            # and keeps its old value; the vertices after it stay.
+            left = (cap[idx] - evals[idx])[shrink, None]
+            j = np.arange(dim)
+            moved, scored = j <= left, j < left
+            ss, fs = s[shrink], f[shrink]
+            shrunk = ss[:, :1] + 0.5 * (ss[:, 1:] - ss[:, :1])
+            ss[:, 1:][moved] = shrunk[moved]
+            if scored.any():
+                fs[:, 1:][scored] = objective(shrunk[scored])
+            s[shrink], f[shrink] = ss, fs
+            evals[idx[shrink]] += np.sum(scored, axis=1)
+        order = np.argsort(f, axis=1)
+        sim[idx], fsim[idx] = np.take_along_axis(s, order[:, :, None], 1), np.take_along_axis(f, order, 1)
+
+    best_val, best_x, best_converged = np.inf, np.zeros(dim), False
+    for run in range(runs):
+        value = np.min(fsim[run])
+        if value < best_val:
+            best_val, best_x, best_converged = float(value), sim[run, 0], bool(converged[run])
+    return best_val, best_x, int(np.sum(evals)), best_converged
+
+
+def _scores(channel: ch.GaussianChannel, score, cov_of, thetas: np.ndarray) -> np.ndarray:
+    """Scores of the output spectra of an (m, dim) stack of parameter vectors.
+
+    Numerical failures and non-finite scores count as +inf per row: a
+    failure anywhere in the stack (a stacked Cholesky factorization fails
+    as a whole) re-scores the stack row by row.
+    """
+    try:
+        out = score(np.maximum(_output_spectrum(channel, cov_of(thetas)), 1.0))
+    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+        if len(thetas) == 1:
+            return np.full(1, np.inf)
+        return np.concatenate([_scores(channel, score, cov_of, theta[None]) for theta in thetas])
+    return np.where(np.isfinite(out), out, np.inf)
 
 
 def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, seed: int):
     """Minimize a score of the output spectrum over parameterized inputs.
 
-    ``cov_of`` maps a parameter vector of length ``dim`` to an input
-    covariance and ``score`` maps the output spectrum, clamped at the
-    physical floor 1 that rounding can undercut, to a real.  Numerical
-    failures and non-finite scores count as +inf; the minimization is
+    ``cov_of`` maps an (m, dim) stack of parameter vectors to m input
+    covariances and ``score`` maps m output spectra, clamped at the
+    physical floor 1 that rounding can undercut, to m reals; ``_scores``
+    turns failures into +inf, and the minimization is
     ``_restarted_nelder_mead`` under the evaluation ``budget``.  The report
     holds the best score, the covariance that produced it, the evaluation
     count and whether the restart that found it converged; callers map
     the score to the figure they report.
     """
-
-    def objective(theta):
-        try:
-            out = score(np.maximum(_output_spectrum(channel, cov_of(theta)), 1.0))
-        except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-            return np.inf
-        return out if np.isfinite(out) else np.inf
-
-    best, best_x, evals, converged = _restarted_nelder_mead(objective, dim, budget, seed)
-    return OptimizationReport(float(best), cov_of(best_x), evals, budget, converged)
+    best, best_x, evals, converged = _restarted_nelder_mead(
+        lambda thetas: _scores(channel, score, cov_of, thetas), dim, budget, seed
+    )
+    return OptimizationReport(float(best), cov_of(best_x[None])[0], evals, budget, converged)
 
 
 def _gap_to_closed_form(gap) -> float | None:

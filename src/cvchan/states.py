@@ -18,6 +18,8 @@ from .symplectic import DimensionError, symplectic_eigenvalues, symplectic_form
 
 #: Physicality slack on the symplectic spectrum (nu_j >= 1 - TOL_PHYS).
 TOL_PHYS = 1e-8
+#: Smallest normal double; a smaller nonzero exponent in ``_renyi`` is subnormal.
+_TINY = np.finfo(float).tiny
 
 
 class UnphysicalStateError(ValueError):
@@ -192,19 +194,23 @@ def _spectrum_of(state_or_spectrum) -> np.ndarray:
 
 def _clamp_physical(nu: np.ndarray) -> np.ndarray:
     """Clamp spectrum noise within ``TOL_PHYS`` below the purity boundary up to 1."""
-    if np.any(nu < 1.0 - TOL_PHYS):
+    if (nu < 1.0 - TOL_PHYS).any():
         raise UnphysicalStateError(f"spectrum entry {np.min(nu)} is below 1")
     return np.maximum(nu, 1.0)
 
 
-def _renyi(nu: np.ndarray, p: float) -> float:
-    """Renyi-p entropy sum_j S_p(nu_j) in nats of a spectrum nu >= 1, unchecked.
+def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
+    """Renyi-p entropy sum_j S_p(nu_j) in nats of a spectrum nu >= 1, unchecked;
+    the sum runs over the last axis, so a stack of spectra gives a stack of
+    entropies.
 
     Per mode Tr rho^p = 1 / (u^p - d^p) with u = (nu + 1)/2 and d = u - 1, so
-    S_p = ln u + ln(1 - d expm1((p - 1) ln r)) / (p - 1), r = d/u = 1/(1 + 1/d),
-    two nonnegative terms; S_inf = ln u.  d is floored inside ln r, so a pure
-    mode gives exactly 0 at every p.  p = 1 is u ln u - d ln d, taken above
-    nu = 1e4 as ln u + d ln(1 + 1/d), where the two terms would cancel.
+    S_p = ln u + ln(1 - d expm1(t)) / (p - 1), t = (1 - p) ln(1 + 1/d), two
+    nonnegative terms; S_inf = ln u.  d is floored inside ln(1 + 1/d), so a
+    pure mode gives exactly 0 at every p.  Where t is subnormal or zero,
+    d expm1(t) is formed as (1 - p) (d ln(1 + 1/d)), which keeps its digits.
+    p = 1 is u ln u - d ln d, taken above nu = 1e4 as ln u + d ln(1 + 1/d),
+    where the two terms would cancel.
     """
     if p == 1.0:
         up = 0.5 * (nu + 1.0)
@@ -214,10 +220,15 @@ def _renyi(nu: np.ndarray, p: float) -> float:
         mask = (dn > 0.0) & ~large
         out[mask] -= dn[mask] * np.log(dn[mask])
         out[large] += dn[large] * np.log1p(1.0 / dn[large])
-        return float(np.sum(out))
+        return out.sum(axis=-1)
     d = 0.5 * (nu - 1.0)
-    x = np.expm1((1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300)))
-    return float((np.log1p(d) + np.log1p(-d * x) / (p - 1.0)).sum())
+    t = (1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300))
+    dx = d * np.expm1(t)
+    size = np.abs(t)
+    if size.min(initial=np.inf) < _TINY:
+        tiny = size < _TINY
+        dx[tiny] = (1.0 - p) * (d[tiny] * np.log1p(1.0 / d[tiny]))
+    return (np.log1p(d) + np.log1p(-dx) / (p - 1.0)).sum(axis=-1)
 
 
 def renyi_entropy(state_or_spectrum, p: float) -> float:
@@ -226,7 +237,7 @@ def renyi_entropy(state_or_spectrum, p: float) -> float:
     log of the largest eigenvalue, and ln F_p = n p ln 2 + (p - 1) S_p."""
     if not p > 0.0:
         raise ValueError(f"order must be positive, got {p}")
-    return _renyi(_clamp_physical(_spectrum_of(state_or_spectrum)), p)
+    return float(_renyi(_clamp_physical(_spectrum_of(state_or_spectrum)), p))
 
 
 def trace_p(state_or_spectrum, p: float) -> float:

@@ -1,5 +1,5 @@
 """Package surface: which names are public, which signatures take a tolerance, no unused imports,
-and no module-level definition without a caller."""
+no module-level definition without a caller, and one Nelder-Mead."""
 
 import ast
 import inspect
@@ -141,3 +141,33 @@ def test_uncalled_definition_is_detected(tmp_path):
         "class Unused:\n    pass\n"
     )
     assert _uncalled_definitions([module]) == ["module.py:_orphan", "module.py:Unused"]
+
+
+def _scipy_minimize_uses(path: pathlib.Path) -> list[str]:
+    """Imports of ``minimize`` from ``scipy.optimize`` and ``optimize.minimize``
+    attribute reads: ``_restarted_nelder_mead`` is the one Nelder-Mead."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize":
+            found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "minimize"]
+        elif isinstance(node, ast.Attribute) and node.attr == "minimize" and ast.unparse(node.value).endswith("optimize"):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_no_scipy_minimize(path):
+    assert _scipy_minimize_uses(path) == []
+
+
+def test_scipy_minimize_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import scipy.optimize\n"
+        "from scipy import optimize\n"
+        "from scipy.optimize import brentq, minimize as nm\n\n"
+        "brentq(abs, -1.0, 1.0)\n"
+        "optimize.minimize(abs, 0.0)\n"
+        "scipy.optimize.minimize(abs, 0.0)\n"
+    )
+    assert _scipy_minimize_uses(module) == ["module.py:3", "module.py:6", "module.py:7"]

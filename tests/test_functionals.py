@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 import cvchan.channels as ch
 import cvchan.functionals as fn
@@ -182,9 +183,45 @@ class TestParameterizations:
         for _ in range(20):
             s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=2 * n * n + 2 * n), n)
             target = 0.25 * float(np.repeat(omega, 2) @ np.diag(s @ s.T)) + 1.0
-            gamma = fn._project_to_energy(s, d, omega, target)
+            gamma = fn._project_to_energy(s[None], d[None], omega, target)[0]
             assert_allclose(gamma, project_to_energy_loop(s, d, omega, target), rtol=1e-12, atol=1e-12)
             assert 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma)) == pytest.approx(target, rel=1e-12)
+
+    def test_energy_projection_rows_match_their_batch_of_one(self):
+        n, omega, target = 2, np.array([1.0, 1.5]), 3.0
+        thetas = sp.rng_stream(8).normal(scale=0.8, size=(40, 2 * n * n + 2 * n))
+        thetas[:2, n * n : n * n + n] = 0.0  # no squeezing: the pure part fits
+        thetas[:4, 2 * n * n + n :] = 0.0  # no excess spectrum: the weight falls back to the sum
+        s, d = fn._phys_cov_factors(thetas, n)
+        fits = 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), s @ s.mT) <= target
+        assert 0 < np.sum(fits[:4]) and 0 < np.sum(fits) < len(fits)  # both branches, and the fallback
+        batch = fn._project_to_energy(s, d, omega, target)
+        alone = [fn._project_to_energy(s[i : i + 1], d[i : i + 1], omega, target)[0] for i in range(len(s))]
+        assert np.array_equal(batch, np.array(alone))
+
+
+def scipy_restarts(objective, dim, budget, seed):
+    """Reference: scipy's Nelder-Mead once per restart, in sequence, with the
+    starts, caps and tolerances of ``_restarted_nelder_mead``."""
+    per_run = max(dim + 2, budget // fn.RESTARTS)
+    best_val, best_x, evals, converged = np.inf, np.zeros(dim), 0, False
+    for run in range(fn.RESTARTS):
+        if evals >= budget:
+            break
+        x0 = np.zeros(dim) if run == 0 else sp.rng_stream(seed, run).normal(scale=0.8, size=dim)
+        with np.errstate(invalid="ignore"):  # an all-inf simplex makes inf - inf
+            res = minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
+                           options={"maxfev": min(per_run, budget - evals), "xatol": 1e-12, "fatol": 1e-14})
+        evals += res.nfev
+        if res.fun < best_val:
+            best_val, best_x, converged = float(res.fun), res.x, bool(res.success)
+    return best_val, best_x, evals, converged
+
+
+def walled_kink(x):
+    """Non-smooth, and +inf on a slab that some simplices start in or step into."""
+    kink = np.sum(np.abs(x - 0.1), axis=1) + 0.5 * np.abs(x[:, 0] + x[:, -1])
+    return np.where(np.abs(x[:, 0] - 0.4) < 0.25, np.inf, kink)
 
 
 class TestRestartedNelderMead:
@@ -193,15 +230,15 @@ class TestRestartedNelderMead:
             # The origin restart converges in the bowl (value 1); a restart
             # started off the bowl runs down the slope to its evaluation cap
             # and wins with a lower value.
-            r = abs(float(x[0]))
-            return 1.0 + r * r if r < 0.01 else -r
+            r = np.abs(x[:, 0])
+            return np.where(r < 0.01, 1.0 + r * r, -r)
 
         best, _, evals, converged = fn._restarted_nelder_mead(bowl_beside_slope, 1, 1200, seed=0)
         assert best < 1.0 and evals <= 1200
         assert converged is False
 
     def test_converged_when_the_winner_converges(self):
-        _, x, _, converged = fn._restarted_nelder_mead(lambda x: float(x @ x), 2, 1200, seed=0)
+        _, x, _, converged = fn._restarted_nelder_mead(lambda x: np.sum(x * x, axis=1), 2, 1200, seed=0)
         assert converged is True
         assert np.max(np.abs(x)) <= 1e-6
 
@@ -211,12 +248,87 @@ class TestRestartedNelderMead:
         points = []
 
         def shifted_bowl(x):
-            points.append(x.copy())
-            return float((x - 1.0) @ (x - 1.0))
+            points.extend(x.copy())
+            return np.sum((x - 1.0) ** 2, axis=1)
 
         _, _, evals, _ = fn._restarted_nelder_mead(shifted_bowl, 2, 1200, seed=0)
         assert sum(not np.any(x) for x in points) == 1
         assert evals == len(points)
+
+    def test_caps_below_one_step_per_restart(self):
+        # dim + 2 = 4 evaluations per run: budget 10 caps the runs at 4, 4
+        # and 2, and runs 3 to 5 never start.
+        points = []
+
+        def bowl(x):
+            points.extend(x.copy())
+            return np.sum(x * x, axis=1)
+
+        _, _, evals, converged = fn._restarted_nelder_mead(bowl, 2, 10, seed=4)
+        assert evals == len(points) == 10
+        assert converged is False
+        starts = [sp.rng_stream(4, run).normal(scale=0.8, size=2) for run in range(1, fn.RESTARTS)]
+        assert [sum(np.array_equal(x, start) for x in points) for start in starts] == [1, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("p, pair", [(p, pair) for _, p, pair in _builtin_channel_pairs()],
+                             ids=[label for label, _, _ in _builtin_channel_pairs()])
+    def test_matches_scipy_on_the_renyi_searches(self, p, pair):
+        joint = ch.tensor(pair)
+        n = joint.n
+
+        def objective(thetas):
+            return fn._scores(joint, lambda nu: st._renyi(nu, p), lambda x: fn._pure_cov(x, n), thetas)
+
+        lockstep = fn._restarted_nelder_mead(objective, n * n + n, 2000, seed=5)
+        reference = scipy_restarts(objective, n * n + n, 2000, seed=5)
+        assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
+        assert lockstep[2:] == reference[2:]
+
+    @pytest.mark.parametrize("objective, dim, budget", [
+        (walled_kink, 3, 23),  # below RESTARTS * (dim + 2): runs cut inside their first step
+        (walled_kink, 1, 26),  # a shrink cut before its first evaluation
+        (walled_kink, 2, 36),  # a shrink cut after some of its evaluations
+        (walled_kink, 4, 5000),  # all-inf simplices, and runs that converge
+        (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200),  # the winner converges
+    ])
+    def test_matches_scipy_on_other_objectives(self, objective, dim, budget):
+        lockstep = fn._restarted_nelder_mead(objective, dim, budget, seed=11)
+        reference = scipy_restarts(objective, dim, budget, seed=11)
+        assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
+        assert lockstep[2:] == reference[2:]
+
+
+class TestScores:
+    N = 2
+
+    def cov_of(self, x):
+        """Pure covariances; a row with x_0 > 50 is negated, so its output
+        under the identity channel is not positive definite."""
+        gamma = fn._pure_cov(x, self.N)
+        gamma[x[:, 0] > 50.0] *= -1.0
+        return gamma
+
+    def cov_or_raise(self, x):
+        if np.any(x[:, 0] > 50.0):
+            raise ValueError("marked row")
+        return fn._pure_cov(x, self.N)
+
+    @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
+    def test_a_failing_row_scores_inf_alone(self, cov_name):
+        cov_of = getattr(self, cov_name)
+        channel = identity_channel(self.N)
+        thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, self.N * self.N + self.N))
+
+        def scores(x):
+            return fn._scores(channel, lambda nu: st._renyi(nu, 2.0), cov_of, x)
+
+        alone = np.concatenate([scores(theta[None]) for theta in thetas])
+        assert np.all(np.isfinite(alone))
+        assert np.array_equal(scores(thetas), alone)
+        thetas[2, 0] = 100.0
+        marked = scores(thetas)
+        assert marked[2] == np.inf
+        assert np.array_equal(np.delete(marked, 2), np.delete(alone, 2))
 
 
 class TestEnergyBudget:

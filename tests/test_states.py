@@ -255,9 +255,11 @@ class TestEntropy:
 
 
 def renyi_reference(nu: float, p: float) -> decimal.Decimal:
-    """S_p of one mode at 50 digits: ln(u^p - d^p) / (p - 1), and ln u at p = inf."""
+    """S_p of one mode at 50 digits: ln(u^p - d^p) / (p - 1), and ln u at p = inf.
+    u^p - d^p cancels about as many digits as u has before the point, so the
+    working precision grows by that many."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 50 + max(0, decimal.Decimal(nu).adjusted())
         u = (decimal.Decimal(nu) + 1) / 2
         d = u - 1
         if d == 0:
@@ -273,8 +275,10 @@ class TestRenyiKernel:
 
     @pytest.mark.parametrize("p", ORDERS)
     def test_matches_decimal_reference(self, p):
-        # nu = 1 and a log grid in nu - 1 up to nu = 1e4, near-pure modes included.
-        for nu in np.concatenate([[1.0], 1.0 + np.geomspace(1e-9, 1e4 - 1.0, 40)]):
+        # nu = 1 and a log grid in nu - 1 up to nu = 1e4, near-pure modes
+        # included, and nu = 1e306, where (1 - p) ln(1 + 1/d) is subnormal
+        # for p near 1.
+        for nu in np.concatenate([[1.0], 1.0 + np.geomspace(1e-9, 1e4 - 1.0, 40), [1e306]]):
             reference = renyi_reference(float(nu), p)
             value = st.renyi_entropy([nu], p)
             assert abs(decimal.Decimal(value) - reference) <= decimal.Decimal(1e-13) * reference, (nu, value)
