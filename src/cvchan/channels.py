@@ -163,7 +163,7 @@ def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
     """Covariance-only channel action on one covariance or a stack of them;
     no physicality re-validation."""
     out = channel.x.T @ gamma @ channel.x + channel.y
-    return 0.5 * (out + out.mT)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def regularized_noise(channel: GaussianChannel) -> np.ndarray:

@@ -196,7 +196,7 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     h[..., upper] = re + 1j * im
     h[..., lower] = re - 1j * im
     w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().mT
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
@@ -204,7 +204,7 @@ def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
     of them from a stack of parameter vectors."""
     t = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
     zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
-    return (t * zz[..., None, :]) @ t.mT
+    return (t * zz[..., None, :]) @ np.swapaxes(t, -1, -2)
 
 
 def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +234,7 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
     if target <= e_vac + 1e-12:
         return np.broadcast_to(eye, s.shape).copy()
     w = np.repeat(omega, 2)
-    gamma_pure = s @ s.mT
+    gamma_pure = s @ np.swapaxes(s, -1, -2)
     e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
     out = np.empty_like(gamma_pure)
     fits = e0 <= target
@@ -248,7 +248,7 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
         weight[flat] = np.sum(coef[flat], axis=-1)
         alpha = (target - e0[fits]) / weight
         dd = np.repeat(1.0 + alpha[:, None] * df, 2, axis=-1)
-        out[fits] = (sf * dd[:, None, :]) @ sf.mT
+        out[fits] = (sf * dd[:, None, :]) @ np.swapaxes(sf, -1, -2)
     if not fits.all():
         t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
         out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye

@@ -193,7 +193,7 @@ class TestParameterizations:
         thetas[:2, n * n : n * n + n] = 0.0  # no squeezing: the pure part fits
         thetas[:4, 2 * n * n + n :] = 0.0  # no excess spectrum: the weight falls back to the sum
         s, d = fn._phys_cov_factors(thetas, n)
-        fits = 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), s @ s.mT) <= target
+        fits = 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), s @ np.swapaxes(s, -1, -2)) <= target
         assert 0 < np.sum(fits[:4]) and 0 < np.sum(fits) < len(fits)  # both branches, and the fallback
         batch = fn._project_to_energy(s, d, omega, target)
         alone = [fn._project_to_energy(s[i : i + 1], d[i : i + 1], omega, target)[0] for i in range(len(s))]
