@@ -61,6 +61,8 @@ class EnergyBudget:
         object.__setattr__(self, "omega", np.atleast_1d(np.asarray(self.omega, dtype=float)))
         if not np.all((self.omega > 0.0) & np.isfinite(self.omega)):
             raise ValueError("mode frequencies must be positive and finite")
+        if not math.isfinite(self.total):
+            raise ValueError(f"energy must be a finite number, got {self.total}")
 
     @property
     def zero_point(self) -> float:
@@ -137,7 +139,7 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     """Closed-form infimum of F_p over pure Gaussian inputs, p > 1: the
     product of f_p over the optimal output spectrum, inf where it overflows
     (its log, from ``min_output_renyi_closed``, is finite)."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     return _fp_product(_closed_form_arguments(channel), p)
 
@@ -145,7 +147,7 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
 def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
     """Maximal output Schatten p-norm, exp(-(1 - 1/p) min S_p), p in (1, inf];
     below p = 1 the p-quasi-norm grows with S_p and has no maximum."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     return math.exp(min_output_renyi_closed(channel, p) * (1.0 / p - 1.0))
 
@@ -262,26 +264,75 @@ def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarr
     return _spectrum(ch.apply_cov(channel, gamma))
 
 
+def _nelder_mead(x0: np.ndarray, cap: int):
+    """scipy's ``minimize(method="Nelder-Mead")`` loop from ``x0``, with
+    ``xatol=1e-12``, ``fatol=1e-14`` and ``maxfev=cap``, written as a
+    generator: it yields each (m, dim) stack of points it needs scored and
+    is sent their m values.  Line for line it keeps scipy's initial simplex,
+    coefficients (1, 2, 0.5, 0.5), vertex sorts and convergence test, and
+    checks the cap before every evaluation, so a shrink cut short by it
+    leaves the interrupted vertex moved but with its old value.  Returns
+    the best value, its point, the evaluation count and whether the run
+    converged before its cap.
+    """
+    dim = len(x0)
+    sim = np.repeat(x0[None], dim + 1, axis=0)
+    k = np.arange(dim)
+    sim[k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(dim + 1, np.inf)
+    evals = min(cap, dim + 1)
+    fsim[:evals] = yield sim[:evals]
+    for _ in range(2):  # scipy sorts the initial simplex twice; argsort may reorder ties
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while evals < cap:
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as in scipy
+            if np.max(np.abs(sim[1:] - sim[0])) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
+                return float(np.min(fsim)), sim[0], evals, True
+        xbar = np.add.reduce(sim[:-1], 0) / dim
+        xr = 2 * xbar - sim[-1]
+        (fxr,) = yield xr[None]
+        evals += 1
+        if fxr < fsim[0]:
+            if evals < cap:
+                xe = 3 * xbar - 2 * sim[-1]
+                (fxe,) = yield xe[None]
+                evals += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif evals < cap:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            (fxc,) = yield xc[None]
+            evals += 1
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # Shrink toward the best vertex: the vertices are scored up to
+                # the cap, and the one it interrupts moves and keeps its value.
+                scored = min(dim, cap - evals)
+                moved = min(dim, scored + 1)
+                sim[1 : moved + 1] = sim[0] + 0.5 * (sim[1 : moved + 1] - sim[0])
+                if scored:
+                    fsim[1 : scored + 1] = yield sim[1 : scored + 1]
+                    evals += scored
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return float(np.min(fsim)), sim[0], evals, False
+
+
 def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
-    """Budgeted Nelder-Mead, ``RESTARTS`` runs in lockstep; the first starts
-    at the origin.
+    """Budgeted Nelder-Mead: ``RESTARTS`` runs of ``_nelder_mead``, the
+    first from the origin and the others from per-restart Philox starts.
 
     ``objective`` scores an (m, dim) stack of parameter vectors in one call
-    and returns m values.  Each run follows the path of scipy's
-    ``minimize(method="Nelder-Mead")`` with ``xatol=1e-12``, ``fatol=1e-14``
-    and ``maxfev`` its cap, step for step: the same initial simplex,
-    coefficients (1, 2, 0.5, 0.5), vertex order and convergence test, and
-    the cap checked before every evaluation, so a shrink cut short by it
-    leaves the interrupted vertex moved but with its old value.  All runs
-    advance together through at most three objective calls per step:
-    reflections, then expansions and contractions, then shrinks.
-
-    Run r's cap is min(per_run, budget - r per_run), the cap it would get
-    after r sequential runs: a cap is cut only when per_run = dim + 2, and
-    no run can converge within its first dim + 2 evaluations, because its
-    initial simplex is wider than ``xatol``.  Starting points come
-    from per-restart Philox streams, and a start is scored once, as the
-    first vertex of its simplex.  Returns the best value, its parameter
+    and returns m values.  Every round scores the pending points of all
+    live runs in one call, so no run waits for another.  Run r's cap is
+    min(per_run, budget - r per_run), the cap it would get after r
+    sequential runs: a cap is cut only when per_run = dim + 2, and no run
+    can converge within its first dim + 2 evaluations, because its initial
+    simplex is wider than ``xatol``.  Returns the best value, its parameter
     vector (the earlier run wins a tie), the evaluation count, and whether
     the run that produced the best value stopped by convergence (not at its
     evaluation cap).
@@ -289,84 +340,26 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
     per_run = max(dim + 2, budget // RESTARTS)
-    cap = np.array([min(per_run, budget - run * per_run) for run in range(RESTARTS)])
-    cap = cap[cap > 0]
-    runs, verts = len(cap), dim + 1
-    starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, runs)]
-    sim = np.repeat(np.array(starts)[:, None, :], verts, axis=1)
-    k = np.arange(dim)
-    edge = sim[:, k + 1, k]
-    sim[:, k + 1, k] = np.where(edge != 0, 1.05 * edge, 0.00025)
-
-    fsim = np.full((runs, verts), np.inf)
-    evals = np.minimum(cap, verts)
-    initial = np.arange(verts) < evals[:, None]
-    fsim[initial] = objective(sim[initial])
-    for _ in range(2):  # scipy sorts the initial simplex twice; argsort may reorder ties
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = np.take_along_axis(sim, order[:, :, None], 1), np.take_along_axis(fsim, order, 1)
-
-    converged = np.zeros(runs, dtype=bool)
-    while True:
-        idx = np.flatnonzero((evals < cap) & ~converged)
-        if not idx.size:
-            break
-        s, f = sim[idx], fsim[idx]
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as in scipy
-            flat = np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= 1e-14
-        done = flat & (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= 1e-12)
-        converged[idx[done]] = True
-        idx, s, f = idx[~done], s[~done], f[~done]
-        if not idx.size:
-            break
-        xbar = np.add.reduce(s[:, :-1], 1) / dim
-        worst = s[:, -1]
-        xr = 2 * xbar - worst
-        fxr = objective(xr)
-        evals[idx] += 1
-
-        # scipy's branches: expand below the best, accept below the second
-        # worst, else contract outside (below the worst) or inside.
-        expand = fxr < f[:, 0]
-        accept = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept & (fxr < f[:, -1])
-        inside = ~expand & ~accept & ~outside
-        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
-                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst))
-        second = ~accept & (evals[idx] < cap[idx])
-        ftrial = np.full(len(idx), np.inf)
-        if second.any():
-            ftrial[second] = objective(trial[second])
-            evals[idx[second]] += 1
-        won = second & (expand & (ftrial < fxr) | outside & (ftrial <= fxr) | inside & (ftrial < f[:, -1]))
-        keep_r = accept | second & expand & ~won
-        s[keep_r, -1], f[keep_r, -1] = xr[keep_r], fxr[keep_r]
-        s[won, -1], f[won, -1] = trial[won], ftrial[won]
-
-        shrink = second & ~expand & ~won
-        if shrink.any():
-            # With `left` evaluations left, the vertices after the best move
-            # and are scored up to the one the cap interrupts, which moves
-            # and keeps its old value; the vertices after it stay.
-            left = (cap[idx] - evals[idx])[shrink, None]
-            j = np.arange(dim)
-            moved, scored = j <= left, j < left
-            ss, fs = s[shrink], f[shrink]
-            shrunk = ss[:, :1] + 0.5 * (ss[:, 1:] - ss[:, :1])
-            ss[:, 1:][moved] = shrunk[moved]
-            if scored.any():
-                fs[:, 1:][scored] = objective(shrunk[scored])
-            s[shrink], f[shrink] = ss, fs
-            evals[idx[shrink]] += np.sum(scored, axis=1)
-        order = np.argsort(f, axis=1)
-        sim[idx], fsim[idx] = np.take_along_axis(s, order[:, :, None], 1), np.take_along_axis(f, order, 1)
-
+    caps = [min(per_run, budget - run * per_run) for run in range(RESTARTS)]
+    caps = [cap for cap in caps if cap > 0]
+    starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, len(caps))]
+    runs = [_nelder_mead(start, cap) for start, cap in zip(starts, caps)]
+    pending = {r: next(run) for r, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        values = objective(np.concatenate(list(pending.values())))
+        bounds = np.cumsum([len(points) for points in pending.values()])[:-1]
+        for r, scores in zip(list(pending), np.split(values, bounds)):
+            try:
+                pending[r] = runs[r].send(scores)
+            except StopIteration as stop:
+                results[r] = stop.value
+                del pending[r]
     best_val, best_x, best_converged = np.inf, np.zeros(dim), False
-    for run in range(runs):
-        value = np.min(fsim[run])
+    for value, x, _, converged in results:
         if value < best_val:
-            best_val, best_x, best_converged = float(value), sim[run, 0], bool(converged[run])
-    return best_val, best_x, int(np.sum(evals)), best_converged
+            best_val, best_x, best_converged = value, x, converged
+    return best_val, best_x, sum(result[2] for result in results), best_converged
 
 
 def _scores(channel: ch.GaussianChannel, score, cov_of, thetas: np.ndarray) -> np.ndarray:
@@ -432,7 +425,7 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
     """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyi`` read through
     ``log_fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The
     gap to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"order must be > 1, got {p}")
     report = numeric_min_renyi(channel, p, budget, seed)
     gap = report.gap_to_closed_form

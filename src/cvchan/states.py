@@ -169,7 +169,7 @@ def f_p(x, p: float):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError(f"argument must be >= 1, got minimum {np.min(x)}")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
     with np.errstate(over="ignore", invalid="ignore"):
         up = (x + 1.0) ** p
@@ -180,7 +180,7 @@ def f_p(x, p: float):
 def g_p(x, p: float):
     """Nonnegativity witness 4p (x^2-1)^{p-2} + f_p(x) f_{p-2}(x), p >= 2."""
     x = np.asarray(x, dtype=float)
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"witness requires p >= 2, got {p}")
     out = 4.0 * p * (x**2 - 1.0) ** (p - 2.0) + f_p(x, p) * ((x + 1.0) ** (p - 2.0) - (x - 1.0) ** (p - 2.0))
     return float(out) if out.ndim == 0 else out

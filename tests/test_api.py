@@ -1,5 +1,5 @@
 """Package surface: which names are public, which signatures take a tolerance, no unused imports,
-no module-level definition without a caller, and one Nelder-Mead."""
+no module-level definition without a caller, one Nelder-Mead, and nothing newer than the NumPy floor."""
 
 import ast
 import inspect
@@ -171,3 +171,45 @@ def test_scipy_minimize_is_detected(tmp_path):
         "scipy.optimize.minimize(abs, 0.0)\n"
     )
     assert _scipy_minimize_uses(module) == ["module.py:3", "module.py:6", "module.py:7"]
+
+
+#: Names that NumPy 2 added, so they break the ``numpy>=1.24`` floor that
+#: pyproject.toml declares; ``bool`` and ``pow`` count only as ``np.`` reads.
+NUMPY_2_ONLY = {"mT", "mH", "vecdot", "matrix_transpose", "concat", "permute_dims", "isdtype", "cumulative_sum",
+                "unique_values", "unique_counts", "unique_inverse", "unique_all"}
+NUMPY_2_ONLY_TOP = {"bool", "pow"}
+
+
+def _numpy_2_only_uses(path: pathlib.Path) -> list[str]:
+    """Attribute reads and imports from numpy of the names NumPy 2 added."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in NUMPY_2_ONLY or node.attr in NUMPY_2_ONLY_TOP and ast.unparse(node.value) in ("np", "numpy")
+        ):
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name in NUMPY_2_ONLY | NUMPY_2_ONLY_TOP]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_nothing_newer_than_the_numpy_floor(path):
+    assert _numpy_2_only_uses(path) == []
+
+
+def test_numpy_2_only_name_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy.linalg import vecdot, norm\n\n"
+        "a = np.eye(2).mT @ np.concat([np.eye(2)]).mH\n"
+        "b = np.linalg.matrix_transpose(a), np.unique_counts(a), np.bool(1), np.bool_(1)\n"
+        "c = math.pow(2.0, 3.0), np.power(2.0, 3.0), np.pow(2.0, 3.0), np.concatenate([a])\n"
+    )
+    assert _numpy_2_only_uses(module) == [
+        "module.py:3 vecdot", "module.py:5 concat", "module.py:5 mH", "module.py:5 mT",
+        "module.py:6 bool", "module.py:6 matrix_transpose", "module.py:6 unique_counts", "module.py:7 pow",
+    ]

@@ -44,9 +44,12 @@ class TestClosedForms:
 
     def test_max_norm_refuses_orders_up_to_one(self):
         # Below p = 1 the p-quasi-norm grows with S_p, so it has no finite maximum.
-        for p in (0.5, 1.0):
-            with pytest.raises(ValueError, match="order must be > 1"):
-                fn.max_output_p_norm(identity_channel(), p)
+        # A nan order fails every comparison, so it is refused too.
+        thermal = ch.thermal_noise([0.5], [1.0])
+        for p in (0.5, 1.0, np.nan):
+            for figure in (fn.max_output_p_norm, fn.min_output_fp_closed, fn.numeric_inf_fp):
+                with pytest.raises(ValueError, match="order must be > 1"):
+                    figure(thermal, p)
 
     def test_max_operator_norm_is_the_largest_eigenvalue(self):
         # thermal(0.5, 1): output nu = 2, largest eigenvalue 2 / (nu + 1) = 2/3.
@@ -218,6 +221,18 @@ def scipy_restarts(objective, dim, budget, seed):
     return best_val, best_x, evals, converged
 
 
+def custom_channel():
+    """The fixed 2-mode phase-sensitive channel of the benchmark: a beam
+    splitter after unequal quadrature gains, with anisotropic noise."""
+    def rot(i, j):
+        out = np.eye(4)
+        out[i, i] = out[j, j] = np.cos(0.4)
+        out[i, j], out[j, i] = np.sin(0.4), -np.sin(0.4)
+        return out
+
+    return ch.make_channel(rot(2, 0) @ rot(3, 1) @ np.diag([0.9, 0.6, 0.7, 0.8]), np.diag([0.5, 0.8, 0.9, 0.4]))
+
+
 def walled_kink(x):
     """Non-smooth, and +inf on a slab that some simplices start in or step into."""
     kink = np.sum(np.abs(x - 0.1), axis=1) + 0.5 * np.abs(x[:, 0] + x[:, -1])
@@ -290,12 +305,30 @@ class TestRestartedNelderMead:
         (walled_kink, 2, 36),  # a shrink cut after some of its evaluations
         (walled_kink, 4, 5000),  # all-inf simplices, and runs that converge
         (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200),  # the winner converges
+        (lambda x: np.full(len(x), np.inf), 2, 60),  # no finite value: inf at the zero vector
     ])
     def test_matches_scipy_on_other_objectives(self, objective, dim, budget):
         lockstep = fn._restarted_nelder_mead(objective, dim, budget, seed=11)
         reference = scipy_restarts(objective, dim, budget, seed=11)
         assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
         assert lockstep[2:] == reference[2:]
+
+    @pytest.mark.parametrize("budget", [40, 300, 2000])
+    @pytest.mark.parametrize("channel, total", [
+        (custom_channel(), 2.5),
+        (ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]), 3.0),
+    ], ids=["custom", "additivity-pair"])
+    def test_matches_scipy_on_the_capacity_search(self, channel, total, budget):
+        n, omega = channel.n, np.ones(channel.n)
+
+        def objective(thetas):
+            return fn._scores(channel, lambda nu: -st._renyi(nu, 1.0),
+                              lambda x: fn._project_to_energy(*fn._phys_cov_factors(x, n), omega, total), thetas)
+
+        searched = fn._restarted_nelder_mead(objective, 2 * n * n + 2 * n, budget, seed=3)
+        reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
+        assert searched[0] == reference[0] and np.array_equal(searched[1], reference[1])
+        assert searched[2:] == reference[2:]
 
 
 class TestScores:
@@ -343,6 +376,11 @@ class TestEnergyBudget:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             fn.EnergyBudget(1.0, [0.0])
+
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_total(self, total):
+        with pytest.raises(ValueError, match="energy must be a finite number"):
+            fn.EnergyBudget(total, [1.0])
 
 
 class TestMaxOutputEntropy:
@@ -713,6 +751,11 @@ class TestConcavityGrid:
         assert report.passed
         assert report.worst_second_difference <= 1e-9
         assert report.min_witness >= 0.0
+
+    def test_nan_order_is_refused(self):
+        # max(-inf, nan) is -inf, so a nan order would otherwise pass the grid.
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            fn.log_fp_concavity_check(ps=(np.nan,))
 
     def test_witness_includes_constant_case(self):
         # g_2 is identically 8 because f_0 vanishes.

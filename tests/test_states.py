@@ -145,8 +145,12 @@ class TestFp:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             st.f_p(0.5, 2.0)
-        with pytest.raises(ValueError):
-            st.f_p(2.0, 0.5)
+        for p in (0.5, np.nan):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                st.f_p(2.0, p)
+        for p in (1.5, np.nan):
+            with pytest.raises(ValueError, match="witness requires p >= 2"):
+                st.g_p(2.0, p)
 
     def test_overflow_is_inf_without_warning(self):
         # 20^400 and 18^400 both overflow; their difference must not be inf - inf.
