@@ -248,6 +248,8 @@ def channel_from_record(record: dict) -> GaussianChannel:
         raise ChannelSpecError("kind", f"unknown kind {kind!r}")
 
     def matrix_field(name: str) -> np.ndarray:
+        if name not in record:
+            raise ChannelSpecError(name, f"missing for a {kind} channel")
         values = _numeric_field(name, record[name])
         try:
             return matrix_from_rowmajor(values, 2 * n, 2 * n)
@@ -262,17 +264,11 @@ def channel_from_record(record: dict) -> GaussianChannel:
 
     try:
         if kind == "classical":
-            if "Y" not in record:
-                raise ChannelSpecError("Y", "missing for a classical channel")
             return classical_noise(matrix_field("Y"))
         if kind == "thermal":
             return thermal_noise(vector_field("eta"), vector_field("nbar"))
         if kind == "lossy":
             return lossy(vector_field("eta"))
-        if "X" not in record:
-            raise ChannelSpecError("X", "missing for a custom channel")
-        if "Y" not in record:
-            raise ChannelSpecError("Y", "missing for a custom channel")
         return make_channel(matrix_field("X"), matrix_field("Y"))
     except CompletePositivityError as exc:
         raise ChannelSpecError("Y" if kind == "classical" else "X/Y", str(exc)) from None

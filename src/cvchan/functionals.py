@@ -30,6 +30,8 @@ from .symplectic import (
     _paired_squeeze,
     _spectrum,
     rng_stream,
+    symplectic_inverse,
+    williamson,
 )
 
 #: Tolerance for comparisons against closed-form optima (inf side).
@@ -58,9 +60,7 @@ class EnergyBudget:
     omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", np.atleast_1d(np.asarray(self.omega, dtype=float)))
-        if not np.all((self.omega > 0.0) & np.isfinite(self.omega)):
-            raise ValueError("mode frequencies must be positive and finite")
+        object.__setattr__(self, "omega", st._as_omega(self.omega, np.size(self.omega)))
         if not math.isfinite(self.total):
             raise ValueError(f"energy must be a finite number, got {self.total}")
 
@@ -188,8 +188,6 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     The first n reals are the diagonal; the rest are (real, imaginary)
     pairs of the upper triangle in row-major order.
     """
-    if n == 1:
-        return np.exp(1j * theta[..., :1])[..., None]
     diag, upper, lower = _hermitian_slots(n)
     re = theta[..., n : n * n : 2]
     im = theta[..., n + 1 : n * n : 2]
@@ -255,13 +253,6 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
         t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
         out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye
     return out
-
-
-def _output_spectrum(channel: ch.GaussianChannel, gamma: np.ndarray) -> np.ndarray:
-    """Output spectrum of one input covariance or a stack of them through the
-    unvalidated kernel: ``apply_cov`` returns symmetric matrices, and a
-    failed Cholesky factorization raises ``LinAlgError`` for the whole stack."""
-    return _spectrum(ch.apply_cov(channel, gamma))
 
 
 def _nelder_mead(x0: np.ndarray, cap: int):
@@ -370,7 +361,7 @@ def _scores(channel: ch.GaussianChannel, score, cov_of, thetas: np.ndarray) -> n
     as a whole) re-scores the stack row by row.
     """
     try:
-        out = score(np.maximum(_output_spectrum(channel, cov_of(thetas)), 1.0))
+        out = score(np.maximum(_spectrum(ch.apply_cov(channel, cov_of(thetas))), 1.0))
     except (np.linalg.LinAlgError, ValueError, ArithmeticError):
         if len(thetas) == 1:
             return np.full(1, np.inf)
@@ -596,8 +587,6 @@ def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
     the inverse Williamson frame of their (regularized) noise matrix, which
     aligns the input with Y so the output spectrum is exactly 1 + y_k.
     """
-    from .symplectic import symplectic_inverse, williamson
-
     blocks = []
     for leaf in channel.leaves:
         if leaf.kind in ("thermal", "lossy"):
@@ -642,7 +631,7 @@ def multiplicativity_check(
     joint = ch.tensor(channel_list)
     product = min_output_fp_closed(joint, p)
     s_best = numeric_min_renyi(joint, p, search_budget, seed).best_value
-    witness_nu = np.maximum(_output_spectrum(joint, separable_optimal_input(joint)), 1.0)
+    witness_nu = np.maximum(_spectrum(ch.apply_cov(joint, separable_optimal_input(joint))), 1.0)
     if math.isfinite(product):
         numeric_best = exp_or_inf(log_fp_of_renyi(joint.n, p, s_best))
         witness_value = _fp_product(witness_nu, p)

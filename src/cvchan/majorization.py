@@ -51,6 +51,8 @@ def _check_lengths(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape or x.size == 0:
         raise DimensionError(f"expected equal-length nonempty vectors, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("vector entries must be finite")
     return x, y
 
 
@@ -115,6 +117,8 @@ def schur_diag_check(a) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     herm = float(np.max(np.abs(a - a.conj().T)))
     if herm > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
@@ -220,11 +224,7 @@ def lemma1_trial(
     (squeezings log-uniform in [1, 8]), checks
     Tr S A S^T >= 2 * (sum of the k smallest symplectic eigenvalues of A),
     and verifies that the first 2k rows of the Williamson transform of A
-    attain the bound (``witness_gap``).
-
-    Sampled matrices that come within 1e-6 of the bound are counted as
-    near-attainers (reported, not classified); the closest one is kept in
-    the report parameters.  Batch b of 2048 samples draws from
+    attain the bound (``witness_gap``).  Batch b of 2048 samples draws from
     ``rng_stream(seed, *lane, b)``.
     """
     a = np.asarray(a, dtype=float)
@@ -236,18 +236,13 @@ def lemma1_trial(
     nu = symplectic_eigenvalues(a)
     bound = 2.0 * float(np.sum(nu[:k]))
     tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
-    batch, near_tol, squeeze_max = 2048, 1e-6, 8.0
-    parameters = {"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound, "near_attainers": 0}
-    report = TrialReport(seed=seed, parameters=parameters)
+    batch, squeeze_max = 2048, 8.0
+    report = TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound})
     for b, done in enumerate(range(0, samples, batch)):
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
         sk = s[:, : 2 * k, :]
         margins = np.einsum("bij,jk,bik->b", sk, a, sk) - bound
-        parameters["near_attainers"] += int(np.sum(np.abs(margins) <= near_tol))
-        idx = int(np.argmin(margins))
-        if -tol <= margins[idx] <= near_tol and margins[idx] < report.worst_margin:
-            parameters["nearest_sampled"] = sk[idx].tolist()
         report.fold(margins, tol, lambda i: {"S": sk[i].tolist()})
 
     # Attainment: the Williamson rows for the k smallest-nu planes come

@@ -167,7 +167,7 @@ def f_p(x, p: float):
     ``renyi_entropy``, is finite there.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):
         raise ValueError(f"argument must be >= 1, got minimum {np.min(x)}")
     if not p >= 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
@@ -194,7 +194,7 @@ def _spectrum_of(state_or_spectrum) -> np.ndarray:
 
 def _clamp_physical(nu: np.ndarray) -> np.ndarray:
     """Clamp spectrum noise within ``TOL_PHYS`` below the purity boundary up to 1."""
-    if (nu < 1.0 - TOL_PHYS).any():
+    if not np.all(nu >= 1.0 - TOL_PHYS):
         raise UnphysicalStateError(f"spectrum entry {np.min(nu)} is below 1")
     return np.maximum(nu, 1.0)
 

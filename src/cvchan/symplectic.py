@@ -412,8 +412,8 @@ def sample_symplectics(
     drawn uniformly (or log-uniformly) from ``squeeze_range``.
     """
     lo, hi = squeeze_range
-    if lo < 1.0 or hi < lo:
-        raise ValueError(f"squeeze range must satisfy 1 <= lo <= hi, got {squeeze_range}")
+    if not 1.0 <= lo <= hi < np.inf:
+        raise ValueError(f"squeeze range must satisfy 1 <= lo <= hi < inf, got {squeeze_range}")
     t1 = _embed_unitary(_haar_unitary(rng, n, count))
     t2 = _embed_unitary(_haar_unitary(rng, n, count))
     if log_squeeze:
@@ -452,8 +452,8 @@ def sample_spd(
     any nu_min > 0 is accepted.
     """
     lo, hi = nu_range
-    if lo <= 0.0 or hi < lo:
-        raise ValueError(f"spectrum range must satisfy 0 < lo <= hi, got {nu_range}")
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"spectrum range must satisfy 0 < lo <= hi < inf, got {nu_range}")
     s = sample_symplectics(rng, n, count, squeeze_range)
     j = symplectic_form(n)
     s_inv = j @ np.swapaxes(s, -1, -2) @ j.T
@@ -476,7 +476,7 @@ def random_covariance(n: int, nu_range: tuple[float, float] = (1.0, 3.0), seed: 
     ``random_spd`` when the positive-definite cone without the physicality
     gate is wanted.
     """
-    if nu_range[0] < 1.0:
+    if not nu_range[0] >= 1.0:
         raise ValueError(f"physical covariance requires nu_min >= 1, got {nu_range[0]}")
     return random_spd(n, nu_range, seed)
 

@@ -1,5 +1,6 @@
-"""Package surface: which names are public, which signatures take a tolerance, no unused imports,
-no module-level definition without a caller, one Nelder-Mead, and nothing newer than the NumPy floor."""
+"""Package surface: which names are public, which signatures take a tolerance, which parameters have a
+default, no unused imports, no module-level definition without a caller, one Nelder-Mead, and nothing
+newer than the NumPy floor."""
 
 import ast
 import inspect
@@ -22,6 +23,32 @@ TOLERANCE_PARAMETERS = {
     "schur_campaign": {"atol"},
     "multiplicativity_check": {"tol"},
     "additivity_check": {"tol"},
+}
+
+#: Every parameter with a default in src/cvchan, as ``function.parameter``.
+#: A default is a knob that a caller may leave unset, so a new one must
+#: show up here.
+DEFAULTED_PARAMETERS = {
+    "_haar_unitary.size", "_prefix_gaps.descending",
+    "additivity_check.search_budget", "additivity_check.seed", "additivity_check.tol",
+    "gaussian_holevo_capacity.search_budget", "gaussian_holevo_capacity.seed",
+    "lemma1_campaign.atol", "lemma1_campaign.instances", "lemma1_campaign.max_modes",
+    "lemma1_campaign.samples", "lemma1_campaign.seed",
+    "lemma1_trial.atol", "lemma1_trial.lane", "lemma1_trial.samples", "lemma1_trial.seed",
+    "log_fp_concavity_check.bound", "log_fp_concavity_check.points", "log_fp_concavity_check.ps",
+    "main.argv",
+    "max_output_entropy_under_energy.search_budget", "max_output_entropy_under_energy.seed",
+    "min_output_entropy.budget", "min_output_entropy.seed",
+    "multiplicativity_check.search_budget", "multiplicativity_check.seed", "multiplicativity_check.tol",
+    "numeric_inf_fp.budget", "numeric_inf_fp.seed", "numeric_min_entropy.budget", "numeric_min_entropy.seed",
+    "random_covariance.nu_range", "random_covariance.seed",
+    "random_majorization_pair.seed", "random_majorization_pair.transforms",
+    "random_spd.seed", "random_symplectic.seed", "random_symplectic.squeeze_range", "random_unitary.seed",
+    "sample_spd.squeeze_range", "sample_symplectics.log_squeeze", "sample_symplectics.squeeze_range",
+    "schur_campaign.atol", "schur_campaign.max_dim", "schur_campaign.seed", "schur_campaign.trials",
+    "theorem1_trial.atol", "theorem1_trial.nu_range", "theorem1_trial.rtol", "theorem1_trial.seed",
+    "theorem1_trial.trials",
+    "thermal.omega", "vacuum.omega",
 }
 
 #: The package surface, in order.  A name leaves it only with an argued
@@ -73,6 +100,37 @@ def test_only_the_kept_checks_take_a_tolerance():
         if tolerances:
             taken[name] = tolerances
     assert taken == TOLERANCE_PARAMETERS
+
+
+def _defaulted_parameters(paths) -> set[str]:
+    """``function.parameter`` for every parameter with a default, positional
+    or keyword-only, of every function and lambda in the given modules."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                found |= {f"{getattr(node, 'name', '<lambda>')}.{arg.arg}" for arg in named}
+    return found
+
+
+def test_defaulted_parameters_are_pinned():
+    assert _defaulted_parameters(sorted(SOURCE.glob("*.py"))) == DEFAULTED_PARAMETERS
+
+
+def test_defaulted_parameter_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(a, b=1, /, c=2, *d, e, g=3, **h):\n"
+        "    return lambda x, y=0: x\n\n"
+        "class C:\n"
+        "    def m(self, k, z=None):\n"
+        "        pass\n"
+    )
+    assert _defaulted_parameters([module]) == {"f.b", "f.c", "f.g", "<lambda>.y", "m.z"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -25,6 +25,14 @@ class TestMajorize:
         with pytest.raises(sp.DimensionError):
             mj.majorize([1.0], [1.0, 2.0])
 
+    def test_non_finite_rejected(self):
+        # A scale-relative slack would be inf here and accept anything.
+        for x, y in (([np.inf, 1.0], [1.0, 2.0]), ([np.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, -np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                mj.majorize(x, y)
+            with pytest.raises(ValueError, match="finite"):
+                mj.weak_submajorize(x, y)
+
     def test_equivalence_with_weak_pair(self):
         # x majorized by y iff weakly sub- and supermajorized.
         rng = sp.rng_stream(101)
@@ -47,6 +55,11 @@ class TestWeakSupermajorize:
     def test_submajorize_twin(self):
         assert mj.weak_submajorize([2.0, 2.0], [3.0, 2.0])
         assert not mj.weak_submajorize([4.0, 2.0], [3.0, 2.0])
+
+    def test_non_finite_rejected(self):
+        for x, y in (([1.0, 2.0], [np.inf, 1.0]), ([1.0, 2.0], [np.nan, 1.0]), ([np.inf, 1.0], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="finite"):
+                mj.weak_supermajorize(x, y)
 
 
 class TestTTransform:
@@ -93,6 +106,12 @@ class TestSchurDiagCheck:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             mj.schur_diag_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rejected(self, entry):
+        a = np.array([[1.0, entry], [np.conj(entry), 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            mj.schur_diag_check(a)
 
     def test_campaign_small(self):
         report = mj.schur_campaign(trials=200, max_dim=8, seed=17)

@@ -143,8 +143,11 @@ class TestFp:
             assert st.f_p(x, 1.0) == pytest.approx(2.0)
 
     def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            st.f_p(0.5, 2.0)
+        for x in (0.5, np.nan):
+            with pytest.raises(ValueError, match="argument must be >= 1"):
+                st.f_p(x, 2.0)
+            with pytest.raises(ValueError, match="argument must be >= 1"):
+                st.g_p(x, 3.0)
         for p in (0.5, np.nan):
             with pytest.raises(ValueError, match="order must be >= 1"):
                 st.f_p(2.0, p)
@@ -316,6 +319,15 @@ class TestRenyiKernel:
             st.renyi_entropy([2.0], p)
         with pytest.raises(ValueError):
             st.schatten_norm([2.0], p)
+
+    @pytest.mark.parametrize("nu", [[math.nan], [0.5], [2.0, math.nan]])
+    def test_unphysical_spectrum_rejected(self, nu):
+        with pytest.raises(st.UnphysicalStateError):
+            st.renyi_entropy(nu, 2.0)
+        with pytest.raises(st.UnphysicalStateError):
+            st.trace_p(nu, 2.0)
+        with pytest.raises(st.UnphysicalStateError):
+            st.von_neumann_entropy(nu)
 
 
 class TestSchurConcavityOfFp:

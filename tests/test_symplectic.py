@@ -414,8 +414,9 @@ class TestRandomGenerators:
         assert np.array_equal(a, b)
 
     def test_rejects_bad_squeeze_range(self):
-        with pytest.raises(ValueError):
-            sp.random_symplectic(1, (0.5, 2.0), seed=0)
+        for squeeze_range in ((0.5, 2.0), (1.0, np.inf), (np.nan, 2.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                sp.random_symplectic(1, squeeze_range, seed=0)
 
     def test_random_covariance_pure_has_unit_determinant(self):
         gamma = sp.random_covariance(2, (1.0, 1.0), seed=3)
@@ -428,8 +429,14 @@ class TestRandomGenerators:
         assert np.all(nu <= 3.0 + 1e-8)
 
     def test_random_covariance_rejects_unphysical_range(self):
-        with pytest.raises(ValueError):
-            sp.random_covariance(1, (0.5, 2.0), seed=0)
+        for nu_range in ((0.5, 2.0), (np.nan, 3.0), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                sp.random_covariance(1, nu_range, seed=0)
+
+    def test_random_spd_rejects_bad_range(self):
+        for nu_range in ((0.0, 2.0), (2.0, 1.0), (0.5, np.inf), (np.nan, 2.0), (0.5, np.nan)):
+            with pytest.raises(ValueError, match="spectrum range"):
+                sp.random_spd(2, nu_range, seed=0)
 
     def test_random_spd_allows_small_spectra(self):
         a = sp.random_spd(2, (0.2, 0.9), seed=4)
