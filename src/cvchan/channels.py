@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .symplectic import (
     DimensionError,
+    _direct_sum,
     _hermitian,
     matrix_from_rowmajor,
     matrix_to_rowmajor,
@@ -148,7 +148,7 @@ def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:
     if len(channels) == 0:
         raise ValueError("tensor product of an empty channel list")
     leaves = tuple(leaf for c in channels for leaf in c.leaves)
-    joint = make_channel(block_diag(*[c.x for c in channels]), block_diag(*[c.y for c in channels]))
+    joint = make_channel(_direct_sum([c.x for c in channels]), _direct_sum([c.y for c in channels]))
     return replace(joint, factors=leaves)
 
 

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
 from . import channels as ch
 from . import states as st
 from .symplectic import (
+    _direct_sum,
     _embed_unitary,
     _euler_form,
     _paired_squeeze,
@@ -506,8 +505,8 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
     sum_k omega_k N_k = surplus.
 
     The KKT point is N_k(lam) = max(0, (1 / expm1(lam omega_k / a_k) - b_k) / a_k),
-    and sum_k omega_k N_k(lam) decreases in lam, so one bracketed root find
-    on ln lam solves it.  Modes with a_k = 0 take no photons; when no mode
+    and sum_k omega_k N_k(lam) decreases in lam, so bisection on ln lam over
+    a bracket solves it.  Modes with a_k = 0 take no photons; when no mode
     has a_k > 0 every split is optimal and the modes share the photons evenly.
     """
     photons = np.zeros(a.shape)
@@ -522,17 +521,21 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
         with np.errstate(over="ignore"):  # expm1 -> inf leaves N_k = 0
             return np.maximum((1.0 / np.expm1(np.exp(log_lam) * w / a) - b) / a, 0.0)
 
-    # At the largest lam_k at which mode k alone holds the surplus the total
-    # is at least the surplus; every N_k is below 1 / (lam omega_k), so the
-    # total is below it at lam = count / surplus.  The widening by e keeps
-    # rounding from closing the bracket.
-    # 1 / (b_k + a_k surplus / omega_k) is capped at the largest double, where
-    # the sum is subnormal or zero.
+    # The total is at least the surplus at the largest lam_k at which mode k alone holds it, and below it at
+    # lam = count / surplus, as every N_k is below 1 / (lam omega_k); widening by e keeps rounding from closing the
+    # bracket.  1 / (b_k + a_k surplus / omega_k) is capped at the largest double, where the sum is 0 or subnormal.
     with np.errstate(over="ignore", divide="ignore"):
         inverse = np.minimum(1.0 / (b + a * surplus / w), np.finfo(float).max)
     lo = float(np.log(np.max(a / w * np.log1p(inverse)))) - 1.0
-    hi = float(np.log(a.size / surplus)) + 1.0
-    photons[live] = fill(brentq(lambda t: float(w @ fill(t)) - surplus, lo, hi, xtol=1e-15))
+    hi = math.log(a.size) - math.log(surplus) + 1.0  # a.size / surplus may overflow
+    # Bisection keeps the total at most the surplus at hi, so N(hi) never overspends; 100 halvings take this
+    # bracket (narrower than 2000) to adjacent doubles, or to 1e-27 around ln lam = 0.
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if float(w @ fill(mid)) > surplus else (lo, mid)
+    photons[live] = fill(hi)
     return photons
 
 
@@ -596,7 +599,7 @@ def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
             blocks.append(s_inv @ s_inv.T)
         else:
             raise UnsupportedKindError(f"no optimal-input witness for kind {leaf.kind!r}")
-    return block_diag(*blocks)
+    return _direct_sum(blocks)
 
 
 @dataclass(kw_only=True)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 #: Membership tolerance for symplectic / orthogonal / unitary residuals.
 TOL_SYM = 1e-10
@@ -70,6 +69,15 @@ def _form(n: int) -> np.ndarray:
     j = np.kron(np.eye(n), _J1)
     j.setflags(write=False)
     return j
+
+
+def _direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-diagonal matrix of square ``blocks``, in order."""
+    ends = np.cumsum([len(block) for block in blocks])
+    out = np.zeros((ends[-1], ends[-1]))
+    for block, end in zip(blocks, ends):
+        out[end - len(block):end, end - len(block):end] = block
+    return out
 
 
 def _mode_count(m: np.ndarray) -> int:
@@ -200,8 +208,8 @@ def williamson(a: np.ndarray) -> WilliamsonDecomposition:
     eigenvalues ``_spectrum`` returns.  Writing u_j = x_j + i y_j, the real
     skew K = L^T J L acts as K y_j = -nu_j x_j and K x_j = nu_j y_j, so the
     orthogonal O with columns (sqrt2 y_j, sqrt2 x_j) gives
-    K = O (+_j nu_j J1) O^T.  Then S = D^{1/2} O^T L^{-1}, computed by a
-    triangular solve, satisfies S A S^T = D and S J S^T = J.
+    K = O (+_j nu_j J1) O^T.  Then S = D^{1/2} O^T L^{-1}, computed by
+    solving L^T X = O, satisfies S A S^T = D and S J S^T = J.
 
     Repeated or nearly repeated nu need no special handling: since K is
     real, conj(u_j) is the eigenvector for -nu_j, and the gap between nu_j
@@ -243,7 +251,7 @@ def williamson(a: np.ndarray) -> WilliamsonDecomposition:
     o[:, 0::2] = u.imag
     o[:, 1::2] = u.real
     d = np.repeat(spectrum, 2)
-    s = np.sqrt(d)[:, None] * solve_triangular(l, o, lower=True, trans="T").T
+    s = np.sqrt(d)[:, None] * np.linalg.solve(l.T, o).T
 
     residual = float(np.max(np.abs(s @ a @ s.T - np.diag(d))))
     if residual > TOL_DECOMP:
