@@ -261,8 +261,8 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-#: Smallest accepted value of the integer options every command shares.
-_MINIMUMS = {"seed": 0, "budget": 1}
+#: Smallest accepted value of the integer options that several commands share.
+_MINIMUMS = {"seed": 0, "budget": 1, "max_modes": 1}
 
 
 def _check_arguments(args) -> None:

@@ -268,6 +268,8 @@ def lemma1_campaign(
     """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
+    if max_modes < 1:
+        raise DimensionError(f"max mode count must be >= 1, got {max_modes}")
     nu_range = (0.3, 4.0)
     parameters = {
         "instances": instances,
@@ -301,6 +303,8 @@ def schur_campaign(
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    if max_dim < 2:
+        raise DimensionError(f"max dimension must be >= 2, got {max_dim}")
     report = TrialReport(seed=seed, parameters={"max_dim": max_dim})
     matrices, margins, tols = [], [], []
     for trial in range(trials):

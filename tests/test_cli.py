@@ -390,6 +390,8 @@ class TestInvalidInputExitCodes:
         [
             (["verify", "schur", "--trials", "10", "--seed", "-1"], "--seed"),
             (["capacity", "--channel", "{thermal}", "--energy", "1.5", "--budget", "0"], "--budget"),
+            (["verify", "lemma1", "--max-modes", "0"], "--max-modes"),
+            (["verify", "schur", "--max-modes", "0"], "--max-modes"),
         ],
     )
     def test_seed_and_budget_errors_name_the_option(self, argv, option, thermal_spec, capsys):

@@ -669,6 +669,25 @@ class TestWaterFilling:
         # coordinate, where the value is flat to first order.
         assert value - float(np.max(grid_values)) <= step**2
 
+    @pytest.mark.parametrize(
+        "channel, energy, photons",
+        [
+            (ch.thermal_noise([0.5], [1.0]), 0.5 + 1e-9, [1e-9]),
+            (ch.lossy([0.5, 0.5]), 1.0 + 1e6, [5e5, 5e5]),
+            # The identity channel holds N = 1 / expm1(lam), so lam = 1.
+            (ch.classical_noise(np.zeros((2, 2))), 0.5 + 1.0 / math.expm1(1.0), [1.0 / math.expm1(1.0)]),
+        ],
+        ids=["surplus 1e-9", "surplus 1e6", "root at ln lam = 0"],
+    )
+    def test_bisection_ends_on_the_root(self, channel, energy, photons):
+        # The roots lie near the low end, near the high end and at zero of the ln lam bracket.
+        omega = np.ones(channel.n)
+        surplus = energy - 0.5 * float(np.sum(omega))
+        _, _, filled = fn._water_filled_capacity(channel, omega, energy)
+        assert filled == pytest.approx(photons, rel=1e-12, abs=1e-12)
+        assert float(omega @ filled) == pytest.approx(surplus, rel=1e-12, abs=1e-12)
+        assert float(omega @ filled) <= surplus
+
     def test_subnormal_gain_keeps_the_bracket(self):
         # b + a surplus / omega is subnormal on the first mode, so 1 / it overflows;
         # that mode carries nothing and mode 2 takes the whole surplus 1e6 / 2 photons.
@@ -677,6 +696,16 @@ class TestWaterFilling:
         )
         expected = holevo_werner_g(0.5 * 5e5 + 0.5) - holevo_werner_g(0.5)
         assert cap.value == pytest.approx(expected, rel=1e-9)
+
+    def test_subnormal_surplus_keeps_the_bracket(self):
+        # count / surplus overflows.  At omega = 1e-300, ln lam is near 690, where the
+        # spacing of doubles (1e-13) resolves N = 1e-10 photons to about 1e-2 relative.
+        omega, surplus = 1e-300, 1e-310
+        cap = fn.gaussian_holevo_capacity(
+            ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(0.5 * omega + surplus, [omega])
+        )
+        expected = holevo_werner_g(0.5 * surplus / omega + 0.5) - holevo_werner_g(0.5)
+        assert cap.value == pytest.approx(expected, rel=1e-2)
 
     def test_huge_energy_keeps_the_capacity_positive(self):
         cap = fn.gaussian_holevo_capacity(

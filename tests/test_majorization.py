@@ -118,6 +118,11 @@ class TestSchurDiagCheck:
         assert report.passed
         assert report.failures == 0
 
+    @pytest.mark.parametrize("max_dim", [1, 0, -3])
+    def test_campaign_dimension_validated(self, max_dim):
+        with pytest.raises(sp.DimensionError, match="max dimension must be >= 2"):
+            mj.schur_campaign(trials=10, max_dim=max_dim)
+
     def test_campaign_detects_violation_under_negative_tolerance(self):
         # A negative slack turns every trial into a violation.
         report = mj.schur_campaign(trials=50, max_dim=4, seed=17, atol=-1e6)
@@ -189,6 +194,11 @@ class TestLemma1:
     def test_k_out_of_range(self):
         with pytest.raises(sp.DimensionError):
             mj.lemma1_trial(np.eye(4), 3, samples=10)
+
+    @pytest.mark.parametrize("max_modes", [0, -1])
+    def test_campaign_mode_count_validated(self, max_modes):
+        with pytest.raises(sp.DimensionError, match="max mode count must be >= 1"):
+            mj.lemma1_campaign(instances=2, max_modes=max_modes, samples=10)
 
     def test_detects_violation_under_negative_tolerance(self):
         report = mj.lemma1_trial(np.eye(4), 1, samples=100, seed=1, atol=-1e6)

@@ -32,30 +32,31 @@ from cvchan import cli
 
 REPORTS = pathlib.Path(__file__).parent / "reports"
 
-#: (name, argv, exit code) of every pinned command: the README commands with
+#: Name: (argv, exit code) of every pinned command: the README commands with
 #: the campaigns and searches at reduced sizes, and the commands on the
 #: benchmark's 2-mode custom channel and on a 1-mode custom channel.
 #: ``{spec}`` stands for ``reports/channels/spec.json``.
-COMMANDS = [
-    ("analyze", ["analyze", "--channel", "{thermal}", "--p", "2,3"], 0),
-    ("capacity", ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--budget", "20000", "--seed", "1"], 0),
-    ("theorem1", ["verify", "theorem1", "--trials", "2000", "--max-modes", "4", "--seed", "23"], 0),
-    ("lemma1", ["verify", "lemma1", "--instances", "5", "--trials", "2000", "--max-modes", "3"], 0),
-    ("schur", ["verify", "schur", "--trials", "1000"], 0),
-    ("concavity", ["verify", "concavity"], 0),
-    ("multiplicativity", ["verify", "multiplicativity", "--budget", "1000"], 0),
-    ("additivity", ["verify", "additivity", "--energy", "3.0", "--budget", "1000"], 0),
-    ("custom2_analyze_numeric", ["analyze", "--channel", "{custom2}", "--numeric", "--p", "2", "--budget", "1000"], 0),
-    ("custom2_capacity", ["capacity", "--channel", "{custom2}", "--energy", "2.5", "--budget", "1000", "--seed", "3"], 0),
-    ("custom2_analyze", ["analyze", "--channel", "{custom2}"], 3),
-    ("custom1_analyze_numeric",
-     ["analyze", "--channel", "{custom1}", "--numeric", "--p", "2,7", "--budget", "1500", "--seed", "4"], 0),
-    ("custom1_capacity", ["capacity", "--channel", "{custom1}", "--energy", "1.7", "--budget", "900", "--seed", "2"], 0),
-]
+COMMANDS = {
+    "analyze": (["analyze", "--channel", "{thermal}", "--p", "2,3"], 0),
+    "capacity": (["capacity", "--channel", "{thermal}", "--energy", "1.5", "--budget", "20000", "--seed", "1"], 0),
+    "theorem1": (["verify", "theorem1", "--trials", "2000", "--max-modes", "4", "--seed", "23"], 0),
+    "lemma1": (["verify", "lemma1", "--instances", "5", "--trials", "2000", "--max-modes", "3"], 0),
+    "schur": (["verify", "schur", "--trials", "1000"], 0),
+    "concavity": (["verify", "concavity"], 0),
+    "multiplicativity": (["verify", "multiplicativity", "--budget", "1000"], 0),
+    "additivity": (["verify", "additivity", "--energy", "3.0", "--budget", "1000"], 0),
+    "custom2_analyze_numeric": (["analyze", "--channel", "{custom2}", "--numeric", "--p", "2", "--budget", "1000"], 0),
+    "custom2_capacity": (["capacity", "--channel", "{custom2}", "--energy", "2.5", "--budget", "1000", "--seed", "3"], 0),
+    "custom2_analyze": (["analyze", "--channel", "{custom2}"], 3),
+    "custom1_analyze_numeric": (
+        ["analyze", "--channel", "{custom1}", "--numeric", "--p", "2,7", "--budget", "1500", "--seed", "4"], 0
+    ),
+    "custom1_capacity": (["capacity", "--channel", "{custom1}", "--energy", "1.7", "--budget", "900", "--seed", "2"], 0),
+}
 
 #: A command that exits 0 or 1 is pinned by its report in both formats; one
 #: that exits 2 or 3 writes no report and is pinned by its ``error:`` line.
-CASES = [(name, fmt) for name, _, code in COMMANDS for fmt in (("json", "csv") if code < 2 else ("txt",))]
+CASES = [(name, fmt) for name, (_, code) in COMMANDS.items() for fmt in (("json", "csv") if code < 2 else ("txt",))]
 
 
 def _blas_core():
@@ -85,7 +86,7 @@ def build() -> dict:
 def run(name: str, fmt: str) -> tuple[int, str]:
     """Exit code and output of one pinned command: the report for json and
     csv, the stderr line for txt."""
-    _, argv, _ = next(command for command in COMMANDS if command[0] == name)
+    argv, _ = COMMANDS[name]
     argv = [str(REPORTS / "channels" / f"{arg[1:-1]}.json") if arg.startswith("{") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -127,7 +128,7 @@ def reference(name: str, fmt: str) -> str:
 @pytest.mark.parametrize("name, fmt", CASES, ids=[f"{name}.{fmt}" for name, fmt in CASES])
 def test_exit_code_and_fields(name, fmt):
     code, text = run(name, fmt)
-    assert code == next(command[2] for command in COMMANDS if command[0] == name)
+    assert code == COMMANDS[name][1]
     assert [key for key, _ in fields(text, fmt)] == [key for key, _ in fields(reference(name, fmt), fmt)], name
 
 
