@@ -92,8 +92,8 @@ def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 != 0:
-        raise DimensionError(f"X must be 2n x 2n, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 != 0 or x.size == 0:
+        raise DimensionError(f"X must be 2n x 2n with n >= 1, got shape {x.shape}")
     if y.shape != x.shape:
         raise DimensionError(f"Y must match X, got {y.shape} vs {x.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

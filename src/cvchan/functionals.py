@@ -217,9 +217,9 @@ def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return s, d
 
 
-def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: float) -> np.ndarray:
-    """Physical covariances S D S^T with exact energy ``target``, one per
-    row of the stacks s (m, 2n, 2n) and d (m, n).
+def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np.ndarray:
+    """Physical covariances S D S^T with the exact energy ``budget.total``,
+    one per row of the stacks s (m, 2n, 2n) and d (m, n).
 
     Rescales the excess spectrum d of the rows whose pure part S S^T fits
     in the budget; the other rows shrink toward the vacuum along the
@@ -227,12 +227,11 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, omega: np.ndarray, target: 
     energies are per-row dot products: a stacked matrix-vector product sums
     in another order, and a row would then differ from its batch of one.
     """
-    n = len(omega)
-    eye = np.eye(2 * n)
-    e_vac = 0.5 * float(np.sum(omega))
+    target, e_vac = budget.total, budget.zero_point
+    eye = np.eye(2 * len(budget.omega))
     if target <= e_vac + 1e-12:
         return np.broadcast_to(eye, s.shape).copy()
-    w = np.repeat(omega, 2)
+    w = np.repeat(budget.omega, 2)
     gamma_pure = s @ np.swapaxes(s, -1, -2)
     e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
     out = np.empty_like(gamma_pure)
@@ -454,12 +453,12 @@ def max_output_entropy_under_energy(
     report = _search(
         channel,
         lambda nu: -st._renyi(nu, 1.0),
-        lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget.omega, budget.total),
+        lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget),
         2 * n * n + 2 * n, search_budget, seed,
     )
     report.best_value = -report.best_value
     report.gap_to_closed_form = _gap_to_closed_form(
-        lambda: report.best_value - _water_filled_capacity(channel, budget.omega, budget.total)[1]
+        lambda: report.best_value - _water_filled_output(channel, budget)[0]
     )
     return report
 
@@ -539,21 +538,18 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
     return photons
 
 
-def _water_filled_capacity(
-    channel: ch.GaussianChannel, omega: np.ndarray, total: float
-) -> tuple[float, float, np.ndarray]:
-    """Exact Gaussian capacity of ``channel`` at energy ``total`` over the
-    mode frequencies ``omega``, the output entropy that attains it, and the
-    photon number of every input mode.
+def _water_filled_output(channel: ch.GaussianChannel, budget: EnergyBudget) -> tuple[float, np.ndarray]:
+    """Exact sup of the output entropy of ``channel`` at ``budget`` and the
+    photon number of every input mode that attains it.
 
-    A mode with N photons carries S(1 + 2 (a N + b)) - S(1 + 2 b), the
+    With (a, b) from ``_photon_maps``, a mode with N photons leaves with
+    entropy S(1 + 2 (a N + b)); less the minimal output entropy this is the
     Holevo-Werner capacity g(eta N + (1 - eta) nbar) - g((1 - eta) nbar) of
-    a thermal mode (PRA 63, 032312, 2001), with (a, b) from ``_photon_maps``.
+    a thermal mode (PRA 63, 032312, 2001).
     """
     a, b = _photon_maps(channel)
-    photons = _water_fill(a, b, omega, total - 0.5 * float(np.sum(omega)))
-    sup = st.von_neumann_entropy(1.0 + 2.0 * (a * photons + b))
-    return sup - st.von_neumann_entropy(1.0 + 2.0 * b), sup, photons
+    photons = _water_fill(a, b, budget.omega, budget.total - budget.zero_point)
+    return st.von_neumann_entropy(1.0 + 2.0 * (a * photons + b)), photons
 
 
 def gaussian_holevo_capacity(
@@ -563,20 +559,20 @@ def gaussian_holevo_capacity(
     minimal output entropy; exactly zero for infeasible budgets.
 
     When every leaf is thermal, lossy or per-mode isotropic classical the
-    capacity is the exact water-filled value and ``search`` is None; any
-    other channel goes through ``max_output_entropy_under_energy``.
+    sup is the exact water-filled value and ``search`` is None; any other
+    channel goes through ``max_output_entropy_under_energy``.  Both paths
+    subtract the one ``min_output_entropy``, the S_min that ``analyze`` reports.
     """
     budget.check_modes(channel.n)
     smin = min_output_entropy(channel, budget=search_budget, seed=seed)
     if not budget.feasible:
         return CapacityReport(0.0, False, smin)
     try:
-        value, sup, _ = _water_filled_capacity(channel, budget.omega, budget.total)
+        sup, search = _water_filled_output(channel, budget)[0], None
     except UnsupportedKindError:
         search = max_output_entropy_under_energy(channel, budget, search_budget=search_budget, seed=seed)
-        value = max(search.best_value - smin, 0.0)
-        return CapacityReport(value, True, smin, sup_entropy=search.best_value, search=search)
-    return CapacityReport(value, True, smin, sup_entropy=sup)
+        sup = search.best_value
+    return CapacityReport(max(sup - smin, 0.0), True, smin, sup_entropy=sup, search=search)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +684,12 @@ def additivity_check(
         raise ValueError("additivity needs at least two channels")
     joint = ch.tensor(channel_list)
     budget.check_modes(joint.n)
-    best_value, _, photons = _water_filled_capacity(joint, budget.omega, budget.total)
+    smin = min_output_entropy_closed_only(joint)
+    sup, photons = _water_filled_output(joint, budget)
+    best_value = max(sup - smin, 0.0)
     energies = np.split(budget.omega * (photons + 0.5), np.cumsum([c.n for c in channel_list])[:-1])
     search = max_output_entropy_under_energy(joint, budget, search_budget=search_budget, seed=seed)
-    joint_cap = max(search.best_value - min_output_entropy_closed_only(joint), 0.0)
+    joint_cap = max(search.best_value - smin, 0.0)
     margin = joint_cap - best_value
     return AdditivityReport(
         total_energy=budget.total,

@@ -178,7 +178,6 @@ def theorem1_trial(
     trials: int = 10000,
     seed: int = 23,
     atol: float = PREFIX_ATOL,
-    rtol: float = PREFIX_RTOL,
 ) -> TrialReport:
     """Randomized check that nu(A + B) is weakly supermajorized by nu(A) + nu(B).
 
@@ -194,7 +193,7 @@ def theorem1_trial(
         raise DimensionError(f"max mode count must be >= 1, got {n}")
     modes = rng_stream(seed).integers(1, n + 1, size=trials)
     report = TrialReport(
-        seed=seed, parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": rtol}
+        seed=seed, parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": PREFIX_RTOL}
     )
     for mode in range(1, n + 1):
         count = int(np.sum(modes == mode))
@@ -205,7 +204,7 @@ def theorem1_trial(
         b = sample_spd(lane, mode, count, nu_range)
         nu_parts = _spectrum(a) + _spectrum(b)
         margins = np.min(_prefix_gaps(_spectrum(a + b), nu_parts), axis=1)
-        tol = atol + rtol * max(float(np.max(np.sum(nu_parts, axis=1))), 1.0)
+        tol = atol + PREFIX_RTOL * max(float(np.max(np.sum(nu_parts, axis=1))), 1.0)
         report.fold(margins, tol, lambda i: {"n": mode, "A": a[i].tolist(), "B": b[i].tolist()})
     return report
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symplectic import DimensionError, symplectic_eigenvalues, symplectic_form
+from .symplectic import DimensionError, _mode_count, symplectic_eigenvalues, symplectic_form
 
 #: Physicality slack on the symplectic spectrum (nu_j >= 1 - TOL_PHYS).
 TOL_PHYS = 1e-8
@@ -58,9 +58,7 @@ class GaussianState:
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2 != 0:
-            raise DimensionError(f"covariance must be 2n x 2n, got shape {gamma.shape}")
-        n = gamma.shape[0] // 2
+        n = _mode_count(gamma)
         m = np.asarray(self.m, dtype=float)
         if m.shape != (2 * n,):
             raise DimensionError(f"displacement must have length {2 * n}, got shape {m.shape}")
@@ -102,9 +100,6 @@ def thermal(nbar, omega=1.0) -> GaussianState:
 
 def coherent(n: int, omega, m) -> GaussianState:
     """Coherent state: displaced vacuum."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2 * n,):
-        raise DimensionError(f"displacement must have length {2 * n}, got shape {m.shape}")
     return GaussianState(np.eye(2 * n), m, _as_omega(omega, n))
 
 

@@ -84,8 +84,8 @@ def _mode_count(m: np.ndarray) -> int:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] % 2 != 0:
-        raise DimensionError(f"matrix dimension must be even, got {m.shape[0]}")
+    if m.shape[0] % 2 != 0 or m.shape[0] == 0:
+        raise DimensionError(f"matrix dimension must be even and positive, got {m.shape[0]}")
     return m.shape[0] // 2
 
 
@@ -95,10 +95,9 @@ class SymplecticCheck(NamedTuple):
 
 
 def symplectic_residual(m: np.ndarray) -> float:
-    """Max-norm residual ||M J M^T - J|| of the group membership equation."""
-    n = _mode_count(m)
-    j = symplectic_form(n)
-    return float(np.max(np.abs(m @ j @ m.T - j)))
+    """Max-norm residual ||M J M^T - J|| of the group membership equation:
+    the k = n case of ``truncation_residual``."""
+    return truncation_residual(m, _mode_count(m))
 
 
 def orthogonality_residual(m: np.ndarray) -> float:
@@ -392,7 +391,9 @@ def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np
 
 
 def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
-    """Haar-random unitaries via QR of complex Gaussians, phase-fixed diagonal."""
+    """Haar-random unitaries via QR of complex Gaussians, phase-fixed diagonal; refuses n < 1 for every sampler."""
+    if n < 1:
+        raise DimensionError(f"mode count must be >= 1, got {n}")
     shape = (n, n) if size is None else (size, n, n)
     zmat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     q, r = np.linalg.qr(zmat)
@@ -402,8 +403,6 @@ def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> 
 
 def random_unitary(n: int, seed: int = 0) -> np.ndarray:
     """Seeded Haar-random n x n unitary."""
-    if n < 1:
-        raise DimensionError(f"dimension must be >= 1, got {n}")
     return _haar_unitary(rng_stream(seed), n)
 
 
@@ -433,8 +432,6 @@ def sample_symplectics(
 
 def random_symplectic(n: int, squeeze_range: tuple[float, float] = (1.0, 4.0), seed: int = 0) -> np.ndarray:
     """Seeded random symplectic matrix built through the Euler form."""
-    if n < 1:
-        raise DimensionError(f"mode count must be >= 1, got {n}")
     return sample_symplectics(rng_stream(seed), n, 1, squeeze_range)[0]
 
 
@@ -472,8 +469,6 @@ def sample_spd(
 
 def random_spd(n: int, nu_range: tuple[float, float], seed: int = 0) -> np.ndarray:
     """Seeded random SPD matrix with symplectic spectrum in nu_range."""
-    if n < 1:
-        raise DimensionError(f"mode count must be >= 1, got {n}")
     return sample_spd(rng_stream(seed), n, 1, nu_range)[0]
 
 

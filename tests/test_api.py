@@ -16,11 +16,10 @@ from cvchan import majorization as mj
 
 #: The only public parameters named tol, atol or rtol.  Each is set by a
 #: caller: ``verify --tol`` sets the campaigns' atol and the checks' tol,
-#: the acceptance test runs theorem1_trial at rtol 0, and every campaign
-#: passes its per-sample slack to ``TrialReport.fold``.
+#: and every campaign passes its per-sample slack to ``TrialReport.fold``.
 TOLERANCE_PARAMETERS = {
     "TrialReport.fold": {"tol"},
-    "theorem1_trial": {"atol", "rtol"},
+    "theorem1_trial": {"atol"},
     "lemma1_trial": {"atol"},
     "lemma1_campaign": {"atol"},
     "schur_campaign": {"atol"},
@@ -49,7 +48,7 @@ DEFAULTED_PARAMETERS = {
     "random_spd.seed", "random_symplectic.seed", "random_symplectic.squeeze_range", "random_unitary.seed",
     "sample_spd.squeeze_range", "sample_symplectics.log_squeeze", "sample_symplectics.squeeze_range",
     "schur_campaign.atol", "schur_campaign.max_dim", "schur_campaign.seed", "schur_campaign.trials",
-    "theorem1_trial.atol", "theorem1_trial.nu_range", "theorem1_trial.rtol", "theorem1_trial.seed",
+    "theorem1_trial.atol", "theorem1_trial.nu_range", "theorem1_trial.seed",
     "theorem1_trial.trials",
     "thermal.omega", "vacuum.omega",
 }

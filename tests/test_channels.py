@@ -37,6 +37,16 @@ class TestMakeChannel:
         with pytest.raises(ch.CompletePositivityError):
             ch.make_channel(np.eye(2), np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: ch.make_channel(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: ch.thermal_noise([], []),
+        lambda: ch.lossy([]),
+        lambda: ch.classical_noise(np.zeros((0, 0))),
+    ], ids=["make_channel", "thermal_noise", "lossy", "classical_noise"])
+    def test_zero_modes_rejected(self, make):
+        with pytest.raises(sp.DimensionError):
+            make()
+
     def test_kind_is_not_a_parameter(self):
         # A declared kind would select closed forms that (X, Y) do not obey:
         # labelled thermal(0.5, 0), X = I and Y = 5 I would report F_2 = 4, not 24.

@@ -446,6 +446,9 @@ class TestInvalidChannelFiles:
             ("n_modes", {"n_modes": 1.7, "kind": "thermal", "eta": ["0.5"], "nbar": [1]}, ["analyze"]),
             ("n_modes", {"n_modes": True, "kind": "lossy", "eta": [True]}, ["analyze"]),
             ("n_modes", {"n_modes": "1", "kind": "lossy", "eta": [0.5]}, ["analyze"]),
+            ("n_modes", {"n_modes": 0, "kind": "lossy", "eta": []}, ["analyze"]),
+            ("eta/nbar", {"n_modes": 1, "kind": "thermal", "eta": [1.5], "nbar": [1.0]}, ["analyze"]),
+            ("eta/nbar", {"n_modes": 1, "kind": "lossy", "eta": [-0.1]}, ["analyze"]),
             ("eta", {"n_modes": 1, "kind": "thermal", "eta": ["0.5"], "nbar": [1]}, ["analyze"]),
             ("eta", {"n_modes": 1, "kind": "lossy", "eta": [True]}, ["analyze"]),
             ("nbar", {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": ["1"]}, ["analyze"]),
@@ -467,7 +470,8 @@ class TestInvalidChannelFiles:
         ],
         ids=[
             "eta-object", "eta-nan", "custom-X-nan", "omega-nan", "n_modes-fractional", "n_modes-bool",
-            "n_modes-string", "eta-string", "eta-bool", "nbar-string", "Y-bool", "custom-X-string", "omega-bool",
+            "n_modes-string", "n_modes-zero", "thermal-eta-above-one", "lossy-eta-negative", "eta-string",
+            "eta-bool", "nbar-string", "Y-bool", "custom-X-string", "omega-bool",
             "eta-integer-beyond-float", "top-level-number", "top-level-null", "top-level-string",
         ],
     )

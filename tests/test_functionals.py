@@ -131,6 +131,11 @@ class TestNumericInfFp:
         with pytest.raises(ValueError):
             fn.numeric_inf_fp(identity_channel(), 2.0, budget=0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_renyi_order_not_positive_rejected(self, p):
+        with pytest.raises(ValueError, match="order must be positive"):
+            fn.numeric_min_renyi(identity_channel(), p, budget=100, seed=0)
+
     def test_custom_channel_runs_without_closed_form(self):
         channel = ch.make_channel(0.5 * np.eye(2), np.eye(2))
         report = fn.numeric_inf_fp(channel, 2.0, budget=2000, seed=3)
@@ -186,7 +191,7 @@ class TestParameterizations:
         for _ in range(20):
             s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=2 * n * n + 2 * n), n)
             target = 0.25 * float(np.repeat(omega, 2) @ np.diag(s @ s.T)) + 1.0
-            gamma = fn._project_to_energy(s[None], d[None], omega, target)[0]
+            gamma = fn._project_to_energy(s[None], d[None], fn.EnergyBudget(target, omega))[0]
             assert_allclose(gamma, project_to_energy_loop(s, d, omega, target), rtol=1e-12, atol=1e-12)
             assert 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma)) == pytest.approx(target, rel=1e-12)
 
@@ -198,8 +203,9 @@ class TestParameterizations:
         s, d = fn._phys_cov_factors(thetas, n)
         fits = 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), s @ np.swapaxes(s, -1, -2)) <= target
         assert 0 < np.sum(fits[:4]) and 0 < np.sum(fits) < len(fits)  # both branches, and the fallback
-        batch = fn._project_to_energy(s, d, omega, target)
-        alone = [fn._project_to_energy(s[i : i + 1], d[i : i + 1], omega, target)[0] for i in range(len(s))]
+        budget = fn.EnergyBudget(target, omega)
+        batch = fn._project_to_energy(s, d, budget)
+        alone = [fn._project_to_energy(s[i : i + 1], d[i : i + 1], budget)[0] for i in range(len(s))]
         assert np.array_equal(batch, np.array(alone))
 
 
@@ -323,7 +329,7 @@ class TestRestartedNelderMead:
 
         def objective(thetas):
             return fn._scores(channel, lambda nu: -st._renyi(nu, 1.0),
-                              lambda x: fn._project_to_energy(*fn._phys_cov_factors(x, n), omega, total), thetas)
+                              lambda x: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega)), thetas)
 
         searched = fn._restarted_nelder_mead(objective, 2 * n * n + 2 * n, budget, seed=3)
         reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
@@ -463,6 +469,35 @@ class TestCapacity:
         assert cap.value == pytest.approx(cap.sup_entropy - cap.min_entropy, abs=1e-12)
         assert not {"evaluations", "budget", "converged"} & set(record_of(cap))
 
+    def test_capacity_subtracts_the_reported_min_entropy_exactly(self):
+        # The capacity is sup_entropy - min_entropy to the last bit, with the S_min that analyze
+        # reports, on random products of thermal, lossy and isotropic classical leaves.  For the
+        # classical ones S(1 + 2 b) of the photon map and S(1 + nu(Y)) can differ in the last bit.
+        cap = fn.gaussian_holevo_capacity(ch.classical_noise(np.diag([2.0, 2.0])), fn.EnergyBudget(1.5, [1.0]))
+        assert cap.value == cap.sup_entropy - cap.min_entropy
+        rng = sp.rng_stream(17)
+        for _ in range(60):
+            leaves = []
+            for kind in rng.integers(0, 3, size=rng.integers(1, 4)):
+                modes = int(rng.integers(1, 3))
+                if kind == 0:
+                    leaves.append(ch.classical_noise(np.diag(np.repeat(rng.uniform(0.0, 5.0, modes), 2))))
+                elif kind == 1:
+                    leaves.append(ch.thermal_noise(rng.uniform(0.0, 1.0, modes), rng.uniform(0.0, 3.0, modes)))
+                else:
+                    leaves.append(ch.lossy(rng.uniform(0.0, 1.0, modes)))
+            channel = ch.tensor(leaves)
+            omega = rng.uniform(0.5, 2.0, channel.n)
+            budget = fn.EnergyBudget(0.5 * float(np.sum(omega)) + rng.uniform(0.01, 5.0), omega)
+            cap = fn.gaussian_holevo_capacity(channel, budget)
+            assert cap.min_entropy == fn.min_output_entropy_closed_only(channel)
+            assert cap.value == cap.sup_entropy - cap.min_entropy
+
+    def test_no_mode_takes_photons_gives_zero(self):
+        # eta = 0 on every mode: the output ignores the input, so every split is optimal and C = 0.
+        cap = fn.gaussian_holevo_capacity(ch.thermal_noise([0.0, 0.0], [1.0, 2.0]), fn.EnergyBudget(3.0, [1.0, 2.0]))
+        assert cap.value == 0.0 and cap.search is None
+
     def test_other_channels_search_the_sup_entropy_once(self, search_calls):
         # A custom channel has no closed form: one search for S_min, one for the sup entropy.
         cap = fn.gaussian_holevo_capacity(
@@ -589,6 +624,29 @@ class TestAdditivity:
         # Best split of identical channels sits at the symmetric point.
         assert report.best_split[0] == pytest.approx(report.best_split[1], abs=1e-9)
 
+    def test_split_and_joint_capacity_share_one_min_entropy(self):
+        # Both subtract the closed-form S_min of the tensor channel, the one the capacity subtracts.
+        pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
+        joint, budget = ch.tensor(pair), fn.EnergyBudget(3.0, np.ones(2))
+        smin = fn.min_output_entropy_closed_only(joint)
+        report = fn.additivity_check(pair, budget, search_budget=500, seed=0)
+        search = fn.max_output_entropy_under_energy(joint, budget, search_budget=500, seed=0)
+        assert report.joint_capacity == search.best_value - smin
+        assert report.best_split_value == fn._water_filled_output(joint, budget)[0] - smin
+        assert report.best_split_value == fn.gaussian_holevo_capacity(joint, budget).value
+
+    def test_no_mode_takes_photons_splits_evenly(self):
+        # Neither factor passes any input through: the surplus 1.5 goes as 0.5 photons to each mode.
+        pair = [ch.thermal_noise([0.0], [1.0]), ch.thermal_noise([0.0], [2.0])]
+        report = fn.additivity_check(pair, fn.EnergyBudget(3.0, [1.0, 2.0]), search_budget=200, seed=0)
+        assert report.best_split_value == 0.0
+        assert report.best_split == (1.0, 2.0)
+        assert report.passed
+
+    def test_needs_two_channels(self):
+        with pytest.raises(ValueError, match="at least two"):
+            fn.additivity_check([identity_channel()], fn.EnergyBudget(3.0, [1.0]))
+
     def test_infeasible_budget_raises(self):
         pair = [identity_channel(), identity_channel()]
         with pytest.raises(fn.InfeasibleEnergyError):
@@ -629,9 +687,9 @@ class TestWaterFilling:
         "eta, nbar, energy, omega", [(0.5, 1.0, 1.5, 1.0), (0.3, 2.0, 4.0, 1.0), (0.9, 0.2, 2.0, 1.7)]
     )
     def test_single_mode_is_holevo_werner(self, eta, nbar, energy, omega):
-        value, _, photons = fn._water_filled_capacity(
-            ch.tensor([ch.thermal_noise([eta], [nbar])]), np.array([omega]), energy
-        )
+        channel = ch.tensor([ch.thermal_noise([eta], [nbar])])
+        sup, photons = fn._water_filled_output(channel, fn.EnergyBudget(energy, [omega]))
+        value = sup - fn.min_output_entropy_closed_only(channel)
         n_in = (energy - 0.5 * omega) / omega
         expected = holevo_werner_g(eta * n_in + (1.0 - eta) * nbar) - holevo_werner_g((1.0 - eta) * nbar)
         assert value == pytest.approx(expected, abs=1e-12)
@@ -648,7 +706,8 @@ class TestWaterFilling:
         a = np.array([0.7, 1.0, 0.5])
         b = np.array([0.3 * 2.0, 0.5 * y, 0.0])
         omega = np.array(omega)
-        value, _, photons = fn._water_filled_capacity(ch.tensor(channels), omega, energy)
+        sup, photons = fn._water_filled_output(ch.tensor(channels), fn.EnergyBudget(energy, omega))
+        value = sup - fn.min_output_entropy_closed_only(ch.tensor(channels))
         surplus = energy - 0.5 * np.sum(omega)
         assert float(omega @ photons) == pytest.approx(surplus, abs=1e-12)
         if inactive is not None:
@@ -683,7 +742,7 @@ class TestWaterFilling:
         # The roots lie near the low end, near the high end and at zero of the ln lam bracket.
         omega = np.ones(channel.n)
         surplus = energy - 0.5 * float(np.sum(omega))
-        _, _, filled = fn._water_filled_capacity(channel, omega, energy)
+        _, filled = fn._water_filled_output(channel, fn.EnergyBudget(energy, omega))
         assert filled == pytest.approx(photons, rel=1e-12, abs=1e-12)
         assert float(omega @ filled) == pytest.approx(surplus, rel=1e-12, abs=1e-12)
         assert float(omega @ filled) <= surplus

@@ -195,6 +195,10 @@ class TestLemma1:
         with pytest.raises(sp.DimensionError):
             mj.lemma1_trial(np.eye(4), 3, samples=10)
 
+    def test_sample_count_validated(self):
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            mj.lemma1_trial(np.eye(4), 1, samples=0)
+
     @pytest.mark.parametrize("max_modes", [0, -1])
     def test_campaign_mode_count_validated(self, max_modes):
         with pytest.raises(sp.DimensionError, match="max mode count must be >= 1"):

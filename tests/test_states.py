@@ -50,8 +50,17 @@ class TestConstructors:
         assert st.mean_energy(state).total == pytest.approx(1.5)
 
     def test_coherent_rejects_length_mismatch(self):
-        with pytest.raises(sp.DimensionError):
+        with pytest.raises(sp.DimensionError, match="displacement must have length 4"):
             st.coherent(2, 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: st.GaussianState(np.zeros((0, 0)), np.zeros(0), 1.0),
+        lambda: st.thermal([]),
+        lambda: st.coherent(0, 1.0, []),
+    ], ids=["GaussianState", "thermal", "coherent"])
+    def test_zero_modes_rejected(self, make):
+        with pytest.raises(sp.DimensionError):
+            make()
 
     def test_spectrum_computed_once(self, monkeypatch):
         calls = []

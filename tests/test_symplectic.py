@@ -84,6 +84,13 @@ class TestIsSymplectic:
             sp.is_symplectic(np.eye(3))
 
 
+@pytest.mark.parametrize("function", [sp.is_symplectic, sp.symplectic_eigenvalues, sp.williamson,
+                                      sp.euler_decompose, sp.symplectic_inverse, sp.symplectic_residual])
+def test_empty_matrix_rejected(function):
+    with pytest.raises(sp.DimensionError):
+        function(np.zeros((0, 0)))
+
+
 class TestSymplecticEigenvalues:
     def test_identity(self):
         assert_allclose(sp.symplectic_eigenvalues(np.eye(8)), np.ones(4))
@@ -437,6 +444,13 @@ class TestRandomGenerators:
         for nu_range in ((0.0, 2.0), (2.0, 1.0), (0.5, np.inf), (np.nan, 2.0), (0.5, np.nan)):
             with pytest.raises(ValueError, match="spectrum range"):
                 sp.random_spd(2, nu_range, seed=0)
+
+    @pytest.mark.parametrize("sample", [sp.random_unitary, sp.random_symplectic, lambda n: sp.random_spd(n, (1.0, 2.0))],
+                             ids=["unitary", "symplectic", "spd"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_mode_count_validated(self, sample, n):
+        with pytest.raises(sp.DimensionError, match="mode count must be >= 1"):
+            sample(n)
 
     def test_random_spd_allows_small_spectra(self):
         a = sp.random_spd(2, (0.2, 0.9), seed=4)
