@@ -23,6 +23,7 @@ import numpy as np
 
 from .symplectic import (
     DimensionError,
+    _mode_count,
     _spectrum,
     rng_stream,
     sample_spd,
@@ -149,8 +150,10 @@ class TrialReport:
         return self.failures == 0 and (self.witness_gap is None or abs(self.witness_gap) <= WITNESS_ATOL)
 
     def fold(self, margins, tol, example) -> None:
-        """Fold in an array of sample margins; sample i fails when its margin is
-        below -tol (a scalar or one per sample), and ``example(i)`` describes it."""
+        """Fold in an array of sample margins; sample i fails when its margin is below -tol (a scalar
+        or one per sample), and ``example(i)`` describes it.  A non-finite margin or tolerance raises."""
+        if not (np.isfinite(margins).all() and np.isfinite(tol).all()):
+            raise ValueError("campaign margins and tolerances must be finite")
         bad = margins < -tol
         self.trials += margins.size
         self.failures += int(np.count_nonzero(bad))
@@ -227,7 +230,7 @@ def lemma1_trial(
     ``rng_stream(seed, *lane, b)``.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0] // 2
+    n = _mode_count(a)
     if not 1 <= k <= n:
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
     if samples < 1:
@@ -241,13 +244,13 @@ def lemma1_trial(
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
         sk = s[:, : 2 * k, :]
-        margins = np.einsum("bij,jk,bik->b", sk, a, sk) - bound
+        margins = np.sum((sk @ a) * sk, axis=(1, 2)) - bound
         report.fold(margins, tol, lambda i: {"S": sk[i].tolist()})
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.
     witness = williamson(a).s[: 2 * k, :]
-    report.witness_gap = float(np.einsum("ij,jk,ik->", witness, a, witness) - bound)
+    report.witness_gap = float(np.sum((witness @ a) * witness) - bound)
     return report
 
 

@@ -391,14 +391,20 @@ def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np
 
 
 def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
-    """Haar-random unitaries via QR of complex Gaussians, phase-fixed diagonal; refuses n < 1 for every sampler."""
+    """Haar-random unitaries: Q of Z = QR, diag(R) > 0, Z complex Gaussian (Mezzadri, 2007).  Gram-Schmidt
+    with one re-orthogonalization pass, unitary to working precision (Giraud, Langou & Rozloznik, 2005),
+    divides each column by its positive norm, so no phase step.  Refuses n < 1 for every sampler."""
     if n < 1:
         raise DimensionError(f"mode count must be >= 1, got {n}")
     shape = (n, n) if size is None else (size, n, n)
     zmat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    q, r = np.linalg.qr(zmat)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q = np.empty_like(zmat)
+    for j in range(n):
+        v, done = zmat[..., :, j], q[..., :, :j]
+        for _ in range(2 if j else 0):  # the first column has nothing to project out
+            v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done.conj(), v))
+        q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return q
 
 
 def random_unitary(n: int, seed: int = 0) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Package surface: which names are public, which signatures take a tolerance, which parameters have a
 default, no unused imports, no module-level definition without a caller, no scipy (so one Nelder-Mead),
-and nothing newer than the NumPy floor."""
+nothing newer than the NumPy floor, and LAPACK QR only in ``euler_decompose``."""
 
 import ast
 import inspect
@@ -302,4 +302,44 @@ def test_numpy_2_only_name_is_detected(tmp_path):
     assert _numpy_2_only_uses(module) == [
         "module.py:3 vecdot", "module.py:5 concat", "module.py:5 mH", "module.py:5 mT",
         "module.py:6 bool", "module.py:6 matrix_transpose", "module.py:6 unique_counts", "module.py:7 pow",
+    ]
+
+
+def _lapack_qr_uses(path: pathlib.Path) -> list[str]:
+    """Reads of ``linalg.qr`` and imports of ``qr`` from numpy, each with the
+    innermost function that holds it (``<module>`` outside any)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "qr" and ast.unparse(child.value).endswith("linalg"):
+                found.append(f"{path.name}:{child.lineno} {owner}")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy":
+                found.extend(f"{path.name}:{child.lineno} {owner}" for alias in child.names if alias.name == "qr")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_lapack_qr_only_in_euler_decompose():
+    # One QR of one matrix is cheaper than a Python Gram-Schmidt; a batched
+    # sampler orthonormalizes by Gram-Schmidt, as ``_haar_unitary`` does.
+    uses = [use for path in sorted(SOURCE.glob("*.py")) for use in _lapack_qr_uses(path)]
+    assert [use.split(" ")[1] for use in uses] == ["euler_decompose"], uses
+    assert uses[0].startswith("symplectic.py:")
+
+
+def test_lapack_qr_outside_euler_decompose_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import norm, qr as lapack_qr\n\n"
+        "def euler_decompose(s):\n    return np.linalg.qr(s)\n\n"
+        "def _haar_unitary(z):\n    q, r = numpy.linalg.qr(z)\n    return q\n\n"
+        "def sampler(z):\n    return lapack_qr(z), norm(z), np.qr(z), z.qr\n\n"
+        "Q = np.linalg.qr\n"
+    )
+    assert _lapack_qr_uses(module) == [
+        "module.py:2 <module>", "module.py:5 euler_decompose", "module.py:8 _haar_unitary", "module.py:14 <module>",
     ]

@@ -195,6 +195,13 @@ class TestLemma1:
         with pytest.raises(sp.DimensionError):
             mj.lemma1_trial(np.eye(4), 3, samples=10)
 
+    @pytest.mark.parametrize("a", [np.eye(4)[None], np.ones((4, 6)), np.eye(3)], ids=["stack", "rectangular", "odd"])
+    def test_shape_validated_before_k(self, a):
+        # The shape is checked before k is compared with a mode count read
+        # from it, so the error names the shape.
+        with pytest.raises(sp.DimensionError, match=r"got shape \(1, 4, 4\)|got shape \(4, 6\)|got 3"):
+            mj.lemma1_trial(a, 1, samples=10)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="sample count must be >= 1"):
             mj.lemma1_trial(np.eye(4), 1, samples=0)
@@ -242,3 +249,25 @@ class TestTrialReportInvariant:
         assert report.failures == 0
         assert not report.passed
         assert mj.TrialReport(trials=1, worst_margin=0.0, witness_gap=mj.WITNESS_ATOL).passed
+
+    @pytest.mark.parametrize("margins, tol", [([1.0, np.nan], 1e-9), ([1.0, -np.inf], 1e-9), ([1.0, 2.0], np.nan),
+                                              ([1.0, 2.0], np.array([1e-9, np.inf]))],
+                             ids=["nan-margin", "inf-margin", "nan-tol", "inf-tol-entry"])
+    def test_non_finite_margin_or_tolerance_raises(self, margins, tol):
+        # A NaN compares false with every tolerance, so folding it in would
+        # count no failure and report a pass that checked nothing.
+        report = mj.TrialReport()
+        with pytest.raises(ValueError, match="must be finite"):
+            report.fold(np.array(margins), tol, lambda i: {})
+        assert report.trials == 0
+
+    @pytest.mark.parametrize("campaign", [
+        lambda atol: mj.theorem1_trial(2, trials=20, seed=5, atol=atol),
+        lambda atol: mj.lemma1_trial(np.eye(4), 1, samples=20, atol=atol),
+        lambda atol: mj.lemma1_campaign(instances=1, max_modes=2, samples=20, atol=atol),
+        lambda atol: mj.schur_campaign(trials=5, max_dim=3, atol=atol),
+    ], ids=["theorem1", "lemma1_trial", "lemma1_campaign", "schur"])
+    @pytest.mark.parametrize("atol", [np.nan, np.inf])
+    def test_non_finite_atol_raises(self, campaign, atol):
+        with pytest.raises(ValueError, match="must be finite"):
+            campaign(atol)

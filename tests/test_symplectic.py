@@ -359,7 +359,39 @@ class TestEulerDecomposition:
             assert np.max(np.abs(dec.t1 @ dec.z_matrix @ dec.t2 - s)) <= 1e-10
             for t in (dec.t1, dec.t2):
                 assert max(sp.symplectic_residual(t), sp.orthogonality_residual(t)) <= 1e-10
-        assert decomposed == (44 if case == 11 else 20)
+        assert decomposed == (48 if case == 11 else 20)
+
+
+def phase_fixed_qr(z):
+    """Reference Haar map: LAPACK QR of the draws, with the phases of diag(R)
+    moved into Q so that R has a positive diagonal (Mezzadri, 2007)."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+class TestHaarUnitary:
+    @pytest.mark.parametrize("size", [None, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_phase_fixed_qr_of_the_same_draws(self, n, size):
+        shape = (n, n) if size is None else (size, n, n)
+        for seed in range(3):
+            rng, twin = sp.rng_stream(seed, n), sp.rng_stream(seed, n)
+            u = sp._haar_unitary(rng, n, size)
+            z = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
+            assert u.shape == shape
+            assert np.max(np.abs(u - phase_fixed_qr(z))) <= 1e-11
+            assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("size", [None, 1, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_does_not_shift(self, n, size):
+        # The sampler reads exactly its 2 size n^2 normals, so every stream
+        # after it stays where it was.
+        rng, twin = sp.rng_stream(5, n), sp.rng_stream(5, n)
+        sp._haar_unitary(rng, n, size)
+        twin.standard_normal(2 * (1 if size is None else size) * n * n)
+        assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
 
 
 class TestUnitaryIsomorphism:
