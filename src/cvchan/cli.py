@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     try:
         _check_arguments(args)
         return command(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: sizes too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -172,11 +172,17 @@ def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: i
 # search parameterizations
 
 @functools.cache
-def _hermitian_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the diagonal, upper and lower triangle of an n x n
-    matrix; the triangles are in row-major order of the upper one."""
+def _hermitian_gather(n: int) -> np.ndarray:
+    """For each row-major entry of an n x n matrix, its index in the list of
+    the diagonal, the upper triangle and the lower triangle; the triangles
+    are in row-major order of the upper one."""
     upper, lower = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), upper * n + lower, lower * n + upper
+    gather = np.empty(n * n, dtype=np.intp)
+    gather[np.arange(n) * (n + 1)] = np.arange(n)
+    gather[upper * n + lower] = n + np.arange(len(upper))
+    gather[lower * n + upper] = n + len(upper) + np.arange(len(upper))
+    gather.setflags(write=False)
+    return gather
 
 
 def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
@@ -187,33 +193,29 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     The first n reals are the diagonal; the rest are (real, imaginary)
     pairs of the upper triangle in row-major order.
     """
-    diag, upper, lower = _hermitian_slots(n)
     re = theta[..., n : n * n : 2]
-    im = theta[..., n + 1 : n * n : 2]
-    h = np.zeros(theta.shape[:-1] + (n * n,), dtype=complex)
-    h[..., diag] = theta[..., :n]
-    h[..., upper] = re + 1j * im
-    h[..., lower] = re - 1j * im
+    i_im = 1j * theta[..., n + 1 : n * n : 2]
+    h = np.concatenate([theta[..., :n], re + i_im, re - i_im], axis=-1)[..., _hermitian_gather(n)]
     w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
     """Pure covariance gamma = T Z^2 T^T from n^2 + n parameters, or a stack
     of them from a stack of parameter vectors."""
     t = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
-    zz = _paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
-    return (t * zz[..., None, :]) @ np.swapaxes(t, -1, -2)
+    zz = _paired_squeeze(np.exp(2.0 * theta[..., n * n :].clip(-12.0, 12.0)))
+    return (t * zz[..., None, :]) @ t.swapaxes(-1, -2)
 
 
 def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters,
     stacked like ``theta``."""
     t1 = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
-    z = np.exp(np.clip(theta[..., n * n : n * n + n], -12.0, 12.0))
+    z = np.exp(theta[..., n * n : n * n + n].clip(-12.0, 12.0))
     t2 = _embed_unitary(_unitary_from_params(theta[..., n * n + n : 2 * n * n + n], n))
     s = _euler_form(t1, z, t2)
-    d = np.clip(theta[..., 2 * n * n + n :], -1e3, 1e3) ** 2
+    d = theta[..., 2 * n * n + n :].clip(-1e3, 1e3) ** 2
     return s, d
 
 
@@ -228,28 +230,31 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np
     in another order, and a row would then differ from its batch of one.
     """
     target, e_vac = budget.total, budget.zero_point
-    eye = np.eye(2 * len(budget.omega))
     if target <= e_vac + 1e-12:
-        return np.broadcast_to(eye, s.shape).copy()
-    w = np.repeat(budget.omega, 2)
-    gamma_pure = s @ np.swapaxes(s, -1, -2)
-    e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
-    out = np.empty_like(gamma_pure)
+        return np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
+    w = budget.omega.repeat(2)
+    gamma_pure = s @ s.swapaxes(-1, -2)
+    e0 = 0.25 * (gamma_pure.diagonal(axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
     fits = e0 <= target
-    if fits.any():
-        sf, df = s[fits], d[fits].copy()
+    every = fits.all()
+    out = np.empty_like(gamma_pure)
+    if every or fits.any():
+        sf, df, ef = (s, d, e0) if every else (s[fits], d[fits], e0[fits])
         sq = sf**2
         coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
         weight = (coef[:, None, :] @ df[:, :, None])[:, 0, 0]
         flat = weight < 1e-12
-        df[flat] = 1.0
-        weight[flat] = np.sum(coef[flat], axis=-1)
-        alpha = (target - e0[fits]) / weight
-        dd = np.repeat(1.0 + alpha[:, None] * df, 2, axis=-1)
-        out[fits] = (sf * dd[:, None, :]) @ np.swapaxes(sf, -1, -2)
-    if not fits.all():
-        t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
-        out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye
+        if flat.any():
+            df = np.where(flat[:, None], 1.0, df)
+            weight[flat] = coef[flat].sum(axis=-1)
+        alpha = (target - ef) / weight
+        dd = (1.0 + alpha[:, None] * df).repeat(2, axis=-1)
+        scaled = (sf * dd[:, None, :]) @ sf.swapaxes(-1, -2)
+        if every:
+            return scaled
+        out[fits] = scaled
+    t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
+    out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * np.eye(s.shape[-1])
     return out
 
 
@@ -272,12 +277,13 @@ def _nelder_mead(x0: np.ndarray, cap: int):
     evals = min(cap, dim + 1)
     fsim[:evals] = yield sim[:evals]
     for _ in range(2):  # scipy sorts the initial simplex twice; argsort may reorder ties
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        order = fsim.argsort()
+        sim, fsim = sim.take(order, 0), fsim.take(order)
     while evals < cap:
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as in scipy
-            if np.max(np.abs(sim[1:] - sim[0])) <= 1e-12 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14:
-                return float(np.min(fsim)), sim[0], evals, True
+        # fsim is sorted, so its spread is scipy's max |fsim[0] - fsim[1:]|; as
+        # Python floats inf - inf is nan without a warning, and fails the test
+        if float(fsim[-1]) - float(fsim[0]) <= 1e-14 and np.abs(sim[1:] - sim[0]).max() <= 1e-12:
+            return float(fsim.min()), sim[0], evals, True
         xbar = np.add.reduce(sim[:-1], 0) / dim
         xr = 2 * xbar - sim[-1]
         (fxr,) = yield xr[None]
@@ -306,9 +312,9 @@ def _nelder_mead(x0: np.ndarray, cap: int):
                 if scored:
                     fsim[1 : scored + 1] = yield sim[1 : scored + 1]
                     evals += scored
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return float(np.min(fsim)), sim[0], evals, False
+        order = fsim.argsort()
+        sim, fsim = sim.take(order, 0), fsim.take(order)
+    return float(fsim.min()), sim[0], evals, False
 
 
 def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
@@ -337,10 +343,11 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
     results = [None] * len(runs)
     while pending:
         values = objective(np.concatenate(list(pending.values())))
-        bounds = np.cumsum([len(points) for points in pending.values()])[:-1]
-        for r, scores in zip(list(pending), np.split(values, bounds)):
+        end = 0
+        for r, points in list(pending.items()):
+            start, end = end, end + len(points)
             try:
-                pending[r] = runs[r].send(scores)
+                pending[r] = runs[r].send(values[start:end])
             except StopIteration as stop:
                 results[r] = stop.value
                 del pending[r]

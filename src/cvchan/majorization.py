@@ -198,10 +198,8 @@ def theorem1_trial(
     report = TrialReport(
         seed=seed, parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": PREFIX_RTOL}
     )
-    for mode in range(1, n + 1):
-        count = int(np.sum(modes == mode))
-        if count == 0:
-            continue
+    drawn, counts = np.unique(modes, return_counts=True)
+    for mode, count in zip(drawn.tolist(), counts.tolist()):
         lane = rng_stream(seed, mode)
         a = sample_spd(lane, mode, count, nu_range)
         b = sample_spd(lane, mode, count, nu_range)

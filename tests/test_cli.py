@@ -374,6 +374,9 @@ class TestInvalidInputExitCodes:
             ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--seed", "-1"],
             ["analyze", "--channel", "{thermal}", "--budget", "0"],
             ["verify", "theorem1", "--trials", "10", "--budget", "-3"],
+            # The one trial at seed 0 draws a 28,637,449-dimensional matrix,
+            # whose 5.83 PiB numpy refuses before it touches any memory.
+            ["verify", "schur", "--trials", "1", "--max-modes", "100000000"],
         ],
         ids=lambda argv: " ".join(arg for arg in argv if arg not in ("--channel", "{thermal}")),
     )

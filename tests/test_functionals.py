@@ -174,6 +174,121 @@ def project_to_energy_loop(s, d, omega, target):
     return (s * np.repeat(1.0 + alpha * d, 2)[None, :]) @ s.T
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes, values and signs of zero; complex arrays compare their
+    real and imaginary parts."""
+    a, b = (np.asarray(x).view(float) if np.iscomplexobj(x) else np.asarray(x) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def signed_zero_stack(seed, dim, rows=12):
+    """Random rows, rows with +0.0 and -0.0 entries among random ones, and the
+    zero vector (the origin start of every search)."""
+    rng = sp.rng_stream(seed, dim)
+    random = rng.normal(scale=2.0, size=(rows, dim))
+    zeros = rng.normal(scale=0.5, size=(rows, dim))
+    mask = rng.random((rows, dim)) < 0.4
+    zeros[mask] = np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+    return np.concatenate([random, zeros, np.zeros((1, dim))])
+
+
+def unitary_reference(theta, n):
+    """Reference: the kernel as it was first batched, filling the Hermitian
+    slot by slot; its signed zeros set the bits of ``eigh``."""
+    upper, lower = np.triu_indices(n, 1)
+    re = theta[..., n : n * n : 2]
+    im = theta[..., n + 1 : n * n : 2]
+    h = np.zeros(theta.shape[:-1] + (n * n,), dtype=complex)
+    h[..., np.arange(n) * (n + 1)] = theta[..., :n]
+    h[..., upper * n + lower] = re + 1j * im
+    h[..., lower * n + upper] = re - 1j * im
+    w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def pure_cov_reference(theta, n):
+    t = sp._embed_unitary(unitary_reference(theta[..., : n * n], n))
+    zz = sp._paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
+    return (t * zz[..., None, :]) @ np.swapaxes(t, -1, -2)
+
+
+def phys_cov_factors_reference(theta, n):
+    t1 = sp._embed_unitary(unitary_reference(theta[..., : n * n], n))
+    z = np.exp(np.clip(theta[..., n * n : n * n + n], -12.0, 12.0))
+    t2 = sp._embed_unitary(unitary_reference(theta[..., n * n + n : 2 * n * n + n], n))
+    return sp._euler_form(t1, z, t2), np.clip(theta[..., 2 * n * n + n :], -1e3, 1e3) ** 2
+
+
+def project_to_energy_reference(s, d, budget):
+    """Reference: the projection with every row through the boolean masks."""
+    target, e_vac = budget.total, budget.zero_point
+    eye = np.eye(2 * len(budget.omega))
+    if target <= e_vac + 1e-12:
+        return np.broadcast_to(eye, s.shape).copy()
+    w = np.repeat(budget.omega, 2)
+    gamma_pure = s @ np.swapaxes(s, -1, -2)
+    e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
+    out = np.empty_like(gamma_pure)
+    fits = e0 <= target
+    if fits.any():
+        sf, df = s[fits], d[fits].copy()
+        sq = sf**2
+        coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
+        weight = (coef[:, None, :] @ df[:, :, None])[:, 0, 0]
+        flat = weight < 1e-12
+        df[flat] = 1.0
+        weight[flat] = np.sum(coef[flat], axis=-1)
+        alpha = (target - e0[fits]) / weight
+        dd = np.repeat(1.0 + alpha[:, None] * df, 2, axis=-1)
+        out[fits] = (sf * dd[:, None, :]) @ np.swapaxes(sf, -1, -2)
+    if not fits.all():
+        t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
+        out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye
+    return out
+
+
+class TestKernelBits:
+    """Each search kernel gives the bits of its reference, signed zeros
+    included, and every row of a stack the bits of that row alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unitary(self, n):
+        theta = signed_zero_stack(21, n * n)
+        u = fn._unitary_from_params(theta, n)
+        assert same_bits(u, unitary_reference(theta, n))
+        assert all(same_bits(fn._unitary_from_params(row, n), u[i]) for i, row in enumerate(theta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pure_cov(self, n):
+        theta = signed_zero_stack(22, n * n + n)
+        theta[:3, n * n :] = [[20.0], [-20.0], [np.inf]]  # clipped squeezings
+        gamma = fn._pure_cov(theta, n)
+        assert same_bits(gamma, pure_cov_reference(theta, n))
+        assert all(same_bits(fn._pure_cov(row, n), gamma[i]) for i, row in enumerate(theta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_phys_cov_factors(self, n):
+        theta = signed_zero_stack(23, 2 * n * n + 2 * n)
+        s, d = fn._phys_cov_factors(theta, n)
+        s_ref, d_ref = phys_cov_factors_reference(theta, n)
+        assert same_bits(s, s_ref) and same_bits(d, d_ref)
+        for i, row in enumerate(theta):
+            s_row, d_row = fn._phys_cov_factors(row, n)
+            assert same_bits(s_row, s[i]) and same_bits(d_row, d[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("excess", [0.0, 1.0, 1e3], ids=["zero-point", "some-fit", "all-fit"])
+    def test_project_to_energy(self, n, excess):
+        theta = 0.5 * signed_zero_stack(24, 2 * n * n + 2 * n)
+        theta[-4:, 2 * n * n + n :] = 0.0  # no excess spectrum: the weight falls back to the sum
+        s, d = fn._phys_cov_factors(theta, n)
+        budget = fn.EnergyBudget(0.5 * n + excess, np.linspace(1.0, 1.5, n))
+        gamma = fn._project_to_energy(s, d, budget)
+        assert same_bits(gamma, project_to_energy_reference(s, d, budget))
+        assert all(same_bits(fn._project_to_energy(s[i : i + 1], d[i : i + 1], budget)[0], gamma[i])
+                   for i in range(len(s)))
+
+
 class TestParameterizations:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_unitary_matches_loop_reference(self, n):
@@ -312,6 +427,9 @@ class TestRestartedNelderMead:
         (walled_kink, 4, 5000),  # all-inf simplices, and runs that converge
         (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200),  # the winner converges
         (lambda x: np.full(len(x), np.inf), 2, 60),  # no finite value: inf at the zero vector
+        (lambda x: np.zeros(len(x)), 3, 500),  # every vertex ties: the f-test passes, the x-test decides
+        (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 2, 600),  # ties in the vertex sort
+        (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 4, 3000),
     ])
     def test_matches_scipy_on_other_objectives(self, objective, dim, budget):
         lockstep = fn._restarted_nelder_mead(objective, dim, budget, seed=11)

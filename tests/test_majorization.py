@@ -168,6 +168,23 @@ class TestTheorem1:
         report = mj.theorem1_trial(2, nu_range=(0.05, 0.8), trials=200, seed=7)
         assert report.failures == 0
 
+    def test_visits_only_the_drawn_mode_counts(self, monkeypatch):
+        # Mode counts up to 1e11 are drawn and none is allocated: the sampler
+        # is stubbed with one-mode identities, so the loop costs only what it
+        # visits, and it must visit the drawn counts only, in ascending order.
+        n, trials, seed = 10**11, 3, 17
+        calls = []
+
+        def identities(lane, mode, count, nu_range):
+            calls.append((mode, count))
+            return np.broadcast_to(np.eye(2), (count, 2, 2)).copy()
+
+        monkeypatch.setattr(mj, "sample_spd", identities)
+        report = mj.theorem1_trial(n, trials=trials, seed=seed)
+        drawn, counts = np.unique(sp.rng_stream(seed).integers(1, n + 1, size=trials), return_counts=True)
+        assert calls == [(mode, count) for mode, count in zip(drawn.tolist(), counts.tolist()) for _ in "ab"]
+        assert report.trials == trials and report.failures == 0
+
 
 class TestLemma1:
     def test_identity_bound(self):

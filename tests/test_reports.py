@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from cvchan import cli
+from cvchan import functionals as fn
 
 REPORTS = pathlib.Path(__file__).parent / "reports"
 
@@ -52,6 +53,17 @@ COMMANDS = {
         ["analyze", "--channel", "{custom1}", "--numeric", "--p", "2,7", "--budget", "1500", "--seed", "4"], 0
     ),
     "custom1_capacity": (["capacity", "--channel", "{custom1}", "--energy", "1.7", "--budget", "900", "--seed", "2"], 0),
+}
+
+#: Objective calls and scored rows (the evaluations) of each pinned search
+#: command: a driver that splits or merges its rounds changes the calls.
+SEARCH_WORK = {
+    "multiplicativity": (948, 5976),
+    "additivity": (154, 996),
+    "custom2_analyze_numeric": (320, 1992),
+    "custom2_capacity": (314, 1992),
+    "custom1_analyze_numeric": (586, 3485),
+    "custom1_capacity": (293, 1800),
 }
 
 #: A command that exits 0 or 1 is pinned by its report in both formats; one
@@ -142,6 +154,18 @@ def test_bytes(name, fmt):
     if text != expected:
         pytest.fail(f"{name} ({fmt}) differs from tests/reports/{name}.{fmt}: "
                     f"{first_difference(fields(expected, fmt), fields(text, fmt))}")
+
+
+@pytest.mark.parametrize("name", SEARCH_WORK)
+def test_search_work(name, monkeypatch):
+    recorded = json.loads((REPORTS / "build.json").read_text())
+    if build() != recorded:
+        pytest.skip(f"counts taken on {recorded}, this is {build()}")
+    rows = []
+    scores = fn._scores
+    monkeypatch.setattr(fn, "_scores", lambda *args: rows.append(len(args[-1])) or scores(*args))
+    assert run.__wrapped__(name, "json")[0] == 0
+    assert (len(rows), sum(rows)) == SEARCH_WORK[name]
 
 
 def test_first_difference_names_the_field():
