@@ -225,7 +225,8 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np
 
     Rescales the excess spectrum d of the rows whose pure part S S^T fits
     in the budget; the other rows shrink toward the vacuum along the
-    segment to the identity (both operations preserve physicality).  The
+    segment to the identity (both operations preserve physicality).  Every
+    row is rescaled and the rows that do not fit are then overwritten.  The
     energies are per-row dot products: a stacked matrix-vector product sums
     in another order, and a row would then differ from its batch of one.
     """
@@ -235,26 +236,17 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np
     w = budget.omega.repeat(2)
     gamma_pure = s @ s.swapaxes(-1, -2)
     e0 = 0.25 * (gamma_pure.diagonal(axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
-    fits = e0 <= target
-    every = fits.all()
-    out = np.empty_like(gamma_pure)
-    if every or fits.any():
-        sf, df, ef = (s, d, e0) if every else (s[fits], d[fits], e0[fits])
-        sq = sf**2
-        coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
-        weight = (coef[:, None, :] @ df[:, :, None])[:, 0, 0]
-        flat = weight < 1e-12
-        if flat.any():
-            df = np.where(flat[:, None], 1.0, df)
-            weight[flat] = coef[flat].sum(axis=-1)
-        alpha = (target - ef) / weight
-        dd = (1.0 + alpha[:, None] * df).repeat(2, axis=-1)
-        scaled = (sf * dd[:, None, :]) @ sf.swapaxes(-1, -2)
-        if every:
-            return scaled
-        out[fits] = scaled
-    t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
-    out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * np.eye(s.shape[-1])
+    sq = s**2
+    coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
+    weight = (coef[:, None, :] @ d[:, :, None])[:, 0, 0]
+    flat = weight < 1e-12
+    weight[flat] = coef[flat].sum(axis=-1)
+    alpha = (target - e0) / weight
+    dd = (1.0 + alpha[:, None] * np.where(flat[:, None], 1.0, d)).repeat(2, axis=-1)
+    out = (s * dd[:, None, :]) @ s.swapaxes(-1, -2)
+    mix = ~(e0 <= target)
+    t = ((target - e_vac) / (e0[mix] - e_vac))[:, None, None]
+    out[mix] = t * gamma_pure[mix] + (1.0 - t) * np.eye(s.shape[-1])
     return out
 
 

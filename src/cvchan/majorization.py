@@ -17,6 +17,7 @@ are reproducible and independent of batching or execution order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,8 +199,7 @@ def theorem1_trial(
     report = TrialReport(
         seed=seed, parameters={"max_modes": n, "nu_range": list(nu_range), "atol": atol, "rtol": PREFIX_RTOL}
     )
-    drawn, counts = np.unique(modes, return_counts=True)
-    for mode, count in zip(drawn.tolist(), counts.tolist()):
+    for mode, count in sorted(Counter(modes.tolist()).items()):
         lane = rng_stream(seed, mode)
         a = sample_spd(lane, mode, count, nu_range)
         b = sample_spd(lane, mode, count, nu_range)

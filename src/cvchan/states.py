@@ -212,11 +212,9 @@ def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
         dn = 0.5 * (nu - 1.0)
         large = nu > 1e4
         out = np.where(large, 1.0, up) * np.log(up)
-        mask = dn > 0.0
-        if large.any():
-            out[large] += dn[large] * np.log1p(1.0 / dn[large])
-            mask &= ~large
+        mask = (dn > 0.0) & ~large
         out[mask] -= dn[mask] * np.log(dn[mask])
+        out[large] += dn[large] * np.log1p(1.0 / dn[large])
         return out.sum(axis=-1)
     d = 0.5 * (nu - 1.0)
     t = (1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300))
