@@ -34,8 +34,10 @@ from cvchan import functionals as fn
 REPORTS = pathlib.Path(__file__).parent / "reports"
 
 #: Name: (argv, exit code) of every pinned command: the README commands with
-#: the campaigns and searches at reduced sizes, and the commands on the
-#: benchmark's 2-mode custom channel and on a 1-mode custom channel.
+#: the campaigns and searches at reduced sizes, the commands on the
+#: benchmark's 2-mode custom channel and on a 1-mode custom channel, and
+#: closed-form analyze rows like those of the benchmark's calls workload
+#: (the thermal4 one overflows F_p and writes its log).
 #: ``{spec}`` stands for ``reports/channels/spec.json``.
 COMMANDS = {
     "analyze": (["analyze", "--channel", "{thermal}", "--p", "2,3"], 0),
@@ -53,6 +55,9 @@ COMMANDS = {
         ["analyze", "--channel", "{custom1}", "--numeric", "--p", "2,7", "--budget", "1500", "--seed", "4"], 0
     ),
     "custom1_capacity": (["capacity", "--channel", "{custom1}", "--energy", "1.7", "--budget", "900", "--seed", "2"], 0),
+    "classical2_analyze": (["analyze", "--channel", "{classical2}", "--p", "1.5,2,3,7"], 0),
+    "lossy3_analyze": (["analyze", "--channel", "{lossy3}", "--p", "1.5,2,3,7"], 0),
+    "thermal4_analyze": (["analyze", "--channel", "{thermal4}", "--p", "400"], 0),
 }
 
 #: Objective calls and scored rows (the evaluations) of each pinned search
