@@ -207,12 +207,18 @@ def channel_to_record(channel: GaussianChannel) -> dict:
 
 
 def _numbers_only(value) -> bool:
-    """True for a real number or a (nested) list of them; booleans are not numbers."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return all(_numbers_only(entry) for entry in value)
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number or a (nested) list of them; booleans are not
+    numbers.  Iterative, so any nesting depth gives an answer."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            item = item.tolist()
+        if isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif not isinstance(item, numbers.Real) or isinstance(item, bool):
+            return False
+    return True
 
 
 def _numeric_field(name: str, value) -> np.ndarray:
@@ -289,6 +295,8 @@ def load_channel(path) -> tuple[GaussianChannel, np.ndarray | None]:
             record = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ChannelSpecError("<file>", f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ChannelSpecError("<file>", "JSON nested too deeply") from None
     channel = channel_from_record(record)
     omega = record.get("omega")
     if omega is not None:

@@ -27,6 +27,7 @@ from . import __version__
 from . import channels as ch
 from . import functionals as fn
 from . import majorization as mj
+from . import states as st
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -149,35 +150,40 @@ def _base_report(args, tolerances: dict) -> dict:
 def cmd_analyze(args) -> int:
     channel, _ = ch.load_channel(args.channel)
     p_values = _parse_float_list(args.p)
-    report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
+    for p in p_values:  # the whole list, before any search
+        if not p > 1.0:
+            raise ValueError(f"order must be > 1, got {p}")
+    try:
+        nu = fn.optimal_output_spectrum(channel)  # every closed-form row is read off it
+    except fn.UnsupportedKindError:
+        if not args.numeric:
+            print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        nu = None
+    n = channel.n
+    if nu is None:
+        s_min = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
+    else:
+        s_min = st.renyi_entropy(nu, 1.0)
     results = []
-    s_min = None  # S_min does not depend on p: one call per command
     for p in p_values:
-        entry = {"p": p, "kind": channel.kind}
-        try:
-            inf_fp = fn.min_output_fp_closed(channel, p)
-            entry["closed_form"] = True
-        except fn.UnsupportedKindError:
-            if not args.numeric:
-                print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
-                return EXIT_UNSUPPORTED
-            s_p = fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value
-            log_inf_fp = fn.log_fp_of_renyi(channel.n, p, s_p)
+        entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}
+        if nu is None:
+            log_inf_fp = fn.log_fp_of_renyi(n, p, fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value)
             inf_fp = fn.exp_or_inf(log_inf_fp)
-            entry["closed_form"] = False
-        if s_min is None:
-            s_min = fn.min_output_entropy(channel, budget=args.budget, seed=args.seed)
-        entry["S_min"] = s_min
+        else:
+            inf_fp = fn.fp_product(nu, p)
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
-            entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
+            entry["xi_p"] = 2.0**n / inf_fp ** (1.0 / p)
         else:  # the product overflows; its log, read from the minimal S_p, does not
-            if entry["closed_form"]:
-                log_inf_fp = fn.log_fp_of_renyi(channel.n, p, fn.min_output_renyi_closed(channel, p))
+            if nu is not None:
+                log_inf_fp = fn.log_fp_of_renyi(n, p, st.renyi_entropy(nu, p))
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
-            entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)
+            entry["xi_p"] = 2.0**n * math.exp(-log_inf_fp / p)
         results.append(entry)
+    report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     report["channel"] = ch.channel_to_record(channel)
     report["results"] = results
     _emit(report, args.format, args.out)

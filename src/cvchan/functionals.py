@@ -97,8 +97,9 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _closed_form_arguments(channel: ch.GaussianChannel) -> np.ndarray:
-    """Per-mode output spectrum at the optimal input, leaf by leaf in mode order."""
+def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
+    """nu*, the per-mode output spectrum at the optimal Gaussian input, leaf
+    by leaf in mode order; every closed-form optimum is a function of it."""
     parts = []
     for leaf in channel.leaves:
         if leaf.kind == "classical":
@@ -110,7 +111,7 @@ def _closed_form_arguments(channel: ch.GaussianChannel) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _fp_product(x: np.ndarray, p: float) -> float:
+def fp_product(x: np.ndarray, p: float) -> float:
     """prod_k f_p(x_k), inf where it overflows a double."""
     with np.errstate(over="ignore"):
         return float(np.prod(st.f_p(x, p)))
@@ -120,7 +121,7 @@ def min_output_renyi_closed(channel: ch.GaussianChannel, p: float) -> float:
     """Closed-form minimal output Renyi-p entropy over Gaussian inputs, p in
     (0, inf]: classical noise leaves 1 + y_k over the symplectic spectrum of
     Y, thermal noise 1 + 2 (1 - eta_k) nbar_k.  The other optima read it."""
-    return st.renyi_entropy(_closed_form_arguments(channel), p)
+    return st.renyi_entropy(optimal_output_spectrum(channel), p)
 
 
 def log_fp_of_renyi(n: int, p: float, s_p: float) -> float:
@@ -140,7 +141,7 @@ def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
     (its log, from ``min_output_renyi_closed``, is finite)."""
     if not p > 1.0:
         raise ValueError(f"order must be > 1, got {p}")
-    return _fp_product(_closed_form_arguments(channel), p)
+    return fp_product(optimal_output_spectrum(channel), p)
 
 
 def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
@@ -632,7 +633,7 @@ def multiplicativity_check(
     witness_nu = np.maximum(_spectrum(ch.apply_cov(joint, separable_optimal_input(joint))), 1.0)
     if math.isfinite(product):
         numeric_best = exp_or_inf(log_fp_of_renyi(joint.n, p, s_best))
-        witness_value = _fp_product(witness_nu, p)
+        witness_value = fp_product(witness_nu, p)
         margin = numeric_best - product
         witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
         values = {"product_of_optima": product, "numeric_best": numeric_best, "witness_value": witness_value}

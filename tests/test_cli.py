@@ -109,6 +109,32 @@ class TestAnalyze:
         first, second = json.loads(out.read_text())["results"]
         assert first["S_min"] == second["S_min"]
 
+    def test_closed_form_spectrum_is_built_once(self, tmp_path, monkeypatch, search_calls):
+        # Every row's F_p, xi_p and S_min is read off the one optimal spectrum.
+        spec = tmp_path / "classical2.json"
+        spec.write_text(json.dumps(ch.channel_to_record(ch.classical_noise(np.diag([1.3, 0.4, 0.7, 1.9])))))
+        builds = []
+        spectrum = fn.optimal_output_spectrum
+        monkeypatch.setattr(fn, "optimal_output_spectrum", lambda channel: builds.append(1) or spectrum(channel))
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--channel", str(spec), "--p", "1.5,2,3,7", "--out", str(out)]) == 0
+        assert len(builds) == 1
+        assert len(search_calls) == 0
+        assert [entry["p"] for entry in json.loads(out.read_text())["results"]] == [1.5, 2.0, 3.0, 7.0]
+
+    @pytest.mark.parametrize("p", ["0.5", "2,0.5", "0.5,2"])
+    @pytest.mark.parametrize(
+        "spec, numeric", [("thermal", []), ("custom", []), ("custom", ["--numeric"])],
+        ids=["thermal", "custom", "custom-numeric"],
+    )
+    def test_every_order_is_checked_before_any_search(self, spec, numeric, p, request, search_calls, capsys):
+        # An invalid order outranks an unsupported kind, wherever it is in the list.
+        path = request.getfixturevalue(f"{spec}_spec")
+        code = cli.main(["analyze", "--channel", path, "--p", p, *numeric])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "order must be > 1, got 0.5" in capsys.readouterr().err
+        assert len(search_calls) == 0
+
     @pytest.mark.parametrize(
         "command", [["analyze", "--p", "2"], ["capacity", "--energy", "1.5"]], ids=["analyze", "capacity"]
     )
@@ -483,6 +509,26 @@ class TestInvalidChannelFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(record))
         code = cli.main([command[0], "--channel", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"'{field}'" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("Y", '{"n_modes": 1, "kind": "classical", "Y": ' + "[" * 400 + "1" + "]" * 400 + "}"),
+            ("<file>", "[" * 100_000 + "]" * 100_000),
+        ],
+        ids=["Y-nested-400-deep", "file-nested-100000-deep"],
+    )
+    def test_deep_nesting_exits_2_naming_the_field(self, field, text, tmp_path, capsys):
+        # Deeper than the interpreter's recursion limit allows a recursive reader.
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = cli.main(["analyze", "--channel", str(path)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == ""
