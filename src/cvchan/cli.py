@@ -150,6 +150,7 @@ def _base_report(args, tolerances: dict) -> dict:
 def cmd_analyze(args) -> int:
     channel, _ = ch.load_channel(args.channel)
     p_values = _parse_float_list(args.p)
+    report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     for p in p_values:  # the whole list, before any search
         if not p > 1.0:
             raise ValueError(f"order must be > 1, got {p}")
@@ -160,7 +161,6 @@ def cmd_analyze(args) -> int:
             print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
             return EXIT_UNSUPPORTED
         nu = None
-    n = channel.n
     if nu is None:
         s_min = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
     else:
@@ -169,21 +169,21 @@ def cmd_analyze(args) -> int:
     for p in p_values:
         entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}
         if nu is None:
-            log_inf_fp = fn.log_fp_of_renyi(n, p, fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value)
+            s_p = fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value
+            log_inf_fp = fn.log_fp_of_renyi(channel.n, p, s_p)
             inf_fp = fn.exp_or_inf(log_inf_fp)
         else:
             inf_fp = fn.fp_product(nu, p)
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
-            entry["xi_p"] = 2.0**n / inf_fp ** (1.0 / p)
+            entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
         else:  # the product overflows; its log, read from the minimal S_p, does not
             if nu is not None:
-                log_inf_fp = fn.log_fp_of_renyi(n, p, st.renyi_entropy(nu, p))
+                log_inf_fp = fn.log_fp_of_renyi(channel.n, p, st.renyi_entropy(nu, p))
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
-            entry["xi_p"] = 2.0**n * math.exp(-log_inf_fp / p)
+            entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)
         results.append(entry)
-    report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     report["channel"] = ch.channel_to_record(channel)
     report["results"] = results
     _emit(report, args.format, args.out)
