@@ -27,7 +27,7 @@ from .states import GaussianState
 
 #: Slack on the complete-positivity certificate eigenvalue.
 TOL_CP = 1e-10
-#: Noise eigenvalues below this count as singular; ``regularized_noise`` adds it to Y.
+#: Noise eigenvalues below this count as singular; the optimal-input witness adds it to Y.
 NOISE_EPS = 1e-10
 
 
@@ -164,20 +164,6 @@ def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
     no physicality re-validation."""
     out = channel.x.T @ gamma @ channel.x + channel.y
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def regularized_noise(channel: GaussianChannel) -> np.ndarray:
-    """The noise matrix Y, or Y + eps I when its minimum eigenvalue is below
-    eps = ``NOISE_EPS``.
-
-    Singular Y has no Williamson form; its regularization does, and its
-    frame aligns an input with Y.  The channel itself keeps the exact Y;
-    the regularizer never enters the action or ``noise_spectrum``.
-    """
-    y = channel.y
-    if float(np.linalg.eigvalsh(y)[0]) < NOISE_EPS:
-        y = y + NOISE_EPS * np.eye(y.shape[0])
-    return y
 
 
 def noise_spectrum(channel: GaussianChannel) -> np.ndarray:

@@ -2,8 +2,10 @@
 energy-constrained Holevo capacity, and multiplicativity/additivity checks.
 
 Closed forms exist for classical-noise, thermal-noise and lossy channels
-and their tensor products, read leaf by leaf in mode order; every other
-channel goes through a derivative-free search over Gaussian inputs.
+and their tensor products, read leaf by leaf in mode order from one rule,
+``_leaf_optimum`` (each leaf's optimal output spectrum and photon map);
+the optimal-input witness is built only when a check asks for it.  Every
+other channel goes through a derivative-free search over Gaussian inputs.
 The search parameterizes covariances through the Euler form (two unitary
 factors plus squeezings), so physicality holds by construction, and the
 energy constraint is enforced by an exact projection, never a penalty.
@@ -97,18 +99,30 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 # closed forms
 
+def _leaf_optimum(leaf: ch.GaussianChannel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The closed-form rule of one leaf: its optimal output spectrum nu* and
+    its photon map (a, b), under which a thermal input mode with N photons
+    leaves as a thermal mode with a N + b photons.
+
+    Thermal and lossy: a = eta, b = (1 - eta) nbar and nu* = 1 + 2 b.
+    Classical noise: nu* = 1 + nu(Y), and a = 1, b = y_k / 2 when
+    Y = (+)_k y_k I_2; the map is None for a phase-sensitive Y.  Any other
+    leaf raises ``UnsupportedKindError``.
+    """
+    if leaf.kind in ("thermal", "lossy"):
+        b = (1.0 - leaf.eta) * leaf.nbar
+        return 1.0 + 2.0 * b, (leaf.eta, b)
+    if leaf.kind != "classical":
+        raise UnsupportedKindError(f"no closed form for kind {leaf.kind!r}; use the numeric search")
+    y, y_k = leaf.y, np.diag(leaf.y)[0::2]
+    isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
+    return 1.0 + ch.noise_spectrum(leaf), (np.ones(leaf.n), 0.5 * y_k) if isotropic else None
+
+
 def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
     """nu*, the per-mode output spectrum at the optimal Gaussian input, leaf
     by leaf in mode order; every closed-form optimum is a function of it."""
-    parts = []
-    for leaf in channel.leaves:
-        if leaf.kind == "classical":
-            parts.append(1.0 + ch.noise_spectrum(leaf))
-        elif leaf.kind in ("thermal", "lossy"):
-            parts.append(1.0 + 2.0 * (1.0 - leaf.eta) * leaf.nbar)
-        else:
-            raise UnsupportedKindError(f"no closed form for kind {leaf.kind!r}; use the numeric search")
-    return np.concatenate(parts)
+    return np.concatenate([_leaf_optimum(leaf)[0] for leaf in channel.leaves])
 
 
 def fp_product(x: np.ndarray, p: float) -> float:
@@ -425,7 +439,7 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
     return report
 
 
-def numeric_min_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> OptimizationReport:
+def numeric_min_entropy(channel: ch.GaussianChannel, budget: int, seed: int) -> OptimizationReport:
     """Numeric twin of ``min_output_entropy``: ``numeric_min_renyi`` at p = 1."""
     return numeric_min_renyi(channel, 1.0, budget, seed)
 
@@ -475,27 +489,13 @@ class CapacityReport:
 
 
 def _photon_maps(channel: ch.GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode (a_k, b_k) of a phase-insensitive channel, leaf by leaf in
-    mode order: a thermal input mode with N photons leaves as a thermal mode
-    with a_k N + b_k photons.
-
-    Thermal and lossy: a = eta, b = (1 - eta) nbar.  Classical noise with
-    Y = (+)_k y_k I_2: a = 1, b = y_k / 2.  Any other leaf raises
-    ``UnsupportedKindError``.
-    """
-    a, b = [], []
-    for leaf in channel.leaves:
-        y, y_k = leaf.y, np.diag(leaf.y)[0::2]
-        isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
-        if leaf.kind in ("thermal", "lossy"):
-            a.append(leaf.eta)
-            b.append((1.0 - leaf.eta) * leaf.nbar)
-        elif leaf.kind == "classical" and isotropic:
-            a.append(np.ones(leaf.n))
-            b.append(0.5 * y_k)
-        else:
-            raise UnsupportedKindError(f"no closed-form capacity for a {leaf.kind} leaf; it needs thermal or "
-                                       "lossy modes or classical noise that is isotropic on each mode")
+    """Per-mode (a_k, b_k) of a phase-insensitive channel, the photon maps of
+    ``_leaf_optimum`` leaf by leaf in mode order; a leaf without one raises
+    ``UnsupportedKindError``."""
+    maps = [_leaf_optimum(leaf)[1] for leaf in channel.leaves]
+    if any(m is None for m in maps):
+        raise UnsupportedKindError("no closed-form capacity for classical noise that is not isotropic on each mode")
+    a, b = zip(*maps)
     return np.concatenate(a), np.concatenate(b)
 
 
@@ -583,18 +583,22 @@ def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
     block per leaf in mode order.
 
     Thermal and lossy leaves take the vacuum block; classical leaves take
-    the inverse Williamson frame of their (regularized) noise matrix, which
-    aligns the input with Y so the output spectrum is exactly 1 + y_k.
+    the inverse Williamson frame of their noise matrix, which aligns the
+    input with Y so the output spectrum is exactly 1 + y_k.  A singular Y
+    has no Williamson form, so Y + eps I takes its place when the minimum
+    eigenvalue of Y is below eps = ``NOISE_EPS``.
     """
     blocks = []
     for leaf in channel.leaves:
-        if leaf.kind in ("thermal", "lossy"):
-            blocks.append(np.eye(2 * leaf.n))
-        elif leaf.kind == "classical":
-            s_inv = symplectic_inverse(williamson(ch.regularized_noise(leaf)).s)
+        if leaf.kind == "classical":
+            y = leaf.y
+            if float(np.linalg.eigvalsh(y)[0]) < ch.NOISE_EPS:
+                y = y + ch.NOISE_EPS * np.eye(y.shape[0])
+            s_inv = symplectic_inverse(williamson(y).s)
             blocks.append(s_inv @ s_inv.T)
         else:
-            raise UnsupportedKindError(f"no optimal-input witness for kind {leaf.kind!r}")
+            _leaf_optimum(leaf)  # a leaf without a closed form raises here
+            blocks.append(np.eye(2 * leaf.n))
     return _direct_sum(blocks)
 
 

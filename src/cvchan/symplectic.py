@@ -150,12 +150,16 @@ def _spectrum(a: np.ndarray) -> np.ndarray:
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of a validated symmetric matrix; a failure is reported
-    with the minimum eigenvalue of A, which is computed only on that path."""
+    with the eigenvalues of A, which are computed only on that path: the
+    minimum one of an indefinite A, the extreme ones of a numerically
+    singular A, whose eigenvalues are all >= 0."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        min_eigenvalue = float(np.linalg.eigvalsh(a)[0])
-    raise NotPositiveDefiniteError(f"matrix is not positive definite (minimum eigenvalue {min_eigenvalue:.3e})")
+        w = np.linalg.eigvalsh(a)
+    if w[0] >= 0.0:
+        raise NotPositiveDefiniteError(f"matrix is numerically singular (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
+    raise NotPositiveDefiniteError(f"matrix is not positive definite (minimum eigenvalue {w[0]:.3e})")
 
 
 def symplectic_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -166,7 +170,7 @@ def symplectic_eigenvalues(a: np.ndarray) -> np.ndarray:
     its largest entry), and positive definite.  The spectrum is the positive
     half of the eigenvalues of the Hermitian i L^T J L, with L the
     Cholesky factor of A, as in ``_spectrum``; a failed factorization is
-    reported with the minimum eigenvalue of A.
+    reported with the eigenvalues of A, as ``_cholesky`` does.
 
     Parameters
     ----------
@@ -235,7 +239,8 @@ def williamson(a: np.ndarray) -> WilliamsonDecomposition:
     ------
     NotPositiveDefiniteError
         If the input is not finite, not symmetric within ``TOL_SYM``, or not
-        positive definite (the message names the minimum eigenvalue).
+        positive definite (the message names the minimum eigenvalue, or the
+        extreme ones of a numerically singular input).
     ArithmeticError
         If the constructed decomposition misses the residual bound; the
         residual value is included in the message.
@@ -416,7 +421,7 @@ def sample_symplectics(
     rng: np.random.Generator,
     n: int,
     count: int,
-    squeeze_range: tuple[float, float] = (1.0, 4.0),
+    squeeze_range: tuple[float, float],
     log_squeeze: bool = False,
 ) -> np.ndarray:
     """Vectorized sampler of (count, 2n, 2n) symplectic matrices.

@@ -42,11 +42,11 @@ DEFAULTED_PARAMETERS = {
     "max_output_entropy_under_energy.search_budget", "max_output_entropy_under_energy.seed",
     "min_output_entropy.budget", "min_output_entropy.seed",
     "multiplicativity_check.search_budget", "multiplicativity_check.seed", "multiplicativity_check.tol",
-    "numeric_inf_fp.budget", "numeric_inf_fp.seed", "numeric_min_entropy.budget", "numeric_min_entropy.seed",
+    "numeric_inf_fp.budget", "numeric_inf_fp.seed",
     "random_covariance.nu_range", "random_covariance.seed",
     "random_majorization_pair.seed", "random_majorization_pair.transforms",
     "random_spd.seed", "random_symplectic.seed", "random_symplectic.squeeze_range", "random_unitary.seed",
-    "sample_spd.squeeze_range", "sample_symplectics.log_squeeze", "sample_symplectics.squeeze_range",
+    "sample_spd.squeeze_range", "sample_symplectics.log_squeeze",
     "schur_campaign.atol", "schur_campaign.max_dim", "schur_campaign.seed", "schur_campaign.trials",
     "theorem1_trial.atol", "theorem1_trial.nu_range", "theorem1_trial.seed",
     "theorem1_trial.trials",
@@ -133,6 +133,47 @@ def test_defaulted_parameter_is_detected(tmp_path):
         "        pass\n"
     )
     assert _defaulted_parameters([module]) == {"f.b", "f.c", "f.g", "<lambda>.y", "m.z"}
+
+
+#: Every function in src/cvchan that compares a ``.kind``: the record writer,
+#: the per-leaf closed-form rule and the optimal-input witness.  A kind
+#: branch anywhere else is a second copy of the rule, so a new one must show
+#: up here.
+KIND_BRANCHES = {"channel_to_record", "_leaf_optimum", "separable_optimal_input"}
+
+
+def _kind_branches(paths) -> set[str]:
+    """The innermost function (``<module>`` outside any) around every
+    comparison or ``match`` that reads a ``.kind`` attribute, in the given
+    modules."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            tested = [child] if isinstance(child, ast.Compare) else [child.subject] if isinstance(child, ast.Match) else []
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "kind" for test in tested for sub in ast.walk(test)):
+                found.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_kind_branches_are_pinned():
+    assert _kind_branches(sorted(SOURCE.glob("*.py"))) == KIND_BRANCHES
+
+
+def test_kind_branch_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(c):\n    return c.kind == 'a'\n\n"
+        "def g(c):\n    def inner(d):\n        return 'b' in (d.kind,)\n    return inner\n\n"
+        "def h(c, kind):\n    print(c.kind)\n    return kind == 'a' or c.kind\n\n"
+        "def m(c):\n    match c.kind:\n        case 'a':\n            pass\n\n"
+        "X = [c for c in () if c.kind != 'z']\n"
+    )
+    assert _kind_branches([module]) == {"f", "inner", "m", "<module>"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -79,6 +79,17 @@ class TestMakeChannel:
             build()
 
 
+_ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+#: Noise matrices R diag(d) R^T, R the rotation by 0.7, that build as
+#: classical noise although a closed form fails on each: Cholesky breaks
+#: down on the first, whose eigenvalues run from 4.8e-7 to 1e10, and the
+#: Williamson frame of the second plus 1e-10 I misses its residual bound.
+ILL_CONDITIONED_NOISE = {
+    "numerically singular": _ROTATION @ np.diag([1e10, 1e-9]) @ _ROTATION.T,
+    "rank one": _ROTATION @ np.diag([1e3, 0.0]) @ _ROTATION.T,
+}
+
+
 class TestClassicalNoise:
     def test_zero_noise_is_identity(self):
         assert ch.classical_noise(np.zeros((2, 2))).is_identity()
@@ -105,6 +116,12 @@ class TestClassicalNoise:
         nu = ch.noise_spectrum(ch.classical_noise(y))
         assert nu.shape == (1,)
         assert nu[0] == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("y", ILL_CONDITIONED_NOISE.values(), ids=ILL_CONDITIONED_NOISE.keys())
+    def test_ill_conditioned_noise_builds_and_applies(self, y):
+        # Construction computes no closed form, so none of their failures can stop it.
+        out = ch.apply(ch.classical_noise(y), st.vacuum(1))
+        assert_allclose(out.gamma, np.eye(2) + y, rtol=1e-15)
 
     def test_nondiagonal_noise(self):
         rot = sp.unitary_to_orthosymplectic(sp.random_unitary(1, seed=2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from test_channels import json_values, mutated_records, valid_records
+from test_channels import ILL_CONDITIONED_NOISE, json_values, mutated_records, valid_records
 
 from cvchan import cli
 from cvchan import channels as ch
@@ -151,6 +151,19 @@ class TestAnalyze:
         code = cli.main(["analyze", "--channel", str(path), "--p", "2"])
         assert code == cli.EXIT_INPUT_ERROR
         assert "Y" in capsys.readouterr().err
+
+    def test_numerically_singular_noise_exits_2_saying_so(self, tmp_path, capsys):
+        # The spec builds; its nu(Y) breaks Cholesky on eigenvalues that are all positive.
+        path = tmp_path / "singular.json"
+        record = ch.channel_to_record(ch.classical_noise(ILL_CONDITIONED_NOISE["numerically singular"]))
+        path.write_text(json.dumps(record))
+        code = cli.main(["analyze", "--channel", str(path), "--p", "2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is numerically singular (eigenvalues ")
+        assert captured.err.endswith(" to 1.000e+10)\n")
+        assert captured.err.count("\n") == 1
 
     def test_custom_without_numeric_exits_3(self, custom_spec, capsys):
         code = cli.main(["analyze", "--channel", custom_spec, "--p", "2"])

@@ -14,6 +14,7 @@ import cvchan.functionals as fn
 import cvchan.states as st
 from cvchan import symplectic as sp
 from cvchan.cli import _builtin_channel_pairs, record_of
+from test_channels import ILL_CONDITIONED_NOISE
 
 TWO_LN_2 = 2.0 * np.log(2.0)
 
@@ -97,6 +98,65 @@ class TestClosedForms:
             warnings.simplefilter("error")
             assert fn.min_output_fp_closed(channel, 400.0) == np.inf
         assert np.isfinite(fn.log_fp_of_renyi(1, 400.0, fn.min_output_renyi_closed(channel, 400.0)))
+
+
+#: Leaves without a photon map, so without a closed-form capacity.
+WITHOUT_PHOTON_MAP = {
+    "custom": ch.make_channel(0.5 * np.eye(2), np.eye(2)),
+    "anisotropic classical": ch.classical_noise(np.diag([2.0, 0.5])),
+    "mode-coupling classical": ch.classical_noise(np.array([[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.3],
+                                                            [0.3, 0.0, 1.0, 0.0], [0.0, 0.3, 0.0, 1.0]])),
+}
+
+
+class TestLeafRule:
+    """``_leaf_optimum`` is the one per-kind closed-form rule."""
+
+    def test_product_spectrum_is_the_leaves_spectra(self):
+        rot = sp.unitary_to_orthosymplectic(sp.random_unitary(2, seed=3))
+        leaves = (ch.classical_noise(rot @ np.diag([3.0, 1.0, 0.5, 2.0]) @ rot.T),
+                  ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.lossy([0.6]))
+        nu = fn.optimal_output_spectrum(ch.tensor(list(leaves)))
+        parts = [fn._leaf_optimum(leaf)[0] for leaf in leaves]
+        np.testing.assert_array_equal(nu, np.concatenate(parts))
+        # Bit for bit the expressions of the paper's optimum.
+        np.testing.assert_array_equal(parts[0], 1.0 + ch.noise_spectrum(leaves[0]))
+        for leaf, part in zip(leaves[1:], parts[1:]):
+            np.testing.assert_array_equal(part, 1.0 + 2.0 * (1.0 - leaf.eta) * leaf.nbar)
+
+    def test_photon_maps(self):
+        thermal, isotropic = ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.classical_noise(np.diag([3.0, 3.0]))
+        a, b = fn._leaf_optimum(thermal)[1]
+        np.testing.assert_array_equal(a, thermal.eta)
+        np.testing.assert_array_equal(b, (1.0 - thermal.eta) * thermal.nbar)
+        a, b = fn._leaf_optimum(isotropic)[1]
+        np.testing.assert_array_equal(a, [1.0])
+        np.testing.assert_array_equal(b, [1.5])
+
+    @pytest.mark.parametrize("name", ["anisotropic classical", "mode-coupling classical"])
+    def test_phase_sensitive_classical_leaf_has_no_photon_map(self, name):
+        leaf = WITHOUT_PHOTON_MAP[name]
+        nu, photon_map = fn._leaf_optimum(leaf)
+        assert photon_map is None
+        np.testing.assert_array_equal(nu, 1.0 + ch.noise_spectrum(leaf))
+
+    @pytest.mark.parametrize(
+        "figure", [fn._leaf_optimum, fn.optimal_output_spectrum, fn._photon_maps, fn.separable_optimal_input]
+    )
+    def test_custom_leaf_raises(self, figure):
+        # A product is itself of kind custom, so the rule refuses it as a leaf too.
+        with pytest.raises(fn.UnsupportedKindError, match="no closed form for kind 'custom'"):
+            figure(ch.tensor([ch.lossy([0.5]), WITHOUT_PHOTON_MAP["custom"]]))
+
+    def test_closed_form_failures_surface_only_when_asked_for(self):
+        # Both channels build (TestClassicalNoise); each fails only in the closed form that needs it.
+        singular = ch.classical_noise(ILL_CONDITIONED_NOISE["numerically singular"])
+        with pytest.raises(sp.NotPositiveDefiniteError, match="numerically singular"):
+            fn.optimal_output_spectrum(singular)
+        rank_one = ch.classical_noise(ILL_CONDITIONED_NOISE["rank one"])
+        assert_allclose(fn.optimal_output_spectrum(rank_one), [1.0], atol=1e-12)
+        with pytest.raises(ArithmeticError, match="Williamson residual"):
+            fn.separable_optimal_input(rank_one)
 
 
 class TestNumericInfFp:
@@ -777,16 +837,7 @@ class TestAdditivity:
         assert report.passed
         assert len(search_calls) == 1
 
-    @pytest.mark.parametrize(
-        "factor",
-        [
-            ch.make_channel(0.5 * np.eye(2), np.eye(2)),
-            ch.classical_noise(np.diag([2.0, 0.5])),
-            ch.classical_noise(np.array([[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.3],
-                                         [0.3, 0.0, 1.0, 0.0], [0.0, 0.3, 0.0, 1.0]])),
-        ],
-        ids=["custom", "anisotropic classical", "mode-coupling classical"],
-    )
+    @pytest.mark.parametrize("factor", WITHOUT_PHOTON_MAP.values(), ids=WITHOUT_PHOTON_MAP.keys())
     def test_unsupported_factor_raises(self, factor):
         pair = [ch.thermal_noise([0.5], [1.0]), factor]
         budget = fn.EnergyBudget(4.0, np.ones(1 + factor.n))

@@ -137,6 +137,15 @@ class TestSymplecticEigenvalues:
         with pytest.raises(sp.NotPositiveDefiniteError, match="-1"):
             sp.symplectic_eigenvalues(np.diag([1.0, -1.0]))
 
+    def test_numerically_singular_is_named_so(self):
+        # No eigenvalue is negative, yet Cholesky breaks down: they run from about 5e-7 to 1e10.
+        rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        with pytest.raises(
+            sp.NotPositiveDefiniteError,
+            match=r"^matrix is numerically singular \(eigenvalues [0-9]\.[0-9]{3}e-0[67] to 1\.000e\+10\)$",
+        ):
+            sp.symplectic_eigenvalues(rot @ np.diag([1e10, 1e-9]) @ rot.T)
+
 
 class TestSpectrumKernel:
     """The unvalidated kernel against the J A reference, scalar and batched."""
