@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,11 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _leaf_optimum(leaf: ch.GaussianChannel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """The closed-form rule of one leaf: its optimal output spectrum nu* and
-    its photon map (a, b), under which a thermal input mode with N photons
-    leaves as a thermal mode with a N + b photons.
+def _leaf_optimum(leaf: ch.GaussianChannel) -> tuple[Callable[[], np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
+    """The closed-form rule of one leaf: its optimal output spectrum nu*, as
+    a function that computes it on call, and its photon map (a, b), under
+    which a thermal input mode with N photons leaves as a thermal mode with
+    a N + b photons.  A caller that reads only the map computes no spectrum.
 
     Thermal and lossy: a = eta, b = (1 - eta) nbar and nu* = 1 + 2 b.
     Classical noise: nu* = 1 + nu(Y), and a = 1, b = y_k / 2 when
@@ -111,18 +113,18 @@ def _leaf_optimum(leaf: ch.GaussianChannel) -> tuple[np.ndarray, tuple[np.ndarra
     """
     if leaf.kind in ("thermal", "lossy"):
         b = (1.0 - leaf.eta) * leaf.nbar
-        return 1.0 + 2.0 * b, (leaf.eta, b)
+        return lambda: 1.0 + 2.0 * b, (leaf.eta, b)
     if leaf.kind != "classical":
         raise UnsupportedKindError(f"no closed form for kind {leaf.kind!r}; use the numeric search")
     y, y_k = leaf.y, np.diag(leaf.y)[0::2]
     isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
-    return 1.0 + ch.noise_spectrum(leaf), (np.ones(leaf.n), 0.5 * y_k) if isotropic else None
+    return lambda: 1.0 + ch.noise_spectrum(leaf), (np.ones(leaf.n), 0.5 * y_k) if isotropic else None
 
 
 def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
     """nu*, the per-mode output spectrum at the optimal Gaussian input, leaf
     by leaf in mode order; every closed-form optimum is a function of it."""
-    return np.concatenate([_leaf_optimum(leaf)[0] for leaf in channel.leaves])
+    return np.concatenate([_leaf_optimum(leaf)[0]() for leaf in channel.leaves])
 
 
 def fp_product(x: np.ndarray, p: float) -> float:

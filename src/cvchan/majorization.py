@@ -210,6 +210,45 @@ def theorem1_trial(
     return report
 
 
+def _lemma1_reports(
+    a: np.ndarray, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...]
+) -> list[TrialReport]:
+    """One ``lemma1_trial`` report per truncation size k in ``ks``, all read off one draw.
+
+    Batch b of 2048 samples draws full 2n x 2n symplectic matrices S from
+    ``rng_stream(seed, *lane, b)``.  The first 2k rows of S are a 2k x 2n
+    truncation for every k, so one matmul gives the row quadratic forms
+    (S A S^T)_rr and their cumulative sums over row pairs give
+    Tr S_k A S_k^T for every k at once.
+    """
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    n = len(a) // 2
+    nu = symplectic_eigenvalues(a)
+    batch, squeeze_max = 2048, 8.0
+    reports = []
+    for k in ks:
+        bound = 2.0 * float(np.sum(nu[:k]))
+        reports.append(TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound}))
+    for b, done in enumerate(range(0, samples, batch)):
+        rng = rng_stream(seed, *lane, b)
+        s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
+        traces = np.cumsum(np.sum((s @ a) * s, axis=2), axis=1)[:, 1::2]
+        for report in reports:
+            k, bound = report.parameters["k"], report.parameters["bound"]
+            sk = s[:, : 2 * k, :]
+            tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
+            report.fold(traces[:, k - 1] - bound, tol, lambda i: {"S": sk[i].tolist()})
+
+    # Attainment: the Williamson rows for the k smallest-nu planes come
+    # first because the spectrum is returned ascending.
+    witness = williamson(a).s
+    for report in reports:
+        rows = witness[: 2 * report.parameters["k"], :]
+        report.witness_gap = float(np.sum((rows @ a) * rows) - report.parameters["bound"])
+    return reports
+
+
 def lemma1_trial(
     a: np.ndarray,
     k: int,
@@ -225,31 +264,15 @@ def lemma1_trial(
     Tr S A S^T >= 2 * (sum of the k smallest symplectic eigenvalues of A),
     and verifies that the first 2k rows of the Williamson transform of A
     attain the bound (``witness_gap``).  Batch b of 2048 samples draws from
-    ``rng_stream(seed, *lane, b)``.
+    ``rng_stream(seed, *lane, b)``; the truncations are the first 2k rows
+    of the draw that ``lemma1_campaign`` reads every k from, so a trial on
+    lane (inst, 0) is that campaign's size-k column for instance inst.
     """
     a = np.asarray(a, dtype=float)
     n = _mode_count(a)
     if not 1 <= k <= n:
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
-    nu = symplectic_eigenvalues(a)
-    bound = 2.0 * float(np.sum(nu[:k]))
-    tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
-    batch, squeeze_max = 2048, 8.0
-    report = TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound})
-    for b, done in enumerate(range(0, samples, batch)):
-        rng = rng_stream(seed, *lane, b)
-        s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
-        sk = s[:, : 2 * k, :]
-        margins = np.sum((sk @ a) * sk, axis=(1, 2)) - bound
-        report.fold(margins, tol, lambda i: {"S": sk[i].tolist()})
-
-    # Attainment: the Williamson rows for the k smallest-nu planes come
-    # first because the spectrum is returned ascending.
-    witness = williamson(a).s[: 2 * k, :]
-    report.witness_gap = float(np.sum((witness @ a) * witness) - bound)
-    return report
+    return _lemma1_reports(a, range(k, k + 1), samples, seed, atol, lane)[0]
 
 
 def lemma1_campaign(
@@ -259,12 +282,13 @@ def lemma1_campaign(
     seed: int = 29,
     atol: float = PREFIX_ATOL,
 ) -> TrialReport:
-    """Run ``lemma1_trial`` over random matrices and every valid truncation size.
+    """Run the ``lemma1_trial`` check over random matrices and every valid truncation size.
 
     Instance ``inst`` draws its matrix (symplectic spectrum in [0.3, 4.0])
-    from ``rng_stream(seed, inst)`` and its truncation-size-k trial samples
-    on the lane (inst, k); ``atol`` is the absolute prefix slack of every
-    trial.
+    from ``rng_stream(seed, inst)`` and its ``samples`` symplectic matrices
+    on the lane (inst, 0), batch b from ``rng_stream(seed, inst, 0, b)``;
+    one draw serves every truncation size k = 1..n, as the first 2k rows of
+    each matrix.  ``atol`` is the absolute prefix slack of every truncation.
     """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
@@ -282,9 +306,8 @@ def lemma1_campaign(
         rng = rng_stream(seed, inst)
         n = int(rng.integers(1, max_modes + 1))
         a = sample_spd(rng, n, 1, nu_range)[0]
-        for k in range(1, n + 1):
-            sub = lemma1_trial(a, k, samples=samples, seed=seed, atol=atol, lane=(inst, k))
-            report.add(sub, {"A": a.tolist(), "k": k})
+        for sub in _lemma1_reports(a, range(1, n + 1), samples, seed, atol, (inst, 0)):
+            report.add(sub, {"A": a.tolist(), "k": sub.parameters["k"]})
             report.witness_gap = max(report.witness_gap, abs(sub.witness_gap))
     return report
 

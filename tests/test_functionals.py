@@ -117,7 +117,7 @@ class TestLeafRule:
         leaves = (ch.classical_noise(rot @ np.diag([3.0, 1.0, 0.5, 2.0]) @ rot.T),
                   ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.lossy([0.6]))
         nu = fn.optimal_output_spectrum(ch.tensor(list(leaves)))
-        parts = [fn._leaf_optimum(leaf)[0] for leaf in leaves]
+        parts = [fn._leaf_optimum(leaf)[0]() for leaf in leaves]
         np.testing.assert_array_equal(nu, np.concatenate(parts))
         # Bit for bit the expressions of the paper's optimum.
         np.testing.assert_array_equal(parts[0], 1.0 + ch.noise_spectrum(leaves[0]))
@@ -138,7 +138,7 @@ class TestLeafRule:
         leaf = WITHOUT_PHOTON_MAP[name]
         nu, photon_map = fn._leaf_optimum(leaf)
         assert photon_map is None
-        np.testing.assert_array_equal(nu, 1.0 + ch.noise_spectrum(leaf))
+        np.testing.assert_array_equal(nu(), 1.0 + ch.noise_spectrum(leaf))
 
     @pytest.mark.parametrize(
         "figure", [fn._leaf_optimum, fn.optimal_output_spectrum, fn._photon_maps, fn.separable_optimal_input]
@@ -147,6 +147,28 @@ class TestLeafRule:
         # A product is itself of kind custom, so the rule refuses it as a leaf too.
         with pytest.raises(fn.UnsupportedKindError, match="no closed form for kind 'custom'"):
             figure(ch.tensor([ch.lossy([0.5]), WITHOUT_PHOTON_MAP["custom"]]))
+
+    def test_photon_maps_compute_no_spectrum(self, monkeypatch):
+        # The capacity's S_min reads nu* once per leaf; the water filling reads only the photon maps.
+        calls = []
+        kernel = ch.symplectic_eigenvalues
+
+        def counting(y):
+            calls.append(y.shape)
+            return kernel(y)
+
+        monkeypatch.setattr(ch, "symplectic_eigenvalues", counting)
+        channel = ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))])
+        report = fn.gaussian_holevo_capacity(channel, fn.EnergyBudget(3.0, [1.0, 1.0]))
+        assert report.search is None
+        assert len(calls) == 2
+
+    def test_water_filled_gap_needs_no_spectrum(self):
+        # nu(Y) of this leaf raises, but its phase-sensitive map is None before any spectrum is taken, so
+        # the search reports no closed-form gap instead of the spectrum's error.
+        leaf = ch.classical_noise(ILL_CONDITIONED_NOISE["numerically singular"])
+        report = fn.max_output_entropy_under_energy(leaf, fn.EnergyBudget(2.0, [1.0]), search_budget=60)
+        assert report.gap_to_closed_form is None
 
     def test_closed_form_failures_surface_only_when_asked_for(self):
         # Both channels build (TestClassicalNoise); each fails only in the closed form that needs it.

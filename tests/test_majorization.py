@@ -238,6 +238,51 @@ class TestLemma1:
         assert report.failures == 0
         assert report.witness_gap <= 1e-8
 
+    def test_campaign_folds_the_trials_on_its_lane(self):
+        # One sampling route: the size-k trial on lane (inst, 0) is the campaign's column k for
+        # instance inst.  2500 samples take two batches.
+        seed, samples = 1, 2500
+        campaign = mj.lemma1_campaign(instances=1, max_modes=3, samples=samples, seed=seed)
+        rng = sp.rng_stream(seed, 0)
+        n = int(rng.integers(1, 4))
+        a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
+        trials = [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(0, 0)) for k in range(1, n + 1)]
+        assert n == 3
+        assert campaign.trials == sum(t.trials for t in trials) == n * samples
+        assert campaign.worst_margin == min(t.worst_margin for t in trials)
+        assert campaign.witness_gap == max(abs(t.witness_gap) for t in trials)
+
+    @pytest.mark.parametrize("samples", [1, 2048, 2049, 4500])
+    def test_one_draw_serves_every_truncation(self, monkeypatch, samples):
+        # Each instance draws ceil(samples / 2048) batches of full symplectic matrices, whatever its n.
+        draws = []
+        sample = mj.sample_symplectics
+
+        def recording(rng, n, count, squeeze_range, log_squeeze=False):
+            draws.append((n, count))
+            return sample(rng, n, count, squeeze_range, log_squeeze=log_squeeze)
+
+        monkeypatch.setattr(mj, "sample_symplectics", recording)
+        instances, batches = 4, -(-samples // 2048)
+        report = mj.lemma1_campaign(instances=instances, max_modes=3, samples=samples, seed=31)
+        modes = [n for n, _ in draws[::batches]]
+        assert len(set(modes)) > 1
+        sizes = [2048] * (batches - 1) + [samples - 2048 * (batches - 1)]
+        assert draws == [(n, count) for n in modes for count in sizes]
+        assert sum(count for _, count in draws) == instances * samples
+        assert report.trials == samples * sum(modes)
+
+    def test_failing_campaign_names_its_truncation(self):
+        # The counterexample's S is the first 2k rows of its draw for the k it names.  At seed 5 every
+        # instance has three modes and the worst sample truncates to k = 1.
+        report = mj.lemma1_campaign(instances=3, max_modes=3, samples=300, seed=5, atol=-1e6)
+        assert not report.passed
+        example = report.counterexample
+        a, k, s = np.array(example["A"]), example["k"], np.array(example["S"])
+        assert s.shape == (2 * k, len(a))
+        margin = np.trace(s @ a @ s.T) - 2.0 * np.sum(sp.symplectic_eigenvalues(a)[:k])
+        assert margin == pytest.approx(example["margin"], rel=1e-12)
+
     def test_campaign_streams_are_lanes_of_its_seed(self, monkeypatch):
         # Streams keyed by (seed, lane) only: campaigns at different seeds
         # never share one.
