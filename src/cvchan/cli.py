@@ -161,15 +161,15 @@ def cmd_analyze(args) -> int:
             print(f"error: kind {channel.kind!r} has no closed form; rerun with --numeric", file=sys.stderr)
             return EXIT_UNSUPPORTED
         nu = None
-    if nu is None:
-        s_min = fn.numeric_min_entropy(channel, budget=args.budget, seed=args.seed).best_value
+    if nu is None:  # one search for S_min and one per p, run together
+        s_min, *s_ps = (search.best_value for search in fn.numeric_min_renyis(
+            [(channel, p) for p in (1.0, *p_values)], args.budget, args.seed))
     else:
-        s_min = st.renyi_entropy(nu, 1.0)
+        s_min, s_ps = st.renyi_entropy(nu, 1.0), [None] * len(p_values)
     results = []
-    for p in p_values:
+    for p, s_p in zip(p_values, s_ps):
         entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}
         if nu is None:
-            s_p = fn.numeric_min_renyi(channel, p, args.budget, args.seed).best_value
             log_inf_fp = fn.log_fp_of_renyi(channel.n, p, s_p)
             inf_fp = fn.exp_or_inf(log_inf_fp)
         else:
@@ -229,6 +229,12 @@ def _builtin_channel_pairs():
     ]
 
 
+def _check_builtin_pairs(args, tol: float) -> dict:
+    """``multiplicativity_checks`` of every built-in pair, by label."""
+    labels, ps, pairs = zip(*_builtin_channel_pairs())
+    return dict(zip(labels, fn.multiplicativity_checks(list(zip(pairs, ps)), args.budget, args.seed, tol)))
+
+
 #: Per verify target: the report key and the default of the tolerance that
 #: --tol sets, and the check, called with the arguments and the tolerance.
 #: A check returns one result, or a dict of results by channel pair.
@@ -240,9 +246,7 @@ VERIFY_TARGETS = {
     "schur": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.schur_campaign(
         trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)),
     "concavity": ("concavity_bound", fn.CONCAVITY_BOUND, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
-    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, lambda args, tol: {
-        label: fn.multiplicativity_check(pair, p, search_budget=args.budget, seed=args.seed, tol=tol)
-        for label, p, pair in _builtin_channel_pairs()}),
+    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, lambda args, tol: _check_builtin_pairs(args, tol)),
     "additivity": ("tol_sup", fn.TOL_OPT_SUP, lambda args, tol: fn.additivity_check(
         [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))],
         fn.EnergyBudget(args.energy, np.ones(2)), search_budget=args.budget, seed=args.seed, tol=tol)),

@@ -17,7 +17,9 @@ sampled input beats a bound, not global optimality for custom channels.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -326,79 +328,105 @@ def _nelder_mead(x0: np.ndarray, cap: int):
     return float(fsim.min()), sim[0], evals, False
 
 
+def _lockstep_nelder_mead(objective, searches):
+    """Budgeted Nelder-Mead for several searches at once, one (dim, budget,
+    seed) each: per search, ``RESTARTS`` runs of ``_nelder_mead``, the first
+    from the origin and the others from per-restart Philox starts.
+
+    Every round scores the pending points of every live run of every search
+    in one call ``objective(sizes, thetas)``, which returns their values:
+    ``thetas`` stacks sizes[j] points of search j for each j in turn,
+    zero-padded to the widest dim.  Run r's cap is min(per_run, budget -
+    r per_run), the cap it would get after r sequential runs: a cap is cut
+    only when per_run = dim + 2, and no run can converge within its first
+    dim + 2 evaluations, because its initial simplex is wider than ``xatol``.
+    Returns, per search, what it returns alone: the best value, its
+    parameter vector (the earlier run wins a tie), the evaluation count, and
+    whether the run that produced the best value stopped by convergence.
+    """
+    runs = []
+    for dim, budget, seed in searches:
+        if budget < 1:
+            raise ValueError(f"search budget must be >= 1, got {budget}")
+        per_run = max(dim + 2, budget // RESTARTS)
+        caps = [min(per_run, budget - run * per_run) for run in range(RESTARTS)]
+        caps = [cap for cap in caps if cap > 0]
+        starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, len(caps))]
+        runs.append([_nelder_mead(start, cap) for start, cap in zip(starts, caps)])
+    width = max(dim for dim, _, _ in searches)
+    pending = [{r: next(run) for r, run in enumerate(search_runs)} for search_runs in runs]
+    results = [[None] * len(search_runs) for search_runs in runs]
+    while any(pending):
+        stacks = [np.concatenate(list(points.values())) if points else np.empty((0, width)) for points in pending]
+        sizes = [len(stack) for stack in stacks]
+        thetas = np.zeros((sum(sizes), width))
+        for stack, end in zip(stacks, itertools.accumulate(sizes)):
+            thetas[end - len(stack) : end, : stack.shape[1]] = stack
+        values, end = objective(sizes, thetas), 0
+        for search_runs, points, search_results in zip(runs, pending, results):
+            for r, run_points in list(points.items()):
+                start, end = end, end + len(run_points)
+                try:
+                    points[r] = search_runs[r].send(values[start:end])
+                except StopIteration as stop:
+                    search_results[r] = stop.value
+                    del points[r]
+    bests = []
+    for (dim, _, _), search_results in zip(searches, results):
+        # min keeps the first of equal values: the earlier run wins a tie, and no finite value gives inf at 0
+        value, x, _, converged = min([(np.inf, np.zeros(dim), 0, False), *search_results], key=lambda res: res[0])
+        bests.append((value, x, sum(result[2] for result in search_results), converged))
+    return bests
+
+
 def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
-    """Budgeted Nelder-Mead: ``RESTARTS`` runs of ``_nelder_mead``, the
-    first from the origin and the others from per-restart Philox starts.
+    """``_lockstep_nelder_mead`` of one search, whose ``objective`` scores an
+    (m, dim) stack of parameter vectors in one call and returns m values."""
+    return _lockstep_nelder_mead(lambda sizes, thetas: objective(thetas), [(dim, budget, seed)])[0]
 
-    ``objective`` scores an (m, dim) stack of parameter vectors in one call
-    and returns m values.  Every round scores the pending points of all
-    live runs in one call, so no run waits for another.  Run r's cap is
-    min(per_run, budget - r per_run), the cap it would get after r
-    sequential runs: a cap is cut only when per_run = dim + 2, and no run
-    can converge within its first dim + 2 evaluations, because its initial
-    simplex is wider than ``xatol``.  Returns the best value, its parameter
-    vector (the earlier run wins a tie), the evaluation count, and whether
-    the run that produced the best value stopped by convergence (not at its
-    evaluation cap).
+
+#: One search of ``_scores``: minimize ``score`` of the output spectra of
+#: ``channel`` at the inputs ``cov_of(thetas, channel.n)``, thetas in R^dim.
+#: ``cov_of`` maps an (m, dim) stack to m covariances, and ``score`` maps m
+#: spectra, clamped at the floor 1 that rounding can undercut, to m reals.
+_Search = namedtuple("_Search", "channel score cov_of dim")
+
+
+def _scores(searches: list[_Search], sizes: list[int], thetas: np.ndarray) -> np.ndarray:
+    """Scores of one round of ``_lockstep_nelder_mead``: sizes[j] rows of
+    ``thetas``, zero-padded past dim, for each search j in turn.
+
+    Searches with the same ``cov_of`` and mode count share one ``cov_of``
+    call and one spectrum call; the channel action and the score are per
+    search.  Numerical failures and non-finite scores count as +inf per
+    row: a failure in a shared call re-scores each of its searches alone,
+    and one in a single search's stack (a stacked Cholesky factorization
+    fails as a whole) re-scores that stack row by row.
     """
-    if budget < 1:
-        raise ValueError(f"search budget must be >= 1, got {budget}")
-    per_run = max(dim + 2, budget // RESTARTS)
-    caps = [min(per_run, budget - run * per_run) for run in range(RESTARTS)]
-    caps = [cap for cap in caps if cap > 0]
-    starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, len(caps))]
-    runs = [_nelder_mead(start, cap) for start, cap in zip(starts, caps)]
-    pending = {r: next(run) for r, run in enumerate(runs)}
-    results = [None] * len(runs)
-    while pending:
-        values = objective(np.concatenate(list(pending.values())))
-        end = 0
-        for r, points in list(pending.items()):
-            start, end = end, end + len(points)
-            try:
-                pending[r] = runs[r].send(values[start:end])
-            except StopIteration as stop:
-                results[r] = stop.value
-                del pending[r]
-    best_val, best_x, best_converged = np.inf, np.zeros(dim), False
-    for value, x, _, converged in results:
-        if value < best_val:
-            best_val, best_x, best_converged = value, x, converged
-    return best_val, best_x, sum(result[2] for result in results), best_converged
-
-
-def _scores(channel: ch.GaussianChannel, score, cov_of, thetas: np.ndarray) -> np.ndarray:
-    """Scores of the output spectra of an (m, dim) stack of parameter vectors.
-
-    Numerical failures and non-finite scores count as +inf per row: a
-    failure anywhere in the stack (a stacked Cholesky factorization fails
-    as a whole) re-scores the stack row by row.
-    """
-    try:
-        out = score(np.maximum(_spectrum(ch.apply_cov(channel, cov_of(thetas))), 1.0))
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-        if len(thetas) == 1:
-            return np.full(1, np.inf)
-        return np.concatenate([_scores(channel, score, cov_of, theta[None]) for theta in thetas])
+    groups, end = {}, 0  # per (cov_of, n): each search, its rows of thetas and its rows of the group
+    for search, size in zip(searches, sizes):
+        if size:
+            members = groups.setdefault((search.cov_of, search.channel.n), [])
+            start = members[-1][3] if members else 0
+            members.append((search, slice(end, end + size), start, start + size))
+        end += size
+    out = np.empty(len(thetas))
+    for (cov_of, n), members in groups.items():
+        try:
+            gammas = cov_of(np.concatenate([thetas[rows, : search.dim] for search, rows, _, _ in members]), n)
+            outputs = np.concatenate([ch.apply_cov(search.channel, gammas[a:b]) for search, _, a, b in members])
+            nus = np.maximum(_spectrum(outputs), 1.0)
+            for search, rows, a, b in members:
+                out[rows] = search.score(nus[a:b])
+        except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+            for search, rows, a, b in members:
+                if len(members) > 1:  # each search of the group alone
+                    out[rows] = _scores([search], [b - a], thetas[rows, : search.dim])
+                elif b - a > 1:  # each row of a lone search alone
+                    out[rows] = [_scores([search], [1], theta[None])[0] for theta in thetas[rows, : search.dim]]
+                else:
+                    out[rows] = np.inf
     return np.where(np.isfinite(out), out, np.inf)
-
-
-def _search(channel: ch.GaussianChannel, score, cov_of, dim: int, budget: int, seed: int):
-    """Minimize a score of the output spectrum over parameterized inputs.
-
-    ``cov_of`` maps an (m, dim) stack of parameter vectors to m input
-    covariances and ``score`` maps m output spectra, clamped at the
-    physical floor 1 that rounding can undercut, to m reals; ``_scores``
-    turns failures into +inf, and the minimization is
-    ``_restarted_nelder_mead`` under the evaluation ``budget``.  The report
-    holds the best score, the covariance that produced it, the evaluation
-    count and whether the restart that found it converged; callers map
-    the score to the figure they report.
-    """
-    best, best_x, evals, converged = _restarted_nelder_mead(
-        lambda thetas: _scores(channel, score, cov_of, thetas), dim, budget, seed
-    )
-    return OptimizationReport(float(best), cov_of(best_x[None])[0], evals, budget, converged)
 
 
 def _gap_to_closed_form(gap) -> float | None:
@@ -410,20 +438,31 @@ def _gap_to_closed_form(gap) -> float | None:
         return None
 
 
-def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: int) -> OptimizationReport:
+def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]:
     """Derivative-free minimization of the output Renyi-p entropy over pure
-    inputs, p in (0, inf].
+    inputs, p in (0, inf], for every (channel, p) of ``jobs``, the searches
+    run together in one ``_lockstep_nelder_mead``.
 
     The search space covers all pure Gaussian covariances of the full
     input, so entangled inputs to tensor-product channels are included.
-    The report carries the gap to ``min_output_renyi_closed`` when one exists.
+    Each report, the one its job gets alone, carries the gap to
+    ``min_output_renyi_closed`` when one exists.
     """
-    if not p > 0.0:
-        raise ValueError(f"order must be positive, got {p}")
-    n = channel.n
-    report = _search(channel, lambda nu: st._renyi(nu, p), lambda x: _pure_cov(x, n), n * n + n, budget, seed)
-    report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_renyi_closed(channel, p))
-    return report
+    for _, p in jobs:
+        if not p > 0.0:
+            raise ValueError(f"order must be positive, got {p}")
+    searches = [_Search(channel, functools.partial(st._renyi, p=p), _pure_cov, channel.n**2 + channel.n)
+                for channel, p in jobs]
+    results = _lockstep_nelder_mead(lambda sizes, thetas: _scores(searches, sizes, thetas),
+                                    [(search.dim, budget, seed) for search in searches])
+    return [OptimizationReport(float(best), _pure_cov(x[None], channel.n)[0], evals, budget, converged,
+                               _gap_to_closed_form(lambda: float(best) - min_output_renyi_closed(channel, p)))
+            for (channel, p), (best, x, evals, converged) in zip(jobs, results)]
+
+
+def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: int) -> OptimizationReport:
+    """``numeric_min_renyis`` of one channel at one order."""
+    return numeric_min_renyis([(channel, p)], budget, seed)[0]
 
 
 def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
@@ -466,17 +505,12 @@ def max_output_entropy_under_energy(
     budget.check_modes(n)
     if not budget.feasible:
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
-    report = _search(
-        channel,
-        lambda nu: -st._renyi(nu, 1.0),
-        lambda theta: _project_to_energy(*_phys_cov_factors(theta, n), budget),
-        2 * n * n + 2 * n, search_budget, seed,
-    )
-    report.best_value = -report.best_value
-    report.gap_to_closed_form = _gap_to_closed_form(
-        lambda: report.best_value - _water_filled_output(channel, budget)[0]
-    )
-    return report
+    search = _Search(channel, lambda nu: -st._renyi(nu, 1.0),
+                     lambda theta, n: _project_to_energy(*_phys_cov_factors(theta, n), budget), 2 * n * n + 2 * n)
+    best, x, evals, converged = _restarted_nelder_mead(lambda thetas: _scores([search], [len(thetas)], thetas),
+                                                       search.dim, search_budget, seed)
+    return OptimizationReport(-float(best), search.cov_of(x[None], n)[0], evals, search_budget, converged,
+                              _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))
 
 
 @dataclass
@@ -620,6 +654,40 @@ class MultiplicativityReport:
     passed: bool
 
 
+def multiplicativity_checks(cases, search_budget: int, seed: int, tol: float) -> list[MultiplicativityReport]:
+    """Search for an entangled input beating the product of single-channel
+    optima of F_p, for every (channel_list, p) of ``cases``; PASS means none
+    was found within tolerance and the separable witness attains the
+    product.  Where the product overflows a double, ``margin`` and the
+    witness test compare ln F_p instead.  Every case is checked before the
+    searches run together in ``numeric_min_renyis``."""
+    if any(len(channel_list) < 2 for channel_list, _ in cases):
+        raise ValueError("multiplicativity needs at least two channels")
+    jobs = [(ch.tensor(channel_list), p) for channel_list, p in cases]
+    products = [min_output_fp_closed(joint, p) for joint, p in jobs]
+    reports = []
+    for (joint, p), product, search in zip(jobs, products, numeric_min_renyis(jobs, search_budget, seed)):
+        s_best = search.best_value
+        witness_nu = np.maximum(_spectrum(ch.apply_cov(joint, separable_optimal_input(joint))), 1.0)
+        if math.isfinite(product):
+            numeric_best = exp_or_inf(log_fp_of_renyi(joint.n, p, s_best))
+            witness_value = fp_product(witness_nu, p)
+            margin = numeric_best - product
+            witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
+            values = {"product_of_optima": product, "numeric_best": numeric_best, "witness_value": witness_value}
+        else:
+            s_closed = min_output_renyi_closed(joint, p)
+            log_product = log_fp_of_renyi(joint.n, p, s_closed)
+            margin = (p - 1.0) * (s_best - s_closed)
+            log_witness = log_fp_of_renyi(joint.n, p, st.renyi_entropy(witness_nu, p))
+            witness_ok = abs(log_witness - log_product) <= tol
+            values = {"log_product_of_optima": log_product, "log_numeric_best": log_product + margin,
+                      "log_witness_value": log_witness}
+        reports.append(MultiplicativityReport(p=p, margin=float(margin), passed=bool(margin >= -tol and witness_ok),
+                                              **values))
+    return reports
+
+
 def multiplicativity_check(
     channel_list,
     p: float,
@@ -627,31 +695,8 @@ def multiplicativity_check(
     seed: int = 0,
     tol: float = TOL_OPT_CLOSED,
 ) -> MultiplicativityReport:
-    """Search for an entangled input beating the product of single-channel
-    optima of F_p; PASS means none was found within tolerance and the
-    separable witness attains the product.  Where the product overflows a
-    double, ``margin`` and the witness test compare ln F_p instead."""
-    if len(channel_list) < 2:
-        raise ValueError("multiplicativity needs at least two channels")
-    joint = ch.tensor(channel_list)
-    product = min_output_fp_closed(joint, p)
-    s_best = numeric_min_renyi(joint, p, search_budget, seed).best_value
-    witness_nu = np.maximum(_spectrum(ch.apply_cov(joint, separable_optimal_input(joint))), 1.0)
-    if math.isfinite(product):
-        numeric_best = exp_or_inf(log_fp_of_renyi(joint.n, p, s_best))
-        witness_value = fp_product(witness_nu, p)
-        margin = numeric_best - product
-        witness_ok = abs(witness_value - product) <= tol * max(1.0, product)
-        values = {"product_of_optima": product, "numeric_best": numeric_best, "witness_value": witness_value}
-    else:
-        s_closed = min_output_renyi_closed(joint, p)
-        log_product = log_fp_of_renyi(joint.n, p, s_closed)
-        margin = (p - 1.0) * (s_best - s_closed)
-        log_witness = log_fp_of_renyi(joint.n, p, st.renyi_entropy(witness_nu, p))
-        witness_ok = abs(log_witness - log_product) <= tol
-        values = {"log_product_of_optima": log_product, "log_numeric_best": log_product + margin,
-                  "log_witness_value": log_witness}
-    return MultiplicativityReport(p=p, margin=float(margin), passed=bool(margin >= -tol and witness_ok), **values)
+    """``multiplicativity_checks`` of one channel list at one order."""
+    return multiplicativity_checks([(channel_list, p)], search_budget, seed, tol)[0]
 
 
 @dataclass

@@ -7,13 +7,14 @@ import cvchan.functionals as fn
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """A list that gains one entry per ``functionals._search`` call."""
+    """A list that gains one entry per search that ``functionals._lockstep_nelder_mead``
+    runs: a call that runs several searches in lockstep adds one entry for each."""
     calls = []
-    search = fn._search
+    lockstep = fn._lockstep_nelder_mead
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
+    def counting(objective, searches):
+        calls.extend(searches)
+        return lockstep(objective, searches)
 
-    monkeypatch.setattr(fn, "_search", counting)
+    monkeypatch.setattr(fn, "_lockstep_nelder_mead", counting)
     return calls

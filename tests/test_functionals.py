@@ -495,7 +495,8 @@ class TestRestartedNelderMead:
         n = joint.n
 
         def objective(thetas):
-            return fn._scores(joint, lambda nu: st._renyi(nu, p), lambda x: fn._pure_cov(x, n), thetas)
+            search = fn._Search(joint, lambda nu: st._renyi(nu, p), fn._pure_cov, n * n + n)
+            return fn._scores([search], [len(thetas)], thetas)
 
         lockstep = fn._restarted_nelder_mead(objective, n * n + n, 2000, seed=5)
         reference = scipy_restarts(objective, n * n + n, 2000, seed=5)
@@ -528,8 +529,9 @@ class TestRestartedNelderMead:
         n, omega = channel.n, np.ones(channel.n)
 
         def objective(thetas):
-            return fn._scores(channel, lambda nu: -st._renyi(nu, 1.0),
-                              lambda x: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega)), thetas)
+            cov_of = lambda x, n: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega))
+            return fn._scores([fn._Search(channel, lambda nu: -st._renyi(nu, 1.0), cov_of, 2 * n * n + 2 * n)],
+                              [len(thetas)], thetas)
 
         searched = fn._restarted_nelder_mead(objective, 2 * n * n + 2 * n, budget, seed=3)
         reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
@@ -537,29 +539,75 @@ class TestRestartedNelderMead:
         assert searched[2:] == reference[2:]
 
 
+class TestLockstep:
+    """Searches run together in one ``_lockstep_nelder_mead`` return, each,
+    what they return alone."""
+
+    def test_the_builtin_pairs_together(self):
+        # n = 2 and n = 3 joints at four orders, in one round per step.
+        jobs = [(ch.tensor(pair), p) for _, p, pair in _builtin_channel_pairs()]
+        together = fn.numeric_min_renyis(jobs, 2000, 5)
+        for (joint, p), report in zip(jobs, together):
+            alone = fn.numeric_min_renyi(joint, p, 2000, 5)
+            assert report.best_value == alone.best_value and np.array_equal(report.best_input, alone.best_input)
+            assert (report.evaluations, report.converged) == (alone.evaluations, alone.converged)
+            assert report.gap_to_closed_form == alone.gap_to_closed_form
+
+    def test_mixed_dims_and_budgets(self):
+        searches = [
+            (walled_kink, 3, 23, 11),  # below RESTARTS * (dim + 2)
+            (walled_kink, 1, 26, 11),
+            (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200, 4),
+            (walled_kink, 4, 5000, 11),
+            (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 2, 600, 0),
+        ]
+        calls = []
+
+        def objective(sizes, thetas):
+            calls.append(sizes)
+            bounds = np.cumsum([0, *sizes])
+            return np.concatenate([f(thetas[a:b, :dim]) for (f, dim, _, _), a, b in zip(searches, bounds, bounds[1:])])
+
+        together = fn._lockstep_nelder_mead(objective, [(dim, budget, seed) for _, dim, budget, seed in searches])
+        for (f, dim, budget, seed), result in zip(searches, together):
+            alone = fn._restarted_nelder_mead(f, dim, budget, seed)
+            assert result[0] == alone[0] and np.array_equal(result[1], alone[1])
+            assert result[2:] == alone[2:]
+            assert len(result[1]) == dim
+
+        def rounds_alone(f, dim, budget, seed):
+            points = []
+            fn._restarted_nelder_mead(lambda x: points.append(len(x)) or f(x), dim, budget, seed)
+            return len(points)
+
+        # One call per round scores every search's points: as many calls as the longest search alone.
+        assert len(calls) == max(rounds_alone(*search) for search in searches)
+        assert sum(map(sum, calls)) == sum(result[2] for result in together)
+
+
 class TestScores:
     N = 2
 
-    def cov_of(self, x):
+    def cov_of(self, x, n):
         """Pure covariances; a row with x_0 > 50 is negated, so its output
-        under the identity channel is not positive definite."""
-        gamma = fn._pure_cov(x, self.N)
+        under an identity or weak classical-noise channel is not positive definite."""
+        gamma = fn._pure_cov(x, n)
         gamma[x[:, 0] > 50.0] *= -1.0
         return gamma
 
-    def cov_or_raise(self, x):
+    def cov_or_raise(self, x, n):
         if np.any(x[:, 0] > 50.0):
             raise ValueError("marked row")
-        return fn._pure_cov(x, self.N)
+        return fn._pure_cov(x, n)
 
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_scores_inf_alone(self, cov_name):
-        cov_of = getattr(self, cov_name)
-        channel = identity_channel(self.N)
-        thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, self.N * self.N + self.N))
+        search = fn._Search(identity_channel(self.N), lambda nu: st._renyi(nu, 2.0), getattr(self, cov_name),
+                            self.N * self.N + self.N)
+        thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, search.dim))
 
         def scores(x):
-            return fn._scores(channel, lambda nu: st._renyi(nu, 2.0), cov_of, x)
+            return fn._scores([search], [len(x)], x)
 
         alone = np.concatenate([scores(theta[None]) for theta in thetas])
         assert np.all(np.isfinite(alone))
@@ -568,6 +616,30 @@ class TestScores:
         marked = scores(thetas)
         assert marked[2] == np.inf
         assert np.array_equal(np.delete(marked, 2), np.delete(alone, 2))
+
+    @pytest.mark.parametrize("row", [2, 6, 10], ids=["first-2-mode", "second-2-mode", "3-mode"])
+    @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
+    def test_a_failing_row_in_a_lockstep_round_scores_inf_alone(self, cov_name, row):
+        # Two 2-mode searches share one covariance build and one spectrum
+        # call; the 3-mode search has its own, and the 2-mode rows are
+        # zero-padded to its width.
+        cov_of = getattr(self, cov_name)
+        searches = [
+            fn._Search(identity_channel(2), lambda nu: st._renyi(nu, 2.0), cov_of, 6),
+            fn._Search(ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), lambda nu: st._renyi(nu, 3.0), cov_of, 6),
+            fn._Search(identity_channel(3), lambda nu: st._renyi(nu, 1.0), cov_of, 12),
+        ]
+        sizes, owner = [5, 4, 3], np.repeat([0, 1, 2], [5, 4, 3])
+        thetas = sp.rng_stream(7).normal(scale=0.8, size=(12, 12))
+        thetas[owner < 2, 6:] = 0.0
+        alone = np.array([fn._scores([searches[j]], [1], theta[None, : searches[j].dim])[0]
+                          for j, theta in zip(owner, thetas)])
+        assert np.all(np.isfinite(alone))
+        assert np.array_equal(fn._scores(searches, sizes, thetas), alone)
+        thetas[row, 0] = 100.0
+        marked = fn._scores(searches, sizes, thetas)
+        assert marked[row] == np.inf
+        assert np.array_equal(np.delete(marked, row), np.delete(alone, row))
 
 
 class TestEnergyBudget:
