@@ -17,7 +17,6 @@ sampled input beats a bound, not global optimality for custom channels.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -170,11 +169,6 @@ def max_output_p_norm(channel: ch.GaussianChannel, p: float) -> float:
     return math.exp(min_output_renyi_closed(channel, p) * (1.0 / p - 1.0))
 
 
-def min_output_entropy_closed_only(channel: ch.GaussianChannel) -> float:
-    """Closed-form minimal output entropy; raises for unsupported kinds."""
-    return min_output_renyi_closed(channel, 1.0)
-
-
 def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: int = 0) -> float:
     """Minimal output entropy over Gaussian inputs.
 
@@ -182,9 +176,9 @@ def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: i
     search with the entropy objective otherwise.
     """
     try:
-        return min_output_entropy_closed_only(channel)
+        return min_output_renyi_closed(channel, 1.0)
     except UnsupportedKindError:
-        return numeric_min_entropy(channel, budget=budget, seed=seed).best_value
+        return numeric_min_renyis([(channel, 1.0)], budget, seed)[0].best_value
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +328,13 @@ def _lockstep_nelder_mead(objective, searches):
     from the origin and the others from per-restart Philox starts.
 
     Every round scores the pending points of every live run of every search
-    in one call ``objective(sizes, thetas)``, which returns their values:
-    ``thetas`` stacks sizes[j] points of search j for each j in turn,
-    zero-padded to the widest dim.  Run r's cap is min(per_run, budget -
-    r per_run), the cap it would get after r sequential runs: a cap is cut
-    only when per_run = dim + 2, and no run can converge within its first
-    dim + 2 evaluations, because its initial simplex is wider than ``xatol``.
+    in one call ``objective(stacks)``: stacks[j] is the (m_j, dim_j) stack
+    of search j's points, m_j = 0 once search j is done, and the objective
+    returns one flat array of their values in that order.  Run r's cap is
+    min(per_run, budget - r per_run), the cap it would get after r
+    sequential runs: a cap is cut only when per_run = dim + 2, and no run
+    can converge within its first dim + 2 evaluations, because its initial
+    simplex is wider than ``xatol``.
     Returns, per search, what it returns alone: the best value, its
     parameter vector (the earlier run wins a tie), the evaluation count, and
     whether the run that produced the best value stopped by convergence.
@@ -353,16 +348,11 @@ def _lockstep_nelder_mead(objective, searches):
         caps = [cap for cap in caps if cap > 0]
         starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, len(caps))]
         runs.append([_nelder_mead(start, cap) for start, cap in zip(starts, caps)])
-    width = max(dim for dim, _, _ in searches)
     pending = [{r: next(run) for r, run in enumerate(search_runs)} for search_runs in runs]
     results = [[None] * len(search_runs) for search_runs in runs]
     while any(pending):
-        stacks = [np.concatenate(list(points.values())) if points else np.empty((0, width)) for points in pending]
-        sizes = [len(stack) for stack in stacks]
-        thetas = np.zeros((sum(sizes), width))
-        for stack, end in zip(stacks, itertools.accumulate(sizes)):
-            thetas[end - len(stack) : end, : stack.shape[1]] = stack
-        values, end = objective(sizes, thetas), 0
+        values, end = objective([np.concatenate([np.empty((0, dim)), *points.values()])
+                                 for (dim, _, _), points in zip(searches, pending)]), 0
         for search_runs, points, search_results in zip(runs, pending, results):
             for r, run_points in list(points.items()):
                 start, end = end, end + len(run_points)
@@ -379,12 +369,6 @@ def _lockstep_nelder_mead(objective, searches):
     return bests
 
 
-def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
-    """``_lockstep_nelder_mead`` of one search, whose ``objective`` scores an
-    (m, dim) stack of parameter vectors in one call and returns m values."""
-    return _lockstep_nelder_mead(lambda sizes, thetas: objective(thetas), [(dim, budget, seed)])[0]
-
-
 #: One search of ``_scores``: minimize ``score`` of the output spectra of
 #: ``channel`` at the inputs ``cov_of(thetas, channel.n)``, thetas in R^dim.
 #: ``cov_of`` maps an (m, dim) stack to m covariances, and ``score`` maps m
@@ -392,41 +376,37 @@ def _restarted_nelder_mead(objective, dim: int, budget: int, seed: int):
 _Search = namedtuple("_Search", "channel score cov_of dim")
 
 
-def _scores(searches: list[_Search], sizes: list[int], thetas: np.ndarray) -> np.ndarray:
-    """Scores of one round of ``_lockstep_nelder_mead``: sizes[j] rows of
-    ``thetas``, zero-padded past dim, for each search j in turn.
+def _scores(searches: list[_Search], stacks: list[np.ndarray]) -> np.ndarray:
+    """Scores of one round of ``_lockstep_nelder_mead``: the rows of
+    stacks[j], points of search j, for each search j in turn.
 
     Searches with the same ``cov_of`` and mode count share one ``cov_of``
     call and one spectrum call; the channel action and the score are per
     search.  Numerical failures and non-finite scores count as +inf per
-    row: a failure in a shared call re-scores each of its searches alone,
-    and one in a single search's stack (a stacked Cholesky factorization
-    fails as a whole) re-scores that stack row by row.
+    row: a failed group call re-scores each of its rows alone (a stacked
+    Cholesky factorization fails as a whole), and a lone row that fails
+    scores +inf.
     """
-    groups, end = {}, 0  # per (cov_of, n): each search, its rows of thetas and its rows of the group
-    for search, size in zip(searches, sizes):
-        if size:
+    groups = {}  # per (cov_of, n): each search's index and its rows of the group
+    for j, (search, stack) in enumerate(zip(searches, stacks)):
+        if len(stack):
             members = groups.setdefault((search.cov_of, search.channel.n), [])
-            start = members[-1][3] if members else 0
-            members.append((search, slice(end, end + size), start, start + size))
-        end += size
-    out = np.empty(len(thetas))
+            start = members[-1][2] if members else 0
+            members.append((j, start, start + len(stack)))
+    out = [np.empty(0)] * len(stacks)
     for (cov_of, n), members in groups.items():
         try:
-            gammas = cov_of(np.concatenate([thetas[rows, : search.dim] for search, rows, _, _ in members]), n)
-            outputs = np.concatenate([ch.apply_cov(search.channel, gammas[a:b]) for search, _, a, b in members])
+            gammas = cov_of(np.concatenate([stacks[j] for j, _, _ in members]), n)
+            outputs = np.concatenate([ch.apply_cov(searches[j].channel, gammas[a:b]) for j, a, b in members])
             nus = np.maximum(_spectrum(outputs), 1.0)
-            for search, rows, a, b in members:
-                out[rows] = search.score(nus[a:b])
+            for j, a, b in members:
+                out[j] = searches[j].score(nus[a:b])
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-            for search, rows, a, b in members:
-                if len(members) > 1:  # each search of the group alone
-                    out[rows] = _scores([search], [b - a], thetas[rows, : search.dim])
-                elif b - a > 1:  # each row of a lone search alone
-                    out[rows] = [_scores([search], [1], theta[None])[0] for theta in thetas[rows, : search.dim]]
-                else:
-                    out[rows] = np.inf
-    return np.where(np.isfinite(out), out, np.inf)
+            lone = members[-1][2] == 1  # the group is one row
+            for j, _, _ in members:
+                out[j] = [np.inf] if lone else [_scores([searches[j]], [row[None]])[0] for row in stacks[j]]
+    values = np.concatenate(out)
+    return np.where(np.isfinite(values), values, np.inf)
 
 
 def _gap_to_closed_form(gap) -> float | None:
@@ -453,36 +433,26 @@ def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]
             raise ValueError(f"order must be positive, got {p}")
     searches = [_Search(channel, functools.partial(st._renyi, p=p), _pure_cov, channel.n**2 + channel.n)
                 for channel, p in jobs]
-    results = _lockstep_nelder_mead(lambda sizes, thetas: _scores(searches, sizes, thetas),
+    results = _lockstep_nelder_mead(lambda stacks: _scores(searches, stacks),
                                     [(search.dim, budget, seed) for search in searches])
     return [OptimizationReport(float(best), _pure_cov(x[None], channel.n)[0], evals, budget, converged,
                                _gap_to_closed_form(lambda: float(best) - min_output_renyi_closed(channel, p)))
             for (channel, p), (best, x, evals, converged) in zip(jobs, results)]
 
 
-def numeric_min_renyi(channel: ch.GaussianChannel, p: float, budget: int, seed: int) -> OptimizationReport:
-    """``numeric_min_renyis`` of one channel at one order."""
-    return numeric_min_renyis([(channel, p)], budget, seed)[0]
-
-
 def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
-    """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyi`` read through
+    """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyis`` read through
     ``log_fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The
     gap to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
     if not p > 1.0:
         raise ValueError(f"order must be > 1, got {p}")
-    report = numeric_min_renyi(channel, p, budget, seed)
+    report = numeric_min_renyis([(channel, p)], budget, seed)[0]
     gap = report.gap_to_closed_form
     report.best_value = exp_or_inf(log_fp_of_renyi(channel.n, p, report.best_value))
     if gap is not None:
         product = min_output_fp_closed(channel, p)
         report.gap_to_closed_form = report.best_value - product if math.isfinite(product) else (p - 1.0) * gap
     return report
-
-
-def numeric_min_entropy(channel: ch.GaussianChannel, budget: int, seed: int) -> OptimizationReport:
-    """Numeric twin of ``min_output_entropy``: ``numeric_min_renyi`` at p = 1."""
-    return numeric_min_renyi(channel, 1.0, budget, seed)
 
 
 def max_output_entropy_under_energy(
@@ -507,8 +477,8 @@ def max_output_entropy_under_energy(
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
     search = _Search(channel, lambda nu: -st._renyi(nu, 1.0),
                      lambda theta, n: _project_to_energy(*_phys_cov_factors(theta, n), budget), 2 * n * n + 2 * n)
-    best, x, evals, converged = _restarted_nelder_mead(lambda thetas: _scores([search], [len(thetas)], thetas),
-                                                       search.dim, search_budget, seed)
+    ((best, x, evals, converged),) = _lockstep_nelder_mead(lambda stacks: _scores([search], stacks),
+                                                           [(search.dim, search_budget, seed)])
     return OptimizationReport(-float(best), search.cov_of(x[None], n)[0], evals, search_budget, converged,
                               _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))
 
@@ -735,7 +705,7 @@ def additivity_check(
         raise ValueError("additivity needs at least two channels")
     joint = ch.tensor(channel_list)
     budget.check_modes(joint.n)
-    smin = min_output_entropy_closed_only(joint)
+    smin = min_output_renyi_closed(joint, 1.0)
     sup, photons = _water_filled_output(joint, budget)
     best_value = max(sup - smin, 0.0)
     energies = np.split(budget.omega * (photons + 0.5), np.cumsum([c.n for c in channel_list])[:-1])

@@ -1,6 +1,7 @@
 """Package surface: which names are public, which signatures take a tolerance, which parameters have a
-default, no unused imports, no module-level definition without a caller, no scipy (so one Nelder-Mead),
-nothing newer than the NumPy floor, and LAPACK QR only in ``euler_decompose``."""
+default, which functions enter the search driver, no unused imports, no module-level definition without a
+caller, no scipy (so one Nelder-Mead), nothing newer than the NumPy floor, and LAPACK QR only in
+``euler_decompose``."""
 
 import ast
 import inspect
@@ -142,22 +143,31 @@ def test_defaulted_parameter_is_detected(tmp_path):
 KIND_BRANCHES = {"channel_to_record", "_leaf_optimum", "separable_optimal_input"}
 
 
-def _kind_branches(paths) -> set[str]:
-    """The innermost function (``<module>`` outside any) around every
-    comparison or ``match`` that reads a ``.kind`` attribute, in the given
-    modules."""
+def _owners(paths, hit) -> set[str]:
+    """The innermost function (``<module>`` outside any) around every node
+    for which ``hit`` is true, in the given modules."""
     found = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            tested = [child] if isinstance(child, ast.Compare) else [child.subject] if isinstance(child, ast.Match) else []
-            if any(isinstance(sub, ast.Attribute) and sub.attr == "kind" for test in tested for sub in ast.walk(test)):
+            if hit(child):
                 found.add(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     for path in paths:
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     return found
+
+
+def _kind_branches(paths) -> set[str]:
+    """The functions around every comparison or ``match`` that reads a
+    ``.kind`` attribute, in the given modules."""
+
+    def hit(node: ast.AST) -> bool:
+        tested = [node] if isinstance(node, ast.Compare) else [node.subject] if isinstance(node, ast.Match) else []
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "kind" for test in tested for sub in ast.walk(test))
+
+    return _owners(paths, hit)
 
 
 def test_kind_branches_are_pinned():
@@ -174,6 +184,36 @@ def test_kind_branch_is_detected(tmp_path):
         "X = [c for c in () if c.kind != 'z']\n"
     )
     assert _kind_branches([module]) == {"f", "inner", "m", "<module>"}
+
+
+#: Every function in src/cvchan that reads ``_lockstep_nelder_mead``: the
+#: pure-input search and the energy-constrained one.  Another reader is a
+#: second entry to the one search driver, or a one-search adapter around it,
+#: so a new one must show up here.
+DRIVER_CALLERS = {"numeric_min_renyis", "max_output_entropy_under_energy"}
+
+
+def _driver_callers(paths) -> set[str]:
+    """The functions around every read of the name ``_lockstep_nelder_mead``,
+    bare or as an attribute, in the given modules."""
+    return _owners(paths, lambda node: getattr(node, "id", getattr(node, "attr", None)) == "_lockstep_nelder_mead")
+
+
+def test_driver_callers_are_pinned():
+    assert _driver_callers(sorted(SOURCE.glob("*.py"))) == DRIVER_CALLERS
+
+
+def test_driver_caller_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def _lockstep_nelder_mead(objective, searches):\n    return []\n\n"
+        "def f(objective):\n    return _lockstep_nelder_mead(objective, [(2, 10, 0)])[0]\n\n"
+        "def g(objective):\n    def inner():\n        return fn._lockstep_nelder_mead(objective, [])\n    return inner\n\n"
+        "def h(objective):\n    return lambda: _lockstep_nelder_mead(objective, [])\n\n"
+        "def unrelated(_lockstep_nelder_mead_count):\n    return _lockstep_nelder_mead_count\n\n"
+        "DRIVER = _lockstep_nelder_mead\n"
+    )
+    assert _driver_callers([module]) == {"f", "inner", "h", "<module>"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -247,8 +287,8 @@ def test_uncalled_definition_is_detected(tmp_path):
 def _scipy_uses(path: pathlib.Path) -> list[str]:
     """Imports of scipy in any form (``import``, ``from ... import``, ``__import__``
     and ``import_module`` of a scipy name) and ``optimize.minimize`` attribute
-    reads: cvchan runs on numpy alone, and ``_restarted_nelder_mead`` is the
-    one Nelder-Mead."""
+    reads: cvchan runs on numpy alone, and ``_lockstep_nelder_mead`` drives
+    the one Nelder-Mead, ``_nelder_mead``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

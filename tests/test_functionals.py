@@ -216,7 +216,7 @@ class TestNumericInfFp:
     @pytest.mark.parametrize("p", [0.0, -1.0])
     def test_renyi_order_not_positive_rejected(self, p):
         with pytest.raises(ValueError, match="order must be positive"):
-            fn.numeric_min_renyi(identity_channel(), p, budget=100, seed=0)
+            fn.numeric_min_renyis([(identity_channel(), p)], budget=100, seed=0)
 
     def test_custom_channel_runs_without_closed_form(self):
         channel = ch.make_channel(0.5 * np.eye(2), np.eye(2))
@@ -406,9 +406,14 @@ class TestParameterizations:
         assert np.array_equal(batch, np.array(alone))
 
 
+def restarted(objective, dim, budget, seed):
+    """``_lockstep_nelder_mead`` of one search, whose ``objective`` scores an (m, dim) stack and returns m values."""
+    return fn._lockstep_nelder_mead(lambda stacks: objective(stacks[0]), [(dim, budget, seed)])[0]
+
+
 def scipy_restarts(objective, dim, budget, seed):
     """Reference: scipy's Nelder-Mead once per restart, in sequence, with the
-    starts, caps and tolerances of ``_restarted_nelder_mead``."""
+    starts, caps and tolerances of ``_lockstep_nelder_mead``."""
     per_run = max(dim + 2, budget // fn.RESTARTS)
     best_val, best_x, evals, converged = np.inf, np.zeros(dim), 0, False
     for run in range(fn.RESTARTS):
@@ -451,12 +456,12 @@ class TestRestartedNelderMead:
             r = np.abs(x[:, 0])
             return np.where(r < 0.01, 1.0 + r * r, -r)
 
-        best, _, evals, converged = fn._restarted_nelder_mead(bowl_beside_slope, 1, 1200, seed=0)
+        best, _, evals, converged = restarted(bowl_beside_slope, 1, 1200, seed=0)
         assert best < 1.0 and evals <= 1200
         assert converged is False
 
     def test_converged_when_the_winner_converges(self):
-        _, x, _, converged = fn._restarted_nelder_mead(lambda x: np.sum(x * x, axis=1), 2, 1200, seed=0)
+        _, x, _, converged = restarted(lambda x: np.sum(x * x, axis=1), 2, 1200, seed=0)
         assert converged is True
         assert np.max(np.abs(x)) <= 1e-6
 
@@ -469,7 +474,7 @@ class TestRestartedNelderMead:
             points.extend(x.copy())
             return np.sum((x - 1.0) ** 2, axis=1)
 
-        _, _, evals, _ = fn._restarted_nelder_mead(shifted_bowl, 2, 1200, seed=0)
+        _, _, evals, _ = restarted(shifted_bowl, 2, 1200, seed=0)
         assert sum(not np.any(x) for x in points) == 1
         assert evals == len(points)
 
@@ -482,7 +487,7 @@ class TestRestartedNelderMead:
             points.extend(x.copy())
             return np.sum(x * x, axis=1)
 
-        _, _, evals, converged = fn._restarted_nelder_mead(bowl, 2, 10, seed=4)
+        _, _, evals, converged = restarted(bowl, 2, 10, seed=4)
         assert evals == len(points) == 10
         assert converged is False
         starts = [sp.rng_stream(4, run).normal(scale=0.8, size=2) for run in range(1, fn.RESTARTS)]
@@ -496,9 +501,9 @@ class TestRestartedNelderMead:
 
         def objective(thetas):
             search = fn._Search(joint, lambda nu: st._renyi(nu, p), fn._pure_cov, n * n + n)
-            return fn._scores([search], [len(thetas)], thetas)
+            return fn._scores([search], [thetas])
 
-        lockstep = fn._restarted_nelder_mead(objective, n * n + n, 2000, seed=5)
+        lockstep = restarted(objective, n * n + n, 2000, seed=5)
         reference = scipy_restarts(objective, n * n + n, 2000, seed=5)
         assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
         assert lockstep[2:] == reference[2:]
@@ -515,7 +520,7 @@ class TestRestartedNelderMead:
         (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 4, 3000),
     ])
     def test_matches_scipy_on_other_objectives(self, objective, dim, budget):
-        lockstep = fn._restarted_nelder_mead(objective, dim, budget, seed=11)
+        lockstep = restarted(objective, dim, budget, seed=11)
         reference = scipy_restarts(objective, dim, budget, seed=11)
         assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
         assert lockstep[2:] == reference[2:]
@@ -531,9 +536,9 @@ class TestRestartedNelderMead:
         def objective(thetas):
             cov_of = lambda x, n: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega))
             return fn._scores([fn._Search(channel, lambda nu: -st._renyi(nu, 1.0), cov_of, 2 * n * n + 2 * n)],
-                              [len(thetas)], thetas)
+                              [thetas])
 
-        searched = fn._restarted_nelder_mead(objective, 2 * n * n + 2 * n, budget, seed=3)
+        searched = restarted(objective, 2 * n * n + 2 * n, budget, seed=3)
         reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
         assert searched[0] == reference[0] and np.array_equal(searched[1], reference[1])
         assert searched[2:] == reference[2:]
@@ -548,7 +553,7 @@ class TestLockstep:
         jobs = [(ch.tensor(pair), p) for _, p, pair in _builtin_channel_pairs()]
         together = fn.numeric_min_renyis(jobs, 2000, 5)
         for (joint, p), report in zip(jobs, together):
-            alone = fn.numeric_min_renyi(joint, p, 2000, 5)
+            (alone,) = fn.numeric_min_renyis([(joint, p)], 2000, 5)
             assert report.best_value == alone.best_value and np.array_equal(report.best_input, alone.best_input)
             assert (report.evaluations, report.converged) == (alone.evaluations, alone.converged)
             assert report.gap_to_closed_form == alone.gap_to_closed_form
@@ -563,21 +568,22 @@ class TestLockstep:
         ]
         calls = []
 
-        def objective(sizes, thetas):
-            calls.append(sizes)
-            bounds = np.cumsum([0, *sizes])
-            return np.concatenate([f(thetas[a:b, :dim]) for (f, dim, _, _), a, b in zip(searches, bounds, bounds[1:])])
+        def objective(stacks):
+            # One stack per search, each exactly its search's dim wide: nothing is padded.
+            assert [stack.shape[1] for stack in stacks] == [dim for _, dim, _, _ in searches]
+            calls.append([len(stack) for stack in stacks])
+            return np.concatenate([f(stack) for (f, _, _, _), stack in zip(searches, stacks)])
 
         together = fn._lockstep_nelder_mead(objective, [(dim, budget, seed) for _, dim, budget, seed in searches])
         for (f, dim, budget, seed), result in zip(searches, together):
-            alone = fn._restarted_nelder_mead(f, dim, budget, seed)
+            alone = restarted(f, dim, budget, seed)
             assert result[0] == alone[0] and np.array_equal(result[1], alone[1])
             assert result[2:] == alone[2:]
             assert len(result[1]) == dim
 
         def rounds_alone(f, dim, budget, seed):
             points = []
-            fn._restarted_nelder_mead(lambda x: points.append(len(x)) or f(x), dim, budget, seed)
+            restarted(lambda x: points.append(len(x)) or f(x), dim, budget, seed)
             return len(points)
 
         # One call per round scores every search's points: as many calls as the longest search alone.
@@ -607,7 +613,7 @@ class TestScores:
         thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, search.dim))
 
         def scores(x):
-            return fn._scores([search], [len(x)], x)
+            return fn._scores([search], [x])
 
         alone = np.concatenate([scores(theta[None]) for theta in thetas])
         assert np.all(np.isfinite(alone))
@@ -621,23 +627,22 @@ class TestScores:
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_in_a_lockstep_round_scores_inf_alone(self, cov_name, row):
         # Two 2-mode searches share one covariance build and one spectrum
-        # call; the 3-mode search has its own, and the 2-mode rows are
-        # zero-padded to its width.
+        # call; the 3-mode search has its own.  Each stack is its search's
+        # dim wide, and a view of ``thetas``, so marking a row marks its stack.
         cov_of = getattr(self, cov_name)
         searches = [
             fn._Search(identity_channel(2), lambda nu: st._renyi(nu, 2.0), cov_of, 6),
             fn._Search(ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), lambda nu: st._renyi(nu, 3.0), cov_of, 6),
             fn._Search(identity_channel(3), lambda nu: st._renyi(nu, 1.0), cov_of, 12),
         ]
-        sizes, owner = [5, 4, 3], np.repeat([0, 1, 2], [5, 4, 3])
         thetas = sp.rng_stream(7).normal(scale=0.8, size=(12, 12))
-        thetas[owner < 2, 6:] = 0.0
-        alone = np.array([fn._scores([searches[j]], [1], theta[None, : searches[j].dim])[0]
-                          for j, theta in zip(owner, thetas)])
+        stacks = [rows[:, : search.dim] for rows, search in zip(np.split(thetas, [5, 9]), searches)]
+        alone = np.array([fn._scores([search], [theta[None]])[0] for search, stack in zip(searches, stacks)
+                          for theta in stack])
         assert np.all(np.isfinite(alone))
-        assert np.array_equal(fn._scores(searches, sizes, thetas), alone)
+        assert np.array_equal(fn._scores(searches, stacks), alone)
         thetas[row, 0] = 100.0
-        marked = fn._scores(searches, sizes, thetas)
+        marked = fn._scores(searches, stacks)
         assert marked[row] == np.inf
         assert np.array_equal(np.delete(marked, row), np.delete(alone, row))
 
@@ -762,7 +767,7 @@ class TestCapacity:
             omega = rng.uniform(0.5, 2.0, channel.n)
             budget = fn.EnergyBudget(0.5 * float(np.sum(omega)) + rng.uniform(0.01, 5.0), omega)
             cap = fn.gaussian_holevo_capacity(channel, budget)
-            assert cap.min_entropy == fn.min_output_entropy_closed_only(channel)
+            assert cap.min_entropy == fn.min_output_renyi_closed(channel, 1.0)
             assert cap.value == cap.sup_entropy - cap.min_entropy
 
     def test_no_mode_takes_photons_gives_zero(self):
@@ -873,7 +878,7 @@ class TestRenyiAdditivityOfPairs:
         joint = ch.tensor(pair)
         total = sum(fn.min_output_renyi_closed(channel, p) for channel in pair)
         assert fn.min_output_renyi_closed(joint, p) == pytest.approx(total, rel=1e-14)
-        search = fn.numeric_min_renyi(joint, p, 2000, 5)
+        (search,) = fn.numeric_min_renyis([(joint, p)], 2000, 5)
         assert search.best_value >= total - fn.TOL_OPT_CLOSED
         assert search.gap_to_closed_form >= -fn.TOL_OPT_CLOSED
 
@@ -900,7 +905,7 @@ class TestAdditivity:
         # Both subtract the closed-form S_min of the tensor channel, the one the capacity subtracts.
         pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
         joint, budget = ch.tensor(pair), fn.EnergyBudget(3.0, np.ones(2))
-        smin = fn.min_output_entropy_closed_only(joint)
+        smin = fn.min_output_renyi_closed(joint, 1.0)
         report = fn.additivity_check(pair, budget, search_budget=500, seed=0)
         search = fn.max_output_entropy_under_energy(joint, budget, search_budget=500, seed=0)
         assert report.joint_capacity == search.best_value - smin
@@ -952,7 +957,7 @@ class TestWaterFilling:
     def test_single_mode_is_holevo_werner(self, eta, nbar, energy, omega):
         channel = ch.tensor([ch.thermal_noise([eta], [nbar])])
         sup, photons = fn._water_filled_output(channel, fn.EnergyBudget(energy, [omega]))
-        value = sup - fn.min_output_entropy_closed_only(channel)
+        value = sup - fn.min_output_renyi_closed(channel, 1.0)
         n_in = (energy - 0.5 * omega) / omega
         expected = holevo_werner_g(eta * n_in + (1.0 - eta) * nbar) - holevo_werner_g((1.0 - eta) * nbar)
         assert value == pytest.approx(expected, abs=1e-12)
@@ -970,7 +975,7 @@ class TestWaterFilling:
         b = np.array([0.3 * 2.0, 0.5 * y, 0.0])
         omega = np.array(omega)
         sup, photons = fn._water_filled_output(ch.tensor(channels), fn.EnergyBudget(energy, omega))
-        value = sup - fn.min_output_entropy_closed_only(ch.tensor(channels))
+        value = sup - fn.min_output_renyi_closed(ch.tensor(channels), 1.0)
         surplus = energy - 0.5 * np.sum(omega)
         assert float(omega @ photons) == pytest.approx(surplus, abs=1e-12)
         if inactive is not None:

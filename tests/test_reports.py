@@ -170,7 +170,7 @@ def test_search_work(name, monkeypatch):
         pytest.skip(f"counts taken on {recorded}, this is {build()}")
     rows = []
     scores = fn._scores
-    monkeypatch.setattr(fn, "_scores", lambda *args: rows.append(len(args[-1])) or scores(*args))
+    monkeypatch.setattr(fn, "_scores", lambda *args: rows.append(sum(map(len, args[-1]))) or scores(*args))
     assert run.__wrapped__(name, "json")[0] == 0
     assert (len(rows), sum(rows)) == SEARCH_WORK[name]
 
