@@ -1,8 +1,10 @@
 """Gaussian channels as covariance-matrix maps gamma -> X^T gamma X + Y.
 
-Complete positivity is certified at construction time through the matrix
-condition Y + iJ - i X^T J X >= 0.  Channel values are immutable; applying
-a channel never mutates its input state.
+Complete positivity, the matrix condition Y + iJ - i X^T J X >= 0, is
+certified at construction time.  The named kinds certify it in closed form
+from their parameter checks; ``make_channel`` certifies a custom pair and a
+tensor product numerically.  Channel values are immutable; applying a
+channel never mutates its input state.
 """
 
 from __future__ import annotations
@@ -81,15 +83,9 @@ def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
-    """Validate and build a ``custom`` Gaussian channel from its matrix pair.
-
-    Rejects non-finite X or Y and asymmetric or indefinite Y, and raises
-    ``CompletePositivityError`` when the certificate eigenvalue falls below
-    -``TOL_CP``.  The kind is set only by ``classical_noise``, ``thermal_noise``,
-    ``lossy`` and ``tensor``, since a declared kind that (X, Y) do not have
-    would select closed forms that do not hold for the channel.
-    """
+def _checked_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """X and Y as float arrays and the minimum eigenvalue of Y, once X is 2n x 2n
+    (n >= 1), Y of its shape, both finite, and Y symmetric and PSD within ``TOL_CP``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 != 0 or x.size == 0:
@@ -104,6 +100,18 @@ def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
     y_min = float(np.linalg.eigvalsh(y)[0])
     if y_min < -TOL_CP:
         raise CompletePositivityError(f"Y has a negative eigenvalue ({y_min:.3e})")
+    return x, y, y_min
+
+
+def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
+    """Validate and build a ``custom`` Gaussian channel from its matrix pair.
+
+    Rejects non-finite X or Y and asymmetric or indefinite Y, and certifies
+    complete positivity numerically (``CompletePositivityError`` below
+    -``TOL_CP``).  Only the named constructors and ``tensor`` set a kind: a
+    declared kind that (X, Y) do not have would select wrong closed forms.
+    """
+    x, y, _ = _checked_pair(x, y)
     cp_min = cp_certificate_eigenvalue(x, y)
     if cp_min < -TOL_CP:
         raise CompletePositivityError(f"complete positivity violated: certificate eigenvalue {cp_min:.3e}")
@@ -111,35 +119,49 @@ def make_channel(x: np.ndarray, y: np.ndarray) -> GaussianChannel:
 
 
 def classical_noise(y: np.ndarray) -> GaussianChannel:
-    """Additive classical Gaussian noise: gamma -> gamma + Y, Y >= 0."""
+    """Additive classical Gaussian noise: gamma -> gamma + Y, Y >= 0.  X = I makes
+    the certificate matrix Y itself: its eigenvalue is that of the PSD check."""
     y = np.asarray(y, dtype=float)
-    return replace(make_channel(np.eye(y.shape[0]), y), kind="classical")
+    x, y, y_min = _checked_pair(np.eye(y.shape[0]), y)
+    return GaussianChannel(n=x.shape[0] // 2, x=x, y=y, kind="classical", eta=None, nbar=None, cp_eigenvalue=y_min)
 
 
-def thermal_noise(eta, nbar) -> GaussianChannel:
-    """Beamsplitter coupling to thermal reservoirs.
-
-    Per mode: X = sqrt(eta_k) I2 and Y = (2 nbar_k + 1)(1 - eta_k) I2 with
-    transmittivity eta_k in [0, 1] and reservoir occupation nbar_k >= 0.
-    """
+def _beamsplitter(eta, nbar, kind: str) -> GaussianChannel:
+    """The thermal or lossy channel, certified in closed form: mode k has the certificate
+    matrix y_k I2 + i (1 - eta_k) J2, eigenvalues y_k +/- (1 - eta_k) >= 2 nbar_k (1 - eta_k)."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
     if nbar.size == 1 and eta.size > 1:
         nbar = np.full(eta.size, float(nbar[0]))
     if eta.shape != nbar.shape:
         raise DimensionError(f"eta and nbar must align, got {eta.shape} vs {nbar.shape}")
+    if eta.ndim != 1:
+        raise DimensionError(f"eta and nbar must be one-dimensional, got shape {eta.shape}")
+    if eta.size == 0:
+        raise DimensionError("X must be 2n x 2n with n >= 1, got shape (0, 0)")
     if np.any((eta < 0.0) | (eta > 1.0)):
         raise ValueError("transmittivities must lie in [0, 1]")
     if np.any(nbar < 0.0):
         raise ValueError("reservoir occupations must be nonnegative")
-    x = np.diag(np.repeat(np.sqrt(eta), 2))
-    y = np.diag(np.repeat((2.0 * nbar + 1.0) * (1.0 - eta), 2))
-    return replace(make_channel(x, y), kind="thermal", eta=eta, nbar=nbar)
+    loss = 1.0 - eta
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or overflowing y_k is refused below
+        y_k = (2.0 * nbar + 1.0) * loss
+    if not np.isfinite(y_k).all():
+        raise ValueError("X and Y must have finite entries")
+    return GaussianChannel(n=eta.size, x=np.diag(np.repeat(np.sqrt(eta), 2)), y=np.diag(np.repeat(y_k, 2)), kind=kind,
+                           eta=eta, nbar=nbar, cp_eigenvalue=float(np.min(2.0 * nbar * loss)))
+
+
+def thermal_noise(eta, nbar) -> GaussianChannel:
+    """Beamsplitter coupling to thermal reservoirs: per mode X = sqrt(eta_k) I2
+    and Y = (2 nbar_k + 1)(1 - eta_k) I2, transmittivity eta_k in [0, 1] and
+    occupation nbar_k >= 0, both one-dimensional; a scalar nbar fits every mode."""
+    return _beamsplitter(eta, nbar, "thermal")
 
 
 def lossy(eta) -> GaussianChannel:
     """Pure loss (attenuation): the zero-temperature thermal channel."""
-    return replace(thermal_noise(eta, np.zeros(np.atleast_1d(np.asarray(eta)).size)), kind="lossy")
+    return _beamsplitter(eta, np.zeros(np.size(eta)), "lossy")
 
 
 def tensor(channels: Sequence[GaussianChannel]) -> GaussianChannel:

@@ -164,22 +164,20 @@ def cmd_analyze(args) -> int:
     if nu is None:  # one search for S_min and one per p, run together
         s_min, *s_ps = (search.best_value for search in fn.numeric_min_renyis(
             [(channel, p) for p in (1.0, *p_values)], args.budget, args.seed))
-    else:
+        inf_fps = [fn.exp_or_inf(fn.log_fp_of_renyi(channel.n, p, s_p)) for p, s_p in zip(p_values, s_ps)]
+    else:  # renyi_entropy validates nu once; every row's product is read off nu + 1 and nu - 1
         s_min, s_ps = st.renyi_entropy(nu, 1.0), [None] * len(p_values)
+        up, dn = nu + 1.0, nu - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            inf_fps = [float(np.prod(st._f_p(up, dn, p))) for p in p_values]
     results = []
-    for p, s_p in zip(p_values, s_ps):
+    for p, s_p, inf_fp in zip(p_values, s_ps, inf_fps):
         entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}
-        if nu is None:
-            log_inf_fp = fn.log_fp_of_renyi(channel.n, p, s_p)
-            inf_fp = fn.exp_or_inf(log_inf_fp)
-        else:
-            inf_fp = fn.fp_product(nu, p)
         if math.isfinite(inf_fp):
             entry["inf_F_p"] = inf_fp
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
         else:  # the product overflows; its log, read from the minimal S_p, does not
-            if nu is not None:
-                log_inf_fp = fn.log_fp_of_renyi(channel.n, p, st.renyi_entropy(nu, p))
+            log_inf_fp = fn.log_fp_of_renyi(channel.n, p, st.renyi_entropy(nu, p) if s_p is None else s_p)
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
             entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)

@@ -129,9 +129,9 @@ def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
 
 
 def fp_product(x: np.ndarray, p: float) -> float:
-    """prod_k f_p(x_k), inf where it overflows a double."""
-    with np.errstate(over="ignore"):
-        return float(np.prod(st.f_p(x, p)))
+    """prod_k f_p(x_k) of a spectrum x >= 1 at p > 1, unchecked; inf where it overflows a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.prod(st._f_p(x + 1.0, x - 1.0, p)))
 
 
 def min_output_renyi_closed(channel: ch.GaussianChannel, p: float) -> float:

@@ -154,6 +154,13 @@ def mean_energy(state: GaussianState) -> ModeEnergy:
     return ModeEnergy(per_mode=per_mode, total=float(np.sum(per_mode)))
 
 
+def _f_p(up: np.ndarray, dn: np.ndarray, p: float) -> np.ndarray:
+    """f_p from up = x + 1 and dn = x - 1, unchecked; run it under
+    ``np.errstate(over="ignore", invalid="ignore")``.  ``f_p`` validates."""
+    power = up**p
+    return np.where(np.isinf(power), np.inf, power - dn**p)
+
+
 def f_p(x, p: float):
     """The output-purity kernel (x + 1)^p - (x - 1)^p, for x >= 1, p >= 1.
 
@@ -167,8 +174,7 @@ def f_p(x, p: float):
     if not p >= 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
     with np.errstate(over="ignore", invalid="ignore"):
-        up = (x + 1.0) ** p
-        out = np.where(np.isinf(up), np.inf, up - (x - 1.0) ** p)
+        out = _f_p(x + 1.0, x - 1.0, p)
     return float(out) if out.ndim == 0 else out
 
 

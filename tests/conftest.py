@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import collections
+
+import numpy as np
 import pytest
 
 import cvchan.functionals as fn
@@ -17,4 +20,22 @@ def search_calls(monkeypatch):
         return lockstep(objective, searches)
 
     monkeypatch.setattr(fn, "_lockstep_nelder_mead", counting)
+    return calls
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """A counter of the ``numpy.linalg`` eigen-solver and Cholesky calls
+    (``eigvalsh``, ``eigh``, ``cholesky``) by name, from the time it is set up."""
+    calls = collections.Counter()
+
+    def counting(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in ("eigvalsh", "eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls

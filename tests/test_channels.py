@@ -69,10 +69,15 @@ class TestMakeChannel:
             lambda: ch.classical_noise(np.diag([np.nan, 1.0])),
             lambda: ch.thermal_noise([np.nan], [1.0]),
             lambda: ch.thermal_noise([0.5], [np.inf]),
+            # (2 nbar + 1)(1 - eta) overflows to inf, and to inf * 0 = nan at eta = 1:
+            # refused as non-finite, with no RuntimeWarning on the way.
+            lambda: ch.thermal_noise([0.5], [1e308]),
+            lambda: ch.thermal_noise([1.0], [1e308]),
             lambda: ch.lossy([np.nan]),
             lambda: ch.tensor([ch.lossy([0.5]), dataclasses.replace(ch.lossy([0.5]), y=np.full((2, 2), np.nan))]),
         ],
-        ids=["classical_noise", "thermal_noise-eta", "thermal_noise-nbar", "lossy", "tensor"],
+        ids=["classical_noise", "thermal_noise-eta", "thermal_noise-nbar", "thermal_noise-overflow",
+             "thermal_noise-overflow-times-zero", "lossy", "tensor"],
     )
     def test_kinds_reject_non_finite_parameters(self, build):
         with pytest.raises(ValueError, match="finite"):
@@ -164,6 +169,63 @@ class TestThermalNoise:
     def test_certificate_holds(self):
         channel = ch.thermal_noise([0.3, 0.9], [2.0, 0.1])
         assert channel.cp_eigenvalue >= -1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda: ch.thermal_noise([[0.5, 0.6], [0.7, 0.8]], [[1.0, 1.0], [1.0, 1.0]]),
+        lambda: ch.thermal_noise([[0.5]], [[1.0]]),
+        lambda: ch.lossy([[0.5, 0.6], [0.7, 0.8]]),
+    ], ids=["thermal_noise", "thermal_noise-one-entry", "lossy"])
+    def test_parameters_of_more_than_one_dimension_rejected(self, build):
+        # A 2 x 2 eta once built a 4-mode channel whose records and optima raised TypeError.
+        with pytest.raises(sp.DimensionError, match="eta and nbar"):
+            build()
+
+    def test_scalar_parameters_broadcast(self):
+        assert ch.thermal_noise(0.5, 1.0).n == 1
+        channel = ch.thermal_noise([0.5, 0.6], 1.0)
+        assert_allclose(channel.nbar, [1.0, 1.0])
+        assert ch.channel_to_record(channel) == {"n_modes": 2, "kind": "thermal", "eta": [0.5, 0.6], "nbar": [1.0, 1.0]}
+        assert ch.lossy(0.5).n == 1
+
+
+def _assert_numeric_certificate(channel):
+    """The certificate eigenvalue of construction is the numeric one, within
+    1e-12 of the scale of Y."""
+    numeric = ch.cp_certificate_eigenvalue(channel.x, channel.y)
+    assert abs(channel.cp_eigenvalue - numeric) <= 1e-12 * max(1.0, float(np.max(np.abs(channel.y))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hst.integers(1, 4).flatmap(lambda n: hst.tuples(
+    hst.lists(hst.floats(0.0, 1.0), min_size=n, max_size=n), hst.lists(hst.floats(0.0, 1e6), min_size=n, max_size=n))))
+def test_closed_form_certificates_match_the_numeric_one(parameters):
+    eta, nbar = parameters
+    _assert_numeric_certificate(ch.thermal_noise(eta, nbar))
+    _assert_numeric_certificate(ch.lossy(eta))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hst.integers(1, 4).flatmap(lambda n: hst.lists(hst.floats(-10.0, 10.0), min_size=4 * n * n, max_size=4 * n * n)))
+def test_classical_certificate_matches_the_numeric_one(entries):
+    dim = int(round(np.sqrt(len(entries))))
+    a = np.array(entries).reshape(dim, dim)
+    y = a @ a.T
+    _assert_numeric_certificate(ch.classical_noise(0.5 * (y + y.T)))
+
+
+@pytest.mark.parametrize("y", ILL_CONDITIONED_NOISE.values(), ids=ILL_CONDITIONED_NOISE.keys())
+def test_ill_conditioned_classical_certificate_matches_the_numeric_one(y):
+    _assert_numeric_certificate(ch.classical_noise(y))
+
+
+def test_named_kinds_certify_without_a_numeric_certificate(eigen_calls):
+    # Thermal and lossy channels certify in closed form; classical noise
+    # reads its certificate off the one eigvalsh(Y) of its PSD check.
+    ch.thermal_noise([0.3, 0.9, 0.5, 0.7], [2.0, 0.1, 0.0, 1.0])
+    ch.lossy([0.2, 0.6, 1.0])
+    assert eigen_calls == {}
+    ch.classical_noise(np.diag([1.3, 0.4, 0.7, 1.9]))
+    assert eigen_calls == {"eigvalsh": 1}
 
 
 class TestTensor:

@@ -427,6 +427,16 @@ class TestInvalidInputExitCodes:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_noise_exits_2_with_one_line(self, tmp_path, capsys):
+        # (2 nbar + 1)(1 - eta) overflows a double: one error line, no RuntimeWarning before it.
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1e308]}))
+        code = cli.main(["analyze", "--channel", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: channel spec field 'eta/nbar': X and Y must have finite entries\n"
+
     @pytest.mark.parametrize(
         "argv, option",
         [

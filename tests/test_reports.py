@@ -73,6 +73,17 @@ SEARCH_WORK = {
     "custom1_capacity": (293, 1800),
 }
 
+#: ``numpy.linalg`` eigen-solver and Cholesky calls of each closed-form
+#: analyze command, by name.  Thermal and lossy channels certify in closed
+#: form and read nu* off their parameters.  Classical noise takes eigvalsh(Y)
+#: for its PSD check (X = I makes that its certificate) and again in
+#: ``noise_spectrum`` to pick the Cholesky route, then one spectrum of Y.
+EIGEN_WORK = {
+    "classical2_analyze": {"eigvalsh": 3, "cholesky": 1},
+    "thermal4_analyze": {},
+    "lossy3_analyze": {},
+}
+
 #: A command that exits 0 or 1 is pinned by its report in both formats; one
 #: that exits 2 or 3 writes no report and is pinned by its ``error:`` line.
 CASES = [(name, fmt) for name, (_, code) in COMMANDS.items() for fmt in (("json", "csv") if code < 2 else ("txt",))]
@@ -173,6 +184,12 @@ def test_search_work(name, monkeypatch):
     monkeypatch.setattr(fn, "_scores", lambda *args: rows.append(sum(map(len, args[-1]))) or scores(*args))
     assert run.__wrapped__(name, "json")[0] == 0
     assert (len(rows), sum(rows)) == SEARCH_WORK[name]
+
+
+@pytest.mark.parametrize("name", EIGEN_WORK)
+def test_eigen_work(name, eigen_calls):
+    assert run.__wrapped__(name, "json")[0] == 0
+    assert eigen_calls == EIGEN_WORK[name]
 
 
 def test_first_difference_names_the_field():
