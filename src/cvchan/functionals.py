@@ -3,8 +3,8 @@ energy-constrained Holevo capacity, and multiplicativity/additivity checks.
 
 Closed forms exist for classical-noise, thermal-noise and lossy channels
 and their tensor products, read leaf by leaf in mode order from one rule,
-``_leaf_optimum`` (each leaf's optimal output spectrum and photon map);
-the optimal-input witness is built only when a check asks for it.  Every
+``_leaf_optimum`` (each leaf's optimal output spectrum, photon map and
+optimal input, each built only when a caller asks for it).  Every
 other channel goes through a derivative-free search over Gaussian inputs.
 The search parameterizes covariances through the Euler form (two unitary
 factors plus squeezings), so physicality holds by construction, and the
@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,31 +100,48 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _leaf_optimum(leaf: ch.GaussianChannel) -> tuple[Callable[[], np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
-    """The closed-form rule of one leaf: its optimal output spectrum nu*, as
-    a function that computes it on call, and its photon map (a, b), under
-    which a thermal input mode with N photons leaves as a thermal mode with
-    a N + b photons.  A caller that reads only the map computes no spectrum.
+#: The closed-form rule of one leaf, from ``_leaf_optimum``: three functions that compute on call.
+_LeafRule = namedtuple("_LeafRule", "spectrum photon_map witness")
 
-    Thermal and lossy: a = eta, b = (1 - eta) nbar and nu* = 1 + 2 b.
-    Classical noise: nu* = 1 + nu(Y), and a = 1, b = y_k / 2 when
-    Y = (+)_k y_k I_2; the map is None for a phase-sensitive Y.  Any other
-    leaf raises ``UnsupportedKindError``.
+
+def _leaf_optimum(leaf: ch.GaussianChannel) -> _LeafRule:
+    """The closed-form rule of one leaf, each member computed on call, so a
+    caller computes only what it reads: its optimal output spectrum nu*, its
+    photon map (a, b), under which a thermal input mode with N photons
+    leaves as a thermal mode with a N + b photons, and its witness, the pure
+    input covariance whose output spectrum is nu*.
+
+    Thermal and lossy: a = eta, b = (1 - eta) nbar, nu* = 1 + 2 b, and the
+    witness is the vacuum.  Classical noise: nu* = 1 + nu(Y), and a = 1,
+    b = y_k / 2 when Y = (+)_k y_k I_2; the map is None for a phase-sensitive
+    Y.  Its witness is the inverse Williamson frame of Y, which aligns the
+    input with Y; a singular Y has no Williamson form, so Y + eps I takes
+    its place when the certificate, the minimum eigenvalue of Y, is below
+    eps = ``NOISE_EPS``.  Any other leaf raises ``UnsupportedKindError``.
     """
     if leaf.kind in ("thermal", "lossy"):
         b = (1.0 - leaf.eta) * leaf.nbar
-        return lambda: 1.0 + 2.0 * b, (leaf.eta, b)
+        return _LeafRule(lambda: 1.0 + 2.0 * b, lambda: (leaf.eta, b), lambda: np.eye(2 * leaf.n))
     if leaf.kind != "classical":
         raise UnsupportedKindError(f"no closed form for kind {leaf.kind!r}; use the numeric search")
-    y, y_k = leaf.y, np.diag(leaf.y)[0::2]
-    isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
-    return lambda: 1.0 + ch.noise_spectrum(leaf), (np.ones(leaf.n), 0.5 * y_k) if isotropic else None
+
+    def photon_map():
+        y, y_k = leaf.y, np.diag(leaf.y)[0::2]
+        isotropic = np.max(np.abs(y - np.diag(np.repeat(y_k, 2)))) <= ch.TOL_CP * max(1.0, float(np.max(np.abs(y))))
+        return (np.ones(leaf.n), 0.5 * y_k) if isotropic else None
+
+    def witness():
+        y = leaf.y if leaf.cp_eigenvalue >= ch.NOISE_EPS else leaf.y + ch.NOISE_EPS * np.eye(2 * leaf.n)
+        s_inv = symplectic_inverse(williamson(y).s)
+        return s_inv @ s_inv.T
+
+    return _LeafRule(lambda: 1.0 + ch.noise_spectrum(leaf), photon_map, witness)
 
 
 def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
     """nu*, the per-mode output spectrum at the optimal Gaussian input, leaf
     by leaf in mode order; every closed-form optimum is a function of it."""
-    return np.concatenate([_leaf_optimum(leaf)[0]() for leaf in channel.leaves])
+    return np.concatenate([_leaf_optimum(leaf).spectrum() for leaf in channel.leaves])
 
 
 def fp_product(x: np.ndarray, p: float) -> float:
@@ -470,6 +486,8 @@ def max_output_entropy_under_energy(
     ------
     InfeasibleEnergyError
         When the budget lies below the total zero-point energy.
+    ValueError
+        When no input the search scores has a finite output entropy.
     """
     n = channel.n
     budget.check_modes(n)
@@ -477,8 +495,11 @@ def max_output_entropy_under_energy(
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
     search = _Search(channel, lambda nu: -st._renyi(nu, 1.0),
                      lambda theta, n: _project_to_energy(*_phys_cov_factors(theta, n), budget), 2 * n * n + 2 * n)
-    ((best, x, evals, converged),) = _lockstep_nelder_mead(lambda stacks: _scores([search], stacks),
-                                                           [(search.dim, search_budget, seed)])
+    with np.errstate(all="ignore"):  # ``_scores`` scores a row that overflows +inf
+        ((best, x, evals, converged),) = _lockstep_nelder_mead(lambda stacks: _scores([search], stacks),
+                                                               [(search.dim, search_budget, seed)])
+    if best == np.inf:
+        raise ValueError(f"no input at energy {budget.total} has a finite output entropy")
     return OptimizationReport(-float(best), search.cov_of(x[None], n)[0], evals, search_budget, converged,
                               _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))
 
@@ -498,7 +519,7 @@ def _photon_maps(channel: ch.GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode (a_k, b_k) of a phase-insensitive channel, the photon maps of
     ``_leaf_optimum`` leaf by leaf in mode order; a leaf without one raises
     ``UnsupportedKindError``."""
-    maps = [_leaf_optimum(leaf)[1] for leaf in channel.leaves]
+    maps = [_leaf_optimum(leaf).photon_map() for leaf in channel.leaves]
     if any(m is None for m in maps):
         raise UnsupportedKindError("no closed-form capacity for classical noise that is not isotropic on each mode")
     a, b = zip(*maps)
@@ -511,36 +532,38 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
 
     The KKT point is N_k(lam) = max(0, (1 / expm1(lam omega_k / a_k) - b_k) / a_k),
     and sum_k omega_k N_k(lam) decreases in lam, so bisection on ln lam over
-    a bracket solves it.  Modes with a_k = 0 take no photons; when no mode
-    has a_k > 0 every split is optimal and the modes share the photons evenly.
+    the positive doubles solves it.  Modes with a_k = 0 take no photons; when
+    no mode has a_k > 0 every split is optimal and the modes share the
+    photons evenly.  A surplus whose photon numbers overflow a double raises
+    ``ValueError``.
     """
     photons = np.zeros(a.shape)
     if surplus <= 0.0:
         return photons
     live = a > 0.0
-    if not live.any():
-        return np.full(a.shape, surplus / float(np.sum(omega)))
-    a, b, w = a[live], b[live], omega[live]
+    if live.any():
+        a, b, w = a[live], b[live], omega[live]
 
-    def fill(log_lam: float) -> np.ndarray:
-        with np.errstate(over="ignore"):  # expm1 -> inf leaves N_k = 0
-            return np.maximum((1.0 / np.expm1(np.exp(log_lam) * w / a) - b) / a, 0.0)
+        def fill(log_lam: float) -> np.ndarray:
+            with np.errstate(over="ignore", divide="ignore"):  # expm1 -> inf gives N_k = 0, expm1 -> 0 gives inf
+                return np.maximum((1.0 / np.expm1(np.exp(log_lam) * w / a) - b) / a, 0.0)
 
-    # The total is at least the surplus at the largest lam_k at which mode k alone holds it, and below it at
-    # lam = count / surplus, as every N_k is below 1 / (lam omega_k); widening by e keeps rounding from closing the
-    # bracket.  1 / (b_k + a_k surplus / omega_k) is capped at the largest double, where the sum is 0 or subnormal.
-    with np.errstate(over="ignore", divide="ignore"):
-        inverse = np.minimum(1.0 / (b + a * surplus / w), np.finfo(float).max)
-    lo = float(np.log(np.max(a / w * np.log1p(inverse)))) - 1.0
-    hi = math.log(a.size) - math.log(surplus) + 1.0  # a.size / surplus may overflow
-    # Bisection keeps the total at most the surplus at hi, so N(hi) never overspends; 100 halvings take this
-    # bracket (narrower than 2000) to adjacent doubles, or to 1e-27 around ln lam = 0.
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        lo, hi = (mid, hi) if float(w @ fill(mid)) > surplus else (lo, mid)
-    photons[live] = fill(hi)
+        # The bracket runs from the smallest positive double to past the largest, where lam overflows to inf and
+        # every N_k is 0.  Bisection keeps the total at most the surplus at hi, so N(hi) never overspends; 100
+        # halvings take this bracket (1455 wide) to adjacent doubles, or to 1e-27 around ln lam = 0.  An
+        # overflowing N_k puts the total above any surplus, so N(hi) is finite, and N(lo) overflows exactly when
+        # the surplus needs more photons than a double holds.
+        lo, hi = math.log(5e-324), math.log(np.finfo(float).max) + 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if float(w @ fill(mid)) > surplus else (lo, mid)
+        photons[live], below = fill(hi), fill(lo)
+    else:
+        photons[:] = below = surplus / float(np.sum(omega))
+    if not np.isfinite(below).all():
+        raise ValueError(f"the photon numbers of energy {surplus:.6g} above the zero point overflow a double")
     return photons
 
 
@@ -585,27 +608,9 @@ def gaussian_holevo_capacity(
 # multiplicativity / additivity
 
 def separable_optimal_input(channel: ch.GaussianChannel) -> np.ndarray:
-    """Block-diagonal pure covariance attaining the product of optima, one
-    block per leaf in mode order.
-
-    Thermal and lossy leaves take the vacuum block; classical leaves take
-    the inverse Williamson frame of their noise matrix, which aligns the
-    input with Y so the output spectrum is exactly 1 + y_k.  A singular Y
-    has no Williamson form, so Y + eps I takes its place when the minimum
-    eigenvalue of Y is below eps = ``NOISE_EPS``.
-    """
-    blocks = []
-    for leaf in channel.leaves:
-        if leaf.kind == "classical":
-            y = leaf.y
-            if float(np.linalg.eigvalsh(y)[0]) < ch.NOISE_EPS:
-                y = y + ch.NOISE_EPS * np.eye(y.shape[0])
-            s_inv = symplectic_inverse(williamson(y).s)
-            blocks.append(s_inv @ s_inv.T)
-        else:
-            _leaf_optimum(leaf)  # a leaf without a closed form raises here
-            blocks.append(np.eye(2 * leaf.n))
-    return _direct_sum(blocks)
+    """Block-diagonal pure covariance attaining the product of optima: the
+    direct sum of the leaves' witnesses (``_leaf_optimum``) in mode order."""
+    return _direct_sum([_leaf_optimum(leaf).witness() for leaf in channel.leaves])
 
 
 @dataclass(kw_only=True)

@@ -41,6 +41,8 @@ HERMITIAN_TOL = 1e-9
 #: Largest |witness_gap| of a passing campaign: the Williamson rows attain
 #: the trace bound to rounding.
 WITNESS_ATOL = 1e-8
+#: Largest squeezing of the symplectic matrices that the Lemma 1 check samples.
+_SQUEEZE_MAX = 8.0
 
 
 def _prefix_tolerance(x: np.ndarray, y: np.ndarray) -> float:
@@ -132,10 +134,9 @@ class TrialReport:
     """Summary of a randomized campaign; failures == 0 iff worst_margin >= -tol.
 
     A campaign creates its report up front and folds its samples in with
-    ``fold`` (or whole sub-campaigns with ``add``).  The counterexample is
-    the worst failing sample: the one with the smallest margin among those
-    below -tol.  A campaign passes with no failures and, when it has a
-    witness, |witness_gap| <= ``WITNESS_ATOL``.
+    ``fold``.  The counterexample is the worst failing sample: the one with
+    the smallest margin among those below -tol.  A campaign passes with no
+    failures and, when it has a witness, |witness_gap| <= ``WITNESS_ATOL``.
     """
 
     trials: int = 0
@@ -161,19 +162,8 @@ class TrialReport:
         self.worst_margin = min(self.worst_margin, float(np.min(margins)))
         if np.any(bad):
             i = int(np.argmin(np.where(bad, margins, np.inf)))
-            self._offer({**example(i), "margin": float(margins[i])})
-
-    def add(self, sub: TrialReport, context: dict) -> None:
-        """Add a sub-campaign's report; ``context`` prefixes its counterexample."""
-        self.trials += sub.trials
-        self.failures += sub.failures
-        self.worst_margin = min(self.worst_margin, sub.worst_margin)
-        if sub.counterexample is not None:
-            self._offer({**context, **sub.counterexample})
-
-    def _offer(self, counterexample: dict) -> None:
-        if self.counterexample is None or counterexample["margin"] < self.counterexample["margin"]:
-            self.counterexample = counterexample
+            if self.counterexample is None or margins[i] < self.counterexample["margin"]:
+                self.counterexample = {**example(i), "margin": float(margins[i])}
 
 
 def theorem1_trial(
@@ -210,43 +200,38 @@ def theorem1_trial(
     return report
 
 
-def _lemma1_reports(
-    a: np.ndarray, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...]
-) -> list[TrialReport]:
-    """One ``lemma1_trial`` report per truncation size k in ``ks``, all read off one draw.
+def _lemma1_fold(
+    report: TrialReport, a: np.ndarray, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...], context
+) -> list[tuple[float, float]]:
+    """Fold the Lemma 1 samples of every truncation size k in ``ks``, all
+    read off one draw, into ``report``, and return each k's bound
+    2 (nu_1 + ... + nu_k) and witness gap.
 
     Batch b of 2048 samples draws full 2n x 2n symplectic matrices S from
     ``rng_stream(seed, *lane, b)``.  The first 2k rows of S are a 2k x 2n
     truncation for every k, so one matmul gives the row quadratic forms
     (S A S^T)_rr and their cumulative sums over row pairs give
-    Tr S_k A S_k^T for every k at once.
+    Tr S_k A S_k^T for every k at once.  A failing size-k sample's
+    counterexample is ``context(k)`` and its truncation ``S``.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     n = len(a) // 2
     nu = symplectic_eigenvalues(a)
-    batch, squeeze_max = 2048, 8.0
-    reports = []
-    for k in ks:
-        bound = 2.0 * float(np.sum(nu[:k]))
-        reports.append(TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": squeeze_max, "bound": bound}))
-    for b, done in enumerate(range(0, samples, batch)):
+    bounds = [2.0 * float(np.sum(nu[:k])) for k in ks]
+    for b, done in enumerate(range(0, samples, 2048)):
         rng = rng_stream(seed, *lane, b)
-        s = sample_symplectics(rng, n, min(batch, samples - done), (1.0, squeeze_max), log_squeeze=True)
+        s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
         traces = np.cumsum(np.sum((s @ a) * s, axis=2), axis=1)[:, 1::2]
-        for report in reports:
-            k, bound = report.parameters["k"], report.parameters["bound"]
+        for k, bound in zip(ks, bounds):
             sk = s[:, : 2 * k, :]
             tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
-            report.fold(traces[:, k - 1] - bound, tol, lambda i: {"S": sk[i].tolist()})
+            report.fold(traces[:, k - 1] - bound, tol, lambda i: {**context(k), "S": sk[i].tolist()})
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.
     witness = williamson(a).s
-    for report in reports:
-        rows = witness[: 2 * report.parameters["k"], :]
-        report.witness_gap = float(np.sum((rows @ a) * rows) - report.parameters["bound"])
-    return reports
+    return [(bound, float(np.sum((witness[: 2 * k] @ a) * witness[: 2 * k]) - bound)) for k, bound in zip(ks, bounds)]
 
 
 def lemma1_trial(
@@ -272,7 +257,10 @@ def lemma1_trial(
     n = _mode_count(a)
     if not 1 <= k <= n:
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
-    return _lemma1_reports(a, range(k, k + 1), samples, seed, atol, lane)[0]
+    report = TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": _SQUEEZE_MAX})
+    ((report.parameters["bound"], report.witness_gap),) = _lemma1_fold(
+        report, a, range(k, k + 1), samples, seed, atol, lane, lambda k: {})
+    return report
 
 
 def lemma1_campaign(
@@ -306,9 +294,9 @@ def lemma1_campaign(
         rng = rng_stream(seed, inst)
         n = int(rng.integers(1, max_modes + 1))
         a = sample_spd(rng, n, 1, nu_range)[0]
-        for sub in _lemma1_reports(a, range(1, n + 1), samples, seed, atol, (inst, 0)):
-            report.add(sub, {"A": a.tolist(), "k": sub.parameters["k"]})
-            report.witness_gap = max(report.witness_gap, abs(sub.witness_gap))
+        for _, gap in _lemma1_fold(report, a, range(1, n + 1), samples, seed, atol, (inst, 0),
+                                   lambda k: {"A": a.tolist(), "k": k}):
+            report.witness_gap = max(report.witness_gap, abs(gap))
     return report
 
 

@@ -136,11 +136,10 @@ def test_defaulted_parameter_is_detected(tmp_path):
     assert _defaulted_parameters([module]) == {"f.b", "f.c", "f.g", "<lambda>.y", "m.z"}
 
 
-#: Every function in src/cvchan that compares a ``.kind``: the record writer,
-#: the per-leaf closed-form rule and the optimal-input witness.  A kind
-#: branch anywhere else is a second copy of the rule, so a new one must show
-#: up here.
-KIND_BRANCHES = {"channel_to_record", "_leaf_optimum", "separable_optimal_input"}
+#: Every function in src/cvchan that compares a ``.kind``: the record writer
+#: and the per-leaf closed-form rule.  A kind branch anywhere else is a
+#: second copy of the rule, so a new one must show up here.
+KIND_BRANCHES = {"channel_to_record", "_leaf_optimum"}
 
 
 def _owners(paths, hit) -> set[str]:
@@ -184,6 +183,41 @@ def test_kind_branch_is_detected(tmp_path):
         "X = [c for c in () if c.kind != 'z']\n"
     )
     assert _kind_branches([module]) == {"f", "inner", "m", "<module>"}
+
+
+#: Every function in src/cvchan that reads ``NOISE_EPS``: ``noise_spectrum``,
+#: which picks its route by it, and ``witness``, the classical leaf's witness
+#: inside ``_leaf_optimum``, which regularizes a singular Y with it.  A new
+#: reader must show up here.
+NOISE_EPS_READERS = {"noise_spectrum", "witness"}
+
+
+def _noise_eps_readers(paths) -> set[str]:
+    """The functions around every read of the name ``NOISE_EPS``, bare or as
+    an attribute, in the given modules."""
+
+    def hit(node: ast.AST) -> bool:
+        bare = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        return (getattr(node, "id", None) if bare else getattr(node, "attr", None)) == "NOISE_EPS"
+
+    return _owners(paths, hit)
+
+
+def test_noise_eps_readers_are_pinned():
+    assert _noise_eps_readers(sorted(SOURCE.glob("*.py"))) == NOISE_EPS_READERS
+
+
+def test_noise_eps_reader_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "NOISE_EPS = 1e-10\n\n"
+        "def f(y):\n    return y >= NOISE_EPS\n\n"
+        "def g(leaf):\n    def inner():\n        return leaf.y + ch.NOISE_EPS\n    return inner\n\n"
+        "def h(y):\n    return lambda: y * NOISE_EPS\n\n"
+        "def unrelated(NOISE_EPS_2):\n    NOISE_EPS = 2.0\n    return NOISE_EPS_2\n\n"
+        "FLOOR = 2 * NOISE_EPS\n"
+    )
+    assert _noise_eps_readers([module]) == {"f", "inner", "h", "<module>"}
 
 
 #: Every function in src/cvchan that reads ``_lockstep_nelder_mead``: the

@@ -416,6 +416,9 @@ class TestInvalidInputExitCodes:
             # The one trial at seed 0 draws a 28,637,449-dimensional matrix,
             # whose 5.83 PiB numpy refuses before it touches any memory.
             ["verify", "schur", "--trials", "1", "--max-modes", "100000000"],
+            # 1e310 photons overflow a double, and at 1e308 no searched input has a finite entropy.
+            ["capacity", "--channel", "{thermal}", "--energy", "1e300", "--omega", "1e-10"],
+            ["verify", "additivity", "--energy", "1e308", "--budget", "20"],
         ],
         ids=lambda argv: " ".join(arg for arg in argv if arg not in ("--channel", "{thermal}")),
     )

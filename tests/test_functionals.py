@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 import cvchan.channels as ch
@@ -109,6 +110,10 @@ WITHOUT_PHOTON_MAP = {
 }
 
 
+#: A random orthosymplectic frame of two modes.
+FRAME = sp.unitary_to_orthosymplectic(sp.random_unitary(2, seed=3))
+
+
 class TestLeafRule:
     """``_leaf_optimum`` is the one per-kind closed-form rule."""
 
@@ -117,7 +122,7 @@ class TestLeafRule:
         leaves = (ch.classical_noise(rot @ np.diag([3.0, 1.0, 0.5, 2.0]) @ rot.T),
                   ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.lossy([0.6]))
         nu = fn.optimal_output_spectrum(ch.tensor(list(leaves)))
-        parts = [fn._leaf_optimum(leaf)[0]() for leaf in leaves]
+        parts = [fn._leaf_optimum(leaf).spectrum() for leaf in leaves]
         np.testing.assert_array_equal(nu, np.concatenate(parts))
         # Bit for bit the expressions of the paper's optimum.
         np.testing.assert_array_equal(parts[0], 1.0 + ch.noise_spectrum(leaves[0]))
@@ -126,19 +131,52 @@ class TestLeafRule:
 
     def test_photon_maps(self):
         thermal, isotropic = ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.classical_noise(np.diag([3.0, 3.0]))
-        a, b = fn._leaf_optimum(thermal)[1]
+        a, b = fn._leaf_optimum(thermal).photon_map()
         np.testing.assert_array_equal(a, thermal.eta)
         np.testing.assert_array_equal(b, (1.0 - thermal.eta) * thermal.nbar)
-        a, b = fn._leaf_optimum(isotropic)[1]
+        a, b = fn._leaf_optimum(isotropic).photon_map()
         np.testing.assert_array_equal(a, [1.0])
         np.testing.assert_array_equal(b, [1.5])
 
     @pytest.mark.parametrize("name", ["anisotropic classical", "mode-coupling classical"])
     def test_phase_sensitive_classical_leaf_has_no_photon_map(self, name):
         leaf = WITHOUT_PHOTON_MAP[name]
-        nu, photon_map = fn._leaf_optimum(leaf)
-        assert photon_map is None
-        np.testing.assert_array_equal(nu(), 1.0 + ch.noise_spectrum(leaf))
+        rule = fn._leaf_optimum(leaf)
+        assert rule.photon_map() is None
+        np.testing.assert_array_equal(rule.spectrum(), 1.0 + ch.noise_spectrum(leaf))
+
+    @pytest.mark.parametrize("leaf", [ch.thermal_noise([0.3, 0.8], [2.0, 0.7]), ch.lossy([0.6])],
+                             ids=["thermal", "lossy"])
+    def test_beamsplitter_witness_is_the_vacuum(self, leaf):
+        np.testing.assert_array_equal(fn._leaf_optimum(leaf).witness(), np.eye(2 * leaf.n))
+
+    @pytest.mark.parametrize("leaf", [
+        ch.classical_noise(np.diag([3.0, 3.0])),
+        WITHOUT_PHOTON_MAP["anisotropic classical"],
+        WITHOUT_PHOTON_MAP["mode-coupling classical"],
+        ch.classical_noise(FRAME @ np.diag([3.0, 1.0, 0.5, 2.0]) @ FRAME.T),
+    ], ids=["isotropic", "anisotropic", "mode-coupling", "rotated"])
+    def test_classical_witness_attains_the_spectrum(self, leaf):
+        rule = fn._leaf_optimum(leaf)
+        gamma = rule.witness()
+        assert st.is_pure(st.GaussianState(gamma, np.zeros(2 * leaf.n), np.ones(leaf.n)))
+        assert_allclose(sp.symplectic_eigenvalues(ch.apply_cov(leaf, gamma)), rule.spectrum(), rtol=0.0, atol=1e-12)
+
+    def test_product_witness_is_the_leaves_witnesses(self):
+        leaves = [ch.classical_noise(np.diag([2.0, 0.5])), ch.thermal_noise([0.3, 0.8], [2.0, 0.7]),
+                  ch.classical_noise(np.diag([1.0, 1.0])), ch.lossy([0.6])]
+        np.testing.assert_array_equal(fn.separable_optimal_input(ch.tensor(leaves)),
+                                      block_diag(*(fn.separable_optimal_input(leaf) for leaf in leaves)))
+
+    def test_witness_reads_the_certificate(self, eigen_calls):
+        # Per classical leaf one Williamson frame (one Cholesky and one eigh); its certificate is
+        # the minimum eigenvalue of Y that construction took, so no eigvalsh of Y is taken again.
+        joints = [ch.tensor(pair) for _, _, pair in _builtin_channel_pairs()]
+        eigen_calls.clear()
+        for joint in joints:
+            fn.separable_optimal_input(joint)
+        classical = sum(leaf.kind == "classical" for joint in joints for leaf in joint.leaves)
+        assert eigen_calls == {"cholesky": classical, "eigh": classical}
 
     @pytest.mark.parametrize(
         "figure", [fn._leaf_optimum, fn.optimal_output_spectrum, fn._photon_maps, fn.separable_optimal_input]
@@ -689,6 +727,14 @@ class TestMaxOutputEntropy:
                 identity_channel(), fn.EnergyBudget(0.3, [1.0]), search_budget=100
             )
 
+    def test_no_finite_entropy_raises(self):
+        # At 1e308 every input the search scores overflows: one ValueError, no RuntimeWarning.
+        channel = ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite output entropy"):
+                fn.max_output_entropy_under_energy(channel, fn.EnergyBudget(1e308, np.ones(2)), search_budget=20)
+
     def test_symmetric_two_mode_channel_restarts_agree(self):
         channel = ch.classical_noise(0.8 * np.eye(4))
         budget = fn.EnergyBudget(2.4, np.ones(2))
@@ -1033,6 +1079,20 @@ class TestWaterFilling:
         )
         expected = holevo_werner_g(0.5 * surplus / omega + 0.5) - holevo_werner_g(0.5)
         assert cap.value == pytest.approx(expected, rel=1e-2)
+
+    def test_vanishing_gain_at_a_huge_frequency_is_silent(self):
+        # a / omega underflows to 0, where a bracket read off it would take ln 0.  The
+        # capacity is below the smallest normal double either way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap = fn.gaussian_holevo_capacity(ch.thermal_noise([5e-324], [0.0]), fn.EnergyBudget(1.5e300, [1e300]))
+        assert 0.0 <= cap.value <= 1e-300
+
+    @pytest.mark.parametrize("a", [[0.5], [0.0]], ids=["bisection", "no live mode"])
+    def test_overflowing_photons_raise(self, a):
+        # 1e300 photons above the zero point at omega 1e-10 are 1e310 photons.
+        with pytest.raises(ValueError, match="overflow a double"):
+            fn._water_fill(np.array(a), np.array([0.5]), np.array([1e-10]), 1e300)
 
     def test_huge_energy_keeps_the_capacity_positive(self):
         cap = fn.gaussian_holevo_capacity(

@@ -231,7 +231,9 @@ class TestLemma1:
     def test_detects_violation_under_negative_tolerance(self):
         report = mj.lemma1_trial(np.eye(4), 1, samples=100, seed=1, atol=-1e6)
         assert report.failures > 0
-        assert report.counterexample is not None
+        assert set(report.counterexample) == {"S", "margin"}
+        assert report.counterexample["margin"] == report.worst_margin
+        assert report.parameters == {"n": 2, "k": 1, "squeeze_max": 8.0, "bound": 2.0}
 
     def test_campaign_smoke(self):
         report = mj.lemma1_campaign(instances=5, max_modes=2, samples=400, seed=29)
@@ -278,6 +280,8 @@ class TestLemma1:
         report = mj.lemma1_campaign(instances=3, max_modes=3, samples=300, seed=5, atol=-1e6)
         assert not report.passed
         example = report.counterexample
+        assert set(example) == {"A", "k", "S", "margin"}
+        assert example["margin"] == report.worst_margin
         a, k, s = np.array(example["A"]), example["k"], np.array(example["S"])
         assert s.shape == (2 * k, len(a))
         margin = np.trace(s @ a @ s.T) - 2.0 * np.sum(sp.symplectic_eigenvalues(a)[:k])
