@@ -25,6 +25,7 @@ import numpy as np
 from .symplectic import (
     DimensionError,
     _mode_count,
+    _spd_with_spectra,
     _spectrum,
     rng_stream,
     sample_spd,
@@ -177,9 +178,11 @@ def theorem1_trial(
 
     Each trial draws a mode count uniformly in [1, n] and a pair of SPD
     matrices with target spectra in ``nu_range`` (physicality is not
-    required by the inequality, so nu below 1 is allowed).  The margin of
-    a trial is the smallest ascending-prefix gap; a trial fails when its
-    margin drops below the prefix tolerance.
+    required by the inequality, so nu below 1 is allowed).  nu(A) and
+    nu(B) are the spectra the sampler drew, so only nu(A + B) is computed,
+    one stacked ``_spectrum`` call per mode count.  The margin of a trial
+    is the smallest ascending-prefix gap; a trial fails when its margin
+    drops below the prefix tolerance.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -191,9 +194,9 @@ def theorem1_trial(
     )
     for mode, count in sorted(Counter(modes.tolist()).items()):
         lane = rng_stream(seed, mode)
-        a = sample_spd(lane, mode, count, nu_range)
-        b = sample_spd(lane, mode, count, nu_range)
-        nu_parts = _spectrum(a) + _spectrum(b)
+        a, nu_a = _spd_with_spectra(lane, mode, count, nu_range, (1.0, 3.0))  # sample_spd's squeeze range
+        b, nu_b = _spd_with_spectra(lane, mode, count, nu_range, (1.0, 3.0))
+        nu_parts = nu_a + nu_b
         margins = np.min(_prefix_gaps(_spectrum(a + b), nu_parts), axis=1)
         tol = atol + PREFIX_RTOL * max(float(np.max(np.sum(nu_parts, axis=1))), 1.0)
         report.fold(margins, tol, lambda i: {"n": mode, "A": a[i].tolist(), "B": b[i].tolist()})
@@ -310,22 +313,32 @@ def schur_campaign(
 
     The margin of a trial is the smallest slack among the strict prefix
     inequalities and the (negated absolute) total-sum mismatch, so a pass
-    requires both dominance and total equality.
+    requires both dominance and total equality.  Trial t draws its matrix
+    from ``rng_stream(seed, t)``; the trials of one dimension are scored
+    together, in one stacked ``eigvalsh``.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if max_dim < 2:
         raise DimensionError(f"max dimension must be >= 2, got {max_dim}")
     report = TrialReport(seed=seed, parameters={"max_dim": max_dim})
-    matrices, margins, tols = [], [], []
+    dims, draws = np.empty(trials, dtype=int), np.empty((trials, max_dim * max_dim))
     for trial in range(trials):
         rng = rng_stream(seed, trial)
-        dim = int(rng.integers(2, max_dim + 1))
-        g = rng.standard_normal((dim, dim))
-        a = 0.5 * (g + g.T)
-        gaps = _prefix_gaps(np.linalg.eigvalsh(a), np.diag(a), descending=True)
-        matrices.append(a)
-        margins.append(min(float(np.min(gaps[:-1])), -abs(float(gaps[-1]))))
-        tols.append(atol + PREFIX_RTOL * max(abs(float(np.trace(a))), 1.0) * dim)
-    report.fold(np.array(margins), np.array(tols), lambda i: {"A": matrices[i].tolist()})
+        dims[trial] = dim = int(rng.integers(2, max_dim + 1))
+        rng.standard_normal(out=draws[trial, : dim * dim].reshape(dim, dim))
+
+    def matrices(rows, dim):
+        g = draws[rows, : dim * dim].reshape(-1, dim, dim)
+        return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+    margins, tols = np.empty(trials), np.empty(trials)
+    for dim in np.unique(dims).tolist():
+        (where,) = np.nonzero(dims == dim)
+        a = matrices(where, dim)
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        gaps = _prefix_gaps(np.linalg.eigvalsh(a), diag, descending=True)
+        margins[where] = np.minimum(np.min(gaps[:, :-1], axis=1), -np.abs(gaps[:, -1]))
+        tols[where] = atol + PREFIX_RTOL * np.maximum(np.abs(diag.sum(axis=1)), 1.0) * dim
+    report.fold(margins, tols, lambda i: {"A": matrices([i], dims[i])[0].tolist()})
     return report

@@ -406,9 +406,12 @@ def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> 
     q = np.empty_like(zmat)
     for j in range(n):
         v, done = zmat[..., :, j], q[..., :, :j]
-        for _ in range(2 if j else 0):  # the first column has nothing to project out
-            v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done.conj(), v))
-        q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        if j:  # the first column has nothing to project out
+            done_conj = done.conj()
+            for _ in range(2):
+                v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done_conj, v))
+        # The formula np.linalg.norm(v, axis=-1, keepdims=True) runs, without its dispatch.
+        q[..., :, j] = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True))
     return q
 
 
@@ -467,6 +470,23 @@ def sample_spd(
     transform of each sample is S itself.  No physicality gate is applied;
     any nu_min > 0 is accepted.
     """
+    return _spd_with_spectra(rng, n, count, nu_range, squeeze_range)[0]
+
+
+def _spd_with_spectra(
+    rng: np.random.Generator,
+    n: int,
+    count: int,
+    nu_range: tuple[float, float],
+    squeeze_range: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 2n, 2n) stack of ``sample_spd`` and its drawn symplectic
+    spectra, (count, n) ascending, from the same draws in the same order.
+
+    The drawn spectrum is the one D puts in each sample, so a caller that
+    needs nu of the samples reads it here instead of running ``_spectrum``
+    on the stack; the two agree to rounding in the construction.
+    """
     lo, hi = nu_range
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError(f"spectrum range must satisfy 0 < lo <= hi < inf, got {nu_range}")
@@ -475,7 +495,7 @@ def sample_spd(
     s_inv = j @ np.swapaxes(s, -1, -2) @ j.T
     nu = rng.uniform(lo, hi, (count, n))
     d = np.repeat(nu, 2, axis=1)
-    return s_inv @ (d[:, :, None] * np.swapaxes(s_inv, -1, -2))
+    return s_inv @ (d[:, :, None] * np.swapaxes(s_inv, -1, -2)), np.sort(nu, axis=1)
 
 
 def random_spd(n: int, nu_range: tuple[float, float], seed: int = 0) -> np.ndarray:

@@ -130,6 +130,41 @@ class TestSchurDiagCheck:
         assert report.failures > 0
         assert report.counterexample is not None
 
+    @staticmethod
+    def scalar_route(trials, max_dim, seed, atol):
+        """Each trial's matrix, margin and tolerance, one matrix at a time."""
+        matrices, margins, tols = [], [], []
+        for trial in range(trials):
+            rng = sp.rng_stream(seed, trial)
+            dim = int(rng.integers(2, max_dim + 1))
+            g = rng.standard_normal((dim, dim))
+            a = 0.5 * (g + g.T)
+            gaps = mj._prefix_gaps(np.linalg.eigvalsh(a), np.diag(a), descending=True)
+            matrices.append(a)
+            margins.append(min(float(np.min(gaps[:-1])), -abs(float(gaps[-1]))))
+            tols.append(atol + mj.PREFIX_RTOL * max(abs(float(np.trace(a))), 1.0) * dim)
+        return matrices, np.array(margins), np.array(tols)
+
+    @pytest.mark.parametrize("atol", [mj.PREFIX_ATOL, 0.0, -1e6])
+    def test_stacked_dimensions_match_the_scalar_route(self, monkeypatch, atol):
+        # Every dimension 2..8 is drawn; at 8 numpy's pairwise sum unrolls,
+        # so the trace is where a stacked sum could first round differently.
+        # At atol = 0 the tolerance keeps the trace's last bits.
+        folded = []
+        fold = mj.TrialReport.fold
+        monkeypatch.setattr(mj.TrialReport, "fold",
+                            lambda self, m, t, example: folded.append((m, t)) or fold(self, m, t, example))
+        report = mj.schur_campaign(trials=300, max_dim=8, seed=17, atol=atol)
+        matrices, margins, tols = self.scalar_route(300, 8, 17, atol)
+        assert sorted({len(a) for a in matrices}) == list(range(2, 9))
+        ((got_margins, got_tols),) = folded
+        assert np.array_equal(got_margins, margins) and np.array_equal(got_tols, tols)
+        if atol < 0:
+            worst = int(np.argmin(margins))
+            assert report.counterexample == {"A": matrices[worst].tolist(), "margin": float(margins[worst])}
+        else:
+            assert report.counterexample is None and report.worst_margin == float(np.min(margins))
+
 
 class TestTheorem1:
     def test_identity_pair_margin_zero(self):
@@ -170,16 +205,17 @@ class TestTheorem1:
 
     def test_visits_only_the_drawn_mode_counts(self, monkeypatch):
         # Mode counts up to 1e11 are drawn and none is allocated: the sampler
-        # is stubbed with one-mode identities, so the loop costs only what it
-        # visits, and it must visit the drawn counts only, in ascending order.
+        # is stubbed with one-mode identities and their unit spectra, so the
+        # loop costs only what it visits, and it must visit the drawn counts
+        # only, in ascending order.
         n, trials, seed = 10**11, 3, 17
         calls = []
 
-        def identities(lane, mode, count, nu_range):
+        def identities(lane, mode, count, nu_range, squeeze_range):
             calls.append((mode, count))
-            return np.broadcast_to(np.eye(2), (count, 2, 2)).copy()
+            return np.broadcast_to(np.eye(2), (count, 2, 2)).copy(), np.ones((count, 1))
 
-        monkeypatch.setattr(mj, "sample_spd", identities)
+        monkeypatch.setattr(mj, "_spd_with_spectra", identities)
         report = mj.theorem1_trial(n, trials=trials, seed=seed)
         drawn, counts = np.unique(sp.rng_stream(seed).integers(1, n + 1, size=trials), return_counts=True)
         assert calls == [(mode, count) for mode, count in zip(drawn.tolist(), counts.tolist()) for _ in "ab"]

@@ -402,6 +402,23 @@ class TestHaarUnitary:
         twin.standard_normal(2 * (1 if size is None else size) * n * n)
         assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
 
+    @pytest.mark.parametrize("size", [None, 1, 5, 2500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_gram_schmidt_with_linalg_norm_bit_for_bit(self, n, size):
+        # The sampler spells out the norm and conjugates each column's basis
+        # once; the draws it returns are those of the plain loop below.
+        shape = (n, n) if size is None else (size, n, n)
+        rng, twin = sp.rng_stream(8, n), sp.rng_stream(8, n)
+        z = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
+        q = np.empty_like(z)
+        for j in range(n):
+            v = z[..., :, j]
+            for _ in range(2 if j else 0):
+                done = q[..., :, :j]
+                v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done.conj(), v))
+            q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        assert np.array_equal(sp._haar_unitary(rng, n, size), q)
+
 
 class TestUnitaryIsomorphism:
     def test_identity_maps_to_identity(self):
@@ -492,6 +509,18 @@ class TestRandomGenerators:
     def test_mode_count_validated(self, sample, n):
         with pytest.raises(sp.DimensionError, match="mode count must be >= 1"):
             sample(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_drawn_spectra_come_with_the_sample_spd_stack(self, n):
+        # Equal rng states give sample_spd's stack bit for bit and leave the
+        # streams level; the spectra are the drawn ones, ascending.
+        rng, twin = sp.rng_stream(12, n), sp.rng_stream(12, n)
+        a, nu = sp._spd_with_spectra(rng, n, 256, (0.25, 4.0), (1.0, 3.0))
+        assert np.array_equal(a, sp.sample_spd(twin, n, 256, (0.25, 4.0)))
+        assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
+        assert nu.shape == (256, n) and np.all(np.diff(nu, axis=1) >= 0.0)
+        assert np.all((0.25 <= nu) & (nu <= 4.0))
+        assert_allclose(nu, sp._spectrum(a), rtol=1e-12, atol=0.0)
 
     def test_random_spd_allows_small_spectra(self):
         a = sp.random_spd(2, (0.2, 0.9), seed=4)
