@@ -139,14 +139,15 @@ def _beamsplitter(eta, nbar, kind: str) -> GaussianChannel:
         raise DimensionError(f"eta and nbar must be one-dimensional, got shape {eta.shape}")
     if eta.size == 0:
         raise DimensionError("X must be 2n x 2n with n >= 1, got shape (0, 0)")
-    if np.any((eta < 0.0) | (eta > 1.0)):
+    # fmin and fmax pass over NaN, which the finiteness check of y_k below refuses.
+    if np.fmin.reduce(eta) < 0.0 or np.fmax.reduce(eta) > 1.0:
         raise ValueError("transmittivities must lie in [0, 1]")
-    if np.any(nbar < 0.0):
+    if np.fmin.reduce(nbar) < 0.0:
         raise ValueError("reservoir occupations must be nonnegative")
     loss = 1.0 - eta
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or overflowing y_k is refused below
         y_k = (2.0 * nbar + 1.0) * loss
-    if not np.isfinite(y_k).all():
+    if not np.max(y_k) < np.inf:
         raise ValueError("X and Y must have finite entries")
     return GaussianChannel(n=eta.size, x=np.diag(np.repeat(np.sqrt(eta), 2)), y=np.diag(np.repeat(y_k, 2)), kind=kind,
                            eta=eta, nbar=nbar, cp_eigenvalue=float(np.min(2.0 * nbar * loss)))
@@ -220,6 +221,8 @@ def _numbers_only(value) -> bool:
     pending = [value]
     while pending:
         item = pending.pop()
+        if type(item) is float or type(item) is int:  # the JSON numbers, before the ABC check
+            continue
         if isinstance(item, np.ndarray):
             item = item.tolist()
         if isinstance(item, (list, tuple)):

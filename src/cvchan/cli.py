@@ -165,11 +165,10 @@ def cmd_analyze(args) -> int:
         s_min, *s_ps = (search.best_value for search in fn.numeric_min_renyis(
             [(channel, p) for p in (1.0, *p_values)], args.budget, args.seed))
         inf_fps = [fn.exp_or_inf(fn.log_fp_of_renyi(channel.n, p, s_p)) for p, s_p in zip(p_values, s_ps)]
-    else:  # renyi_entropy validates nu once; every row's product is read off nu + 1 and nu - 1
+    else:  # renyi_entropy validates nu once; every row's product is one row of a (P, n) array
         s_min, s_ps = st.renyi_entropy(nu, 1.0), [None] * len(p_values)
-        up, dn = nu + 1.0, nu - 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            inf_fps = [float(np.prod(st._f_p(up, dn, p))) for p in p_values]
+            inf_fps = np.prod(st._f_p(nu + 1.0, nu - 1.0, np.array(p_values)[:, None]), axis=1).tolist()
     results = []
     for p, s_p, inf_fp in zip(p_values, s_ps, inf_fps):
         entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}

@@ -32,7 +32,7 @@ def _as_omega(omega, n: int) -> np.ndarray:
         w = np.full(n, float(w))
     if w.shape != (n,):
         raise DimensionError(f"expected {n} mode frequencies, got shape {w.shape}")
-    if not np.all((w > 0.0) & np.isfinite(w)):
+    if not (w.min(initial=np.inf) > 0.0 and w.max(initial=0.0) < np.inf):  # NaN fails both; empty w passes
         raise ValueError("mode frequencies must be positive and finite")
     return w
 
@@ -62,6 +62,8 @@ class GaussianState:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (2 * n,):
             raise DimensionError(f"displacement must have length {2 * n}, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("displacement must be finite")
         omega = _as_omega(self.omega, n)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "m", m)
@@ -154,8 +156,9 @@ def mean_energy(state: GaussianState) -> ModeEnergy:
     return ModeEnergy(per_mode=per_mode, total=float(np.sum(per_mode)))
 
 
-def _f_p(up: np.ndarray, dn: np.ndarray, p: float) -> np.ndarray:
-    """f_p from up = x + 1 and dn = x - 1, unchecked; run it under
+def _f_p(up: np.ndarray, dn: np.ndarray, p) -> np.ndarray:
+    """f_p from up = x + 1 and dn = x - 1, unchecked, at an order p or an array
+    of orders that broadcasts against them; run it under
     ``np.errstate(over="ignore", invalid="ignore")``.  ``f_p`` validates."""
     power = up**p
     return np.where(np.isinf(power), np.inf, power - dn**p)
@@ -217,10 +220,14 @@ def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
         up = 0.5 * (nu + 1.0)
         dn = 0.5 * (nu - 1.0)
         large = nu > 1e4
-        out = np.where(large, 1.0, up) * np.log(up)
-        mask = (dn > 0.0) & ~large
+        if large.any():
+            out = np.where(large, 1.0, up) * np.log(up)
+            mask = (dn > 0.0) & ~large
+            out[large] += dn[large] * np.log1p(1.0 / dn[large])
+        else:  # the usual case
+            out = up * np.log(up)
+            mask = dn > 0.0
         out[mask] -= dn[mask] * np.log(dn[mask])
-        out[large] += dn[large] * np.log1p(1.0 / dn[large])
         return out.sum(axis=-1)
     d = 0.5 * (nu - 1.0)
     t = (1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300))

@@ -19,6 +19,7 @@ factors entrywise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -116,10 +117,11 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate shape, finiteness and symmetry within ``TOL_SYM``; return a float array."""
     a = np.asarray(a, dtype=float)
     _mode_count(a)
-    if not np.isfinite(a).all():
+    scale = float(np.max(np.abs(a)))  # NaN and +/-inf both reach the maximum
+    if not math.isfinite(scale):
         raise NotPositiveDefiniteError("matrix has non-finite entries")
     sym = float(np.max(np.abs(a - a.T)))
-    if sym > TOL_SYM * max(1.0, float(np.max(np.abs(a)))):
+    if sym > TOL_SYM * max(1.0, scale):
         raise NotPositiveDefiniteError(f"matrix is not symmetric (residual {sym:.3e})")
     return a
 
@@ -337,8 +339,10 @@ def euler_decompose(s: np.ndarray) -> EulerDecomposition:
     t1 = s @ (c / _paired_squeeze(z))
     t1 = _embed_unitary(t1[0::2, 0::2] - 1j * t1[1::2, 0::2])
 
-    for name, t in (("T1", t1), ("T2", t2)):
-        worst = max(symplectic_residual(t), orthogonality_residual(t))
+    # Both K(n) residuals of both factors at once: T J T^T - J and T I T^T - I.
+    factors, forms = np.stack([t1, t2])[:, None], np.stack([_form(n), np.eye(2 * n)])
+    residuals = np.abs(factors @ forms @ np.swapaxes(factors, -1, -2) - forms).max(axis=(1, 2, 3))
+    for name, worst in zip(("T1", "T2"), residuals.tolist()):
         if worst > TOL_SYM:
             raise ArithmeticError(f"Euler factor {name} leaves K(n) (residual {worst:.3e})")
     residual = float(np.max(np.abs(_euler_form(t1, z, t2) - s)))
@@ -539,12 +543,13 @@ def truncate_rows(s: np.ndarray, k: int) -> np.ndarray:
 
 def matrix_to_rowmajor(m: np.ndarray) -> list[float]:
     """Flatten a matrix to a row-major list of floats (text-serializable)."""
-    return [float(x) for x in np.asarray(m, dtype=float).reshape(-1)]
+    return np.asarray(m, dtype=float).reshape(-1).tolist()
 
 
 def matrix_from_rowmajor(values: Sequence[float], rows: int, cols: int) -> np.ndarray:
-    """Rebuild a matrix from its row-major flat representation."""
-    arr = np.asarray(list(values), dtype=float)
+    """Rebuild a matrix from its row-major flat representation, in new memory;
+    ``values`` is an array or any iterable of numbers."""
+    arr = np.array(values if isinstance(values, np.ndarray) and values.ndim else list(values), dtype=float)
     if arr.size != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {arr.size}")
     return arr.reshape(rows, cols)

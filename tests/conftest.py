@@ -24,9 +24,10 @@ def search_calls(monkeypatch):
 
 
 @pytest.fixture
-def eigen_calls(monkeypatch):
-    """A counter of the ``numpy.linalg`` eigen-solver and Cholesky calls
-    (``eigvalsh``, ``eigh``, ``cholesky``) by name, from the time it is set up."""
+def linalg_calls(monkeypatch):
+    """A counter of the ``numpy.linalg`` factorization and solver calls the
+    package makes (``eigvalsh``, ``eigh``, ``cholesky``, ``svd``, ``qr``,
+    ``solve``) by name, from the time it is set up."""
     calls = collections.Counter()
 
     def counting(name, solver):
@@ -36,6 +37,6 @@ def eigen_calls(monkeypatch):
 
         return call
 
-    for name in ("eigvalsh", "eigh", "cholesky"):
+    for name in ("eigvalsh", "eigh", "cholesky", "svd", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls

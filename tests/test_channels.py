@@ -166,6 +166,30 @@ class TestThermalNoise:
         with pytest.raises(ValueError):
             ch.thermal_noise([0.5], [-1.0])
 
+    @pytest.mark.parametrize("eta, nbar, message", [
+        ([np.nan], [1.0], "X and Y must have finite entries"),
+        ([0.5], [np.nan], "X and Y must have finite entries"),
+        ([0.5], [np.inf], "X and Y must have finite entries"),
+        ([1.2], [1.0], "transmittivities must lie in [0, 1]"),
+        ([-0.1], [1.0], "transmittivities must lie in [0, 1]"),
+        ([np.inf], [1.0], "transmittivities must lie in [0, 1]"),
+        ([-np.inf], [1.0], "transmittivities must lie in [0, 1]"),
+        ([np.nan, 1.5], [1.0, 1.0], "transmittivities must lie in [0, 1]"),
+        ([0.5], [-1.0], "reservoir occupations must be nonnegative"),
+        ([0.5], [-np.inf], "reservoir occupations must be nonnegative"),
+        ([0.5, 0.5], [np.nan, -1.0], "reservoir occupations must be nonnegative"),
+        ([1.5], [np.nan], "transmittivities must lie in [0, 1]"),
+    ])
+    def test_parameter_messages(self, eta, nbar, message):
+        # The range tests pass over NaN, which the finiteness test of Y then refuses.
+        with pytest.raises(ValueError) as raised:
+            ch.thermal_noise(eta, nbar)
+        assert str(raised.value) == message
+        if all(b == 1.0 for b in nbar):  # eta alone sets the message, so lossy gives it too
+            with pytest.raises(ValueError) as raised:
+                ch.lossy(eta)
+            assert str(raised.value) == message
+
     def test_certificate_holds(self):
         channel = ch.thermal_noise([0.3, 0.9], [2.0, 0.1])
         assert channel.cp_eigenvalue >= -1e-10
@@ -218,14 +242,14 @@ def test_ill_conditioned_classical_certificate_matches_the_numeric_one(y):
     _assert_numeric_certificate(ch.classical_noise(y))
 
 
-def test_named_kinds_certify_without_a_numeric_certificate(eigen_calls):
+def test_named_kinds_certify_without_a_numeric_certificate(linalg_calls):
     # Thermal and lossy channels certify in closed form; classical noise
     # reads its certificate off the one eigvalsh(Y) of its PSD check.
     ch.thermal_noise([0.3, 0.9, 0.5, 0.7], [2.0, 0.1, 0.0, 1.0])
     ch.lossy([0.2, 0.6, 1.0])
-    assert eigen_calls == {}
+    assert linalg_calls == {}
     ch.classical_noise(np.diag([1.3, 0.4, 0.7, 1.9]))
-    assert eigen_calls == {"eigvalsh": 1}
+    assert linalg_calls == {"eigvalsh": 1}
 
 
 class TestTensor:
@@ -373,6 +397,19 @@ class TestChannelRecords:
         with pytest.raises(ch.ChannelSpecError) as info:
             ch.channel_from_record({"n_modes": 1, "kind": "squeezing"})
         assert info.value.field == "kind"
+
+    @pytest.mark.parametrize("value", [[0.5, True], [[0.5], [True]]], ids=["flat", "nested"])
+    @pytest.mark.parametrize("record", [
+        {"n_modes": 2, "kind": "thermal", "eta": None, "nbar": [1.0, 1.0]},
+        {"n_modes": 2, "kind": "thermal", "eta": [0.5, 0.5], "nbar": None},
+        {"n_modes": 1, "kind": "classical", "Y": None},
+        {"n_modes": 1, "kind": "custom", "X": None, "Y": [1.0, 0.0, 0.0, 1.0]},
+    ], ids=["eta", "nbar", "Y", "X"])
+    def test_boolean_entry_names_the_field(self, record, value):
+        field = next(key for key, entry in record.items() if entry is None)
+        with pytest.raises(ch.ChannelSpecError) as raised:
+            ch.channel_from_record({**record, field: value})
+        assert str(raised.value) == f"channel spec field '{field}': entries must be numbers"
 
     def test_bad_eta_length(self):
         with pytest.raises(ch.ChannelSpecError) as info:

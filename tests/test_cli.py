@@ -76,6 +76,33 @@ class TestAnalyze:
         assert entry["log_inf_F_p"] == pytest.approx(3.0 * log_fp, rel=1e-14)
         assert entry["xi_p"] == pytest.approx(8.0 * np.exp(-3.0 * log_fp / 400.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["thermal", "classical"])
+    def test_rows_are_the_per_order_products_bit_for_bit(self, kind, n, tmp_path):
+        # Every row's product is read off one (P, n) array; each equals fp_product at its own
+        # order, and where that overflows (p = 400, but for one thermal mode) the row writes its log.
+        rng = np.random.default_rng(n)
+        if kind == "thermal":
+            channel = ch.thermal_noise(rng.uniform(0.2, 0.9, n), rng.uniform(0.0, 3.0, n))
+        else:
+            y = rng.standard_normal((2 * n, 2 * n))
+            y = y @ y.T + 4.0 * np.eye(2 * n)
+            channel = ch.classical_noise(0.5 * (y + y.T))
+        spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+        spec.write_text(json.dumps(ch.channel_to_record(channel)))
+        orders = [1.0001, 2.0, 400.0]
+        assert cli.main(["analyze", "--channel", str(spec), "--p", "1.0001,2,400", "--out", str(out)]) == 0
+        nu = fn.optimal_output_spectrum(ch.load_channel(spec)[0])
+        results = json.loads(out.read_text())["results"]
+        assert [entry["p"] for entry in results] == orders
+        for entry, p in zip(results, orders):
+            product = fn.fp_product(nu, p)
+            if np.isfinite(product):
+                assert entry["inf_F_p"] == product
+            else:
+                assert entry["inf_F_p"] is None and "log_inf_F_p" in entry
+        assert (results[-1]["inf_F_p"] is None) == (n > 1 or kind == "classical")
+
     def test_overflowing_numeric_search_is_strict_json(self, tmp_path):
         # F_1000 of any 2-mode output exceeds 2^2000, beyond float range.
         x = np.diag([0.9, 0.6, 0.7, 0.8])

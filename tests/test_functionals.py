@@ -168,15 +168,15 @@ class TestLeafRule:
         np.testing.assert_array_equal(fn.separable_optimal_input(ch.tensor(leaves)),
                                       block_diag(*(fn.separable_optimal_input(leaf) for leaf in leaves)))
 
-    def test_witness_reads_the_certificate(self, eigen_calls):
-        # Per classical leaf one Williamson frame (one Cholesky and one eigh); its certificate is
-        # the minimum eigenvalue of Y that construction took, so no eigvalsh of Y is taken again.
+    def test_witness_reads_the_certificate(self, linalg_calls):
+        # Per classical leaf one Williamson frame (one Cholesky, one eigh and one solve); its certificate
+        # is the minimum eigenvalue of Y that construction took, so no eigvalsh of Y is taken again.
         joints = [ch.tensor(pair) for _, _, pair in _builtin_channel_pairs()]
-        eigen_calls.clear()
+        linalg_calls.clear()
         for joint in joints:
             fn.separable_optimal_input(joint)
         classical = sum(leaf.kind == "classical" for joint in joints for leaf in joint.leaves)
-        assert eigen_calls == {"cholesky": classical, "eigh": classical}
+        assert linalg_calls == {"cholesky": classical, "eigh": classical, "solve": classical}
 
     @pytest.mark.parametrize(
         "figure", [fn._leaf_optimum, fn.optimal_output_spectrum, fn._photon_maps, fn.separable_optimal_input]

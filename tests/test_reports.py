@@ -12,6 +12,9 @@ and the build record, with
     PYTHONPATH=src python tests/test_reports.py
 
 and names each moved value in CHANGES.md.
+
+The ``numpy.linalg`` calls of the closed-form analyze commands and of the
+library tour are pinned here too, as counts.
 """
 
 import contextlib
@@ -28,8 +31,11 @@ import platform
 import numpy as np
 import pytest
 
+from cvchan import channels as ch
 from cvchan import cli
 from cvchan import functionals as fn
+from cvchan import states as st
+from cvchan import symplectic as sp
 
 REPORTS = pathlib.Path(__file__).parent / "reports"
 
@@ -73,8 +79,8 @@ SEARCH_WORK = {
     "custom1_capacity": (293, 1800),
 }
 
-#: ``numpy.linalg`` eigen-solver and Cholesky calls of each closed-form
-#: analyze command, by name.  Thermal and lossy channels certify in closed
+#: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
+#: closed-form analyze command, by name.  Thermal and lossy channels certify in closed
 #: form and read nu* off their parameters.  Classical noise takes eigvalsh(Y)
 #: for its PSD check (X = I makes that its certificate) and again in
 #: ``noise_spectrum`` to pick the Cholesky route, then one spectrum of Y.
@@ -187,9 +193,50 @@ def test_search_work(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", EIGEN_WORK)
-def test_eigen_work(name, eigen_calls):
+def test_eigen_work(name, linalg_calls):
     assert run.__wrapped__(name, "json")[0] == 0
-    assert eigen_calls == EIGEN_WORK[name]
+    assert linalg_calls == EIGEN_WORK[name]
+
+
+#: ``numpy.linalg`` calls of each op of the library tour, the public calls
+#: of the benchmark's ``calls`` workload, at every mode count from 1 to 4.
+#: A state's physicality check is its one validated spectrum (Cholesky and
+#: eigvalsh); Williamson adds the eigenvectors and the solve of its frame;
+#: the thermal channel certifies in closed form, and the entropies read the
+#: spectrum the state holds.
+TOUR_WORK = {
+    "williamson": {"cholesky": 1, "eigh": 1, "solve": 1},
+    "euler_decompose": {"svd": 1, "qr": 1},
+    "GaussianState": {"cholesky": 1, "eigvalsh": 1},
+    "thermal_noise": {},
+    "apply": {"cholesky": 1, "eigvalsh": 1},
+    "trace_p": {},
+    "von_neumann_entropy": {},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tour_work(n, linalg_calls):
+    gamma, s = sp.random_covariance(n, seed=n), sp.random_symplectic(n, seed=n)
+    eta, nbar = np.linspace(0.3, 0.8, n), np.linspace(0.5, 2.0, n)
+    state = st.GaussianState(gamma, np.zeros(2 * n), np.ones(n))
+    channel = ch.thermal_noise(eta, nbar)
+    out = ch.apply(channel, state)
+    ops = {
+        "williamson": lambda: sp.williamson(gamma),
+        "euler_decompose": lambda: sp.euler_decompose(s),
+        "GaussianState": lambda: st.GaussianState(gamma, np.zeros(2 * n), np.ones(n)),
+        "thermal_noise": lambda: ch.thermal_noise(eta, nbar),
+        "apply": lambda: ch.apply(channel, state),
+        "trace_p": lambda: st.trace_p(out, 2.0),
+        "von_neumann_entropy": lambda: st.von_neumann_entropy(out),
+    }
+    work = {}
+    for name, op in ops.items():
+        linalg_calls.clear()
+        op()
+        work[name] = dict(linalg_calls)
+    assert work == TOUR_WORK
 
 
 def test_first_difference_names_the_field():

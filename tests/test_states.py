@@ -100,6 +100,19 @@ class TestConstructors:
         with pytest.raises(ValueError, match="finite"):
             st.GaussianState(np.eye(4), np.zeros(4), omega)
 
+    @pytest.mark.parametrize("m", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0], [np.nan, np.inf]])
+    def test_non_finite_displacement_rejected(self, m):
+        # mean_energy once returned a NaN total for such a state.
+        with pytest.raises(ValueError, match=r"^displacement must be finite$"):
+            st.GaussianState(np.eye(2), m, 1.0)
+        with pytest.raises(ValueError, match=r"^displacement must be finite$"):
+            st.coherent(1, 1.0, m)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, [1.0, -np.inf], [np.nan, -1.0]])
+    def test_frequency_message(self, omega):
+        with pytest.raises(ValueError, match=r"^mode frequencies must be positive and finite$"):
+            st.GaussianState(np.eye(4), np.zeros(4), omega)
+
 
 class TestPhysicality:
     def test_vacuum(self):
@@ -321,6 +334,22 @@ class TestRenyiKernel:
             assert st.schatten_norm(nu, p) == pytest.approx(np.exp(-(1.0 - 1.0 / p) * st.renyi_entropy(nu, p)))
         assert st.schatten_norm(nu, math.inf) == pytest.approx(1.0 / (1.35 * 2.05))  # prod_j 1 / u_j
         assert st.renyi_entropy(nu, 1.0) == st.von_neumann_entropy(nu)
+
+    @pytest.mark.parametrize("nu", [
+        [1.7, 3.1], [1.0, 2.5, 1.0], [1.0], [1.0 + 1e-12, 9e3], [2.0, 2e4], [1.0, 1e4, np.nextafter(1e4, np.inf)],
+        [5e8, 1e306], [[1.2, 3.0], [1.0, 4e4]],
+    ])
+    def test_order_one_is_the_masked_form_bit_for_bit(self, nu):
+        # The masked expression the kernel used for every spectrum, before it skipped the
+        # large-nu correction where no entry needs it.
+        nu = np.array(nu)
+        up, dn = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
+        large = nu > 1e4
+        out = np.where(large, 1.0, up) * np.log(up)
+        mask = (dn > 0.0) & ~large
+        out[mask] -= dn[mask] * np.log(dn[mask])
+        out[large] += dn[large] * np.log1p(1.0 / dn[large])
+        np.testing.assert_array_equal(st._renyi(nu, 1.0), out.sum(axis=-1))
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
     def test_order_must_be_positive(self, p):

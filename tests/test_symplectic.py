@@ -133,6 +133,25 @@ class TestSymplecticEigenvalues:
         with pytest.raises(sp.NotPositiveDefiniteError, match="non-finite"):
             sp.symplectic_eigenvalues(np.diag([bad, 1.0]))
 
+    @pytest.mark.parametrize("function", [sp.symplectic_eigenvalues, sp.williamson])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_message(self, function, where, bad):
+        # Finiteness is checked before symmetry, so an entry off the diagonal is named non-finite too.
+        a = np.eye(4)
+        a[where] = bad
+        with pytest.raises(sp.NotPositiveDefiniteError, match=r"^matrix has non-finite entries$"):
+            function(a)
+
+    @pytest.mark.parametrize("function", [sp.symplectic_eigenvalues, sp.williamson])
+    def test_asymmetry_is_measured_against_the_largest_entry(self, function):
+        a = np.diag([1e3, 1e3, 1.0, 1.0])
+        a[0, 1] = 1e-8  # within TOL_SYM of the largest entry
+        function(a)
+        a[0, 1] = 1e-6
+        with pytest.raises(sp.NotPositiveDefiniteError, match=r"^matrix is not symmetric \(residual 1\.000e-06\)$"):
+            function(a)
+
     def test_rejects_indefinite_with_diagnostic(self):
         with pytest.raises(sp.NotPositiveDefiniteError, match="-1"):
             sp.symplectic_eigenvalues(np.diag([1.0, -1.0]))
@@ -331,6 +350,29 @@ class TestEulerDecomposition:
     def test_rejects_nonsymplectic(self):
         with pytest.raises(sp.NotSymplecticError):
             sp.euler_decompose(2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("factor", ["T1", "T2"])
+    def test_factor_leaving_k_n_is_named(self, factor, monkeypatch):
+        # The first K(n) embedding is C, whose transpose is T2, the second is T1.  T1 is rebuilt from
+        # the even columns of S C Z^-1, so stretching the odd columns of C moves T2 alone.
+        s, embed, factors = sp.random_symplectic(3, (1.0, 4.0), seed=2), sp._embed_unitary, []
+
+        def stretched(u):
+            t = embed(u)
+            if factor == "T2" and not factors:
+                t[:, 1::2] *= 1.001
+            elif factor == "T1" and factors:
+                t *= 1.001
+            factors.append(t)
+            return t
+
+        monkeypatch.setattr(sp, "_embed_unitary", stretched)
+        with pytest.raises(ArithmeticError) as raised:
+            sp.euler_decompose(s)
+        t = factors[1] if factor == "T1" else factors[0].T
+        worst = max(sp.symplectic_residual(t), sp.orthogonality_residual(t))
+        assert worst > sp.TOL_SYM
+        assert str(raised.value) == f"Euler factor {factor} leaves K(n) (residual {worst:.3e})"
 
     @pytest.mark.parametrize("case", range(12))
     def test_repeated_and_unit_squeezings(self, case):
@@ -535,6 +577,28 @@ class TestRandomGenerators:
             sp.symplectic_eigenvalues(gamma),
             atol=1e-8,
         )
+
+
+class TestRowMajor:
+    @pytest.mark.parametrize("wrap", [list, tuple, lambda flat: (x for x in flat), np.array],
+                             ids=["list", "tuple", "generator", "array"])
+    def test_any_iterable_rebuilds_the_matrix(self, wrap):
+        m = np.arange(6.0).reshape(2, 3)
+        values = wrap(sp.matrix_to_rowmajor(m))
+        rebuilt = sp.matrix_from_rowmajor(values, 2, 3)
+        np.testing.assert_array_equal(rebuilt, m)
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(rebuilt, values)
+
+    def test_flattening_gives_python_floats(self):
+        flat = sp.matrix_to_rowmajor(np.array([[1, 2], [3, 4]]))
+        assert flat == [1.0, 2.0, 3.0, 4.0] and all(type(x) is float for x in flat)
+
+    def test_size_mismatch_and_scalar_messages(self):
+        with pytest.raises(sp.DimensionError, match=r"^expected 4 entries for a 2x2 matrix, got 3$"):
+            sp.matrix_from_rowmajor(np.ones(3), 2, 2)
+        with pytest.raises(TypeError, match=r"^iteration over a 0-d array$"):
+            sp.matrix_from_rowmajor(np.array(1.0), 1, 1)
 
 
 class TestTruncateRows:
