@@ -194,11 +194,15 @@ def noise_spectrum(channel: GaussianChannel) -> np.ndarray:
     eigenvalue below ``NOISE_EPS`` has no usable Cholesky factor, so the
     PSD factor L = V sqrt(W) of Y = V W V^T takes its place (i L^T J L has
     the eigenvalues +/- nu_j of i J Y): a null mode of Y gives an exact 0."""
-    y = channel.y
-    if float(np.linalg.eigvalsh(y)[0]) >= NOISE_EPS:
+    return _noise_spectrum(channel.y, float(np.linalg.eigvalsh(channel.y)[0]))
+
+
+def _noise_spectrum(y: np.ndarray, y_min: float) -> np.ndarray:
+    """``noise_spectrum`` of Y, with its route chosen by ``y_min``, the minimum eigenvalue of Y."""
+    if y_min >= NOISE_EPS:
         return symplectic_eigenvalues(y)
     w, v = np.linalg.eigh(y)
-    return np.maximum(np.linalg.eigvalsh(_hermitian(v * np.sqrt(np.maximum(w, 0.0))))[channel.n :], 0.0)
+    return np.maximum(np.linalg.eigvalsh(_hermitian(v * np.sqrt(np.maximum(w, 0.0))))[len(y) // 2 :], 0.0)
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:

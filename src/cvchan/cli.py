@@ -167,8 +167,7 @@ def cmd_analyze(args) -> int:
         inf_fps = [fn.exp_or_inf(fn.log_fp_of_renyi(channel.n, p, s_p)) for p, s_p in zip(p_values, s_ps)]
     else:  # renyi_entropy validates nu once; every row's product is one row of a (P, n) array
         s_min, s_ps = st.renyi_entropy(nu, 1.0), [None] * len(p_values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            inf_fps = np.prod(st._f_p(nu + 1.0, nu - 1.0, np.array(p_values)[:, None]), axis=1).tolist()
+        inf_fps = fn.fp_product(nu, np.array(p_values)[:, None])
     results = []
     for p, s_p, inf_fp in zip(p_values, s_ps, inf_fps):
         entry = {"p": p, "kind": channel.kind, "closed_form": nu is not None, "S_min": s_min}

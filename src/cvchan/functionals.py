@@ -135,7 +135,7 @@ def _leaf_optimum(leaf: ch.GaussianChannel) -> _LeafRule:
         s_inv = symplectic_inverse(williamson(y).s)
         return s_inv @ s_inv.T
 
-    return _LeafRule(lambda: 1.0 + ch.noise_spectrum(leaf), photon_map, witness)
+    return _LeafRule(lambda: 1.0 + ch._noise_spectrum(leaf.y, leaf.cp_eigenvalue), photon_map, witness)
 
 
 def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
@@ -144,10 +144,11 @@ def optimal_output_spectrum(channel: ch.GaussianChannel) -> np.ndarray:
     return np.concatenate([_leaf_optimum(leaf).spectrum() for leaf in channel.leaves])
 
 
-def fp_product(x: np.ndarray, p: float) -> float:
-    """prod_k f_p(x_k) of a spectrum x >= 1 at p > 1, unchecked; inf where it overflows a double."""
+def fp_product(x: np.ndarray, p: float | np.ndarray) -> float | list[float]:
+    """prod_k f_p(x_k) of a spectrum x >= 1 at p > 1, unchecked; inf where it overflows a double.
+    A column of orders p[:, None] gives a list of products, one per order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.prod(st._f_p(x + 1.0, x - 1.0, p)))
+        return np.prod(st._f_p(x + 1.0, x - 1.0, p), axis=-1).tolist()
 
 
 def min_output_renyi_closed(channel: ch.GaussianChannel, p: float) -> float:

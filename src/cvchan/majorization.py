@@ -11,8 +11,9 @@ Sampling cannot certify a minimum over the (noncompact) truncated
 symplectic set; the campaigns are falsification harnesses, with the
 attainment side checked through an explicit Williamson witness.
 
-Each trial draws its random stream from (seed, trial index), so reports
-are reproducible and independent of batching or execution order.
+Every random stream is keyed by (seed, lane), one lane per drawn size
+(theorem1, schur) or per instance and batch (lemma1), so reports are
+reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .symplectic import (
     rng_stream,
     sample_spd,
     sample_symplectics,
-    symplectic_eigenvalues,
     williamson,
 )
 
@@ -220,8 +220,8 @@ def _lemma1_fold(
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     n = len(a) // 2
-    nu = symplectic_eigenvalues(a)
-    bounds = [2.0 * float(np.sum(nu[:k])) for k in ks]
+    form = williamson(a)  # its spectrum gives the bounds, its frame the witness
+    bounds = [2.0 * float(np.sum(form.spectrum[:k])) for k in ks]
     for b, done in enumerate(range(0, samples, 2048)):
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
@@ -233,7 +233,7 @@ def _lemma1_fold(
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.
-    witness = williamson(a).s
+    witness = form.s
     return [(bound, float(np.sum((witness[: 2 * k] @ a) * witness[: 2 * k]) - bound)) for k, bound in zip(ks, bounds)]
 
 
@@ -313,32 +313,23 @@ def schur_campaign(
 
     The margin of a trial is the smallest slack among the strict prefix
     inequalities and the (negated absolute) total-sum mismatch, so a pass
-    requires both dominance and total equality.  Trial t draws its matrix
-    from ``rng_stream(seed, t)``; the trials of one dimension are scored
-    together, in one stacked ``eigvalsh``.
+    requires both dominance and total equality.  Every trial's dimension
+    comes from one draw of ``rng_stream(seed)``; the trials of dimension d
+    draw their matrices, in trial order, from ``rng_stream(seed, d)`` and
+    are scored together, in one stacked ``eigvalsh``.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if max_dim < 2:
         raise DimensionError(f"max dimension must be >= 2, got {max_dim}")
     report = TrialReport(seed=seed, parameters={"max_dim": max_dim})
-    dims, draws = np.empty(trials, dtype=int), np.empty((trials, max_dim * max_dim))
-    for trial in range(trials):
-        rng = rng_stream(seed, trial)
-        dims[trial] = dim = int(rng.integers(2, max_dim + 1))
-        rng.standard_normal(out=draws[trial, : dim * dim].reshape(dim, dim))
-
-    def matrices(rows, dim):
-        g = draws[rows, : dim * dim].reshape(-1, dim, dim)
-        return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-    margins, tols = np.empty(trials), np.empty(trials)
-    for dim in np.unique(dims).tolist():
-        (where,) = np.nonzero(dims == dim)
-        a = matrices(where, dim)
+    dims = rng_stream(seed).integers(2, max_dim + 1, size=trials)
+    for dim, count in sorted(Counter(dims.tolist()).items()):
+        g = rng_stream(seed, dim).standard_normal((count, dim, dim))
+        a = 0.5 * (g + np.swapaxes(g, 1, 2))
         diag = np.diagonal(a, axis1=1, axis2=2)
         gaps = _prefix_gaps(np.linalg.eigvalsh(a), diag, descending=True)
-        margins[where] = np.minimum(np.min(gaps[:, :-1], axis=1), -np.abs(gaps[:, -1]))
-        tols[where] = atol + PREFIX_RTOL * np.maximum(np.abs(diag.sum(axis=1)), 1.0) * dim
-    report.fold(margins, tols, lambda i: {"A": matrices([i], dims[i])[0].tolist()})
+        margins = np.minimum(np.min(gaps[:, :-1], axis=1), -np.abs(gaps[:, -1]))
+        tols = atol + PREFIX_RTOL * np.maximum(np.abs(diag.sum(axis=1)), 1.0) * dim
+        report.fold(margins, tols, lambda i: {"A": a[i].tolist()})
     return report

@@ -49,8 +49,8 @@ def rng_stream(seed: int, *lane: int) -> np.random.Generator:
     """Return a Philox generator for the stream identified by (seed, *lane).
 
     Distinct lanes give statistically independent, reproducible streams;
-    campaigns use one lane per trial so results do not depend on execution
-    order.
+    campaigns key a lane by what it draws (a size, an instance, a batch),
+    never by arithmetic on the seed.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=lane)))
 

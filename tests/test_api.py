@@ -185,11 +185,11 @@ def test_kind_branch_is_detected(tmp_path):
     assert _kind_branches([module]) == {"f", "inner", "m", "<module>"}
 
 
-#: Every function in src/cvchan that reads ``NOISE_EPS``: ``noise_spectrum``,
-#: which picks its route by it, and ``witness``, the classical leaf's witness
-#: inside ``_leaf_optimum``, which regularizes a singular Y with it.  A new
-#: reader must show up here.
-NOISE_EPS_READERS = {"noise_spectrum", "witness"}
+#: Every function in src/cvchan that reads ``NOISE_EPS``: ``_noise_spectrum``,
+#: which picks the route of ``noise_spectrum`` by it, and ``witness``, the
+#: classical leaf's witness inside ``_leaf_optimum``, which regularizes a
+#: singular Y with it.  A new reader must show up here.
+NOISE_EPS_READERS = {"_noise_spectrum", "witness"}
 
 
 def _noise_eps_readers(paths) -> set[str]:

@@ -440,8 +440,8 @@ class TestInvalidInputExitCodes:
             ["capacity", "--channel", "{thermal}", "--energy", "1.5", "--seed", "-1"],
             ["analyze", "--channel", "{thermal}", "--budget", "0"],
             ["verify", "theorem1", "--trials", "10", "--budget", "-3"],
-            # The one trial at seed 0 draws a 28,637,449-dimensional matrix,
-            # whose 5.83 PiB numpy refuses before it touches any memory.
+            # The one trial at seed 0 draws a 27,124,593-dimensional matrix,
+            # whose 5.23 PiB numpy refuses before it touches any memory.
             ["verify", "schur", "--trials", "1", "--max-modes", "100000000"],
             # 1e310 photons overflow a double, and at 1e308 no searched input has a finite entropy.
             ["capacity", "--channel", "{thermal}", "--energy", "1e300", "--omega", "1e-10"],

@@ -132,38 +132,64 @@ class TestSchurDiagCheck:
 
     @staticmethod
     def scalar_route(trials, max_dim, seed, atol):
-        """Each trial's matrix, margin and tolerance, one matrix at a time."""
+        """Each trial's dimension, matrix, margin and tolerance, one matrix at a
+        time: trial by trial, each draws alone from its dimension's stream."""
+        dims = sp.rng_stream(seed).integers(2, max_dim + 1, size=trials)
+        lanes = {dim: sp.rng_stream(seed, dim) for dim in set(dims.tolist())}
         matrices, margins, tols = [], [], []
-        for trial in range(trials):
-            rng = sp.rng_stream(seed, trial)
-            dim = int(rng.integers(2, max_dim + 1))
-            g = rng.standard_normal((dim, dim))
+        for dim in dims.tolist():
+            g = lanes[dim].standard_normal((dim, dim))
             a = 0.5 * (g + g.T)
             gaps = mj._prefix_gaps(np.linalg.eigvalsh(a), np.diag(a), descending=True)
             matrices.append(a)
             margins.append(min(float(np.min(gaps[:-1])), -abs(float(gaps[-1]))))
             tols.append(atol + mj.PREFIX_RTOL * max(abs(float(np.trace(a))), 1.0) * dim)
-        return matrices, np.array(margins), np.array(tols)
+        return dims, matrices, np.array(margins), np.array(tols)
+
+    @staticmethod
+    def folds(monkeypatch, **kwargs):
+        """The report of one campaign and the (margins, tolerances) of each of its folds, in order."""
+        folded = []
+        fold = mj.TrialReport.fold
+        with monkeypatch.context() as patch:
+            patch.setattr(mj.TrialReport, "fold",
+                          lambda self, m, t, example: folded.append((m, t)) or fold(self, m, t, example))
+            return mj.schur_campaign(**kwargs), folded
 
     @pytest.mark.parametrize("atol", [mj.PREFIX_ATOL, 0.0, -1e6])
     def test_stacked_dimensions_match_the_scalar_route(self, monkeypatch, atol):
         # Every dimension 2..8 is drawn; at 8 numpy's pairwise sum unrolls,
         # so the trace is where a stacked sum could first round differently.
         # At atol = 0 the tolerance keeps the trace's last bits.
-        folded = []
-        fold = mj.TrialReport.fold
-        monkeypatch.setattr(mj.TrialReport, "fold",
-                            lambda self, m, t, example: folded.append((m, t)) or fold(self, m, t, example))
-        report = mj.schur_campaign(trials=300, max_dim=8, seed=17, atol=atol)
-        matrices, margins, tols = self.scalar_route(300, 8, 17, atol)
-        assert sorted({len(a) for a in matrices}) == list(range(2, 9))
-        ((got_margins, got_tols),) = folded
-        assert np.array_equal(got_margins, margins) and np.array_equal(got_tols, tols)
+        report, folded = self.folds(monkeypatch, trials=300, max_dim=8, seed=17, atol=atol)
+        dims, matrices, margins, tols = self.scalar_route(300, 8, 17, atol)
+        assert sorted(set(dims.tolist())) == list(range(2, 9))
+        assert len(folded) == 7
+        for dim, (got_margins, got_tols) in zip(range(2, 9), folded):
+            assert np.array_equal(got_margins, margins[dims == dim]) and np.array_equal(got_tols, tols[dims == dim])
         if atol < 0:
             worst = int(np.argmin(margins))
             assert report.counterexample == {"A": matrices[worst].tolist(), "margin": float(margins[worst])}
         else:
             assert report.counterexample is None and report.worst_margin == float(np.min(margins))
+
+    def test_a_longer_run_extends_each_dimension(self, monkeypatch):
+        # The first T trials of a 2T-trial run are those of a T-trial run.
+        _, short = self.folds(monkeypatch, trials=300, max_dim=8, seed=17)
+        _, long = self.folds(monkeypatch, trials=600, max_dim=8, seed=17)
+        assert len(short) == len(long) == 7
+        for (margins, tols), (longer_margins, longer_tols) in zip(short, long):
+            assert len(longer_margins) > len(margins)
+            assert np.array_equal(longer_margins[: len(margins)], margins)
+            assert np.array_equal(longer_tols[: len(tols)], tols)
+
+    def test_one_stream_per_dimension(self, monkeypatch):
+        # One stream draws the dimensions, then one per dimension drawn: 2..8.
+        lanes = []
+        stream = mj.rng_stream
+        monkeypatch.setattr(mj, "rng_stream", lambda seed, *lane: lanes.append(lane) or stream(seed, *lane))
+        assert mj.schur_campaign(trials=1000, max_dim=8, seed=17).passed
+        assert lanes == [(), *((dim,) for dim in range(2, 9))]
 
 
 class TestTheorem1:

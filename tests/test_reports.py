@@ -9,9 +9,10 @@ reason; the exit codes and the report fields, in order, are held on every
 build.  A change that moves a report on purpose rewrites the references,
 and the build record, with
 
-    PYTHONPATH=src python tests/test_reports.py
+    PYTHONPATH=src python tests/test_reports.py [NAME ...]
 
-and names each moved value in CHANGES.md.
+and names each moved value in CHANGES.md.  Given names, it rewrites only
+those references, in both formats, and leaves the build record as it is.
 
 The ``numpy.linalg`` calls of the closed-form analyze commands and of the
 library tour are pinned here too, as counts.
@@ -27,6 +28,7 @@ import json
 import os
 import pathlib
 import platform
+import sys
 
 import numpy as np
 import pytest
@@ -68,8 +70,10 @@ COMMANDS = {
 
 #: Objective calls and scored rows (the evaluations) of each pinned search
 #: command: a driver that splits or merges its rounds changes the calls.
-#: The searches of one command share every round's call, so the command
-#: makes as many calls as its longest search has rounds.
+#: The searches of one lockstep share every round's call, so a lockstep
+#: makes as many calls as its longest search has rounds.  Every command
+#: runs one lockstep but a custom ``capacity``, which runs its S_min search
+#: and then its sup search (custom2: 160 + 154 calls).
 SEARCH_WORK = {
     "multiplicativity": (160, 5976),
     "additivity": (154, 996),
@@ -82,10 +86,11 @@ SEARCH_WORK = {
 #: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
 #: closed-form analyze command, by name.  Thermal and lossy channels certify in closed
 #: form and read nu* off their parameters.  Classical noise takes eigvalsh(Y)
-#: for its PSD check (X = I makes that its certificate) and again in
-#: ``noise_spectrum`` to pick the Cholesky route, then one spectrum of Y.
+#: once, for its PSD check (X = I makes that its certificate, and its
+#: minimum picks the Cholesky route of the noise spectrum), then one
+#: spectrum of Y.
 EIGEN_WORK = {
-    "classical2_analyze": {"eigvalsh": 3, "cholesky": 1},
+    "classical2_analyze": {"eigvalsh": 2, "cholesky": 1},
     "thermal4_analyze": {},
     "lossy3_analyze": {},
 }
@@ -247,6 +252,11 @@ def test_first_difference_names_the_field():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    if unknown := sorted(set(names) - set(COMMANDS)):
+        sys.exit(f"unknown report: {', '.join(unknown)}")
     for name, fmt in CASES:
-        (REPORTS / f"{name}.{fmt}").write_text(run(name, fmt)[1], encoding="utf-8")
-    (REPORTS / "build.json").write_text(json.dumps(build(), indent=2) + "\n")
+        if not names or name in names:
+            (REPORTS / f"{name}.{fmt}").write_text(run(name, fmt)[1], encoding="utf-8")
+    if not names:
+        (REPORTS / "build.json").write_text(json.dumps(build(), indent=2) + "\n")
