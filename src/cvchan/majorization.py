@@ -212,10 +212,10 @@ def _lemma1_fold(
 
     Batch b of 2048 samples draws full 2n x 2n symplectic matrices S from
     ``rng_stream(seed, *lane, b)``.  The first 2k rows of S are a 2k x 2n
-    truncation for every k, so one matmul gives the row quadratic forms
-    (S A S^T)_rr and their cumulative sums over row pairs give
-    Tr S_k A S_k^T for every k at once.  A failing size-k sample's
-    counterexample is ``context(k)`` and its truncation ``S``.
+    truncation for every k, so one contraction of S A with S over each
+    mode's row pair gives that mode's trace, and their cumulative sums
+    over modes give Tr S_k A S_k^T for every k at once.  A failing size-k
+    sample's counterexample is ``context(k)`` and its truncation ``S``.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -225,7 +225,8 @@ def _lemma1_fold(
     for b, done in enumerate(range(0, samples, 2048)):
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
-        traces = np.cumsum(np.sum((s @ a) * s, axis=2), axis=1)[:, 1::2]
+        pairs = (len(s), n, 2, 2 * n)  # the rows of S, grouped by mode
+        traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
         for k, bound in zip(ks, bounds):
             sk = s[:, : 2 * k, :]
             tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)

@@ -31,6 +31,7 @@ TOL_SYM = 1e-10
 TOL_DECOMP = 1e-8
 
 _J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_RSQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class DimensionError(ValueError):
@@ -369,11 +370,11 @@ def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
 def _embed_unitary(u: np.ndarray) -> np.ndarray:
     """Unvalidated, batch-capable version of the K(n) embedding."""
     n = u.shape[-1]
-    t = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
+    t = np.empty(u.shape[:-2] + (2 * n, 2 * n))  # the four strided writes cover every entry
     t[..., 0::2, 0::2] = u.real
     t[..., 1::2, 1::2] = u.real
     t[..., 0::2, 1::2] = u.imag
-    t[..., 1::2, 0::2] = -u.imag
+    np.negative(u.imag, out=t[..., 1::2, 0::2])
     return t
 
 
@@ -402,11 +403,14 @@ def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np
 def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
     """Haar-random unitaries: Q of Z = QR, diag(R) > 0, Z complex Gaussian (Mezzadri, 2007).  Gram-Schmidt
     with one re-orthogonalization pass, unitary to working precision (Giraud, Langou & Rozloznik, 2005),
-    divides each column by its positive norm, so no phase step.  Refuses n < 1 for every sampler."""
+    scales each column by 1 / its positive norm, so no phase step.  Re Z is drawn, then Im Z, each times
+    1/sqrt 2 into Z; both round as (re + 1j im) / sqrt 2 and v / |v| do.  Refuses n < 1 for every sampler."""
     if n < 1:
         raise DimensionError(f"mode count must be >= 1, got {n}")
     shape = (n, n) if size is None else (size, n, n)
-    zmat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    zmat = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), _RSQRT2, out=zmat.real)
+    np.multiply(rng.standard_normal(shape), _RSQRT2, out=zmat.imag)
     q = np.empty_like(zmat)
     for j in range(n):
         v, done = zmat[..., :, j], q[..., :, :j]
@@ -415,7 +419,7 @@ def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> 
             for _ in range(2):
                 v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done_conj, v))
         # The formula np.linalg.norm(v, axis=-1, keepdims=True) runs, without its dispatch.
-        q[..., :, j] = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True))
+        q[..., :, j] = v * (1.0 / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True)))
     return q
 
 

@@ -314,6 +314,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.read_text())["result"]["witness_gap"] <= 1e-8
 
+    def test_lemma1_caps_max_modes_at_three(self, tmp_path):
+        # --max-modes 5 runs the --max-modes 3 campaign and records 3.
+        reports = []
+        for modes in ("5", "3"):
+            out = tmp_path / f"lemma1_{modes}.json"
+            argv = ["verify", "lemma1", "--instances", "6", "--trials", "20", "--max-modes", modes, "--out", str(out)]
+            assert cli.main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["result"]["parameters"]["max_modes"] == 3
+
     @pytest.mark.parametrize(
         "target, key, counts",
         [

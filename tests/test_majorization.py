@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import cvchan.majorization as mj
 from cvchan import symplectic as sp
@@ -296,6 +297,41 @@ class TestLemma1:
         assert set(report.counterexample) == {"S", "margin"}
         assert report.counterexample["margin"] == report.worst_margin
         assert report.parameters == {"n": 2, "k": 1, "squeeze_max": 8.0, "bound": 2.0}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counterexample_gives_back_margin_plus_bound(self, k):
+        a = sp.random_spd(3, (0.3, 4.0), seed=17)
+        report = mj.lemma1_trial(a, k, samples=300, seed=17, atol=-1e6)
+        assert not report.passed
+        s = np.array(report.counterexample["S"])
+        assert s.shape == (2 * k, 6)
+        trace = np.trace(s @ a @ s.T)
+        assert trace == pytest.approx(report.counterexample["margin"] + report.parameters["bound"], rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [1, 5, 2048, 2049])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_contracted_traces_match_a_per_sample_loop(self, monkeypatch, n, samples):
+        # Margin + bound is Tr S_k A S_k^T for every drawn S and every k, to rounding.
+        draws, folds = [], []
+        sample = mj.sample_symplectics
+
+        def recording(*args, **kwargs):
+            draws.append(sample(*args, **kwargs))
+            return draws[-1]
+
+        class Recorder:
+            def fold(self, margins, tol, example):
+                folds.append(margins)
+
+        monkeypatch.setattr(mj, "sample_symplectics", recording)
+        a = sp.sample_spd(sp.rng_stream(3, n), n, 1, (0.3, 4.0))[0]
+        ks = range(1, n + 1)
+        bounds = [bound for bound, _ in mj._lemma1_fold(Recorder(), a, ks, samples, 3, 1e-9, (n,), lambda k: {})]
+        assert sum(len(s) for s in draws) == samples and len(folds) == len(draws) * n
+        for b, s in enumerate(draws):
+            for k, bound in zip(ks, bounds):
+                loop = [np.trace(si[: 2 * k] @ a @ si[: 2 * k].T) for si in s]
+                assert_allclose(folds[b * n + k - 1] + bound, loop, rtol=1e-12, atol=0)
 
     def test_campaign_smoke(self):
         report = mj.lemma1_campaign(instances=5, max_modes=2, samples=400, seed=29)

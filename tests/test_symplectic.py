@@ -462,6 +462,46 @@ class TestHaarUnitary:
         assert np.array_equal(sp._haar_unitary(rng, n, size), q)
 
 
+def embed_by_zero_fill(u):
+    """Reference K(n) embedding: a zero matrix and the four strided block writes."""
+    n = u.shape[-1]
+    t = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
+    t[..., 0::2, 0::2] = u.real
+    t[..., 1::2, 1::2] = u.real
+    t[..., 0::2, 1::2] = u.imag
+    t[..., 1::2, 0::2] = -u.imag
+    return t
+
+
+class TestEmbedUnitary:
+    @pytest.mark.parametrize("size", [None, 1, 5, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_zero_filled_build_bit_for_bit(self, n, size):
+        # Signed zeros included: the identity's -Im is -0.0 below the diagonal.
+        shape = (n, n) if size is None else (size, n, n)
+        for u in (sp._haar_unitary(sp.rng_stream(6, n), n, size), np.broadcast_to(np.eye(n, dtype=complex), shape)):
+            # Freed NaN memory of the image's size, which an unwritten entry would read.
+            stale = np.full(u.shape[:-2] + (2 * n, 2 * n), np.nan)
+            del stale
+            t, ref = sp._embed_unitary(u), embed_by_zero_fill(u)
+            assert np.array_equal(t, ref)
+            assert np.array_equal(np.signbit(t), np.signbit(ref))
+
+
+class TestSampleSymplectics:
+    @pytest.mark.parametrize("log_squeeze", [False, True])
+    @pytest.mark.parametrize("count", [1, 5, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_its_euler_form_bit_for_bit(self, n, count, log_squeeze):
+        # T(U1) Z T(U2): two Haar stacks, then the squeezings, from one stream.
+        rng, twin = sp.rng_stream(4, n, count), sp.rng_stream(4, n, count)
+        s = sp.sample_symplectics(rng, n, count, (1.0, 8.0), log_squeeze=log_squeeze)
+        u1, u2 = sp._haar_unitary(twin, n, count), sp._haar_unitary(twin, n, count)
+        z = np.exp(twin.uniform(0.0, np.log(8.0), (count, n))) if log_squeeze else twin.uniform(1.0, 8.0, (count, n))
+        assert np.array_equal(s, sp._euler_form(sp._embed_unitary(u1), z, sp._embed_unitary(u2)))
+        assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
+
+
 class TestUnitaryIsomorphism:
     def test_identity_maps_to_identity(self):
         assert_allclose(sp.unitary_to_orthosymplectic(np.eye(3)), np.eye(6))
