@@ -1,19 +1,21 @@
 """Majorization predicates and randomized verification campaigns.
 
-The two campaigns exercise the core inequalities of the package:
+The three campaigns exercise the core inequalities of the package:
 
 * the trace minimum over row-truncated symplectic matrices,
-  min Tr S A S^T = 2 sum of the k smallest symplectic eigenvalues, and
+  min Tr S A S^T = 2 sum of the k smallest symplectic eigenvalues (lemma1),
 * weak supermajorization of symplectic spectra under matrix addition,
-  nu(A + B) majorized-from-above by nu(A) + nu(B).
+  nu(A + B) majorized-from-above by nu(A) + nu(B) (theorem1), and
+* Schur's theorem, diag(A) majorized by the spectrum of A (schur).
 
 Sampling cannot certify a minimum over the (noncompact) truncated
 symplectic set; the campaigns are falsification harnesses, with the
 attainment side checked through an explicit Williamson witness.
 
-Every random stream is keyed by (seed, lane), one lane per drawn size
-(theorem1, schur) or per instance and batch (lemma1), so reports are
-reproducible for a given seed.
+Every random stream is keyed by (seed, lane), so reports are reproducible
+for a given seed: one lane per drawn size (theorem1, schur); for lemma1,
+(seed, inst) for the matrix of instance inst and (seed, n, b) for batch b
+of the symplectic samples that every instance of mode count n shares.
 """
 
 from __future__ import annotations
@@ -204,38 +206,40 @@ def theorem1_trial(
 
 
 def _lemma1_fold(
-    report: TrialReport, a: np.ndarray, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...], context
+    report: TrialReport, mats: list, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...], context
 ) -> list[tuple[float, float]]:
-    """Fold the Lemma 1 samples of every truncation size k in ``ks``, all
-    read off one draw, into ``report``, and return each k's bound
-    2 (nu_1 + ... + nu_k) and witness gap.
+    """Fold the Lemma 1 samples of every matrix in ``mats``, all of one
+    mode count n, and every truncation size k in ``ks`` into ``report``;
+    return each (matrix, k)'s bound 2 (nu_1 + ... + nu_k) and witness gap.
 
-    Batch b of 2048 samples draws full 2n x 2n symplectic matrices S from
-    ``rng_stream(seed, *lane, b)``.  The first 2k rows of S are a 2k x 2n
-    truncation for every k, so one contraction of S A with S over each
-    mode's row pair gives that mode's trace, and their cumulative sums
-    over modes give Tr S_k A S_k^T for every k at once.  A failing size-k
-    sample's counterexample is ``context(k)`` and its truncation ``S``.
+    Batch b of 2048 samples draws full 2n x 2n symplectic matrices S once,
+    from ``rng_stream(seed, *lane, b)``, and folds each matrix against it
+    in turn.  The first 2k rows of S are a 2k x 2n truncation for every k,
+    so one contraction of S A with S over each mode's row pair gives that
+    mode's trace, and their cumulative sums over modes give Tr S_k A S_k^T
+    for every k at once.  A failing sample of matrix j at size k has the
+    counterexample ``context(j, k)`` and its truncation ``S``.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    n = len(a) // 2
-    form = williamson(a)  # its spectrum gives the bounds, its frame the witness
-    bounds = [2.0 * float(np.sum(form.spectrum[:k])) for k in ks]
+    n = len(mats[0]) // 2
+    forms = [williamson(a) for a in mats]  # each spectrum gives the bounds, each frame the witness
+    bounds = [[2.0 * float(np.sum(form.spectrum[:k])) for k in ks] for form in forms]
     for b, done in enumerate(range(0, samples, 2048)):
         rng = rng_stream(seed, *lane, b)
         s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
         pairs = (len(s), n, 2, 2 * n)  # the rows of S, grouped by mode
-        traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
-        for k, bound in zip(ks, bounds):
-            sk = s[:, : 2 * k, :]
-            tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
-            report.fold(traces[:, k - 1] - bound, tol, lambda i: {**context(k), "S": sk[i].tolist()})
+        for j, a in enumerate(mats):
+            traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
+            for k, bound in zip(ks, bounds[j]):
+                tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
+                report.fold(traces[:, k - 1] - bound, tol, lambda i: {**context(j, k), "S": s[i, : 2 * k].tolist()})
+        del s, traces  # release the batch before the next is drawn
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.
-    witness = form.s
-    return [(bound, float(np.sum((witness[: 2 * k] @ a) * witness[: 2 * k]) - bound)) for k, bound in zip(ks, bounds)]
+    return [(bound, float(np.sum((form.s[: 2 * k] @ a) * form.s[: 2 * k]) - bound))
+            for a, form, row in zip(mats, forms, bounds) for k, bound in zip(ks, row)]
 
 
 def lemma1_trial(
@@ -254,8 +258,9 @@ def lemma1_trial(
     and verifies that the first 2k rows of the Williamson transform of A
     attain the bound (``witness_gap``).  Batch b of 2048 samples draws from
     ``rng_stream(seed, *lane, b)``; the truncations are the first 2k rows
-    of the draw that ``lemma1_campaign`` reads every k from, so a trial on
-    lane (inst, 0) is that campaign's size-k column for instance inst.
+    of the draw that ``lemma1_campaign`` reads every k from, so a trial of
+    an n-mode matrix on lane (n,) is that campaign's size-k column for
+    every instance of mode count n.
     """
     a = np.asarray(a, dtype=float)
     n = _mode_count(a)
@@ -263,7 +268,7 @@ def lemma1_trial(
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
     report = TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": _SQUEEZE_MAX})
     ((report.parameters["bound"], report.witness_gap),) = _lemma1_fold(
-        report, a, range(k, k + 1), samples, seed, atol, lane, lambda k: {})
+        report, [a], range(k, k + 1), samples, seed, atol, lane, lambda j, k: {})
     return report
 
 
@@ -276,11 +281,13 @@ def lemma1_campaign(
 ) -> TrialReport:
     """Run the ``lemma1_trial`` check over random matrices and every valid truncation size.
 
-    Instance ``inst`` draws its matrix (symplectic spectrum in [0.3, 4.0])
-    from ``rng_stream(seed, inst)`` and its ``samples`` symplectic matrices
-    on the lane (inst, 0), batch b from ``rng_stream(seed, inst, 0, b)``;
-    one draw serves every truncation size k = 1..n, as the first 2k rows of
-    each matrix.  ``atol`` is the absolute prefix slack of every truncation.
+    Instance ``inst`` draws its mode count n and matrix (symplectic spectrum
+    in [0.3, 4.0]) from ``rng_stream(seed, inst)``.  The instances of mode
+    count n share one draw of ``samples`` symplectic matrices, batch b from
+    ``rng_stream(seed, n, b)``, a two-key lane that no instance lane equals,
+    so each instance still sees ``samples`` independent draws.  One draw
+    serves every truncation size k = 1..n, as the first 2k rows of each
+    matrix.  ``atol`` is the absolute prefix slack of every truncation.
     """
     if instances < 1:
         raise ValueError(f"instance count must be >= 1, got {instances}")
@@ -294,12 +301,14 @@ def lemma1_campaign(
         "nu_range": list(nu_range),
     }
     report = TrialReport(seed=seed, parameters=parameters, witness_gap=0.0)
+    by_modes: dict[int, list] = {}
     for inst in range(instances):
         rng = rng_stream(seed, inst)
         n = int(rng.integers(1, max_modes + 1))
-        a = sample_spd(rng, n, 1, nu_range)[0]
-        for _, gap in _lemma1_fold(report, a, range(1, n + 1), samples, seed, atol, (inst, 0),
-                                   lambda k: {"A": a.tolist(), "k": k}):
+        by_modes.setdefault(n, []).append(sample_spd(rng, n, 1, nu_range)[0])
+    for n, mats in sorted(by_modes.items()):
+        for _, gap in _lemma1_fold(report, mats, range(1, n + 1), samples, seed, atol, (n,),
+                                   lambda j, k: {"A": mats[j].tolist(), "k": k}):
             report.witness_gap = max(report.witness_gap, abs(gap))
     return report
 

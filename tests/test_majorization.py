@@ -311,7 +311,8 @@ class TestLemma1:
     @pytest.mark.parametrize("samples", [1, 5, 2048, 2049])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_contracted_traces_match_a_per_sample_loop(self, monkeypatch, n, samples):
-        # Margin + bound is Tr S_k A S_k^T for every drawn S and every k, to rounding.
+        # Margin + bound is Tr S_k A S_k^T for every drawn S, every matrix folded against it and every k,
+        # to rounding.
         draws, folds = [], []
         sample = mj.sample_symplectics
 
@@ -324,14 +325,15 @@ class TestLemma1:
                 folds.append(margins)
 
         monkeypatch.setattr(mj, "sample_symplectics", recording)
-        a = sp.sample_spd(sp.rng_stream(3, n), n, 1, (0.3, 4.0))[0]
+        mats = list(sp.sample_spd(sp.rng_stream(3, n), n, 2, (0.3, 4.0)))
         ks = range(1, n + 1)
-        bounds = [bound for bound, _ in mj._lemma1_fold(Recorder(), a, ks, samples, 3, 1e-9, (n,), lambda k: {})]
-        assert sum(len(s) for s in draws) == samples and len(folds) == len(draws) * n
+        bounds = [bound for bound, _ in mj._lemma1_fold(Recorder(), mats, ks, samples, 3, 1e-9, (n,), lambda j, k: {})]
+        assert sum(len(s) for s in draws) == samples and len(folds) == len(draws) * 2 * n
         for b, s in enumerate(draws):
-            for k, bound in zip(ks, bounds):
-                loop = [np.trace(si[: 2 * k] @ a @ si[: 2 * k].T) for si in s]
-                assert_allclose(folds[b * n + k - 1] + bound, loop, rtol=1e-12, atol=0)
+            for j, a in enumerate(mats):
+                for k in ks:
+                    loop = [np.trace(si[: 2 * k] @ a @ si[: 2 * k].T) for si in s]
+                    assert_allclose(folds[(2 * b + j) * n + k - 1] + bounds[j * n + k - 1], loop, rtol=1e-12, atol=0)
 
     def test_campaign_smoke(self):
         report = mj.lemma1_campaign(instances=5, max_modes=2, samples=400, seed=29)
@@ -339,38 +341,42 @@ class TestLemma1:
         assert report.witness_gap <= 1e-8
 
     def test_campaign_folds_the_trials_on_its_lane(self):
-        # One sampling route: the size-k trial on lane (inst, 0) is the campaign's column k for
-        # instance inst.  2500 samples take two batches.
-        seed, samples = 1, 2500
-        campaign = mj.lemma1_campaign(instances=1, max_modes=3, samples=samples, seed=seed)
-        rng = sp.rng_stream(seed, 0)
-        n = int(rng.integers(1, 4))
-        a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
-        trials = [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(0, 0)) for k in range(1, n + 1)]
-        assert n == 3
-        assert campaign.trials == sum(t.trials for t in trials) == n * samples
+        # One sampling route: the size-k trial of an n-mode matrix on lane (n,) is the campaign's
+        # column k for every instance of mode count n.  At seed 1 both instances have three modes;
+        # 2500 samples take two batches.
+        seed, samples, n = 1, 2500, 3
+        campaign = mj.lemma1_campaign(instances=2, max_modes=3, samples=samples, seed=seed)
+        trials = []
+        for inst in range(2):
+            rng = sp.rng_stream(seed, inst)
+            assert int(rng.integers(1, 4)) == n
+            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
+            trials += [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(n,)) for k in range(1, n + 1)]
+        assert campaign.trials == sum(t.trials for t in trials) == 2 * n * samples
         assert campaign.worst_margin == min(t.worst_margin for t in trials)
         assert campaign.witness_gap == max(abs(t.witness_gap) for t in trials)
 
     @pytest.mark.parametrize("samples", [1, 2048, 2049, 4500])
     def test_one_draw_serves_every_truncation(self, monkeypatch, samples):
-        # Each instance draws ceil(samples / 2048) batches of full symplectic matrices, whatever its n.
-        draws = []
-        sample = mj.sample_symplectics
-
-        def recording(rng, n, count, squeeze_range, log_squeeze=False):
-            draws.append((n, count))
-            return sample(rng, n, count, squeeze_range, log_squeeze=log_squeeze)
-
-        monkeypatch.setattr(mj, "sample_symplectics", recording)
-        instances, batches = 4, -(-samples // 2048)
-        report = mj.lemma1_campaign(instances=instances, max_modes=3, samples=samples, seed=31)
-        modes = [n for n, _ in draws[::batches]]
-        assert len(set(modes)) > 1
+        # Each mode count present draws ceil(samples / 2048) batches of full symplectic matrices once,
+        # however many instances share them: at seed 31 the first 4 instances already have every mode
+        # count of the first 40.
+        batches = -(-samples // 2048)
         sizes = [2048] * (batches - 1) + [samples - 2048 * (batches - 1)]
-        assert draws == [(n, count) for n in modes for count in sizes]
-        assert sum(count for _, count in draws) == instances * samples
-        assert report.trials == samples * sum(modes)
+        sample = mj.sample_symplectics
+        for instances in (4, 40):
+            draws = []
+
+            def recording(rng, n, count, squeeze_range, log_squeeze=False):
+                draws.append((n, count))
+                return sample(rng, n, count, squeeze_range, log_squeeze=log_squeeze)
+
+            monkeypatch.setattr(mj, "sample_symplectics", recording)
+            report = mj.lemma1_campaign(instances=instances, max_modes=3, samples=samples, seed=31)
+            modes = [int(sp.rng_stream(31, inst).integers(1, 4)) for inst in range(instances)]
+            assert sorted(set(modes)) == [1, 2, 3]
+            assert draws == [(n, count) for n in (1, 2, 3) for count in sizes]
+            assert report.trials == samples * sum(modes)
 
     def test_failing_campaign_names_its_truncation(self):
         # The counterexample's S is the first 2k rows of its draw for the k it names.  At seed 5 every
@@ -398,6 +404,31 @@ class TestLemma1:
         mj.lemma1_campaign(instances=3, max_modes=2, samples=3000, seed=29)
         assert {seed for seed, _ in keys} == {29}
         assert len(set(keys)) == len(keys)
+        # The matrices come from the one-key instance lanes, the shared samples from the two-key
+        # batch lanes (n, b), so no batch lane equals an instance lane.
+        lanes = [lane for _, lane in keys]
+        instance = [lane for lane in lanes if len(lane) == 1]
+        batch = [lane for lane in lanes if len(lane) == 2]
+        modes = {int(sp.rng_stream(29, inst).integers(1, 3)) for inst in range(3)}
+        assert instance == [(0,), (1,), (2,)]
+        assert sorted(batch) == [(n, b) for n in sorted(modes) for b in (0, 1)]
+        assert len(instance) + len(batch) == len(lanes) and not set(instance) & set(batch)
+
+    @pytest.mark.parametrize("seed", [29, 41])
+    def test_more_instances_extend_the_campaign(self, seed):
+        # Common random numbers: instance N of an (N + 1)-instance run sees the samples its mode count
+        # drew for the first N, so the run contains the N-instance run and folds n_N * samples more.
+        samples = 300
+        runs = [mj.lemma1_campaign(instances=m, max_modes=3, samples=samples, seed=seed) for m in range(1, 8)]
+        for inst, (fewer, more) in enumerate(zip(runs, runs[1:]), start=1):
+            rng = sp.rng_stream(seed, inst)
+            n = int(rng.integers(1, 4))
+            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
+            added = [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(n,)) for k in range(1, n + 1)]
+            assert more.trials == fewer.trials + n * samples
+            assert more.worst_margin <= fewer.worst_margin
+            assert more.witness_gap >= fewer.witness_gap
+            assert more.worst_margin == min(fewer.worst_margin, *(t.worst_margin for t in added))
 
 
 class TestTrialReportInvariant:
