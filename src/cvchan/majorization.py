@@ -15,7 +15,8 @@ attainment side checked through an explicit Williamson witness.
 Every random stream is keyed by (seed, lane), so reports are reproducible
 for a given seed: one lane per drawn size (theorem1, schur); for lemma1,
 (seed, inst) for the matrix of instance inst and (seed, n, b) for batch b
-of the symplectic samples that every instance of mode count n shares.
+of the symplectic samples that every n-mode matrix shares, so that
+``lemma1_trial`` of such a matrix is the campaign's column k for it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .symplectic import (
     DimensionError,
     _mode_count,
-    _spd_with_spectra,
     _spectrum,
     rng_stream,
     sample_spd,
@@ -181,10 +181,10 @@ def theorem1_trial(
     Each trial draws a mode count uniformly in [1, n] and a pair of SPD
     matrices with target spectra in ``nu_range`` (physicality is not
     required by the inequality, so nu below 1 is allowed).  nu(A) and
-    nu(B) are the spectra the sampler drew, so only nu(A + B) is computed,
-    one stacked ``_spectrum`` call per mode count.  The margin of a trial
-    is the smallest ascending-prefix gap; a trial fails when its margin
-    drops below the prefix tolerance.
+    nu(B) are the spectra that ``sample_spd`` returns, so only nu(A + B)
+    is computed, one stacked ``_spectrum`` call per mode count.  The margin
+    of a trial is the smallest ascending-prefix gap; a trial fails when its
+    margin drops below the prefix tolerance.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -196,8 +196,8 @@ def theorem1_trial(
     )
     for mode, count in sorted(Counter(modes.tolist()).items()):
         lane = rng_stream(seed, mode)
-        a, nu_a = _spd_with_spectra(lane, mode, count, nu_range, (1.0, 3.0))  # sample_spd's squeeze range
-        b, nu_b = _spd_with_spectra(lane, mode, count, nu_range, (1.0, 3.0))
+        a, nu_a = sample_spd(lane, mode, count, nu_range)
+        b, nu_b = sample_spd(lane, mode, count, nu_range)
         nu_parts = nu_a + nu_b
         margins = np.min(_prefix_gaps(_spectrum(a + b), nu_parts), axis=1)
         tol = atol + PREFIX_RTOL * max(float(np.max(np.sum(nu_parts, axis=1))), 1.0)
@@ -206,19 +206,19 @@ def theorem1_trial(
 
 
 def _lemma1_fold(
-    report: TrialReport, mats: list, ks: range, samples: int, seed: int, atol: float, lane: tuple[int, ...], context
+    report: TrialReport, mats: list, ks: range, samples: int, seed: int, atol: float
 ) -> list[tuple[float, float]]:
     """Fold the Lemma 1 samples of every matrix in ``mats``, all of one
     mode count n, and every truncation size k in ``ks`` into ``report``;
     return each (matrix, k)'s bound 2 (nu_1 + ... + nu_k) and witness gap.
 
     Batch b of 2048 samples draws full 2n x 2n symplectic matrices S once,
-    from ``rng_stream(seed, *lane, b)``, and folds each matrix against it
-    in turn.  The first 2k rows of S are a 2k x 2n truncation for every k,
+    from ``rng_stream(seed, n, b)``, and folds each matrix against it in
+    turn.  The first 2k rows of S are a 2k x 2n truncation for every k,
     so one contraction of S A with S over each mode's row pair gives that
     mode's trace, and their cumulative sums over modes give Tr S_k A S_k^T
-    for every k at once.  A failing sample of matrix j at size k has the
-    counterexample ``context(j, k)`` and its truncation ``S``.
+    for every k at once.  A failing sample has the counterexample
+    ``{"A", "k", "S"}``: its matrix, its size and its truncation.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -226,14 +226,15 @@ def _lemma1_fold(
     forms = [williamson(a) for a in mats]  # each spectrum gives the bounds, each frame the witness
     bounds = [[2.0 * float(np.sum(form.spectrum[:k])) for k in ks] for form in forms]
     for b, done in enumerate(range(0, samples, 2048)):
-        rng = rng_stream(seed, *lane, b)
+        rng = rng_stream(seed, n, b)
         s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
         pairs = (len(s), n, 2, 2 * n)  # the rows of S, grouped by mode
         for j, a in enumerate(mats):
             traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
             for k, bound in zip(ks, bounds[j]):
                 tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
-                report.fold(traces[:, k - 1] - bound, tol, lambda i: {**context(j, k), "S": s[i, : 2 * k].tolist()})
+                report.fold(traces[:, k - 1] - bound, tol,
+                            lambda i: {"A": a.tolist(), "k": k, "S": s[i, : 2 * k].tolist()})
         del s, traces  # release the batch before the next is drawn
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
@@ -248,7 +249,6 @@ def lemma1_trial(
     samples: int = 10000,
     seed: int = 29,
     atol: float = PREFIX_ATOL,
-    lane: tuple[int, ...] = (),
 ) -> TrialReport:
     """Randomized lower-bound check of the truncated-symplectic trace minimum.
 
@@ -256,11 +256,11 @@ def lemma1_trial(
     (squeezings log-uniform in [1, 8]), checks
     Tr S A S^T >= 2 * (sum of the k smallest symplectic eigenvalues of A),
     and verifies that the first 2k rows of the Williamson transform of A
-    attain the bound (``witness_gap``).  Batch b of 2048 samples draws from
-    ``rng_stream(seed, *lane, b)``; the truncations are the first 2k rows
-    of the draw that ``lemma1_campaign`` reads every k from, so a trial of
-    an n-mode matrix on lane (n,) is that campaign's size-k column for
-    every instance of mode count n.
+    attain the bound (``witness_gap``).  Batch b of 2048 samples of an
+    n-mode matrix draws from ``rng_stream(seed, n, b)``, and the
+    truncations are the first 2k rows of each draw, as in
+    ``lemma1_campaign``: a trial is that campaign's size-k column for every
+    instance of mode count n.  A counterexample names A, k and S.
     """
     a = np.asarray(a, dtype=float)
     n = _mode_count(a)
@@ -268,7 +268,7 @@ def lemma1_trial(
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
     report = TrialReport(seed=seed, parameters={"n": n, "k": k, "squeeze_max": _SQUEEZE_MAX})
     ((report.parameters["bound"], report.witness_gap),) = _lemma1_fold(
-        report, [a], range(k, k + 1), samples, seed, atol, lane, lambda j, k: {})
+        report, [a], range(k, k + 1), samples, seed, atol)
     return report
 
 
@@ -305,10 +305,9 @@ def lemma1_campaign(
     for inst in range(instances):
         rng = rng_stream(seed, inst)
         n = int(rng.integers(1, max_modes + 1))
-        by_modes.setdefault(n, []).append(sample_spd(rng, n, 1, nu_range)[0])
+        by_modes.setdefault(n, []).append(sample_spd(rng, n, 1, nu_range)[0][0])
     for n, mats in sorted(by_modes.items()):
-        for _, gap in _lemma1_fold(report, mats, range(1, n + 1), samples, seed, atol, (n,),
-                                   lambda j, k: {"A": mats[j].tolist(), "k": k}):
+        for _, gap in _lemma1_fold(report, mats, range(1, n + 1), samples, seed, atol):
             report.witness_gap = max(report.witness_gap, abs(gap))
     return report
 

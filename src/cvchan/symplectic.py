@@ -32,6 +32,8 @@ TOL_DECOMP = 1e-8
 
 _J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _RSQRT2 = 1.0 / math.sqrt(2.0)
+#: Squeezing range of the symplectic matrices that ``sample_spd`` congruences by.
+_SPD_SQUEEZE = (1.0, 3.0)
 
 
 class DimensionError(ValueError):
@@ -400,14 +402,14 @@ def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np
     return _euler_form(unitary_to_orthosymplectic(u1), z, unitary_to_orthosymplectic(u2))
 
 
-def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
-    """Haar-random unitaries: Q of Z = QR, diag(R) > 0, Z complex Gaussian (Mezzadri, 2007).  Gram-Schmidt
+def _haar_unitary(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """(size, n, n) Haar-random unitaries: Q of Z = QR, diag(R) > 0, Z complex Gaussian (Mezzadri, 2007).  Gram-Schmidt
     with one re-orthogonalization pass, unitary to working precision (Giraud, Langou & Rozloznik, 2005),
     scales each column by 1 / its positive norm, so no phase step.  Re Z is drawn, then Im Z, each times
     1/sqrt 2 into Z; both round as (re + 1j im) / sqrt 2 and v / |v| do.  Refuses n < 1 for every sampler."""
     if n < 1:
         raise DimensionError(f"mode count must be >= 1, got {n}")
-    shape = (n, n) if size is None else (size, n, n)
+    shape = (size, n, n)
     zmat = np.empty(shape, dtype=complex)
     np.multiply(rng.standard_normal(shape), _RSQRT2, out=zmat.real)
     np.multiply(rng.standard_normal(shape), _RSQRT2, out=zmat.imag)
@@ -425,7 +427,7 @@ def _haar_unitary(rng: np.random.Generator, n: int, size: int | None = None) -> 
 
 def random_unitary(n: int, seed: int = 0) -> np.ndarray:
     """Seeded Haar-random n x n unitary."""
-    return _haar_unitary(rng_stream(seed), n)
+    return _haar_unitary(rng_stream(seed), n, 1)[0]
 
 
 def sample_symplectics(
@@ -469,36 +471,20 @@ def sample_spd(
     n: int,
     count: int,
     nu_range: tuple[float, float],
-    squeeze_range: tuple[float, float] = (1.0, 3.0),
-) -> np.ndarray:
-    """Stack of SPD matrices with symplectic spectra drawn from nu_range.
-
-    Construction: gamma = S^{-1} D (S^{-1})^T with S a random symplectic
-    and D the paired diagonal of the target spectrum, so the Williamson
-    transform of each sample is S itself.  No physicality gate is applied;
-    any nu_min > 0 is accepted.
-    """
-    return _spd_with_spectra(rng, n, count, nu_range, squeeze_range)[0]
-
-
-def _spd_with_spectra(
-    rng: np.random.Generator,
-    n: int,
-    count: int,
-    nu_range: tuple[float, float],
-    squeeze_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (count, 2n, 2n) stack of ``sample_spd`` and its drawn symplectic
-    spectra, (count, n) ascending, from the same draws in the same order.
+    """(count, 2n, 2n) stack of SPD matrices with symplectic spectra drawn
+    from nu_range, and those spectra, (count, n) ascending.
 
-    The drawn spectrum is the one D puts in each sample, so a caller that
-    needs nu of the samples reads it here instead of running ``_spectrum``
-    on the stack; the two agree to rounding in the construction.
+    Construction: gamma = S^{-1} D (S^{-1})^T with S a random symplectic,
+    squeezings in ``_SPD_SQUEEZE``, and D the paired diagonal of the drawn
+    spectrum, so the Williamson transform of each sample is S itself, and
+    a caller reads nu of the samples here instead of from ``_spectrum``.
+    No physicality gate is applied; any nu_min > 0 is accepted.
     """
     lo, hi = nu_range
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError(f"spectrum range must satisfy 0 < lo <= hi < inf, got {nu_range}")
-    s = sample_symplectics(rng, n, count, squeeze_range)
+    s = sample_symplectics(rng, n, count, _SPD_SQUEEZE)
     j = symplectic_form(n)
     s_inv = j @ np.swapaxes(s, -1, -2) @ j.T
     nu = rng.uniform(lo, hi, (count, n))
@@ -508,7 +494,7 @@ def _spd_with_spectra(
 
 def random_spd(n: int, nu_range: tuple[float, float], seed: int = 0) -> np.ndarray:
     """Seeded random SPD matrix with symplectic spectrum in nu_range."""
-    return sample_spd(rng_stream(seed), n, 1, nu_range)[0]
+    return sample_spd(rng_stream(seed), n, 1, nu_range)[0][0]
 
 
 def random_covariance(n: int, nu_range: tuple[float, float] = (1.0, 3.0), seed: int = 0) -> np.ndarray:

@@ -29,7 +29,7 @@ def test_criterion_1_symplectic_core_suite():
     for trial in range(trials):
         rng = sp.rng_stream(1, trial)
         n = int(rng.integers(1, 5))
-        a = sp.sample_spd(rng, n, 1, (0.5, 4.0))[0]
+        a = sp.sample_spd(rng, n, 1, (0.5, 4.0))[0][0]
         s = sp.sample_symplectics(rng, n, 1, (1.0, 4.0))[0]
 
         dec = sp.williamson(a)
@@ -57,8 +57,8 @@ def test_criterion_2_isomorphism_suite():
     for trial in range(500):
         rng = sp.rng_stream(2, trial)
         n = int(rng.integers(1, 5))
-        u = sp._haar_unitary(rng, n)
-        v = sp._haar_unitary(rng, n)
+        u = sp._haar_unitary(rng, n, 1)[0]
+        v = sp._haar_unitary(rng, n, 1)[0]
         tu = sp.unitary_to_orthosymplectic(u)
         tv = sp.unitary_to_orthosymplectic(v)
         worst_hom = max(

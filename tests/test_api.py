@@ -32,12 +32,12 @@ TOLERANCE_PARAMETERS = {
 #: A default is a knob that a caller may leave unset, so a new one must
 #: show up here.
 DEFAULTED_PARAMETERS = {
-    "_haar_unitary.size", "_prefix_gaps.descending",
+    "_prefix_gaps.descending",
     "additivity_check.search_budget", "additivity_check.seed", "additivity_check.tol",
     "gaussian_holevo_capacity.search_budget", "gaussian_holevo_capacity.seed",
     "lemma1_campaign.atol", "lemma1_campaign.instances", "lemma1_campaign.max_modes",
     "lemma1_campaign.samples", "lemma1_campaign.seed",
-    "lemma1_trial.atol", "lemma1_trial.lane", "lemma1_trial.samples", "lemma1_trial.seed",
+    "lemma1_trial.atol", "lemma1_trial.samples", "lemma1_trial.seed",
     "log_fp_concavity_check.bound", "log_fp_concavity_check.points", "log_fp_concavity_check.ps",
     "main.argv",
     "max_output_entropy_under_energy.search_budget", "max_output_entropy_under_energy.seed",
@@ -47,7 +47,7 @@ DEFAULTED_PARAMETERS = {
     "random_covariance.nu_range", "random_covariance.seed",
     "random_majorization_pair.seed", "random_majorization_pair.transforms",
     "random_spd.seed", "random_symplectic.seed", "random_symplectic.squeeze_range", "random_unitary.seed",
-    "sample_spd.squeeze_range", "sample_symplectics.log_squeeze",
+    "sample_symplectics.log_squeeze",
     "schur_campaign.atol", "schur_campaign.max_dim", "schur_campaign.seed", "schur_campaign.trials",
     "theorem1_trial.atol", "theorem1_trial.nu_range", "theorem1_trial.seed",
     "theorem1_trial.trials",
@@ -144,11 +144,15 @@ KIND_BRANCHES = {"channel_to_record", "_leaf_optimum"}
 
 def _owners(paths, hit) -> set[str]:
     """The innermost function (``<module>`` outside any) around every node
-    for which ``hit`` is true, in the given modules."""
+    for which ``hit`` is true, in the given modules.  Annotations are not
+    visited: they name types and run nothing."""
     found = set()
 
     def visit(node: ast.AST, owner: str) -> None:
+        annotations = {id(getattr(node, name, None)) for name in ("annotation", "returns")}
         for child in ast.iter_child_nodes(node):
+            if id(child) in annotations:
+                continue
             if hit(child):
                 found.add(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
@@ -248,6 +252,86 @@ def test_driver_caller_is_detected(tmp_path):
         "DRIVER = _lockstep_nelder_mead\n"
     )
     assert _driver_callers([module]) == {"f", "inner", "h", "<module>"}
+
+
+#: Every function in src/cvchan that calls ``rng_stream``, each keying its
+#: streams by ``(seed, lane)``.  A new caller is a new family of streams, so
+#: it must show up here.
+LANE_OWNERS = {
+    "random_unitary", "random_symplectic", "random_spd", "_lockstep_nelder_mead", "random_majorization_pair",
+    "theorem1_trial", "_lemma1_fold", "lemma1_campaign", "schur_campaign",
+}
+
+
+def _is_rng_stream_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rng_stream"
+
+
+def _lane_owners(paths) -> set[str]:
+    """The functions around every call of ``rng_stream``, bare or as an
+    attribute, in the given modules."""
+    return _owners(paths, _is_rng_stream_call)
+
+
+def _seed_arithmetic(paths) -> list[str]:
+    """Every ``rng_stream`` call whose first argument is not the bare name
+    ``seed``: a stream is named by its lane, never by arithmetic on the seed."""
+    found = []
+    for path in paths:
+        calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if _is_rng_stream_call(node)]
+        found += [f"{path.name}:{call.lineno} {ast.unparse(call)}" for call in sorted(calls, key=lambda c: c.lineno)
+                  if not (call.args and getattr(call.args[0], "id", None) == "seed")]
+    return found
+
+
+def _random_module_readers(paths) -> set[str]:
+    """The functions around every read of ``numpy.random`` (as ``np.random``
+    or ``numpy.random``) and every import of it, in the given modules."""
+
+    def hit(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and ast.unparse(node.value) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.random") or module == "numpy" and any(
+                alias.name == "random" for alias in node.names)
+        return False
+
+    return _owners(paths, hit)
+
+
+def test_lane_owners_are_pinned():
+    assert _lane_owners(sorted(SOURCE.glob("*.py"))) == LANE_OWNERS
+
+
+def test_no_seed_arithmetic():
+    assert _seed_arithmetic(sorted(SOURCE.glob("*.py"))) == []
+
+
+def test_numpy_random_only_in_rng_stream():
+    assert _random_module_readers(sorted(SOURCE.glob("*.py"))) == {"rng_stream"}
+
+
+def test_unkeyed_randomness_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n\n"
+        "def rng_stream(seed, *lane):\n    return np.random.Generator(np.random.Philox(seed))\n\n"
+        "def f(seed: int, rng: np.random.Generator) -> np.random.Generator:\n    return rng_stream(seed, 1)\n\n"
+        "def g(seed):\n    def inner(run):\n        return sp.rng_stream(seed + run)\n    return inner\n\n"
+        "def h(seed):\n    return lambda: rng_stream(2 * seed, 0), numpy.random.rand()\n\n"
+        "def unrelated(rng_stream_seed: np.random.Generator):\n    return rng_stream_seed\n\n"
+        "RNG = rng_stream(seed=3)\n"
+    )
+    assert _lane_owners([module]) == {"f", "inner", "h", "<module>"}
+    assert _seed_arithmetic([module]) == [
+        "module.py:12 sp.rng_stream(seed + run)", "module.py:16 rng_stream(2 * seed, 0)",
+        "module.py:21 rng_stream(seed=3)",
+    ]
+    assert _random_module_readers([module]) == {"<module>", "rng_stream", "h"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -350,7 +350,7 @@ class TestApply:
         for seed in range(25):
             rng = sp.rng_stream(seed, 77)
             n = 1 + seed % 4
-            gamma = sp.sample_spd(rng, n, 1, (1.0, 3.0))[0]
+            gamma = sp.sample_spd(rng, n, 1, (1.0, 3.0))[0][0]
             state = st.GaussianState(gamma, np.zeros(2 * n), np.ones(n))
             eta = rng.uniform(0.0, 1.0, n)
             nbar = rng.uniform(0.0, 2.0, n)
@@ -361,7 +361,7 @@ class TestApply:
         # With the input aligned to the Williamson frame of Y, the output
         # spectrum is exactly 1 + nu(Y).
         rng = sp.rng_stream(5)
-        y = sp.sample_spd(rng, 2, 1, (0.5, 2.5))[0]
+        y = sp.sample_spd(rng, 2, 1, (0.5, 2.5))[0][0]
         dec = sp.williamson(y)
         s_inv = sp.symplectic_inverse(dec.s)
         gamma_p = s_inv @ s_inv.T

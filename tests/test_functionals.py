@@ -873,7 +873,7 @@ class TestMultiplicativity:
 
     def test_witness_attains_product(self):
         rng = sp.rng_stream(31)
-        y = sp.sample_spd(rng, 1, 1, (0.5, 2.0))[0]
+        y = sp.sample_spd(rng, 1, 1, (0.5, 2.0))[0][0]
         report = fn.multiplicativity_check(
             [ch.classical_noise(y), ch.thermal_noise([0.6], [0.8])],
             2.0,

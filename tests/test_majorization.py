@@ -238,11 +238,11 @@ class TestTheorem1:
         n, trials, seed = 10**11, 3, 17
         calls = []
 
-        def identities(lane, mode, count, nu_range, squeeze_range):
+        def identities(lane, mode, count, nu_range):
             calls.append((mode, count))
             return np.broadcast_to(np.eye(2), (count, 2, 2)).copy(), np.ones((count, 1))
 
-        monkeypatch.setattr(mj, "_spd_with_spectra", identities)
+        monkeypatch.setattr(mj, "sample_spd", identities)
         report = mj.theorem1_trial(n, trials=trials, seed=seed)
         drawn, counts = np.unique(sp.rng_stream(seed).integers(1, n + 1, size=trials), return_counts=True)
         assert calls == [(mode, count) for mode, count in zip(drawn.tolist(), counts.tolist()) for _ in "ab"]
@@ -294,7 +294,7 @@ class TestLemma1:
     def test_detects_violation_under_negative_tolerance(self):
         report = mj.lemma1_trial(np.eye(4), 1, samples=100, seed=1, atol=-1e6)
         assert report.failures > 0
-        assert set(report.counterexample) == {"S", "margin"}
+        assert set(report.counterexample) == {"A", "k", "S", "margin"}
         assert report.counterexample["margin"] == report.worst_margin
         assert report.parameters == {"n": 2, "k": 1, "squeeze_max": 8.0, "bound": 2.0}
 
@@ -325,9 +325,9 @@ class TestLemma1:
                 folds.append(margins)
 
         monkeypatch.setattr(mj, "sample_symplectics", recording)
-        mats = list(sp.sample_spd(sp.rng_stream(3, n), n, 2, (0.3, 4.0)))
+        mats = list(sp.sample_spd(sp.rng_stream(3, n), n, 2, (0.3, 4.0))[0])
         ks = range(1, n + 1)
-        bounds = [bound for bound, _ in mj._lemma1_fold(Recorder(), mats, ks, samples, 3, 1e-9, (n,), lambda j, k: {})]
+        bounds = [bound for bound, _ in mj._lemma1_fold(Recorder(), mats, ks, samples, 3, 1e-9)]
         assert sum(len(s) for s in draws) == samples and len(folds) == len(draws) * 2 * n
         for b, s in enumerate(draws):
             for j, a in enumerate(mats):
@@ -341,8 +341,8 @@ class TestLemma1:
         assert report.witness_gap <= 1e-8
 
     def test_campaign_folds_the_trials_on_its_lane(self):
-        # One sampling route: the size-k trial of an n-mode matrix on lane (n,) is the campaign's
-        # column k for every instance of mode count n.  At seed 1 both instances have three modes;
+        # One sampling route: the size-k trial of an n-mode matrix is the campaign's column k for
+        # every instance of mode count n.  At seed 1 both instances have three modes;
         # 2500 samples take two batches.
         seed, samples, n = 1, 2500, 3
         campaign = mj.lemma1_campaign(instances=2, max_modes=3, samples=samples, seed=seed)
@@ -350,8 +350,8 @@ class TestLemma1:
         for inst in range(2):
             rng = sp.rng_stream(seed, inst)
             assert int(rng.integers(1, 4)) == n
-            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
-            trials += [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(n,)) for k in range(1, n + 1)]
+            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0][0]
+            trials += [mj.lemma1_trial(a, k, samples=samples, seed=seed) for k in range(1, n + 1)]
         assert campaign.trials == sum(t.trials for t in trials) == 2 * n * samples
         assert campaign.worst_margin == min(t.worst_margin for t in trials)
         assert campaign.witness_gap == max(abs(t.witness_gap) for t in trials)
@@ -423,8 +423,8 @@ class TestLemma1:
         for inst, (fewer, more) in enumerate(zip(runs, runs[1:]), start=1):
             rng = sp.rng_stream(seed, inst)
             n = int(rng.integers(1, 4))
-            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0]
-            added = [mj.lemma1_trial(a, k, samples=samples, seed=seed, lane=(n,)) for k in range(1, n + 1)]
+            a = sp.sample_spd(rng, n, 1, (0.3, 4.0))[0][0]
+            added = [mj.lemma1_trial(a, k, samples=samples, seed=seed) for k in range(1, n + 1)]
             assert more.trials == fewer.trials + n * samples
             assert more.worst_margin <= fewer.worst_margin
             assert more.witness_gap >= fewer.witness_gap

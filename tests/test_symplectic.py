@@ -170,8 +170,12 @@ class TestSpectrumKernel:
     """The unvalidated kernel against the J A reference, scalar and batched."""
 
     @staticmethod
-    def stack(n, nu_range, seed, squeeze_range=(1.0, 8.0), count=64):
-        return sp.sample_spd(sp.rng_stream(seed, n), n, count, nu_range, squeeze_range)
+    def stack(n, nu_range, seed, count=64):
+        # S diag(nu, nu) S^T with squeezings up to 8, past the (1, 3) that sample_spd draws.
+        rng = sp.rng_stream(seed, n)
+        s = sp.sample_symplectics(rng, n, count, (1.0, 8.0))
+        d = np.repeat(rng.uniform(*nu_range, (count, n)), 2, axis=1)
+        return s @ (d[:, :, None] * np.swapaxes(s, -1, -2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scalar_inputs(self, n):
@@ -285,7 +289,7 @@ def williamson_inputs(draw):
         nu.append(draw(st.floats(0.25, 4.0)) if step is None else min(nu[-1] + step, 4.0))
     z = draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
     rng = sp.rng_stream(draw(st.integers(0, 2**32 - 1)))
-    s = sp.symplectic_from_factors(sp._haar_unitary(rng, n), np.array(z), sp._haar_unitary(rng, n))
+    s = sp.symplectic_from_factors(sp._haar_unitary(rng, n, 1)[0], np.array(z), sp._haar_unitary(rng, n, 1)[0])
     si = sp.symplectic_inverse(s)
     return si @ np.diag(np.repeat(nu, 2)) @ si.T
 
@@ -311,7 +315,7 @@ def euler_inputs(draw):
         z.append(draw(fresh) if step is None else min(z[-1] + step, 4.0))
     rng = sp.rng_stream(draw(st.integers(0, 2**32 - 1)))
     z = np.array(z)
-    return sp.symplectic_from_factors(sp._haar_unitary(rng, n), z, sp._haar_unitary(rng, n)), z
+    return sp.symplectic_from_factors(sp._haar_unitary(rng, n, 1)[0], z, sp._haar_unitary(rng, n, 1)[0]), z
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -402,7 +406,7 @@ class TestEulerDecomposition:
                     z[0] = 2.0
             else:
                 z = np.exp(rng.uniform(0.0, np.log(300.0 if case == 10 else 3000.0), n))
-            s = sp.symplectic_from_factors(sp._haar_unitary(rng, n), z, sp._haar_unitary(rng, n))
+            s = sp.symplectic_from_factors(sp._haar_unitary(rng, n, 1)[0], z, sp._haar_unitary(rng, n, 1)[0])
             if case == 11 and not sp.is_symplectic(s).ok:
                 continue  # building S at z ~ 3000 can itself round past the input check
             dec = sp.euler_decompose(s)
@@ -425,32 +429,37 @@ class TestHaarUnitary:
     @pytest.mark.parametrize("size", [None, 2048])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_phase_fixed_qr_of_the_same_draws(self, n, size):
+        # Size None is one matrix, read from a batch of one.
         shape = (n, n) if size is None else (size, n, n)
         for seed in range(3):
             rng, twin = sp.rng_stream(seed, n), sp.rng_stream(seed, n)
-            u = sp._haar_unitary(rng, n, size)
+            u = sp._haar_unitary(rng, n, 1)[0] if size is None else sp._haar_unitary(rng, n, size)
             z = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
             assert u.shape == shape
             assert np.max(np.abs(u - phase_fixed_qr(z))) <= 1e-11
             assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(n))) <= 1e-14
 
-    @pytest.mark.parametrize("size", [None, 1, 2048])
+    @pytest.mark.parametrize("size", [1, 2048])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stream_does_not_shift(self, n, size):
         # The sampler reads exactly its 2 size n^2 normals, so every stream
         # after it stays where it was.
         rng, twin = sp.rng_stream(5, n), sp.rng_stream(5, n)
         sp._haar_unitary(rng, n, size)
-        twin.standard_normal(2 * (1 if size is None else size) * n * n)
+        twin.standard_normal(2 * size * n * n)
         assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
 
     @pytest.mark.parametrize("size", [None, 1, 5, 2500])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_gram_schmidt_with_linalg_norm_bit_for_bit(self, n, size):
         # The sampler spells out the norm and conjugates each column's basis
-        # once; the draws it returns are those of the plain loop below.
-        shape = (n, n) if size is None else (size, n, n)
-        rng, twin = sp.rng_stream(8, n), sp.rng_stream(8, n)
+        # once; the draws it returns are those of the plain loop below.  Size
+        # None is random_unitary, the loop on the (n, n) draw of its seed.
+        if size is None:
+            u, twin, shape = sp.random_unitary(n, seed=8), sp.rng_stream(8), (n, n)
+        else:
+            twin, shape = sp.rng_stream(8, n), (size, n, n)
+            u = sp._haar_unitary(sp.rng_stream(8, n), n, size)
         z = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / np.sqrt(2.0)
         q = np.empty_like(z)
         for j in range(n):
@@ -459,7 +468,7 @@ class TestHaarUnitary:
                 done = q[..., :, :j]
                 v = v - np.einsum("...ik,...k->...i", done, np.einsum("...ik,...i->...k", done.conj(), v))
             q[..., :, j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        assert np.array_equal(sp._haar_unitary(rng, n, size), q)
+        assert np.array_equal(u, q)
 
 
 def embed_by_zero_fill(u):
@@ -478,8 +487,10 @@ class TestEmbedUnitary:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_zero_filled_build_bit_for_bit(self, n, size):
         # Signed zeros included: the identity's -Im is -0.0 below the diagonal.
-        shape = (n, n) if size is None else (size, n, n)
-        for u in (sp._haar_unitary(sp.rng_stream(6, n), n, size), np.broadcast_to(np.eye(n, dtype=complex), shape)):
+        draws = sp._haar_unitary(sp.rng_stream(6, n), n, size or 1)
+        # Size None is one matrix, as euler_decompose and unitary_to_orthosymplectic embed.
+        haar = draws[0] if size is None else draws
+        for u in (haar, np.broadcast_to(np.eye(n, dtype=complex), haar.shape)):
             # Freed NaN memory of the image's size, which an unwritten entry would read.
             stale = np.full(u.shape[:-2] + (2 * n, 2 * n), np.nan)
             del stale
@@ -594,12 +605,15 @@ class TestRandomGenerators:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_drawn_spectra_come_with_the_sample_spd_stack(self, n):
-        # Equal rng states give sample_spd's stack bit for bit and leave the
-        # streams level; the spectra are the drawn ones, ascending.
+        # The spectra returned are the drawn ones, ascending, and those of the
+        # returned stack to rounding; the sampler reads one symplectic draw
+        # and n uniforms per matrix, so its stream ends level with a twin's.
         rng, twin = sp.rng_stream(12, n), sp.rng_stream(12, n)
-        a, nu = sp._spd_with_spectra(rng, n, 256, (0.25, 4.0), (1.0, 3.0))
-        assert np.array_equal(a, sp.sample_spd(twin, n, 256, (0.25, 4.0)))
+        a, nu = sp.sample_spd(rng, n, 256, (0.25, 4.0))
+        sp.sample_symplectics(twin, n, 256, (1.0, 3.0))
+        twin.uniform(size=256 * n)
         assert rng.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
+        assert a.shape == (256, 2 * n, 2 * n)
         assert nu.shape == (256, n) and np.all(np.diff(nu, axis=1) >= 0.0)
         assert np.all((0.25 <= nu) & (nu <= 4.0))
         assert_allclose(nu, sp._spectrum(a), rtol=1e-12, atol=0.0)
