@@ -8,154 +8,16 @@ randomized campaigns.
 
 __version__ = "0.1.0"
 
-from .symplectic import (
-    TOL_DECOMP,
-    TOL_SYM,
-    EulerDecomposition,
-    SymplecticCheck,
-    WilliamsonDecomposition,
-    euler_decompose,
-    is_symplectic,
-    orthosymplectic_to_unitary,
-    random_covariance,
-    random_spd,
-    random_symplectic,
-    random_unitary,
-    rng_stream,
-    symplectic_eigenvalues,
-    symplectic_form,
-    symplectic_from_factors,
-    symplectic_inverse,
-    truncate_rows,
-    unitary_to_orthosymplectic,
-    williamson,
-)
-from .states import (
-    TOL_PHYS,
-    GaussianState,
-    ModeEnergy,
-    coherent,
-    f_p,
-    g_p,
-    is_physical,
-    is_pure,
-    mean_energy,
-    renyi_entropy,
-    schatten_norm,
-    thermal,
-    trace_p,
-    vacuum,
-    von_neumann_entropy,
-)
-from .channels import (
-    GaussianChannel,
-    apply,
-    classical_noise,
-    lossy,
-    make_channel,
-    noise_spectrum,
-    tensor,
-    thermal_noise,
-)
-from .functionals import (
-    CapacityReport,
-    EnergyBudget,
-    OptimizationReport,
-    additivity_check,
-    gaussian_holevo_capacity,
-    log_fp_concavity_check,
-    max_output_entropy_under_energy,
-    max_output_p_norm,
-    min_output_entropy,
-    min_output_fp_closed,
-    multiplicativity_check,
-    numeric_inf_fp,
-)
-from .majorization import (
-    TrialReport,
-    lemma1_campaign,
-    lemma1_trial,
-    majorize,
-    random_majorization_pair,
-    schur_campaign,
-    schur_diag_check,
-    t_transform,
-    theorem1_trial,
-    weak_submajorize,
-    weak_supermajorize,
-)
+from . import symplectic, states, channels, functionals, majorization
+from .symplectic import *
+from .states import *
+from .channels import *
+from .functionals import *
+from .majorization import *
 
-__all__ = [
-    "__version__",
-    # symplectic
-    "TOL_SYM",
-    "TOL_DECOMP",
-    "SymplecticCheck",
-    "WilliamsonDecomposition",
-    "EulerDecomposition",
-    "symplectic_form",
-    "is_symplectic",
-    "symplectic_eigenvalues",
-    "williamson",
-    "euler_decompose",
-    "unitary_to_orthosymplectic",
-    "orthosymplectic_to_unitary",
-    "symplectic_from_factors",
-    "symplectic_inverse",
-    "random_unitary",
-    "random_symplectic",
-    "random_covariance",
-    "random_spd",
-    "rng_stream",
-    "truncate_rows",
-    # states
-    "TOL_PHYS",
-    "GaussianState",
-    "ModeEnergy",
-    "vacuum",
-    "thermal",
-    "coherent",
-    "is_physical",
-    "is_pure",
-    "mean_energy",
-    "f_p",
-    "g_p",
-    "trace_p",
-    "schatten_norm",
-    "renyi_entropy",
-    "von_neumann_entropy",
-    # channels
-    "GaussianChannel",
-    "make_channel",
-    "classical_noise",
-    "thermal_noise",
-    "lossy",
-    "tensor",
-    "apply",
-    "noise_spectrum",
-    # functionals
-    "EnergyBudget",
-    "OptimizationReport",
-    "CapacityReport",
-    "min_output_fp_closed",
-    "max_output_p_norm",
-    "min_output_entropy",
-    "numeric_inf_fp",
-    "max_output_entropy_under_energy",
-    "gaussian_holevo_capacity",
-    "multiplicativity_check",
-    "additivity_check",
-    "log_fp_concavity_check",
-    # majorization
-    "TrialReport",
-    "majorize",
-    "weak_submajorize",
-    "weak_supermajorize",
-    "t_transform",
-    "random_majorization_pair",
-    "schur_diag_check",
-    "theorem1_trial",
-    "lemma1_trial",
-    "lemma1_campaign",
-    "schur_campaign",
-]
+__all__ = ["__version__"]
+__all__ += symplectic.__all__
+__all__ += states.__all__
+__all__ += channels.__all__
+__all__ += functionals.__all__
+__all__ += majorization.__all__

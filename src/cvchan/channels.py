@@ -27,6 +27,17 @@ from .symplectic import (
 )
 from .states import GaussianState
 
+__all__ = [
+    "GaussianChannel",
+    "make_channel",
+    "classical_noise",
+    "thermal_noise",
+    "lossy",
+    "tensor",
+    "apply",
+    "noise_spectrum",
+]
+
 #: Slack on the complete-positivity certificate eigenvalue.
 TOL_CP = 1e-10
 #: Noise eigenvalues below this count as singular; the optimal-input witness adds it to Y.
@@ -206,7 +217,9 @@ def _noise_spectrum(y: np.ndarray, y_min: float) -> np.ndarray:
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:
-    """Structured-text record of a channel; inverse of ``channel_from_record``."""
+    """Structured-text record of a channel, which ``channel_from_record`` inverts for a
+    primitive kind.  A tensor product's record is its joint (X, Y) as ``custom``: it
+    reloads as one custom leaf, without the leaves that give the product its closed form."""
     record: dict = {"n_modes": channel.n, "kind": channel.kind}
     if channel.eta is not None:
         record["eta"] = [float(v) for v in channel.eta]

@@ -176,6 +176,8 @@ def cmd_analyze(args) -> int:
             entry["xi_p"] = 2.0**channel.n / inf_fp ** (1.0 / p)
         else:  # the product overflows; its log, read from the minimal S_p, does not
             log_inf_fp = fn.log_fp_of_renyi(channel.n, p, st.renyi_entropy(nu, p) if s_p is None else s_p)
+            if not math.isfinite(log_inf_fp):  # strict JSON has no Infinity
+                raise ValueError(f"--p {p}: ln F_p overflows a double")
             entry["inf_F_p"] = None
             entry["log_inf_F_p"] = log_inf_fp
             entry["xi_p"] = 2.0**channel.n * math.exp(-log_inf_fp / p)

@@ -36,6 +36,21 @@ from .symplectic import (
     williamson,
 )
 
+__all__ = [
+    "EnergyBudget",
+    "OptimizationReport",
+    "CapacityReport",
+    "min_output_fp_closed",
+    "max_output_p_norm",
+    "min_output_entropy",
+    "numeric_inf_fp",
+    "max_output_entropy_under_energy",
+    "gaussian_holevo_capacity",
+    "multiplicativity_check",
+    "additivity_check",
+    "log_fp_concavity_check",
+]
+
 #: Tolerance for comparisons against closed-form optima (inf side).
 TOL_OPT_CLOSED = 1e-6
 #: Tolerance for the flatter sup-side searches (capacity).

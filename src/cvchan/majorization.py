@@ -36,6 +36,20 @@ from .symplectic import (
     williamson,
 )
 
+__all__ = [
+    "TrialReport",
+    "majorize",
+    "weak_submajorize",
+    "weak_supermajorize",
+    "t_transform",
+    "random_majorization_pair",
+    "schur_diag_check",
+    "theorem1_trial",
+    "lemma1_trial",
+    "lemma1_campaign",
+    "schur_campaign",
+]
+
 #: Absolute and relative slack for prefix-sum comparisons.
 PREFIX_ATOL = 1e-9
 PREFIX_RTOL = 1e-12

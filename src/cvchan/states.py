@@ -16,6 +16,24 @@ import numpy as np
 
 from .symplectic import DimensionError, _mode_count, symplectic_eigenvalues, symplectic_form
 
+__all__ = [
+    "TOL_PHYS",
+    "GaussianState",
+    "ModeEnergy",
+    "vacuum",
+    "thermal",
+    "coherent",
+    "is_physical",
+    "is_pure",
+    "mean_energy",
+    "f_p",
+    "g_p",
+    "trace_p",
+    "schatten_norm",
+    "renyi_entropy",
+    "von_neumann_entropy",
+]
+
 #: Physicality slack on the symplectic spectrum (nu_j >= 1 - TOL_PHYS).
 TOL_PHYS = 1e-8
 #: Smallest normal double; a smaller nonzero exponent in ``_renyi`` is subnormal.
@@ -230,7 +248,8 @@ def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
         out[mask] -= dn[mask] * np.log(dn[mask])
         return out.sum(axis=-1)
     d = 0.5 * (nu - 1.0)
-    t = (1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300))
+    with np.errstate(over="ignore"):  # t = -inf gives expm1(t) = -1, its limit
+        t = (1.0 - p) * np.log1p(1.0 / np.maximum(d, 1e-300))
     dx = d * np.expm1(t)
     size = np.abs(t)
     if size.min(initial=np.inf) < _TINY:

@@ -25,6 +25,29 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+__all__ = [
+    "TOL_SYM",
+    "TOL_DECOMP",
+    "SymplecticCheck",
+    "WilliamsonDecomposition",
+    "EulerDecomposition",
+    "symplectic_form",
+    "is_symplectic",
+    "symplectic_eigenvalues",
+    "williamson",
+    "euler_decompose",
+    "unitary_to_orthosymplectic",
+    "orthosymplectic_to_unitary",
+    "symplectic_from_factors",
+    "symplectic_inverse",
+    "random_unitary",
+    "random_symplectic",
+    "random_covariance",
+    "random_spd",
+    "rng_stream",
+    "truncate_rows",
+]
+
 #: Membership tolerance for symplectic / orthogonal / unitary residuals.
 TOL_SYM = 1e-10
 #: Residual tolerance for matrix factorizations (Williamson, Euler).

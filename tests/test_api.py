@@ -1,7 +1,7 @@
-"""Package surface: which names are public, which signatures take a tolerance, which parameters have a
-default, which functions enter the search driver, no unused imports, no module-level definition without a
-caller, no scipy (so one Nelder-Mead), nothing newer than the NumPy floor, and LAPACK QR only in
-``euler_decompose``."""
+"""Package surface: which names are public, each listed once in the ``__all__`` of the module that defines
+it, which signatures take a tolerance, which parameters have a default, which functions enter the search
+driver, no unused imports, no module-level definition without a caller, no scipy (so one Nelder-Mead),
+nothing newer than the NumPy floor, and LAPACK QR only in ``euler_decompose``."""
 
 import ast
 import inspect
@@ -334,13 +334,21 @@ def test_unkeyed_randomness_is_detected(tmp_path):
     assert _random_module_readers([module]) == {"<module>", "rng_stream", "h"}
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    """The names a module lists in ``__all__``."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            names.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return names
+def _exported(tree: ast.Module) -> list[str]:
+    """The names a module lists in a top-level ``__all__ = [...]``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _sibling_exports(path: pathlib.Path, module: str | None) -> list[str]:
+    """What ``module``, a sibling ``.py`` file of ``path``, lists in ``__all__``; empty without one."""
+    sibling = path.parent / f"{module}.py"
+    if not module or "." in module or not sibling.is_file():
+        return []
+    return _exported(ast.parse(sibling.read_text(encoding="utf-8")))
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
@@ -352,9 +360,13 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+                elif not (path.name == "__init__.py" and node.level == 1 and _sibling_exports(path, node.module)):
+                    # the one star a package may hold: ``from .<module> import *`` of a module's ``__all__``
+                    imported[f"from {'.' * node.level}{node.module or ''} import *"] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= _exported(tree)  # a package re-exports what it lists in __all__
+    used.update(_exported(tree))  # a package re-exports what it lists in __all__
     return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -369,13 +381,87 @@ def test_unused_import_is_detected(tmp_path):
     assert _unused_imports(module) == ["module.py:2 NamedTuple", "module.py:1 os"]
 
 
+def test_star_import_is_accepted_only_as_a_republished_list(tmp_path):
+    (tmp_path / "listed.py").write_text("__all__ = ['f']\n\ndef f():\n    pass\n")
+    (tmp_path / "unlisted.py").write_text("def g():\n    pass\n")
+    (tmp_path / "__init__.py").write_text(
+        "from . import listed\nfrom .listed import *\nfrom .unlisted import *\nfrom os import *\n"
+        "from .missing import *\n\n__all__ = []\n__all__ += listed.__all__\n"
+    )
+    (tmp_path / "module.py").write_text("from .listed import *\n")
+    assert _unused_imports(tmp_path / "__init__.py") == [
+        "__init__.py:5 from .missing import *", "__init__.py:3 from .unlisted import *",
+        "__init__.py:4 from os import *",
+    ]
+    assert _unused_imports(tmp_path / "module.py") == ["module.py:1 from .listed import *"]
+
+
+def _declaration_faults(paths) -> list[str]:
+    """Every name a module lists in its literal ``__all__`` but does not define at
+    its top level (an import is not a definition), every name that two modules
+    list, and every ``__all__ +=`` of anything but a sibling module's ``__all__``:
+    a public name is listed once, beside its definition, and a package
+    ``__init__`` republishes the lists of its modules."""
+    faults, owner = [], {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+            elif isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "__all__":
+                value = node.value
+                if not (isinstance(value, ast.Attribute) and value.attr == "__all__"
+                        and isinstance(value.value, ast.Name)
+                        and _sibling_exports(path, value.value.id)):
+                    faults.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        for name in _exported(tree):
+            if name not in defined:
+                faults.append(f"{path.name}: {name} is not defined there")
+            if name in owner:
+                faults.append(f"{name} is listed in {owner[name]} and {path.name}")
+            owner.setdefault(name, path.name)
+    return faults
+
+
+def test_each_public_name_is_listed_once_beside_its_definition():
+    assert _declaration_faults(sorted(SOURCE.glob("*.py"))) == []
+
+
+def test_package_republishes_each_module_object():
+    modules = [cvchan.symplectic, cvchan.states, cvchan.channels, cvchan.functionals, cvchan.majorization]
+    assert ["__version__"] + [name for module in modules for name in module.__all__] == cvchan.__all__
+    for module in modules:
+        assert all(getattr(cvchan, name) is getattr(module, name) for name in module.__all__), module.__name__
+
+
+def test_declaration_fault_is_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from os import path\n\n__all__ = ['f', 'G', 'path', 'missing']\n\n"
+        "def f():\n    pass\n\nG: int = 1\n"
+    )
+    (tmp_path / "b.py").write_text("__all__ = ['f', 'h']\n\ndef f():\n    pass\n\nh, k = 1, 2\n")
+    (tmp_path / "__init__.py").write_text(
+        "__version__ = '1'\n\nfrom .a import *\n\n"
+        "__all__ = ['__version__', 'h']\n__all__ += a.__all__\n__all__ += ['extra']\n__all__ += os.__all__\n"
+    )
+    assert _declaration_faults([tmp_path / name for name in ("a.py", "b.py", "__init__.py")]) == [
+        "a.py: path is not defined there", "a.py: missing is not defined there", "f is listed in a.py and b.py",
+        "__init__.py:7 __all__ += ['extra']", "__init__.py:8 __all__ += os.__all__",
+        "__init__.py: h is not defined there", "h is listed in b.py and __init__.py",
+    ]
+
+
 def _uncalled_definitions(paths) -> list[str]:
     """Module-level functions and classes that no other top-level statement
     of the given modules names, and that ``__all__`` does not export."""
     defined, used = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _exported(tree)
+        used.update(_exported(tree))
         for statement in tree.body:
             names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 import cvchan.channels as ch
+import cvchan.functionals as fn
 import cvchan.states as st
 from cvchan import symplectic as sp
 
@@ -46,6 +47,10 @@ class TestMakeChannel:
     def test_zero_modes_rejected(self, make):
         with pytest.raises(sp.DimensionError):
             make()
+
+    def test_y_of_another_shape_rejected(self):
+        with pytest.raises(sp.DimensionError, match=r"Y must match X, got \(4, 4\) vs \(2, 2\)"):
+            ch.make_channel(np.eye(2), np.eye(4))
 
     def test_kind_is_not_a_parameter(self):
         # A declared kind would select closed forms that (X, Y) do not obey:
@@ -387,6 +392,31 @@ class TestChannelRecords:
         back = ch.channel_from_record(ch.channel_to_record(channel))
         assert_allclose(back.x, channel.x)
         assert_allclose(back.y, channel.y)
+
+    def test_a_leaf_record_reloads_its_kind_and_a_product_record_does_not(self):
+        # A product's record is its joint (X, Y): its leaves, and with them
+        # its closed form, are not written.
+        thermal, classical = ch.thermal_noise([0.5], [1.0]), ch.classical_noise(np.eye(2))
+        for leaf in (thermal, classical):
+            record = ch.channel_to_record(leaf)
+            assert ch.channel_to_record(ch.channel_from_record(record)) == record
+        product = ch.tensor([thermal, classical])
+        back = ch.channel_from_record(ch.channel_to_record(product))
+        assert (back.kind, back.leaves) == ("custom", (back,))
+        assert_allclose(back.x, product.x)
+        assert_allclose(back.y, product.y)
+        assert_allclose(fn.optimal_output_spectrum(product), [2.0, 2.0])
+        with pytest.raises(fn.UnsupportedKindError):
+            fn.optimal_output_spectrum(back)
+
+    @pytest.mark.parametrize("arrays, lists", [
+        ({"n_modes": 1, "kind": "classical", "Y": [np.eye(2)]}, {"n_modes": 1, "kind": "classical", "Y": [1, 0, 0, 1]}),
+        ({"n_modes": 1, "kind": "thermal", "eta": np.array([0.5]), "nbar": [np.float64(1.0)]},
+         {"n_modes": 1, "kind": "thermal", "eta": [0.5], "nbar": [1.0]}),
+    ], ids=["classical", "thermal"])
+    def test_numpy_fields_load_like_lists(self, arrays, lists):
+        assert ch.channel_to_record(ch.channel_from_record(arrays)) == ch.channel_to_record(
+            ch.channel_from_record(lists))
 
     def test_missing_field_names_culprit(self):
         with pytest.raises(ch.ChannelSpecError) as info:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from cvchan import channels as ch
 from cvchan import functionals as fn
 from cvchan import majorization as mj
 from cvchan import symplectic as sp
+
+#: The spec files of the pinned reports.
+CHANNELS = pathlib.Path(__file__).parent / "reports" / "channels"
 
 
 @pytest.fixture
@@ -508,6 +512,25 @@ class TestInvalidInputExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec, search", [
+        ("thermal4", []), ("classical2", []), ("custom2", ["--numeric", "--budget", "50"]),
+    ], ids=["thermal4", "classical2", "custom2-numeric"])
+    def test_overflowing_log_fp_exits_2_naming_the_order(self, spec, search, tmp_path, capsys):
+        # ln F_p = n p ln 2 + (p - 1) S_p is past the doubles at p = 1e308; no report is written.
+        out = tmp_path / "r.json"
+        code = cli.main(["analyze", "--channel", str(CHANNELS / f"{spec}.json"), "--p", "2,1e308", *search,
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert (captured.out, captured.err) == ("", "error: --p 1e+308: ln F_p overflows a double\n")
+        assert not out.exists()
+
+    def test_finite_log_fp_is_reported_where_f_p_overflows(self, capsys):
+        assert cli.main(["analyze", "--channel", str(CHANNELS / "thermal4.json"), "--p", "1e300"]) == cli.EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert entry["inf_F_p"] is None
+        assert entry["log_inf_F_p"] == pytest.approx(4.092743280855127e300, rel=1e-15)
 
     def test_non_finite_result_exits_2_not_invalid_json(self, thermal_spec, monkeypatch, capsys):
         nan_report = fn.CapacityReport(float("nan"), True, 0.0)

@@ -466,3 +466,13 @@ class TestTrialReportInvariant:
     def test_non_finite_atol_raises(self, campaign, atol):
         with pytest.raises(ValueError, match="must be finite"):
             campaign(atol)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mj.random_majorization_pair(0), "vector length must be >= 1, got 0"),
+    (lambda: mj.schur_diag_check(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+    (lambda: mj.theorem1_trial(0), "max mode count must be >= 1, got 0"),
+], ids=["random_majorization_pair", "schur_diag_check", "theorem1_trial"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(sp.DimensionError, match=message):
+        call()

@@ -57,7 +57,8 @@ class TestConstructors:
         lambda: st.GaussianState(np.zeros((0, 0)), np.zeros(0), 1.0),
         lambda: st.thermal([]),
         lambda: st.coherent(0, 1.0, []),
-    ], ids=["GaussianState", "thermal", "coherent"])
+        lambda: st.vacuum(0),
+    ], ids=["GaussianState", "thermal", "coherent", "vacuum"])
     def test_zero_modes_rejected(self, make):
         with pytest.raises(sp.DimensionError):
             make()
@@ -391,3 +392,13 @@ class TestSchurConcavityOfFp:
             for p in (1.5, 2.0, 3.0):
                 assert np.prod(st.f_p(x, p)) >= np.prod(st.f_p(y, p)) * (1.0 - 1e-12)
 
+
+def test_one_frequency_per_mode():
+    with pytest.raises(sp.DimensionError, match=r"expected 1 mode frequencies, got shape \(2,\)"):
+        st.GaussianState(np.eye(2), np.zeros(2), [1.0, 2.0])
+
+
+def test_order_past_the_doubles_gives_the_inf_limit_without_a_warning():
+    # (1 - p) ln(1 + 1/d) overflows to -inf for a nearly pure mode; S_p is then its p -> inf limit, ln u.
+    nu = np.array([1.0001, 3.0])
+    assert st.renyi_entropy(nu, 1e308) == st.renyi_entropy(nu, np.inf)

@@ -691,3 +691,13 @@ class TestSerialization:
     def test_length_mismatch_rejected(self):
         with pytest.raises(sp.DimensionError):
             sp.matrix_from_rowmajor([1.0, 2.0, 3.0], 2, 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sp.unitary_to_orthosymplectic(np.ones((2, 3))), sp.DimensionError, r"square matrix, got shape \(2, 3\)"),
+    (lambda: sp.truncation_residual(np.ones((3, 4)), 2), sp.DimensionError, r"2k x 4 matrix, got shape \(3, 4\)"),
+    (lambda: sp.truncate_rows(np.diag([2.0, 1.0, 1.0, 1.0]), 1), sp.NotSymplecticError, r"residual 1\.000e\+00"),
+], ids=["unitary_to_orthosymplectic", "truncation_residual", "truncate_rows"])
+def test_malformed_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
