@@ -20,8 +20,6 @@ from .symplectic import (
     DimensionError,
     _direct_sum,
     _hermitian,
-    matrix_from_rowmajor,
-    matrix_to_rowmajor,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -217,18 +215,18 @@ def _noise_spectrum(y: np.ndarray, y_min: float) -> np.ndarray:
 
 
 def channel_to_record(channel: GaussianChannel) -> dict:
-    """Structured-text record of a channel, which ``channel_from_record`` inverts for a
-    primitive kind.  A tensor product's record is its joint (X, Y) as ``custom``: it
-    reloads as one custom leaf, without the leaves that give the product its closed form."""
+    """Record of a channel, Python floats with matrices row-major, which ``channel_from_record``
+    inverts for a primitive kind.  A tensor product's record is its joint (X, Y) as ``custom``:
+    it reloads as one custom leaf, without the leaves that give the product its closed form."""
     record: dict = {"n_modes": channel.n, "kind": channel.kind}
     if channel.eta is not None:
-        record["eta"] = [float(v) for v in channel.eta]
+        record["eta"] = channel.eta.tolist()
     if channel.nbar is not None:
-        record["nbar"] = [float(v) for v in channel.nbar]
-    if channel.kind in ("custom",):
-        record["X"] = matrix_to_rowmajor(channel.x)
+        record["nbar"] = channel.nbar.tolist()
+    if channel.kind == "custom":
+        record["X"] = channel.x.ravel().tolist()
     if channel.kind in ("classical", "custom"):
-        record["Y"] = matrix_to_rowmajor(channel.y)
+        record["Y"] = channel.y.ravel().tolist()
     return record
 
 
@@ -249,20 +247,25 @@ def _numbers_only(value) -> bool:
     return True
 
 
-def _numeric_field(name: str, value) -> np.ndarray:
-    """A record field as a float array; entries must be finite numbers, so
-    booleans and strings are rejected rather than converted."""
+def _numeric_field(record: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Field ``name`` of a record as a new float array of ``shape``.  Entries must be
+    finite numbers, so booleans and strings are refused rather than converted.  A
+    vector field has ``shape`` itself; a matrix field may nest its row-major entries."""
+    value = record[name]
     if not _numbers_only(value):
         raise ChannelSpecError(name, "entries must be numbers")
     try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, or nested deeper than numpy takes
         raise ChannelSpecError(name, "entries must be numbers") from None
     except OverflowError:  # a JSON integer beyond the float range
         raise ChannelSpecError(name, "entries must be finite") from None
     if not np.isfinite(array).all():
         raise ChannelSpecError(name, "entries must be finite")
-    return array
+    entries = int(np.prod(shape))
+    if array.shape != shape and (len(shape) == 1 or array.size != entries):
+        raise ChannelSpecError(name, f"expected {entries} entries, got shape {array.shape}")
+    return array.reshape(shape)
 
 
 def channel_from_record(record: dict) -> GaussianChannel:
@@ -281,35 +284,24 @@ def channel_from_record(record: dict) -> GaussianChannel:
     if kind not in ("classical", "thermal", "lossy", "custom"):
         raise ChannelSpecError("kind", f"unknown kind {kind!r}")
 
-    def matrix_field(name: str) -> np.ndarray:
+    def field(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in record:
             raise ChannelSpecError(name, f"missing for a {kind} channel")
-        values = _numeric_field(name, record[name])
-        try:
-            return matrix_from_rowmajor(values, 2 * n, 2 * n)
-        except (TypeError, ValueError, DimensionError) as exc:
-            raise ChannelSpecError(name, str(exc)) from None
+        return _numeric_field(record, name, shape)
 
-    def vector_field(name: str) -> np.ndarray:
-        value = _numeric_field(name, record.get(name, []))
-        if value.shape != (n,):
-            raise ChannelSpecError(name, f"expected {n} entries, got shape {value.shape}")
-        return value
-
+    matrix = (2 * n, 2 * n)
     try:
         if kind == "classical":
-            return classical_noise(matrix_field("Y"))
+            return classical_noise(field("Y", matrix))
         if kind == "thermal":
-            return thermal_noise(vector_field("eta"), vector_field("nbar"))
+            return thermal_noise(field("eta", (n,)), field("nbar", (n,)))
         if kind == "lossy":
-            return lossy(vector_field("eta"))
-        return make_channel(matrix_field("X"), matrix_field("Y"))
-    except CompletePositivityError as exc:
-        raise ChannelSpecError("Y" if kind == "classical" else "X/Y", str(exc)) from None
-    except (ValueError, DimensionError) as exc:
-        if isinstance(exc, ChannelSpecError):
-            raise
-        raise ChannelSpecError("eta/nbar" if kind in ("thermal", "lossy") else "X/Y", str(exc)) from None
+            return lossy(field("eta", (n,)))
+        return make_channel(field("X", matrix), field("Y", matrix))
+    except ChannelSpecError:
+        raise
+    except ValueError as exc:  # every field is well formed: the constructor refused their values
+        raise ChannelSpecError({"classical": "Y", "custom": "X/Y"}.get(kind, "eta/nbar"), str(exc)) from None
 
 
 def load_channel(path) -> tuple[GaussianChannel, np.ndarray | None]:
@@ -326,9 +318,4 @@ def load_channel(path) -> tuple[GaussianChannel, np.ndarray | None]:
         except RecursionError:
             raise ChannelSpecError("<file>", "JSON nested too deeply") from None
     channel = channel_from_record(record)
-    omega = record.get("omega")
-    if omega is not None:
-        omega = _numeric_field("omega", omega)
-        if omega.shape != (channel.n,):
-            raise ChannelSpecError("omega", f"expected {channel.n} entries, got {omega.size}")
-    return channel, omega
+    return channel, None if record.get("omega") is None else _numeric_field(record, "omega", (channel.n,))

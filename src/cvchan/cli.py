@@ -152,8 +152,7 @@ def cmd_analyze(args) -> int:
     p_values = _parse_float_list(args.p)
     report = _base_report(args, {"tol_opt": fn.TOL_OPT_CLOSED})
     for p in p_values:  # the whole list, before any search
-        if not p > 1.0:
-            raise ValueError(f"order must be > 1, got {p}")
+        fn.check_fp_order(p)
     try:
         nu = fn.optimal_output_spectrum(channel)  # every closed-form row is read off it
     except fn.UnsupportedKindError:

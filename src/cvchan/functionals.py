@@ -184,12 +184,17 @@ def exp_or_inf(x: float) -> float:
         return float(np.exp(x))
 
 
+def check_fp_order(p: float) -> None:
+    """Refuse an F_p order that is not finite and > 1: F_inf is +inf for every state."""
+    if not 1.0 < p < math.inf:  # NaN fails the test
+        raise ValueError(f"order must be {'finite' if p == math.inf else '> 1'}, got {p}")
+
+
 def min_output_fp_closed(channel: ch.GaussianChannel, p: float) -> float:
-    """Closed-form infimum of F_p over pure Gaussian inputs, p > 1: the
+    """Closed-form infimum of F_p over pure Gaussian inputs, finite p > 1: the
     product of f_p over the optimal output spectrum, inf where it overflows
     (its log, from ``min_output_renyi_closed``, is finite)."""
-    if not p > 1.0:
-        raise ValueError(f"order must be > 1, got {p}")
+    check_fp_order(p)
     return fp_product(optimal_output_spectrum(channel), p)
 
 
@@ -473,11 +478,10 @@ def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]
 
 
 def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, seed: int = 0) -> OptimizationReport:
-    """Numeric inf F_p over pure inputs, p > 1: ``numeric_min_renyis`` read through
+    """Numeric inf F_p over pure inputs, finite p > 1: ``numeric_min_renyis`` read through
     ``log_fp_of_renyi``, so ``best_value`` is inf where F_p overflows a double.  The
     gap to the closed form is one of F_p, or of ln F_p where the closed form overflows."""
-    if not p > 1.0:
-        raise ValueError(f"order must be > 1, got {p}")
+    check_fp_order(p)
     report = numeric_min_renyis([(channel, p)], budget, seed)[0]
     gap = report.gap_to_closed_form
     report.best_value = exp_or_inf(log_fp_of_renyi(channel.n, p, report.best_value))

@@ -387,7 +387,7 @@ def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {u.shape}")
     res = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if res > TOL_SYM:
+    if not res <= TOL_SYM:  # a NaN residual is refused too
         raise NotSymplecticError(f"input is not unitary (residual {res:.3e} > {TOL_SYM:.1e})")
     return _embed_unitary(u)
 
@@ -413,7 +413,7 @@ def orthosymplectic_to_unitary(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     _mode_count(t)
     res = max(symplectic_residual(t), orthogonality_residual(t))
-    if res > TOL_SYM:
+    if not res <= TOL_SYM:  # a NaN residual is refused too
         raise NotSymplecticError(f"input is not in K(n) (residual {res:.3e} > {TOL_SYM:.1e})")
     re = 0.5 * (t[0::2, 0::2] + t[1::2, 1::2])
     im = 0.5 * (t[0::2, 1::2] - t[1::2, 0::2])
@@ -421,7 +421,10 @@ def orthosymplectic_to_unitary(t: np.ndarray) -> np.ndarray:
 
 
 def symplectic_from_factors(u1: np.ndarray, z: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Assemble T(U1) Z T(U2) from two unitaries and squeeze values z > 0."""
+    """Assemble T(U1) Z T(U2) from two unitaries and finite squeeze values z > 0."""
+    z = np.asarray(z, dtype=float)
+    if not np.all((z > 0.0) & (z < np.inf)):  # NaN fails both
+        raise ValueError(f"squeeze values must be finite and > 0, got {z}")
     return _euler_form(unitary_to_orthosymplectic(u1), z, unitary_to_orthosymplectic(u2))
 
 
@@ -549,20 +552,7 @@ def truncate_rows(s: np.ndarray, k: int) -> np.ndarray:
         raise DimensionError(f"output mode count k={k} out of range [1, {n}]")
     sk = s[: 2 * k, :].copy()
     res = truncation_residual(sk, n)
-    if res > TOL_SYM:
+    if not res <= TOL_SYM:  # a NaN residual is refused too
         raise NotSymplecticError(f"truncated rows violate the form relation (residual {res:.3e})")
     return sk
 
-
-def matrix_to_rowmajor(m: np.ndarray) -> list[float]:
-    """Flatten a matrix to a row-major list of floats (text-serializable)."""
-    return np.asarray(m, dtype=float).reshape(-1).tolist()
-
-
-def matrix_from_rowmajor(values: Sequence[float], rows: int, cols: int) -> np.ndarray:
-    """Rebuild a matrix from its row-major flat representation, in new memory;
-    ``values`` is an array or any iterable of numbers."""
-    arr = np.array(values if isinstance(values, np.ndarray) and values.ndim else list(values), dtype=float)
-    if arr.size != rows * cols:
-        raise DimensionError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {arr.size}")
-    return arr.reshape(rows, cols)

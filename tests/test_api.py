@@ -224,6 +224,56 @@ def test_noise_eps_reader_is_detected(tmp_path):
     assert _noise_eps_readers([module]) == {"f", "inner", "h", "<module>"}
 
 
+#: Every function in src/cvchan whose tolerance guard raises when a bare comparison such as
+#: ``x > tol`` or ``x < -tol`` holds.  NaN fails every comparison, so it passes such a guard; each
+#: of these (``__post_init__`` is ``GaussianState``'s) refuses non-finite input before it.  A
+#: guard written ``not x <= tol`` refuses NaN, so a new bare guard must show up here.
+BARE_TOLERANCE_GUARDS = {
+    "__post_init__", "_check_symmetric", "_checked_pair", "euler_decompose", "make_channel", "schur_diag_check",
+    "williamson",
+}
+
+
+def _bare_tolerance_guards(paths) -> set[str]:
+    """The functions around every ``if`` whose test is a comparison that reads a
+    tolerance (a name holding ``tol``, in any case), alone or as an operand of
+    ``and``/``or``, and whose body raises, in the given modules."""
+
+    def reads_tolerance(node: ast.AST) -> bool:
+        return any("tol" in getattr(sub, "id", getattr(sub, "attr", "")).lower() for sub in ast.walk(node))
+
+    def hit(node: ast.AST) -> bool:
+        if not isinstance(node, ast.If):
+            return False
+        if not any(isinstance(sub, ast.Raise) for stmt in node.body for sub in ast.walk(stmt)):
+            return False
+        tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+        return any(isinstance(test, ast.Compare) and reads_tolerance(test) for test in tests)
+
+    return _owners(paths, hit)
+
+
+def test_bare_tolerance_guards_are_pinned():
+    assert _bare_tolerance_guards(sorted(SOURCE.glob("*.py"))) == BARE_TOLERANCE_GUARDS
+
+
+def test_bare_tolerance_guard_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "TOL_A = 1e-10\n\n"
+        "def f(res):\n    if res > TOL_A:\n        raise ValueError(res)\n\n"
+        "def g(w):\n    def inner():\n"
+        "        if w < -sp.TOL_B * 2.0:\n            raise ValueError(w)\n    return inner\n\n"
+        "def h(a, b, tol):\n    for x in (a, b):\n"
+        "        if x.ok and tol <= x.res:\n            raise ArithmeticError(x)\n\n"
+        "def kept(res, tol):\n    if not res <= tol:\n        raise ValueError(res)\n\n"
+        "def quiet(res, tol):\n    if res > tol:\n        return False\n    return True\n\n"
+        "def untold(n):\n    if n < 1:\n        raise ValueError(n)\n\n"
+        "if TOL_A > 1.0:\n    raise ImportError(TOL_A)\n"
+    )
+    assert _bare_tolerance_guards([module]) == {"f", "inner", "h", "<module>"}
+
+
 #: Every function in src/cvchan that reads ``_lockstep_nelder_mead``: the
 #: pure-input search and the energy-constrained one.  Another reader is a
 #: second entry to the one search driver, or a one-search adapter around it,

@@ -446,6 +446,66 @@ class TestChannelRecords:
             ch.channel_from_record({"n_modes": 2, "kind": "thermal", "eta": [0.5], "nbar": [1.0, 1.0]})
         assert info.value.field == "eta"
 
+    def test_records_hold_python_floats_in_row_major_order(self):
+        x = np.array([[1, 2], [3, 4]])  # det -2, so Y >= 3 I makes (X, Y) completely positive
+        record = ch.channel_to_record(ch.make_channel(x, np.array([[5, 1], [1, 4]])))
+        assert record == {"n_modes": 1, "kind": "custom", "X": [1.0, 2.0, 3.0, 4.0], "Y": [5.0, 1.0, 1.0, 4.0]}
+        assert all(type(entry) is float for key in ("X", "Y") for entry in record[key])
+        thermal = ch.channel_to_record(ch.thermal_noise(np.array([0.5]), np.array([1])))
+        assert all(type(entry) is float for key in ("eta", "nbar") for entry in thermal[key])
+
+    def test_a_matrix_reloads_bit_for_bit(self):
+        x = sp.random_symplectic(2, seed=21)
+        channel = ch.make_channel(x, (1.0 + np.linalg.norm(x, 2) ** 2) * np.eye(4))
+        back = ch.channel_from_record(ch.channel_to_record(channel))
+        np.testing.assert_array_equal(back.x, x)
+        np.testing.assert_array_equal(back.y, channel.y)
+
+    @pytest.mark.parametrize("y", [
+        [[1, 0], [0, 1]], [[[1, 0]], [[0, 1]]], (1.0, 0.0, 0.0, 1.0), [np.array([1.0, 0.0]), (0.0, 1.0)],
+    ], ids=["rows", "deep", "tuple", "mixed"])
+    def test_a_matrix_may_nest_its_row_major_entries(self, y):
+        channel = ch.channel_from_record({"n_modes": 1, "kind": "classical", "Y": y})
+        np.testing.assert_array_equal(channel.y, np.eye(2))
+
+    @pytest.mark.parametrize("record, field, reason", [
+        ({"n_modes": 1, "kind": "classical", "Y": 5}, "Y", "expected 4 entries, got shape ()"),
+        ({"n_modes": 1, "kind": "classical", "Y": [1.0, 0.0, 1.0]}, "Y", "expected 4 entries, got shape (3,)"),
+        ({"n_modes": 1, "kind": "custom", "X": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "Y": [1.0, 0.0, 0.0, 1.0]}, "X",
+         "expected 4 entries, got shape (2, 3)"),
+        ({"n_modes": 1, "kind": "lossy", "eta": [[0.5]]}, "eta", "expected 1 entries, got shape (1, 1)"),
+        ({"n_modes": 2, "kind": "thermal", "eta": [0.5, 0.5], "nbar": 1.0}, "nbar", "expected 2 entries, got shape ()"),
+        ({"n_modes": 2, "kind": "thermal", "eta": [0.5, 0.5]}, "nbar", "missing for a thermal channel"),
+        ({"n_modes": 1, "kind": "lossy", "nbar": [1.0]}, "eta", "missing for a lossy channel"),
+        ({"n_modes": 1, "kind": "custom", "Y": [1.0, 0.0, 0.0, 1.0]}, "X", "missing for a custom channel"),
+        ({"n_modes": 1, "kind": "classical", "Y": (v for v in [1.0, 0.0, 0.0, 1.0])}, "Y", "entries must be numbers"),
+        ({"n_modes": 1, "kind": "classical", "Y": [[1.0, 0.0], [0.0]]}, "Y", "entries must be numbers"),
+    ], ids=["scalar-matrix", "short-matrix", "wide-matrix", "nested-vector", "scalar-vector", "missing-nbar",
+            "missing-eta", "missing-X", "generator", "ragged"])
+    def test_malformed_field_is_named(self, record, field, reason):
+        with pytest.raises(ch.ChannelSpecError) as raised:
+            ch.channel_from_record(record)
+        assert (raised.value.field, raised.value.reason) == (field, reason)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"n_modes": 1, "kind": "classical", "Y": [1.0, 0.0, 0.0, -1.0]}, "Y"),
+        ({"n_modes": 1, "kind": "custom", "X": [2.0, 0.0, 0.0, 2.0], "Y": [0.0, 0.0, 0.0, 0.0]}, "X/Y"),
+    ], ids=["classical", "custom"])
+    def test_a_refused_value_names_the_fields_of_its_kind(self, record, field):
+        # A thermal or lossy record names "eta/nbar", as test_cli's invalid-file cases pin.
+        with pytest.raises(ch.ChannelSpecError) as raised:
+            ch.channel_from_record(record)
+        assert raised.value.field == field
+
+    def test_a_record_array_is_not_shared_with_the_channel(self):
+        eta, nbar, y = np.array([0.5]), np.array([1.0]), np.eye(2)
+        thermal = ch.channel_from_record({"n_modes": 1, "kind": "thermal", "eta": eta, "nbar": nbar})
+        classical = ch.channel_from_record({"n_modes": 1, "kind": "classical", "Y": y})
+        eta[0], nbar[0], y[0, 0] = 0.9, 2.0, 3.0
+        assert (thermal.eta.tolist(), thermal.nbar.tolist()) == ([0.5], [1.0])
+        assert thermal.x[0, 0] == np.sqrt(0.5)
+        np.testing.assert_array_equal(classical.y, np.eye(2))
+
     def test_load_channel_file(self, tmp_path):
         path = tmp_path / "channel.json"
         path.write_text(json.dumps({"n_modes": 1, "kind": "lossy", "eta": [0.25]}))
@@ -467,6 +527,18 @@ class TestChannelRecords:
         with pytest.raises(ch.ChannelSpecError) as info:
             ch.load_channel(path)
         assert info.value.field == "omega"
+        assert info.value.reason == "expected 1 entries, got shape (2,)"
+
+    @pytest.mark.parametrize("omega, reason", [
+        (2.0, "expected 1 entries, got shape ()"),
+        ([[2.0]], "expected 1 entries, got shape (1, 1)"),
+    ], ids=["scalar", "nested"])
+    def test_load_channel_omega_follows_the_per_mode_rule(self, tmp_path, omega, reason):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"n_modes": 1, "kind": "lossy", "eta": [0.25], "omega": omega}))
+        with pytest.raises(ch.ChannelSpecError) as raised:
+            ch.load_channel(path)
+        assert (raised.value.field, raised.value.reason) == ("omega", reason)
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -53,6 +53,14 @@ class TestClosedForms:
                 with pytest.raises(ValueError, match="order must be > 1"):
                     figure(thermal, p)
 
+    def test_fp_figures_refuse_an_infinite_order(self):
+        # F_inf is +inf for every state, so a finite-p figure at p = inf would be inf or NaN.
+        # max_output_p_norm keeps p = inf: exp(-S_inf) is finite.
+        lossy = ch.lossy([0.5])
+        for figure in (fn.min_output_fp_closed, fn.numeric_inf_fp):
+            with pytest.raises(ValueError, match=r"^order must be finite, got inf$"):
+                figure(lossy, np.inf)
+
     def test_max_operator_norm_is_the_largest_eigenvalue(self):
         # thermal(0.5, 1): output nu = 2, largest eigenvalue 2 / (nu + 1) = 2/3.
         assert fn.max_output_p_norm(ch.thermal_noise([0.5], [1.0]), np.inf) == pytest.approx(2.0 / 3.0, rel=1e-14)
@@ -882,6 +890,12 @@ class TestMultiplicativity:
         )
         assert abs(report.witness_value - report.product_of_optima) <= 1e-6 * report.product_of_optima
         assert report.passed
+
+    def test_infinite_order_is_refused_before_any_search(self, search_calls):
+        # F_inf is +inf for every input, so the margin inf - inf would report a false counterexample.
+        with pytest.raises(ValueError, match=r"^order must be finite, got inf$"):
+            fn.multiplicativity_check([ch.thermal_noise([0.5], [1.0]), ch.lossy([0.5])], np.inf, search_budget=50)
+        assert search_calls == []
 
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):

@@ -633,28 +633,6 @@ class TestRandomGenerators:
         )
 
 
-class TestRowMajor:
-    @pytest.mark.parametrize("wrap", [list, tuple, lambda flat: (x for x in flat), np.array],
-                             ids=["list", "tuple", "generator", "array"])
-    def test_any_iterable_rebuilds_the_matrix(self, wrap):
-        m = np.arange(6.0).reshape(2, 3)
-        values = wrap(sp.matrix_to_rowmajor(m))
-        rebuilt = sp.matrix_from_rowmajor(values, 2, 3)
-        np.testing.assert_array_equal(rebuilt, m)
-        if isinstance(values, np.ndarray):
-            assert not np.shares_memory(rebuilt, values)
-
-    def test_flattening_gives_python_floats(self):
-        flat = sp.matrix_to_rowmajor(np.array([[1, 2], [3, 4]]))
-        assert flat == [1.0, 2.0, 3.0, 4.0] and all(type(x) is float for x in flat)
-
-    def test_size_mismatch_and_scalar_messages(self):
-        with pytest.raises(sp.DimensionError, match=r"^expected 4 entries for a 2x2 matrix, got 3$"):
-            sp.matrix_from_rowmajor(np.ones(3), 2, 2)
-        with pytest.raises(TypeError, match=r"^iteration over a 0-d array$"):
-            sp.matrix_from_rowmajor(np.array(1.0), 1, 1)
-
-
 class TestTruncateRows:
     def test_full_truncation_is_identity_operation(self):
         s = sp.random_symplectic(2, seed=8)
@@ -678,26 +656,31 @@ class TestTruncateRows:
             sp.truncate_rows(s, 0)
 
 
-class TestSerialization:
-    def test_row_major_round_trip(self):
-        m = sp.random_symplectic(2, seed=21)
-        flat = sp.matrix_to_rowmajor(m)
-        assert_allclose(sp.matrix_from_rowmajor(flat, 4, 4), m)
-
-    def test_row_major_order(self):
-        flat = sp.matrix_to_rowmajor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert flat == [1.0, 2.0, 3.0, 4.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(sp.DimensionError):
-            sp.matrix_from_rowmajor([1.0, 2.0, 3.0], 2, 2)
-
-
 @pytest.mark.parametrize("call, error, message", [
     (lambda: sp.unitary_to_orthosymplectic(np.ones((2, 3))), sp.DimensionError, r"square matrix, got shape \(2, 3\)"),
     (lambda: sp.truncation_residual(np.ones((3, 4)), 2), sp.DimensionError, r"2k x 4 matrix, got shape \(3, 4\)"),
     (lambda: sp.truncate_rows(np.diag([2.0, 1.0, 1.0, 1.0]), 1), sp.NotSymplecticError, r"residual 1\.000e\+00"),
 ], ids=["unitary_to_orthosymplectic", "truncation_residual", "truncate_rows"])
 def test_malformed_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sp.unitary_to_orthosymplectic(np.array([[np.nan]])), sp.NotSymplecticError,
+     r"not unitary \(residual nan"),
+    (lambda: sp.orthosymplectic_to_unitary(np.full((2, 2), np.nan)), sp.NotSymplecticError,
+     r"in K\(n\) \(residual nan"),
+    (lambda: sp.truncate_rows(np.full((4, 4), np.nan), 1), sp.NotSymplecticError, r"relation \(residual nan\)"),
+    (lambda: sp.symplectic_from_factors(np.eye(1), [0.0], np.eye(1)), ValueError, r"finite and > 0, got \[0\.\]"),
+    (lambda: sp.symplectic_from_factors(np.eye(1), [-1.0], np.eye(1)), ValueError, r"finite and > 0, got \[-1\.\]"),
+    (lambda: sp.symplectic_from_factors(np.eye(1), [np.nan], np.eye(1)), ValueError, r"finite and > 0, got \[nan\]"),
+    (lambda: sp.symplectic_from_factors(np.eye(2), [2.0, np.inf], np.eye(2)), ValueError,
+     r"finite and > 0, got \[ 2\. inf\]"),
+], ids=["unitary_to_orthosymplectic-nan", "orthosymplectic_to_unitary-nan", "truncate_rows-nan",
+        "symplectic_from_factors-zero", "symplectic_from_factors-negative", "symplectic_from_factors-nan",
+        "symplectic_from_factors-inf"])
+def test_non_finite_input_is_refused(call, error, message):
+    # A NaN residual fails every comparison, so a guard that raises on "res > tol" lets it through.
     with pytest.raises(error, match=message):
         call()
