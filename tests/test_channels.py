@@ -446,10 +446,14 @@ class TestChannelRecords:
             ch.channel_from_record({"n_modes": 2, "kind": "thermal", "eta": [0.5], "nbar": [1.0, 1.0]})
         assert info.value.field == "eta"
 
-    def test_records_hold_python_floats_in_row_major_order(self):
-        x = np.array([[1, 2], [3, 4]])  # det -2, so Y >= 3 I makes (X, Y) completely positive
-        record = ch.channel_to_record(ch.make_channel(x, np.array([[5, 1], [1, 4]])))
+    def test_records_hold_row_major_order(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])  # det -2, so Y >= 3 I makes (X, Y) completely positive
+        record = ch.channel_to_record(ch.make_channel(x, np.array([[5.0, 1.0], [1.0, 4.0]])))
         assert record == {"n_modes": 1, "kind": "custom", "X": [1.0, 2.0, 3.0, 4.0], "Y": [5.0, 1.0, 1.0, 4.0]}
+
+    def test_records_hold_python_floats(self):
+        record = ch.channel_to_record(ch.make_channel(np.array([[1, 2], [3, 4]]), np.array([[5, 1], [1, 4]])))
+        assert record["X"] == [1.0, 2.0, 3.0, 4.0]
         assert all(type(entry) is float for key in ("X", "Y") for entry in record[key])
         thermal = ch.channel_to_record(ch.thermal_noise(np.array([0.5]), np.array([1])))
         assert all(type(entry) is float for key in ("eta", "nbar") for entry in thermal[key])
