@@ -74,14 +74,15 @@ class GaussianChannel:
     cp_eigenvalue: float
     factors: tuple[GaussianChannel, ...] = ()
 
+    def __post_init__(self):
+        for array in (self.x, self.y, self.eta, self.nbar):
+            if array is not None:
+                array.setflags(write=False)
+
     @property
     def leaves(self) -> tuple[GaussianChannel, ...]:
         """The primitive factors in mode order; a primitive channel is its own leaf."""
         return self.factors or (self,)
-
-    def is_identity(self) -> bool:
-        eye = np.eye(2 * self.n)
-        return bool(np.max(np.abs(self.x - eye)) <= TOL_CP and np.max(np.abs(self.y)) <= TOL_CP)
 
 
 def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
@@ -93,10 +94,9 @@ def cp_certificate_eigenvalue(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _checked_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
-    """X and Y as float arrays and the minimum eigenvalue of Y, once X is 2n x 2n
+    """X and Y as new float arrays and the minimum eigenvalue of Y, once X is 2n x 2n
     (n >= 1), Y of its shape, both finite, and Y symmetric and PSD within ``TOL_CP``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 != 0 or x.size == 0:
         raise DimensionError(f"X must be 2n x 2n with n >= 1, got shape {x.shape}")
     if y.shape != x.shape:
@@ -138,8 +138,8 @@ def classical_noise(y: np.ndarray) -> GaussianChannel:
 def _beamsplitter(eta, nbar, kind: str) -> GaussianChannel:
     """The thermal or lossy channel, certified in closed form: mode k has the certificate
     matrix y_k I2 + i (1 - eta_k) J2, eigenvalues y_k +/- (1 - eta_k) >= 2 nbar_k (1 - eta_k)."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
+    eta = np.atleast_1d(np.array(eta, dtype=float))
+    nbar = np.atleast_1d(np.array(nbar, dtype=float))
     if nbar.size == 1 and eta.size > 1:
         nbar = np.full(eta.size, float(nbar[0]))
     if eta.shape != nbar.shape:
@@ -192,10 +192,14 @@ def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
 
 
 def apply_cov(channel: GaussianChannel, gamma: np.ndarray) -> np.ndarray:
-    """Covariance-only channel action on one covariance or a stack of them;
-    no physicality re-validation."""
-    out = channel.x.T @ gamma @ channel.x + channel.y
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    """Covariance-only channel action on one covariance or a stack; no physicality re-validation."""
+    return _act(channel.x, channel.y, gamma)
+
+
+def _act(x: np.ndarray, y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The channel action X^T gamma X + Y, symmetrized; X and Y may be per-row stacks."""
+    out = x.swapaxes(-1, -2) @ gamma @ x + y
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def noise_spectrum(channel: GaussianChannel) -> np.ndarray:

@@ -259,11 +259,10 @@ def _pure_cov(theta: np.ndarray, n: int) -> np.ndarray:
 
 
 def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters,
-    stacked like ``theta``."""
-    t1 = _embed_unitary(_unitary_from_params(theta[..., : n * n], n))
+    """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters, stacked
+    like ``theta``; one ``_unitary_from_params`` call gives both unitary factors."""
+    t1, t2 = _embed_unitary(_unitary_from_params(np.stack([theta[..., : n * n], theta[..., n * n + n : -n]]), n))
     z = np.exp(theta[..., n * n : n * n + n].clip(-12.0, 12.0))
-    t2 = _embed_unitary(_unitary_from_params(theta[..., n * n + n : 2 * n * n + n], n))
     s = _euler_form(t1, z, t2)
     d = theta[..., 2 * n * n + n :].clip(-1e3, 1e3) ** 2
     return s, d
@@ -276,9 +275,9 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np
     Rescales the excess spectrum d of the rows whose pure part S S^T fits
     in the budget; the other rows shrink toward the vacuum along the
     segment to the identity (both operations preserve physicality).  Every
-    row is rescaled and the rows that do not fit are then overwritten.  The
-    energies are per-row dot products: a stacked matrix-vector product sums
-    in another order, and a row would then differ from its batch of one.
+    row is rescaled and the rows that do not fit, if any, are overwritten.
+    The energies are per-row dot products: a stacked matrix-vector product
+    sums in another order, and a row would then differ from its batch of one.
     """
     target, e_vac = budget.total, budget.zero_point
     if target <= e_vac + 1e-12:
@@ -290,13 +289,15 @@ def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np
     coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
     weight = (coef[:, None, :] @ d[:, :, None])[:, 0, 0]
     flat = weight < 1e-12
-    weight[flat] = coef[flat].sum(axis=-1)
+    if flat.any():
+        weight[flat], d = coef[flat].sum(axis=-1), np.where(flat[:, None], 1.0, d)
     alpha = (target - e0) / weight
-    dd = (1.0 + alpha[:, None] * np.where(flat[:, None], 1.0, d)).repeat(2, axis=-1)
+    dd = (1.0 + alpha[:, None] * d).repeat(2, axis=-1)
     out = (s * dd[:, None, :]) @ s.swapaxes(-1, -2)
     mix = ~(e0 <= target)
-    t = ((target - e_vac) / (e0[mix] - e_vac))[:, None, None]
-    out[mix] = t * gamma_pure[mix] + (1.0 - t) * np.eye(s.shape[-1])
+    if mix.any():
+        t = ((target - e_vac) / (e0[mix] - e_vac))[:, None, None]
+        out[mix] = t * gamma_pure[mix] + (1.0 - t) * np.eye(s.shape[-1])
     return out
 
 
@@ -367,11 +368,11 @@ def _lockstep_nelder_mead(objective, searches):
     Every round scores the pending points of every live run of every search
     in one call ``objective(stacks)``: stacks[j] is the (m_j, dim_j) stack
     of search j's points, m_j = 0 once search j is done, and the objective
-    returns one flat array of their values in that order.  Run r's cap is
-    min(per_run, budget - r per_run), the cap it would get after r
-    sequential runs: a cap is cut only when per_run = dim + 2, and no run
-    can converge within its first dim + 2 evaluations, because its initial
-    simplex is wider than ``xatol``.
+    returns one flat array of their values in that order, which reach the
+    runs as Python floats.  Run r's cap is min(per_run, budget - r per_run),
+    the cap it would get after r sequential runs: a cap is cut only when
+    per_run = dim + 2, and no run can converge within its first dim + 2
+    evaluations, because its initial simplex is wider than ``xatol``.
     Returns, per search, what it returns alone: the best value, its
     parameter vector (the earlier run wins a tie), the evaluation count, and
     whether the run that produced the best value stopped by convergence.
@@ -389,7 +390,7 @@ def _lockstep_nelder_mead(objective, searches):
     results = [[None] * len(search_runs) for search_runs in runs]
     while any(pending):
         values, end = objective([np.concatenate([np.empty((0, dim)), *points.values()])
-                                 for (dim, _, _), points in zip(searches, pending)]), 0
+                                 for (dim, _, _), points in zip(searches, pending)]).tolist(), 0
         for search_runs, points, search_results in zip(runs, pending, results):
             for r, run_points in list(points.items()):
                 start, end = end, end + len(run_points)
@@ -406,38 +407,48 @@ def _lockstep_nelder_mead(objective, searches):
     return bests
 
 
-#: One search of ``_scores``: minimize ``score`` of the output spectra of
-#: ``channel`` at the inputs ``cov_of(thetas, channel.n)``, thetas in R^dim.
-#: ``cov_of`` maps an (m, dim) stack to m covariances, and ``score`` maps m
-#: spectra, clamped at the floor 1 that rounding can undercut, to m reals.
-_Search = namedtuple("_Search", "channel score cov_of dim")
+#: One search of ``_scores``: minimize ``sign`` (1.0, or -1.0 for a sup) times the Renyi-p
+#: entropy, p in (0, inf], of the output spectra of ``channel`` at the inputs
+#: ``cov_of(thetas, channel.n)``, thetas in R^dim; ``cov_of`` maps an (m, dim) stack to m covariances.
+_Search = namedtuple("_Search", "channel p sign cov_of dim")
 
 
 def _scores(searches: list[_Search], stacks: list[np.ndarray]) -> np.ndarray:
     """Scores of one round of ``_lockstep_nelder_mead``: the rows of
     stacks[j], points of search j, for each search j in turn.
 
-    Searches with the same ``cov_of`` and mode count share one ``cov_of``
-    call and one spectrum call; the channel action and the score are per
-    search.  Numerical failures and non-finite scores count as +inf per
-    row: a failed group call re-scores each of its rows alone (a stacked
-    Cholesky factorization fails as a whole), and a lone row that fails
-    scores +inf.
+    A group, the searches with one ``cov_of`` and mode count, makes one call
+    each of ``cov_of``, the channel action (on per-row stacks of X and Y if
+    its searches differ in them) and the spectrum, and at most two of
+    ``states._renyi``: its order-1 rows, which come first, and the rest,
+    with a column of orders where they differ.
+    A failed group call re-scores each row alone (a stacked Cholesky fails
+    as a whole); a lone row that fails, or a non-finite score, scores +inf.
     """
-    groups = {}  # per (cov_of, n): each search's index and its rows of the group
-    for j, (search, stack) in enumerate(zip(searches, stacks)):
-        if len(stack):
-            members = groups.setdefault((search.cov_of, search.channel.n), [])
+    groups = {}  # per (cov_of, n): each search's index and its rows of the group, the order-1 searches first
+    for j in sorted(range(len(stacks)), key=lambda j: searches[j].p != 1.0):
+        if len(stacks[j]):
+            members = groups.setdefault((searches[j].cov_of, searches[j].channel.n), [])
             start = members[-1][2] if members else 0
-            members.append((j, start, start + len(stack)))
+            members.append((j, start, start + len(stacks[j])))
     out = [np.empty(0)] * len(stacks)
     for (cov_of, n), members in groups.items():
+        group, rows = [searches[j] for j, _, _ in members], [b - a for _, a, b in members]
+        ps = [search.p for search in group]
+        ones = sum(rows[: ps.count(1.0)])  # the rows of order 1
         try:
             gammas = cov_of(np.concatenate([stacks[j] for j, _, _ in members]), n)
-            outputs = np.concatenate([ch.apply_cov(searches[j].channel, gammas[a:b]) for j, a, b in members])
-            nus = np.maximum(_spectrum(outputs), 1.0)
+            x, y = group[0].channel.x, group[0].channel.y
+            if any(search.channel is not group[0].channel for search in group[1:]):
+                x, y = (np.array(ms).repeat(rows, axis=0) for ms in zip(*[(s.channel.x, s.channel.y) for s in group]))
+            nus = np.maximum(_spectrum(ch._act(x, y, gammas)), 1.0)  # rounding can undercut the floor 1
+            orders = ps[-1] if len(set(ps) - {1.0}) < 2 else np.repeat(ps, rows)[ones:, None]
+            if 0 < ones < len(nus):
+                entropies = np.concatenate([st._renyi(nus[:ones], 1.0), st._renyi(nus[ones:], orders)])
+            else:
+                entropies = st._renyi(nus, orders)
             for j, a, b in members:
-                out[j] = searches[j].score(nus[a:b])
+                out[j] = entropies[a:b] if searches[j].sign > 0 else -entropies[a:b]
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
             lone = members[-1][2] == 1  # the group is one row
             for j, _, _ in members:
@@ -468,8 +479,7 @@ def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]
     for _, p in jobs:
         if not p > 0.0:
             raise ValueError(f"order must be positive, got {p}")
-    searches = [_Search(channel, functools.partial(st._renyi, p=p), _pure_cov, channel.n**2 + channel.n)
-                for channel, p in jobs]
+    searches = [_Search(channel, p, 1.0, _pure_cov, channel.n**2 + channel.n) for channel, p in jobs]
     results = _lockstep_nelder_mead(lambda stacks: _scores(searches, stacks),
                                     [(search.dim, budget, seed) for search in searches])
     return [OptimizationReport(float(best), _pure_cov(x[None], channel.n)[0], evals, budget, converged,
@@ -513,7 +523,7 @@ def max_output_entropy_under_energy(
     budget.check_modes(n)
     if not budget.feasible:
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
-    search = _Search(channel, lambda nu: -st._renyi(nu, 1.0),
+    search = _Search(channel, 1.0, -1.0,
                      lambda theta, n: _project_to_energy(*_phys_cov_factors(theta, n), budget), 2 * n * n + 2 * n)
     with np.errstate(all="ignore"):  # ``_scores`` scores a row that overflows +inf
         ((best, x, evals, converged),) = _lockstep_nelder_mead(lambda stacks: _scores([search], stacks),

@@ -228,10 +228,10 @@ def _lemma1_fold(
 
     Batch b of 2048 samples draws full 2n x 2n symplectic matrices S once,
     from ``rng_stream(seed, n, b)``, and folds each matrix against it in
-    turn.  The first 2k rows of S are a 2k x 2n truncation for every k,
-    so one contraction of S A with S over each mode's row pair gives that
-    mode's trace, and their cumulative sums over modes give Tr S_k A S_k^T
-    for every k at once.  A failing sample has the counterexample
+    turn.  The first 2k rows of S are a 2k x 2n truncation for every k, so
+    one contraction of S A (one product over the batch's rows) with S over
+    each mode's row pair gives its trace, and cumulative sums over modes
+    give Tr S_k A S_k^T for all k.  A failing sample has the counterexample
     ``{"A", "k", "S"}``: its matrix, its size and its truncation.
     """
     if samples < 1:
@@ -242,14 +242,14 @@ def _lemma1_fold(
     for b, done in enumerate(range(0, samples, 2048)):
         rng = rng_stream(seed, n, b)
         s = sample_symplectics(rng, n, min(2048, samples - done), (1.0, _SQUEEZE_MAX), log_squeeze=True)
-        pairs = (len(s), n, 2, 2 * n)  # the rows of S, grouped by mode
+        rows, pairs = s.reshape(-1, 2 * n), (len(s), n, 2, 2 * n)  # the rows of S, stacked and grouped by mode
         for j, a in enumerate(mats):
-            traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
+            traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (rows @ a).reshape(pairs), s.reshape(pairs)), axis=1)
             for k, bound in zip(ks, bounds[j]):
                 tol = atol + PREFIX_RTOL * max(abs(bound), 1.0)
                 report.fold(traces[:, k - 1] - bound, tol,
                             lambda i: {"A": a.tolist(), "k": k, "S": s[i, : 2 * k].tolist()})
-        del s, traces  # release the batch before the next is drawn
+        del s, rows, traces  # release the batch before the next is drawn
 
     # Attainment: the Williamson rows for the k smallest-nu planes come
     # first because the spectrum is returned ascending.

@@ -221,10 +221,10 @@ def _clamp_physical(nu: np.ndarray) -> np.ndarray:
     return np.maximum(nu, 1.0)
 
 
-def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
+def _renyi(nu: np.ndarray, p) -> np.ndarray:
     """Renyi-p entropy sum_j S_p(nu_j) in nats of a spectrum nu >= 1, unchecked;
     the sum runs over the last axis, so a stack of spectra gives a stack of
-    entropies.
+    entropies, and an order p != 1 may be an (m, 1) column, one per row.
 
     Per mode Tr rho^p = 1 / (u^p - d^p) with u = (nu + 1)/2 and d = u - 1, so
     S_p = ln u + ln(1 - d expm1(t)) / (p - 1), t = (1 - p) ln(1 + 1/d), two
@@ -234,7 +234,7 @@ def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
     p = 1 is u ln u - d ln d, taken above nu = 1e4 as ln u + d ln(1 + 1/d),
     where the two terms would cancel.
     """
-    if p == 1.0:
+    if getattr(p, "ndim", 0) == 0 and p == 1.0:
         up = 0.5 * (nu + 1.0)
         dn = 0.5 * (nu - 1.0)
         large = nu > 1e4
@@ -254,7 +254,7 @@ def _renyi(nu: np.ndarray, p: float) -> np.ndarray:
     size = np.abs(t)
     if size.min(initial=np.inf) < _TINY:
         tiny = size < _TINY
-        dx[tiny] = (1.0 - p) * (d[tiny] * np.log1p(1.0 / d[tiny]))
+        dx[tiny] = (1.0 - np.broadcast_to(p, d.shape)[tiny]) * (d[tiny] * np.log1p(1.0 / d[tiny]))
     return (np.log1p(d) + np.log1p(-dx) / (p - 1.0)).sum(axis=-1)
 
 

@@ -486,10 +486,18 @@ def random_symplectic(n: int, squeeze_range: tuple[float, float] = (1.0, 4.0), s
 
 
 def symplectic_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix: S^{-1} = J S^T J^T."""
-    n = _mode_count(s)
-    j = symplectic_form(n)
-    return j @ s.T @ j.T
+    """Inverse of a symplectic matrix: S^{-1} = J S^T J^T, formed by ``_inverse``."""
+    _mode_count(s)
+    return _inverse(np.asarray(s, dtype=float))
+
+
+def _inverse(s: np.ndarray) -> np.ndarray:
+    """J S^T J^T of one matrix or a stack, by moving and negating entries; a negated block is
+    written as ``-view``, since numpy 2.4.6 gets ``np.negative(view, out=strided)`` wrong."""
+    st, out = np.swapaxes(s, -1, -2), np.empty(s.shape)
+    out[..., 0::2, 0::2], out[..., 1::2, 1::2] = st[..., 1::2, 1::2], st[..., 0::2, 0::2]
+    out[..., 0::2, 1::2], out[..., 1::2, 0::2] = -st[..., 1::2, 0::2], -st[..., 0::2, 1::2]
+    return out
 
 
 def sample_spd(
@@ -502,20 +510,18 @@ def sample_spd(
     from nu_range, and those spectra, (count, n) ascending.
 
     Construction: gamma = S^{-1} D (S^{-1})^T with S a random symplectic,
-    squeezings in ``_SPD_SQUEEZE``, and D the paired diagonal of the drawn
-    spectrum, so the Williamson transform of each sample is S itself, and
-    a caller reads nu of the samples here instead of from ``_spectrum``.
+    squeezings in ``_SPD_SQUEEZE``, S^{-1} = J S^T J^T from ``_inverse``
+    for the whole stack, and D the paired diagonal of the drawn spectrum,
+    so the Williamson transform of each sample is S itself, and a caller
+    reads nu of the samples here instead of from ``_spectrum``.
     No physicality gate is applied; any nu_min > 0 is accepted.
     """
     lo, hi = nu_range
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError(f"spectrum range must satisfy 0 < lo <= hi < inf, got {nu_range}")
-    s = sample_symplectics(rng, n, count, _SPD_SQUEEZE)
-    j = symplectic_form(n)
-    s_inv = j @ np.swapaxes(s, -1, -2) @ j.T
+    s_inv = _inverse(sample_symplectics(rng, n, count, _SPD_SQUEEZE))
     nu = rng.uniform(lo, hi, (count, n))
-    d = np.repeat(nu, 2, axis=1)
-    return s_inv @ (d[:, :, None] * np.swapaxes(s_inv, -1, -2)), np.sort(nu, axis=1)
+    return s_inv @ (np.repeat(nu, 2, axis=1)[:, :, None] * np.swapaxes(s_inv, -1, -2)), np.sort(nu, axis=1)
 
 
 def random_spd(n: int, nu_range: tuple[float, float], seed: int = 0) -> np.ndarray:

@@ -15,11 +15,41 @@ import cvchan.states as st
 from cvchan import symplectic as sp
 
 
+def assert_identity(channel):
+    """X = I and Y = 0 within ``TOL_CP``."""
+    assert np.max(np.abs(channel.x - np.eye(2 * channel.n))) <= ch.TOL_CP
+    assert np.max(np.abs(channel.y)) <= ch.TOL_CP
+
+
+#: Each constructor with numpy arguments, by the names of the arguments.
+CONSTRUCTORS = {
+    "thermal_noise": (ch.thermal_noise, {"eta": [0.5, 0.7], "nbar": [1.0, 2.0]}),
+    "lossy": (ch.lossy, {"eta": [0.5]}),
+    "classical_noise": (ch.classical_noise, {"y": np.eye(2)}),
+    "make_channel": (ch.make_channel, {"x": np.eye(2), "y": 0.5 * np.eye(2)}),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_a_channel_keeps_no_array_of_its_caller(name):
+    # Editing the caller's arrays after construction leaves the channel as built, and its arrays are read-only.
+    constructor, arguments = CONSTRUCTORS[name]
+    arrays = {key: np.array(value, dtype=float) for key, value in arguments.items()}
+    channel = constructor(**arrays)
+    held = {key: getattr(channel, key) for key in ("x", "y", "eta", "nbar") if getattr(channel, key) is not None}
+    built = {key: value.copy() for key, value in held.items()}
+    for array in arrays.values():
+        array += 0.25
+    for key, value in held.items():
+        assert np.array_equal(value, built[key]), key
+        assert not value.flags.writeable, key
+
+
 class TestMakeChannel:
     def test_identity_certificate_is_zero(self):
         channel = ch.make_channel(np.eye(2), np.zeros((2, 2)))
         assert channel.cp_eigenvalue == pytest.approx(0.0, abs=1e-14)
-        assert channel.is_identity()
+        assert_identity(channel)
 
     def test_classical_unit_noise(self):
         channel = ch.make_channel(np.eye(2), np.eye(2))
@@ -102,7 +132,7 @@ ILL_CONDITIONED_NOISE = {
 
 class TestClassicalNoise:
     def test_zero_noise_is_identity(self):
-        assert ch.classical_noise(np.zeros((2, 2))).is_identity()
+        assert_identity(ch.classical_noise(np.zeros((2, 2))))
 
     def test_output_spectrum_on_vacuum(self):
         channel = ch.classical_noise(np.diag([0.7, 0.7]))
@@ -142,7 +172,7 @@ class TestClassicalNoise:
 
 class TestThermalNoise:
     def test_full_transmission_is_identity(self):
-        assert ch.thermal_noise([1.0], [2.0]).is_identity()
+        assert_identity(ch.thermal_noise([1.0], [2.0]))
 
     def test_full_reflection_outputs_reservoir(self):
         channel = ch.thermal_noise([0.0], [1.5])

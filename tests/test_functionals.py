@@ -546,7 +546,7 @@ class TestRestartedNelderMead:
         n = joint.n
 
         def objective(thetas):
-            search = fn._Search(joint, lambda nu: st._renyi(nu, p), fn._pure_cov, n * n + n)
+            search = fn._Search(joint, p, 1.0, fn._pure_cov, n * n + n)
             return fn._scores([search], [thetas])
 
         lockstep = restarted(objective, n * n + n, 2000, seed=5)
@@ -581,7 +581,7 @@ class TestRestartedNelderMead:
 
         def objective(thetas):
             cov_of = lambda x, n: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega))
-            return fn._scores([fn._Search(channel, lambda nu: -st._renyi(nu, 1.0), cov_of, 2 * n * n + 2 * n)],
+            return fn._scores([fn._Search(channel, 1.0, -1.0, cov_of, 2 * n * n + 2 * n)],
                               [thetas])
 
         searched = restarted(objective, 2 * n * n + 2 * n, budget, seed=3)
@@ -654,7 +654,7 @@ class TestScores:
 
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_scores_inf_alone(self, cov_name):
-        search = fn._Search(identity_channel(self.N), lambda nu: st._renyi(nu, 2.0), getattr(self, cov_name),
+        search = fn._Search(identity_channel(self.N), 2.0, 1.0, getattr(self, cov_name),
                             self.N * self.N + self.N)
         thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, search.dim))
 
@@ -677,9 +677,9 @@ class TestScores:
         # dim wide, and a view of ``thetas``, so marking a row marks its stack.
         cov_of = getattr(self, cov_name)
         searches = [
-            fn._Search(identity_channel(2), lambda nu: st._renyi(nu, 2.0), cov_of, 6),
-            fn._Search(ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), lambda nu: st._renyi(nu, 3.0), cov_of, 6),
-            fn._Search(identity_channel(3), lambda nu: st._renyi(nu, 1.0), cov_of, 12),
+            fn._Search(identity_channel(2), 2.0, 1.0, cov_of, 6),
+            fn._Search(ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), 3.0, 1.0, cov_of, 6),
+            fn._Search(identity_channel(3), 1.0, 1.0, cov_of, 12),
         ]
         thetas = sp.rng_stream(7).normal(scale=0.8, size=(12, 12))
         stacks = [rows[:, : search.dim] for rows, search in zip(np.split(thetas, [5, 9]), searches)]
@@ -691,6 +691,42 @@ class TestScores:
         marked = fn._scores(searches, stacks)
         assert marked[row] == np.inf
         assert np.array_equal(np.delete(marked, row), np.delete(alone, row))
+
+    def test_a_mixed_round_scores_each_search_as_alone(self):
+        # A 2-mode group with every kind of row: orders 1, 1.5, 2, 3 and inf, a sup search
+        # (sign -1), two searches on one channel, order 1 above nu = 1e4 (the large branch of
+        # ``_renyi``) and order 1 + 1e-12 at nu near 1e306, where (1 - p) ln(1 + 1/d) is
+        # subnormal (its tiny branch); a 1-mode group whose searches share one channel; and a
+        # 3-mode group of one order on two channels.
+        shared, thermal, loss = custom_channel(), ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), ch.lossy([0.6])
+        searches = [
+            fn._Search(identity_channel(2), 1.0, 1.0, fn._pure_cov, 6),
+            fn._Search(shared, 1.5, 1.0, fn._pure_cov, 6),
+            fn._Search(shared, 2.0, 1.0, fn._pure_cov, 6),
+            fn._Search(thermal, 3.0, 1.0, fn._pure_cov, 6),
+            fn._Search(loss, 2.0, 1.0, fn._pure_cov, 2),
+            fn._Search(thermal, math.inf, 1.0, fn._pure_cov, 6),
+            fn._Search(thermal, 1.0, -1.0, fn._pure_cov, 6),
+            fn._Search(ch.classical_noise(3e4 * np.eye(4)), 1.0, 1.0, fn._pure_cov, 6),
+            fn._Search(ch.classical_noise(1e306 * np.eye(4)), 1.0 + 1e-12, 1.0, fn._pure_cov, 6),
+            fn._Search(loss, 1.0, -1.0, fn._pure_cov, 2),
+            fn._Search(ch.lossy([0.3, 0.6, 0.9]), 2.0, 1.0, fn._pure_cov, 12),
+            fn._Search(ch.thermal_noise([0.4, 0.5, 0.6], 1.5), 2.0, 1.0, fn._pure_cov, 12),
+        ]
+        stacks = [sp.rng_stream(8, j).normal(scale=0.8, size=(3, search.dim)) for j, search in enumerate(searches)]
+
+        def per_search(search, stack):
+            # The route of one channel action and one score per search.
+            nu = np.maximum(fn._spectrum(ch.apply_cov(search.channel, search.cov_of(stack, search.channel.n))), 1.0)
+            return nu, search.sign * st._renyi(nu, search.p)
+
+        large, tiny = per_search(searches[7], stacks[7])[0], per_search(searches[8], stacks[8])[0]
+        assert large.min() > 1e4
+        assert np.all(np.abs(-1e-12 * np.log1p(2.0 / (tiny - 1.0))) < np.finfo(float).tiny)
+        alone = [fn._scores([search], [stack]) for search, stack in zip(searches, stacks)]
+        assert all(same_bits(values, per_search(search, stack)[1])
+                   for search, stack, values in zip(searches, stacks, alone))
+        assert same_bits(fn._scores(searches, stacks), np.concatenate(alone))
 
 
 class TestEnergyBudget:

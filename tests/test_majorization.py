@@ -275,6 +275,23 @@ class TestLemma1:
         with pytest.raises(sp.DimensionError):
             mj.lemma1_trial(np.eye(4), 3, samples=10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_traces_are_those_of_one_product_per_sample(self, n):
+        # S A as one product over the stacked rows of a batch has the bits of S @ A per sample.
+        a, samples, seed = sp.random_spd(n, (0.5, 3.0), seed=n), 3000, 7
+        report, margins = mj.TrialReport(), []
+        report.fold = lambda m, tol, example: margins.append(m)
+        bounds = [bound for bound, _ in mj._lemma1_fold(report, [a], range(1, n + 1), samples, seed, mj.PREFIX_ATOL)]
+        expected = []
+        for b, done in enumerate(range(0, samples, 2048)):
+            s = sp.sample_symplectics(sp.rng_stream(seed, n, b), n, min(2048, samples - done),
+                                      (1.0, mj._SQUEEZE_MAX), log_squeeze=True)
+            pairs = (len(s), n, 2, 2 * n)
+            traces = np.cumsum(np.einsum("bkrj,bkrj->bk", (s @ a).reshape(pairs), s.reshape(pairs)), axis=1)
+            expected += [traces[:, k] - bound for k, bound in enumerate(bounds)]
+        assert len(margins) == len(expected) == 2 * n
+        assert all(np.array_equal(got, want) for got, want in zip(margins, expected))
+
     @pytest.mark.parametrize("a", [np.eye(4)[None], np.ones((4, 6)), np.eye(3)], ids=["stack", "rectangular", "odd"])
     def test_shape_validated_before_k(self, a):
         # The shape is checked before k is compared with a mode count read

@@ -15,9 +15,11 @@ and names each moved value in CHANGES.md.  Given names, it rewrites only
 those references, in both formats, and leaves the build record as it is.
 
 The ``numpy.linalg`` calls of the closed-form analyze commands and of the
-library tour are pinned here too, as counts.
+library tour, and the objective calls, rows, channel actions, Renyi calls
+and ``eigh`` calls of the search commands, are pinned here too, as counts.
 """
 
+import collections
 import contextlib
 import csv
 import ctypes
@@ -81,6 +83,23 @@ SEARCH_WORK = {
     "custom2_capacity": (314, 1992),
     "custom1_analyze_numeric": (197, 3485),
     "custom1_capacity": (293, 1800),
+}
+
+#: Channel actions (``channels._act``), ``states._renyi`` calls and
+#: ``numpy.linalg.eigh`` calls made inside the objective calls of each
+#: pinned search command.  A round makes one action per group of searches
+#: with the same parameterization and mode count, at most two Renyi calls
+#: per group (its order-1 rows and its other orders), and one eigh per
+#: group, so the sup search draws both unitary factors in one call.
+#: ``verify multiplicativity`` has a two-mode and a three-mode group, and
+#: ``analyze --numeric`` an order-1 search beside its searches per ``p``.
+ROUND_WORK = {
+    "multiplicativity": {"actions": 314, "renyi": 314, "eigh": 314},
+    "additivity": {"actions": 154, "renyi": 154, "eigh": 154},
+    "custom2_analyze_numeric": {"actions": 160, "renyi": 320, "eigh": 160},
+    "custom2_capacity": {"actions": 314, "renyi": 314, "eigh": 314},
+    "custom1_analyze_numeric": {"actions": 197, "renyi": 389, "eigh": 197},
+    "custom1_capacity": {"actions": 293, "renyi": 293, "eigh": 293},
 }
 
 #: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
@@ -190,11 +209,31 @@ def test_search_work(name, monkeypatch):
     recorded = json.loads((REPORTS / "build.json").read_text())
     if build() != recorded:
         pytest.skip(f"counts taken on {recorded}, this is {build()}")
-    rows = []
+    rows, depth, work = [], [], collections.Counter()
+
+    def objective(*args):
+        rows.append(sum(map(len, args[-1])))
+        depth.append(None)
+        try:
+            return scores(*args)
+        finally:
+            depth.pop()
+
+    def counting(key, function):
+        def call(*args, **kwargs):
+            work[key] += bool(depth)
+            return function(*args, **kwargs)
+
+        return call
+
     scores = fn._scores
-    monkeypatch.setattr(fn, "_scores", lambda *args: rows.append(sum(map(len, args[-1]))) or scores(*args))
+    monkeypatch.setattr(fn, "_scores", objective)
+    monkeypatch.setattr(ch, "_act", counting("actions", ch._act))
+    monkeypatch.setattr(st, "_renyi", counting("renyi", st._renyi))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     assert run.__wrapped__(name, "json")[0] == 0
     assert (len(rows), sum(rows)) == SEARCH_WORK[name]
+    assert work == ROUND_WORK[name]
 
 
 @pytest.mark.parametrize("name", EIGEN_WORK)

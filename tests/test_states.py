@@ -352,6 +352,14 @@ class TestRenyiKernel:
         out[large] += dn[large] * np.log1p(1.0 / dn[large])
         np.testing.assert_array_equal(st._renyi(nu, 1.0), out.sum(axis=-1))
 
+    def test_a_column_of_orders_scores_each_row_alone(self):
+        # Pure modes at every order, near-pure ones, and nu = 1e306 at an order near 1 (the tiny branch).
+        nu = np.array([[1.0, 1.0], [1.0, 2.5], [1.7, 3.1], [1.0 + 1e-12, 9e3], [2.0, 2e4], [5e8, 1e306],
+                       [1e306, 1.0], [1.3, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        orders = [0.5, 2.0, 1.1, 7.0, 400.0, 1.0 + 1e-12, 1.0 + 1e-8, math.inf, math.inf, 1.0 + 1e-12]
+        column, rows = st._renyi(nu, np.array(orders)[:, None]), [st._renyi(row, p) for row, p in zip(nu, orders)]
+        assert np.array_equal(column, rows) and np.array_equal(np.signbit(column), np.signbit(rows))
+
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
     def test_order_must_be_positive(self, p):
         with pytest.raises(ValueError):

@@ -499,6 +499,68 @@ class TestEmbedUnitary:
             assert np.array_equal(np.signbit(t), np.signbit(ref))
 
 
+def embed_by_entries(u):
+    """The K(n) embedding entry by entry: block (j, k) is [[Re u_jk, Im u_jk], [-Im u_jk, Re u_jk]]."""
+    n = u.shape[-1]
+    t = np.empty(u.shape[:-2] + (2 * n, 2 * n))
+    for *index, j, k in np.ndindex(u.shape):
+        z = u[(*index, j, k)]
+        t[(*index, 2 * j, 2 * k)], t[(*index, 2 * j, 2 * k + 1)] = z.real, z.imag
+        t[(*index, 2 * j + 1, 2 * k)], t[(*index, 2 * j + 1, 2 * k + 1)] = -z.imag, z.real
+    return t
+
+
+def inverse_by_entries(s):
+    """J S^T J^T entry by entry: block (k, l) is [[S_{2l+1,2k+1}, -S_{2l,2k+1}], [-S_{2l+1,2k}, S_{2l,2k}]]."""
+    n = s.shape[-1] // 2
+    out = np.empty(s.shape)
+    for *index, k, l in np.ndindex(s.shape[:-2] + (n, n)):
+        at = lambda row, column: (*index, row, column)
+        out[at(2 * k, 2 * l)], out[at(2 * k, 2 * l + 1)] = s[at(2 * l + 1, 2 * k + 1)], -s[at(2 * l, 2 * k + 1)]
+        out[at(2 * k + 1, 2 * l)], out[at(2 * k + 1, 2 * l + 1)] = -s[at(2 * l + 1, 2 * k)], s[at(2 * l, 2 * k)]
+    return out
+
+
+def layouts(stack):
+    """Views of a (3, 2m, m) stack: its square top as a C-ordered copy, transposed,
+    conjugated, conjugate-transposed, its even rows, and 2-D and size-1 stacks of them."""
+    top = stack[:, : stack.shape[-1]]
+    return {"C": np.ascontiguousarray(top), "transposed": top.swapaxes(-1, -2), "conjugated": top.conj(),
+            "adjoint": top.conj().swapaxes(-1, -2), "rows": stack[:, ::2],
+            "rows transposed": stack[:, ::2].swapaxes(-1, -2), "2-D": np.ascontiguousarray(top[0]),
+            "2-D transposed": top[0].T, "size-1": top[:1], "size-1 transposed": top[:1].swapaxes(-1, -2)}
+
+
+class TestStridedLayouts:
+    """The strided block writes hold on every layout: numpy 2.4.6 computes
+    ``np.negative(view, out=strided)`` wrongly for some transposed strided inputs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_embed_unitary(self, n):
+        rng = sp.rng_stream(9, n)
+        stack = rng.normal(size=(3, 2 * n, n)) + 1j * rng.normal(size=(3, 2 * n, n))
+        for name, u in layouts(stack).items():
+            assert np.array_equal(sp._embed_unitary(u), embed_by_entries(u)), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_inverse(self, n):
+        for name, s in layouts(sp.rng_stream(10, n).normal(size=(3, 4 * n, 2 * n))).items():
+            assert np.array_equal(sp._inverse(s), inverse_by_entries(s)), name
+
+
+class TestInverse:
+    @pytest.mark.parametrize("size", [None, 1, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_product_by_j_bit_for_bit(self, n, size):
+        s = sp.sample_symplectics(sp.rng_stream(5, n), n, size or 1, (1.0, 3.0))
+        s = s[0] if size is None else s
+        j = sp.symplectic_form(n)
+        product = j @ np.swapaxes(s, -1, -2) @ j.T
+        inverse = sp._inverse(s) if size else sp.symplectic_inverse(s)
+        assert np.array_equal(inverse, product) and np.array_equal(np.signbit(inverse), np.signbit(product))
+        assert_allclose(inverse @ s, np.broadcast_to(np.eye(2 * n), s.shape), atol=1e-12)
+
+
 class TestSampleSymplectics:
     @pytest.mark.parametrize("log_squeeze", [False, True])
     @pytest.mark.parametrize("count", [1, 5, 2048])
