@@ -233,18 +233,21 @@ def _check_builtin_pairs(args, tol: float) -> dict:
 
 
 #: Per verify target: the report key and the default of the tolerance that
-#: --tol sets, and the check, called with the arguments and the tolerance.
-#: A check returns one result, or a dict of results by channel pair.
+#: --tol sets, the other tolerances its check reads, and the check, called
+#: with the arguments and the tolerance.  A report records exactly the
+#: tolerances its check reads.  A check returns one result, or a dict of
+#: results by channel pair.
 VERIFY_TARGETS = {
-    "theorem1": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.theorem1_trial(
+    "theorem1": ("prefix_atol", mj.PREFIX_ATOL, {"prefix_rtol": mj.PREFIX_RTOL}, lambda args, tol: mj.theorem1_trial(
         args.max_modes, trials=args.trials, seed=args.seed, atol=tol)),
-    "lemma1": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.lemma1_campaign(
+    "lemma1": ("prefix_atol", mj.PREFIX_ATOL, {"prefix_rtol": mj.PREFIX_RTOL}, lambda args, tol: mj.lemma1_campaign(
         instances=args.instances, max_modes=min(args.max_modes, 3), samples=args.trials, seed=args.seed, atol=tol)),
-    "schur": ("prefix_atol", mj.PREFIX_ATOL, lambda args, tol: mj.schur_campaign(
+    "schur": ("prefix_atol", mj.PREFIX_ATOL, {"prefix_rtol": mj.PREFIX_RTOL}, lambda args, tol: mj.schur_campaign(
         trials=args.trials, max_dim=args.max_modes * 2, seed=args.seed, atol=tol)),
-    "concavity": ("concavity_bound", fn.CONCAVITY_BOUND, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
-    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, lambda args, tol: _check_builtin_pairs(args, tol)),
-    "additivity": ("tol_sup", fn.TOL_OPT_SUP, lambda args, tol: fn.additivity_check(
+    "concavity": ("concavity_bound", fn.CONCAVITY_BOUND, {}, lambda args, tol: fn.log_fp_concavity_check(bound=tol)),
+    "multiplicativity": ("tol_opt", fn.TOL_OPT_CLOSED, {"margin_ulps": fn.MARGIN_ULPS},
+                         lambda args, tol: _check_builtin_pairs(args, tol)),
+    "additivity": ("tol_sup", fn.TOL_OPT_SUP, {}, lambda args, tol: fn.additivity_check(
         [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))],
         fn.EnergyBudget(args.energy, np.ones(2)), search_budget=args.budget, seed=args.seed, tol=tol)),
 }
@@ -252,13 +255,11 @@ VERIFY_TARGETS = {
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    key, default, check = VERIFY_TARGETS[args.target]
-    tolerances = {"prefix_atol": mj.PREFIX_ATOL, "prefix_rtol": mj.PREFIX_RTOL}
-    if args.tol is not None:
-        tolerances[key] = args.tol
-    report = _base_report(args, tolerances)
+    key, default, fixed, check = VERIFY_TARGETS[args.target]
+    tol = default if args.tol is None else args.tol
+    report = _base_report(args, {key: tol, **fixed})
     report["target"] = args.target
-    outcome = check(args, default if args.tol is None else args.tol)
+    outcome = check(args, tol)
     if isinstance(outcome, dict):
         report["results"] = [{"pair": label, **record_of(result)} for label, result in outcome.items()]
         failed = not all(result.passed for result in outcome.values())

@@ -157,7 +157,7 @@ def _hermitian(l: np.ndarray) -> np.ndarray:
 
     L^T J L is real skew-symmetric and has the eigenvalues of J A, so the
     Hermitian has the eigenvalues +/- nu_j (Bhatia & Jain, J. Math. Phys.,
-    2015).  ``_spectrum`` and ``williamson`` diagonalize it for a Cholesky L.
+    2015).  ``_spectrum`` and ``_frames`` diagonalize it for a Cholesky L.
     """
     n = l.shape[-1] // 2
     return 1j * (np.swapaxes(l, -1, -2) @ _form(n) @ l)
@@ -274,21 +274,27 @@ def williamson(a: np.ndarray) -> WilliamsonDecomposition:
         residual value is included in the message.
     """
     a = _check_symmetric(a)
-    n = a.shape[0] // 2
-    l = _cholesky(a)
-    values, vectors = np.linalg.eigh(_hermitian(l))
-    spectrum = values[n:]
-    u = np.sqrt(2.0) * vectors[:, n:]
-    o = np.empty((2 * n, 2 * n))
-    o[:, 0::2] = u.imag
-    o[:, 1::2] = u.real
-    d = np.repeat(spectrum, 2)
-    s = np.sqrt(d)[:, None] * np.linalg.solve(l.T, o).T
-
-    residual = float(np.max(np.abs(s @ a @ s.T - np.diag(d))))
+    try:
+        spectrum, s = _frames(a)
+    except np.linalg.LinAlgError:
+        _cholesky(a)  # raises with the eigenvalues of A
+        raise
+    residual = float(np.max(np.abs(s @ a @ s.T - np.diag(spectrum.repeat(2)))))
     if residual > TOL_DECOMP:
         raise ArithmeticError(f"Williamson residual {residual:.3e} exceeds {TOL_DECOMP:.1e}")
     return WilliamsonDecomposition(s=s, spectrum=spectrum)
+
+
+def _frames(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson spectrum and frame S of one SPD matrix or a (..., 2n, 2n) stack, unvalidated: the
+    construction of ``williamson``, its validated wrapper, as ``symplectic_eigenvalues`` wraps ``_spectrum``."""
+    n = a.shape[-1] // 2
+    l = np.linalg.cholesky(a)
+    values, vectors = np.linalg.eigh(_hermitian(l))
+    nu, u = values[..., n:], np.sqrt(2.0) * vectors[..., n:]
+    o = np.empty(a.shape)
+    o[..., 0::2], o[..., 1::2] = u.imag, u.real
+    return nu, np.sqrt(nu.repeat(2, axis=-1))[..., None] * np.linalg.solve(l.swapaxes(-1, -2), o).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,21 @@ import cvchan.functionals as fn
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """A list that gains one entry per search that ``functionals._lockstep_nelder_mead``
-    runs: a call that runs several searches in lockstep adds one entry for each."""
+    """A list that gains one entry per search that a search driver runs, the
+    pure-input ``functionals._lockstep_bfgs`` or the sup-entropy
+    ``functionals._lockstep_nelder_mead``: a call that runs several searches
+    in lockstep adds one entry for each."""
     calls = []
-    lockstep = fn._lockstep_nelder_mead
 
-    def counting(objective, searches):
-        calls.extend(searches)
-        return lockstep(objective, searches)
+    def counting(driver):
+        def count(objective, searches):
+            calls.extend(searches)
+            return driver(objective, searches)
 
-    monkeypatch.setattr(fn, "_lockstep_nelder_mead", counting)
+        return count
+
+    for name in ("_lockstep_bfgs", "_lockstep_nelder_mead"):
+        monkeypatch.setattr(fn, name, counting(getattr(fn, name)))
     return calls
 
 

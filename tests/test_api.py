@@ -274,21 +274,22 @@ def test_bare_tolerance_guard_is_detected(tmp_path):
     assert _bare_tolerance_guards([module]) == {"f", "inner", "h", "<module>"}
 
 
-#: Every function in src/cvchan that reads ``_lockstep_nelder_mead``: the
-#: pure-input search and the energy-constrained one.  Another reader is a
-#: second entry to the one search driver, or a one-search adapter around it,
-#: so a new one must show up here.
-DRIVER_CALLERS = {"numeric_min_renyis", "max_output_entropy_under_energy"}
+#: Per search driver, every function in src/cvchan that reads it: the
+#: pure-input search runs BFGS, and the energy-constrained sup search runs
+#: Nelder-Mead.  Another reader is a second entry to a search driver, or a
+#: one-search adapter around it, so a new one must show up here.
+DRIVER_CALLERS = {"_lockstep_bfgs": {"numeric_min_renyis"},
+                  "_lockstep_nelder_mead": {"max_output_entropy_under_energy"}}
 
 
-def _driver_callers(paths) -> set[str]:
-    """The functions around every read of the name ``_lockstep_nelder_mead``,
-    bare or as an attribute, in the given modules."""
-    return _owners(paths, lambda node: getattr(node, "id", getattr(node, "attr", None)) == "_lockstep_nelder_mead")
+def _driver_callers(paths, driver: str = "_lockstep_nelder_mead") -> set[str]:
+    """The functions around every read of the name ``driver``, bare or as an
+    attribute, in the given modules."""
+    return _owners(paths, lambda node: getattr(node, "id", getattr(node, "attr", None)) == driver)
 
 
 def test_driver_callers_are_pinned():
-    assert _driver_callers(sorted(SOURCE.glob("*.py"))) == DRIVER_CALLERS
+    assert {driver: _driver_callers(sorted(SOURCE.glob("*.py")), driver) for driver in DRIVER_CALLERS} == DRIVER_CALLERS
 
 
 def test_driver_caller_is_detected(tmp_path):
@@ -308,8 +309,8 @@ def test_driver_caller_is_detected(tmp_path):
 #: streams by ``(seed, lane)``.  A new caller is a new family of streams, so
 #: it must show up here.
 LANE_OWNERS = {
-    "random_unitary", "random_symplectic", "random_spd", "_lockstep_nelder_mead", "random_majorization_pair",
-    "theorem1_trial", "_lemma1_fold", "lemma1_campaign", "schur_campaign",
+    "random_unitary", "random_symplectic", "random_spd", "_lockstep_nelder_mead", "_chart_starts",
+    "random_majorization_pair", "theorem1_trial", "_lemma1_fold", "lemma1_campaign", "schur_campaign",
 }
 
 
@@ -541,8 +542,8 @@ def test_uncalled_definition_is_detected(tmp_path):
 def _scipy_uses(path: pathlib.Path) -> list[str]:
     """Imports of scipy in any form (``import``, ``from ... import``, ``__import__``
     and ``import_module`` of a scipy name) and ``optimize.minimize`` attribute
-    reads: cvchan runs on numpy alone, and ``_lockstep_nelder_mead`` drives
-    the one Nelder-Mead, ``_nelder_mead``."""
+    reads: cvchan runs on numpy alone, with its own Nelder-Mead
+    (``_nelder_mead``) and BFGS (``_bfgs``)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

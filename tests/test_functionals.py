@@ -334,7 +334,24 @@ def unitary_reference(theta, n):
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+def cayley_reference(t0, v, n):
+    """Reference: per row, H filled entry by entry from its upper triangle, then
+    A^-1 = (I - JH/2)^-1 and T = T0 (2 A^-1 - I)."""
+    j, eye, a_invs, ts = sp.symplectic_form(n), np.eye(2 * n), [], []
+    for t0_row, v_row in zip(t0, v):
+        h, k = np.zeros((2 * n, 2 * n)), 0
+        for r in range(2 * n):
+            for c in range(r, 2 * n):
+                h[r, c] = h[c, r] = v_row[k]
+                k += 1
+        a_invs.append(np.linalg.inv(eye - 0.5 * (j @ h)))
+        ts.append(t0_row @ (2.0 * a_invs[-1] - eye))
+    return np.array(a_invs), np.array(ts)
+
+
 def pure_cov_reference(theta, n):
+    """The Euler parameterization of a pure covariance, T Z^2 T^T from n^2 + n parameters:
+    the chart of the Renyi objectives that ``_nelder_mead`` is held to scipy on."""
     t = sp._embed_unitary(unitary_reference(theta[..., : n * n], n))
     zz = sp._paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
     return (t * zz[..., None, :]) @ np.swapaxes(t, -1, -2)
@@ -388,11 +405,16 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pure_cov(self, n):
-        theta = signed_zero_stack(22, n * n + n)
-        theta[:3, n * n :] = [[20.0], [-20.0], [np.inf]]  # clipped squeezings
-        gamma = fn._pure_cov(theta, n)
-        assert same_bits(gamma, pure_cov_reference(theta, n))
-        assert all(same_bits(fn._pure_cov(row, n), gamma[i]) for i, row in enumerate(theta))
+        # The chart of the pure-input search, T = T0 C(H) with gamma = T T^T: the bits of the
+        # entry-by-entry reference, and every row of a stack the bits of that row alone.
+        v = 0.25 * signed_zero_stack(22, n * (2 * n + 1))
+        t0 = sp.sample_symplectics(sp.rng_stream(22, n), n, len(v), (1.0, 2.0))
+        a_inv, t = fn._cayley(t0, v)
+        reference = cayley_reference(t0, v, n)
+        assert same_bits(a_inv, reference[0]) and same_bits(t, reference[1])
+        for i in range(len(v)):
+            row = fn._cayley(t0[i : i + 1], v[i : i + 1])
+            assert same_bits(row[0][0], a_inv[i]) and same_bits(row[1][0], t[i])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_phys_cov_factors(self, n):
@@ -546,8 +568,8 @@ class TestRestartedNelderMead:
         n = joint.n
 
         def objective(thetas):
-            search = fn._Search(joint, p, 1.0, fn._pure_cov, n * n + n)
-            return fn._scores([search], [thetas])
+            gammas = pure_cov_reference(thetas, n)
+            return st._renyi(np.maximum(sp._spectrum(ch._act(joint.x, joint.y, gammas)), 1.0), p)
 
         lockstep = restarted(objective, n * n + n, 2000, seed=5)
         reference = scipy_restarts(objective, n * n + n, 2000, seed=5)
@@ -581,8 +603,7 @@ class TestRestartedNelderMead:
 
         def objective(thetas):
             cov_of = lambda x, n: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega))
-            return fn._scores([fn._Search(channel, 1.0, -1.0, cov_of, 2 * n * n + 2 * n)],
-                              [thetas])
+            return fn._scores(channel, cov_of, thetas)
 
         searched = restarted(objective, 2 * n * n + 2 * n, budget, seed=3)
         reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
@@ -637,96 +658,250 @@ class TestLockstep:
         assert sum(map(sum, calls)) == sum(result[2] for result in together)
 
 
+def chart_stack(seed, n, rows, scale=0.3):
+    """``rows`` chart rows (t0, v) of an n-mode search: Philox symplectic centres and parameters."""
+    rng = sp.rng_stream(seed, n)
+    return sp.sample_symplectics(rng, n, rows, (1.0, 2.0)), rng.normal(scale=scale, size=(rows, n * (2 * n + 1)))
+
+
 class TestScores:
+    """The objective of the pure-input search, ``_chart_scores``: one
+    ``_chart_values`` call per mode-count group, on per-row stacks of X, Y
+    and p with the order-1 rows first, where each search's rows get what
+    they get alone, and a failing row scores +inf alone."""
+
     N = 2
 
-    def cov_of(self, x, n):
-        """Pure covariances; a row with x_0 > 50 is negated, so its output
-        under an identity or weak classical-noise channel is not positive definite."""
-        gamma = fn._pure_cov(x, n)
-        gamma[x[:, 0] > 50.0] *= -1.0
-        return gamma
+    def cov_of(self, t0, v):
+        """A row whose chart gives a NaN covariance: its output factorization fails."""
+        v[..., 0] = np.nan
 
-    def cov_or_raise(self, x, n):
-        if np.any(x[:, 0] > 50.0):
-            raise ValueError("marked row")
-        return fn._pure_cov(x, n)
+    def cov_or_raise(self, t0, v):
+        """A row whose chart has a singular I - JH/2 (H = diag(2, -2) on mode 1): the inverse raises."""
+        v[...] = 0.0
+        layout = fn._chart_layout(len(t0) // 2)[0].reshape(len(t0), len(t0))
+        v[..., layout[0, 0]], v[..., layout[1, 1]] = 2.0, -2.0
 
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_scores_inf_alone(self, cov_name):
-        search = fn._Search(identity_channel(self.N), 2.0, 1.0, getattr(self, cov_name),
-                            self.N * self.N + self.N)
-        thetas = sp.rng_stream(7).normal(scale=0.8, size=(5, search.dim))
+        jobs = [(identity_channel(self.N), 2.0)]
+        groups = fn._chart_groups(jobs)
+        t0, v = chart_stack(7, self.N, 5)
 
-        def scores(x):
-            return fn._scores([search], [x])
+        def scores(t0, v):
+            ((values, grads),) = fn._chart_scores(groups, [(t0, v)])
+            return values, grads
 
-        alone = np.concatenate([scores(theta[None]) for theta in thetas])
-        assert np.all(np.isfinite(alone))
-        assert np.array_equal(scores(thetas), alone)
-        thetas[2, 0] = 100.0
-        marked = scores(thetas)
+        alone = [scores(t0[i : i + 1], v[i : i + 1]) for i in range(5)]
+        assert all(np.all(np.isfinite(values)) and np.all(np.isfinite(grads)) for values, grads in alone)
+        values, grads = scores(t0, v)
+        assert same_bits(values, np.concatenate([a for a, _ in alone]))
+        assert same_bits(grads, np.concatenate([g for _, g in alone]))
+        getattr(self, cov_name)(t0[2], v[2])
+        marked, marked_grads = scores(t0, v)
         assert marked[2] == np.inf
-        assert np.array_equal(np.delete(marked, 2), np.delete(alone, 2))
+        assert same_bits(np.delete(marked, 2), np.delete(values, 2))
+        assert same_bits(np.delete(marked_grads, 2, axis=0), np.delete(grads, 2, axis=0))
 
     @pytest.mark.parametrize("row", [2, 6, 10], ids=["first-2-mode", "second-2-mode", "3-mode"])
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_in_a_lockstep_round_scores_inf_alone(self, cov_name, row):
-        # Two 2-mode searches share one covariance build and one spectrum
-        # call; the 3-mode search has its own.  Each stack is its search's
-        # dim wide, and a view of ``thetas``, so marking a row marks its stack.
-        cov_of = getattr(self, cov_name)
-        searches = [
-            fn._Search(identity_channel(2), 2.0, 1.0, cov_of, 6),
-            fn._Search(ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), 3.0, 1.0, cov_of, 6),
-            fn._Search(identity_channel(3), 1.0, 1.0, cov_of, 12),
-        ]
-        thetas = sp.rng_stream(7).normal(scale=0.8, size=(12, 12))
-        stacks = [rows[:, : search.dim] for rows, search in zip(np.split(thetas, [5, 9]), searches)]
-        alone = np.array([fn._scores([search], [theta[None]])[0] for search, stack in zip(searches, stacks)
-                          for theta in stack])
-        assert np.all(np.isfinite(alone))
-        assert np.array_equal(fn._scores(searches, stacks), alone)
-        thetas[row, 0] = 100.0
-        marked = fn._scores(searches, stacks)
+        # Two 2-mode searches share one group call; the 3-mode search has its own.
+        jobs = [(identity_channel(2), 2.0), (ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), 3.0),
+                (identity_channel(3), 1.0)]
+        groups = fn._chart_groups(jobs)
+        stacks = [chart_stack(7, 2, 5), chart_stack(8, 2, 4), chart_stack(9, 3, 3)]
+        alone = [fn._chart_scores(fn._chart_groups([job]), [(t0[i : i + 1], v[i : i + 1])])[0]
+                 for job, (t0, v) in zip(jobs, stacks) for i in range(len(v))]
+        assert all(np.isfinite(values[0]) for values, _ in alone)
+        together = fn._chart_scores(groups, stacks)
+        assert same_bits(np.concatenate([values for values, _ in together]), np.concatenate([a for a, _ in alone]))
+        search, i = (0, row) if row < 5 else (1, row - 5) if row < 9 else (2, row - 9)
+        getattr(self, cov_name)(stacks[search][0][i], stacks[search][1][i])
+        marked = np.concatenate([values for values, _ in fn._chart_scores(groups, stacks)])
         assert marked[row] == np.inf
-        assert np.array_equal(np.delete(marked, row), np.delete(alone, row))
+        assert same_bits(np.delete(marked, row), np.delete(np.concatenate([a for a, _ in alone]), row))
 
     def test_a_mixed_round_scores_each_search_as_alone(self):
-        # A 2-mode group with every kind of row: orders 1, 1.5, 2, 3 and inf, a sup search
-        # (sign -1), two searches on one channel, order 1 above nu = 1e4 (the large branch of
-        # ``_renyi``) and order 1 + 1e-12 at nu near 1e306, where (1 - p) ln(1 + 1/d) is
-        # subnormal (its tiny branch); a 1-mode group whose searches share one channel; and a
-        # 3-mode group of one order on two channels.
+        # A 2-mode group with every kind of row: orders 1, 1.5, 2, 3 and inf, two searches on one
+        # channel, order 1 above nu = 1e4 (the large branch of ``_renyi``) and order 1 + 1e-12 at nu
+        # near 1e306, where (1 - p) ln(1 + 1/d) is subnormal (its tiny branch); a 1-mode group whose
+        # searches share one channel; and a 3-mode group of one order on two channels.  Each group
+        # is one call on per-row stacks of X and Y, and each search gets the bits of its rows alone.
         shared, thermal, loss = custom_channel(), ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), ch.lossy([0.6])
-        searches = [
-            fn._Search(identity_channel(2), 1.0, 1.0, fn._pure_cov, 6),
-            fn._Search(shared, 1.5, 1.0, fn._pure_cov, 6),
-            fn._Search(shared, 2.0, 1.0, fn._pure_cov, 6),
-            fn._Search(thermal, 3.0, 1.0, fn._pure_cov, 6),
-            fn._Search(loss, 2.0, 1.0, fn._pure_cov, 2),
-            fn._Search(thermal, math.inf, 1.0, fn._pure_cov, 6),
-            fn._Search(thermal, 1.0, -1.0, fn._pure_cov, 6),
-            fn._Search(ch.classical_noise(3e4 * np.eye(4)), 1.0, 1.0, fn._pure_cov, 6),
-            fn._Search(ch.classical_noise(1e306 * np.eye(4)), 1.0 + 1e-12, 1.0, fn._pure_cov, 6),
-            fn._Search(loss, 1.0, -1.0, fn._pure_cov, 2),
-            fn._Search(ch.lossy([0.3, 0.6, 0.9]), 2.0, 1.0, fn._pure_cov, 12),
-            fn._Search(ch.thermal_noise([0.4, 0.5, 0.6], 1.5), 2.0, 1.0, fn._pure_cov, 12),
+        jobs = [
+            (shared, 1.5), (identity_channel(2), 1.0), (shared, 2.0), (thermal, 3.0), (loss, 2.0),
+            (thermal, math.inf), (ch.classical_noise(3e4 * np.eye(4)), 1.0),
+            (ch.classical_noise(1e306 * np.eye(4)), 1.0 + 1e-12), (loss, 1.0),
+            (ch.lossy([0.3, 0.6, 0.9]), 2.0), (ch.thermal_noise([0.4, 0.5, 0.6], 1.5), 2.0),
         ]
-        stacks = [sp.rng_stream(8, j).normal(scale=0.8, size=(3, search.dim)) for j, search in enumerate(searches)]
+        stacks = [chart_stack(8 + j, channel.n, 3) for j, (channel, _) in enumerate(jobs)]
+        groups = fn._chart_groups(jobs)
+        assert [len(members) for members, *_ in groups] == [7, 2, 2]
+        for members, _, _, ps in groups:  # the order-1 searches first
+            assert list(ps) == sorted(ps, key=lambda p: p != 1.0)
 
-        def per_search(search, stack):
+        def per_search(channel, p, t0, v):
             # The route of one channel action and one score per search.
-            nu = np.maximum(fn._spectrum(ch.apply_cov(search.channel, search.cov_of(stack, search.channel.n))), 1.0)
-            return nu, search.sign * st._renyi(nu, search.p)
+            t = fn._cayley(t0, v)[1]
+            nu = np.maximum(sp._frames(ch.apply_cov(channel, t @ np.swapaxes(t, -1, -2)))[0], 1.0)
+            return nu, st._renyi(nu, p)
 
-        large, tiny = per_search(searches[7], stacks[7])[0], per_search(searches[8], stacks[8])[0]
+        large = per_search(*jobs[6], *stacks[6])[0]
+        tiny = per_search(*jobs[7], *stacks[7])[0]
         assert large.min() > 1e4
         assert np.all(np.abs(-1e-12 * np.log1p(2.0 / (tiny - 1.0))) < np.finfo(float).tiny)
-        alone = [fn._scores([search], [stack]) for search, stack in zip(searches, stacks)]
-        assert all(same_bits(values, per_search(search, stack)[1])
-                   for search, stack, values in zip(searches, stacks, alone))
-        assert same_bits(fn._scores(searches, stacks), np.concatenate(alone))
+        alone = [fn._chart_scores(fn._chart_groups([job]), [stack])[0] for job, stack in zip(jobs, stacks)]
+        for job, stack, (values, _) in zip(jobs, stacks, alone):
+            assert same_bits(values, per_search(*job, *stack)[1])
+        together = fn._chart_scores(groups, stacks)
+        for (values, grads), (values_alone, grads_alone) in zip(together, alone):
+            assert same_bits(values, values_alone) and same_bits(grads, grads_alone)
+
+    def test_a_row_without_a_finite_gradient_scores_inf(self, monkeypatch):
+        # A finite value with a non-finite gradient never reaches the search.
+        rows = fn._chart_rows
+
+        def nan_gradient(*args):
+            values, grads = rows(*args)
+            grads[1, 0] = np.nan
+            return values, grads
+
+        monkeypatch.setattr(fn, "_chart_rows", nan_gradient)
+        ((values, _),) = fn._chart_scores(fn._chart_groups([(custom_channel(), 2.0)]), [chart_stack(3, 2, 3)])
+        assert np.isfinite(values[[0, 2]]).all() and values[1] == np.inf
+
+    def test_x_and_y_are_per_row_stacks(self, monkeypatch):
+        # One channel action per group, on X and Y stacked row by row from the group's searches.
+        jobs = [(custom_channel(), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 2.0)]
+        actions, act = [], ch._act
+        monkeypatch.setattr(ch, "_act", lambda x, y, gamma: actions.append((x, y)) or act(x, y, gamma))
+        fn._chart_scores(fn._chart_groups(jobs), [chart_stack(3, 2, 2), chart_stack(4, 2, 3)])
+        ((x, y),) = actions
+        assert same_bits(x, np.array([jobs[0][0].x] * 2 + [jobs[1][0].x] * 3))
+        assert same_bits(y, np.array([jobs[0][0].y] * 2 + [jobs[1][0].y] * 3))
+
+
+def conformal_channel(n, c2, seed):
+    """A channel X = c S, S symplectic, with noise Y above the CP threshold, and its optimal output
+    spectrum c^2 + nu(S^-T Y S^-1), the closed form of Theorem 1 for this class."""
+    rng = sp.rng_stream(seed, n)
+    s = sp.sample_symplectics(rng, n, 1, (1.0, 2.0))[0]
+    frame = sp.sample_symplectics(rng, n, 1, (1.0, 2.0))[0]
+    y = frame @ np.diag(np.repeat(rng.uniform(abs(1.0 - c2) + 0.2, abs(1.0 - c2) + 2.0, n), 2)) @ frame.T
+    y = 0.5 * (y + y.T)
+    s_inv = sp.symplectic_inverse(s)
+    y_c = s_inv.T @ y @ s_inv
+    return ch.make_channel(math.sqrt(c2) * s, y), c2 + sp.symplectic_eigenvalues(0.5 * (y_c + y_c.T))
+
+
+class TestChart:
+    """The Cayley chart, the analytic gradient and the numpy BFGS of the pure-input search."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cayley_is_symplectic(self, n):
+        v = sp.rng_stream(11, n).normal(scale=0.5, size=(50, n * (2 * n + 1)))
+        c = fn._cayley(np.broadcast_to(np.eye(2 * n), (50, 2 * n, 2 * n)), v)[1]
+        j = sp.symplectic_form(n)
+        assert np.max(np.abs(c @ j @ np.swapaxes(c, -1, -2) - j)) <= 1e-13
+
+    @staticmethod
+    def gradient_cases():
+        """(channel, p, t0, v, label) at n = 1..4, p = 1, 2, 7 and inf: a random point of a chart on
+        a mode-coupled classical channel, and a point with a repeated output spectrum."""
+        for n in range(1, 5):
+            rng = sp.rng_stream(12, n)
+            classical = ch.classical_noise(sp.sample_spd(rng, n, 1, (0.3, 2.0))[0][0])
+            t0, v = sp.sample_symplectics(rng, n, 1, (1.0, 2.0)), rng.normal(scale=0.3, size=(1, n * (2 * n + 1)))
+            # Thermal noise of equal modes is covariant under passive K: the input K Z^2 K^T with one
+            # squeezing z in every mode leaves with every nu equal, where the gradient is not 0.
+            thermal = ch.thermal_noise([0.6] * n, [0.8] * n)
+            passive = sp.unitary_to_orthosymplectic(sp.random_unitary(n, seed=n))
+            squeezed = (passive * np.tile([1.3, 1.0 / 1.3], n))[None]
+            for p in (1.0, 2.0, 7.0, math.inf):
+                yield classical, p, t0, v, f"{n}-mode classical, p = {p}"
+                yield thermal, p, squeezed, np.zeros((1, n * (2 * n + 1))), f"{n}-mode repeated nu, p = {p}"
+
+    def test_gradient_matches_central_differences(self):
+        for channel, p, t0, v, label in self.gradient_cases():
+            x, y, order = channel.x[None], channel.y[None], np.array([p])
+            _, grad = fn._chart_values(x, y, order, t0, v)
+            t = fn._cayley(t0, v)[1][0]
+            nu = sp._frames(ch.apply_cov(channel, t @ t.T))[0]
+            if "repeated" in label:
+                assert np.ptp(nu) <= 1e-12 * nu[0], label
+            eps, m = 1e-6, v.shape[1]
+            rows = x.repeat(m, 0), y.repeat(m, 0), order.repeat(m), t0.repeat(m, 0)
+            up, down = (fn._chart_values(*rows, v + step)[0] for step in (eps * np.eye(m), -eps * np.eye(m)))
+            central = (up - down) / (2.0 * eps)
+            assert np.max(np.abs(central - grad[0])) <= 1e-7 * max(1.0, np.max(np.abs(grad))), label
+            assert np.max(np.abs(grad)) > 1e-3, label
+
+    def test_a_pure_mode_at_order_one_is_a_face(self):
+        # At p <= 1 the slope of a pure mode is infinite: the mode is a face, with slope 0, not a clamp.
+        slopes = fn._renyi_slope(np.array([[1.0, 2.0]]), 1.0)
+        assert slopes[0, 0] == 0.0 and slopes[0, 1] == pytest.approx(math.atanh(0.5), rel=1e-15)
+        assert fn._renyi_slope(np.array([[1.0, 2.0]]), np.array([[0.5]]))[0, 0] == 0.0
+        # At p > 1 it is finite: p / (2 (p - 1)), and 1/2 at p = inf.
+        assert fn._renyi_slope(np.array([[1.0]]), np.array([[2.0], [3.0], [math.inf]]))[:, 0] == pytest.approx(
+            [1.0, 0.75, 0.5], rel=1e-15)
+        # A lossy channel at the vacuum: a pure output, value 0 and gradient 0.
+        loss = ch.lossy([0.5, 0.8])
+        value, grad = fn._chart_values(loss.x[None], loss.y[None], np.array([1.0]), np.eye(4)[None], np.zeros((1, 10)))
+        assert value[0] == 0.0 and np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("p, pair", [(p, pair) for _, p, pair in _builtin_channel_pairs()],
+                             ids=[label for label, _, _ in _builtin_channel_pairs()])
+    def test_bfgs_matches_scipy(self, p, pair, monkeypatch):
+        # ``_bfgs`` without its chart radius is plain BFGS: from every start of the search, in the
+        # chart at that start, it reaches the value of scipy's BFGS on the same objective.
+        monkeypatch.setattr(fn, "_CHART_RADIUS", math.inf)
+        joint = ch.tensor(pair)
+        n, x, y, order = joint.n, joint.x[None], joint.y[None], np.array([p])
+        for t0 in fn._chart_starts(n, fn.STARTS, 5):
+            def objective(v):
+                values, grads = fn._chart_scores(fn._chart_groups([(joint, p)]), [(t0[None], v[None])])[0]
+                return float(values[0]), grads[0]
+
+            run = fn._bfgs(*objective(np.zeros(n * (2 * n + 1))), 10**6)
+            try:
+                point = next(run)
+                while True:
+                    point = run.send(objective(point))
+            except StopIteration as stop:
+                _, value, _, _, reason = stop.value
+            assert reason in ("gradient", "stall")
+            with np.errstate(all="ignore"):
+                reference = minimize(objective, np.zeros(n * (2 * n + 1)), jac=True, method="BFGS",
+                                     options={"gtol": 1e-10, "maxiter": 10**4})
+            assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
+            assert value <= fn._chart_values(x, y, order, t0[None], np.zeros((1, n * (2 * n + 1))))[0][0]
+
+
+class TestExactSearch:
+    """The pure-input search lands on the closed form, within 1e-12."""
+
+    @pytest.mark.parametrize("n, c2", [(3, 0.6), (3, 1.3), (3, 2.0), (4, 0.8)])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_conformally_symplectic_channels(self, n, c2, p):
+        channel, nu_star = conformal_channel(n, c2, seed=int(10 * c2))
+        closed = st.renyi_entropy(nu_star, p)
+        (search,) = fn.numeric_min_renyis([(channel, p)], 2000, 0)
+        assert abs(search.best_value - closed) <= 1e-12
+        assert search.converged
+
+    def test_a_search_whose_starts_score_inf_ends_there(self):
+        # Every output overflows a double: each run scores its start and stops, far below the budget.
+        (search,) = fn.numeric_min_renyis([(ch.classical_noise(1.7e308 * np.eye(2)), 1.0)], 2000, 0)
+        assert search.best_value == np.inf and search.evaluations == fn.STARTS and not search.converged
+
+    @pytest.mark.parametrize("budget", [1000, 2000])
+    def test_builtin_pairs_reach_the_product(self, budget):
+        pairs = _builtin_channel_pairs()
+        reports = fn.multiplicativity_checks([(pair, p) for _, p, pair in pairs], budget, 0, fn.TOL_OPT_CLOSED)
+        for (label, _, _), report in zip(pairs, reports):
+            assert abs(report.numeric_best - report.product_of_optima) <= 1e-12 * report.product_of_optima, label
+            assert report.margin >= -1e-12 * report.product_of_optima and report.passed, label
 
 
 class TestEnergyBudget:
@@ -952,6 +1127,34 @@ class TestMultiplicativity:
         assert report.passed
         record = json.loads(json.dumps(record_of(report), allow_nan=False))
         assert set(record) == {"p", "log_product_of_optima", "log_numeric_best", "log_witness_value", "margin", "pass"}
+
+    @pytest.mark.parametrize("p, pair", [
+        (300.0, [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5], [1.0])]),
+        (1e10, [ch.classical_noise(np.diag([2.0, 2.0])), ch.thermal_noise([0.5], [1.0])]),
+    ], ids=["p300", "p1e10"])
+    def test_rounding_at_large_p_passes(self, p, pair):
+        # The search ends at the product up to rounding, which at large p exceeds any absolute
+        # tolerance: a few eps |ln F_p| of F_p (p = 300), or of ln F_p where F_p overflows (p = 1e10).
+        report = fn.multiplicativity_check(pair, p, search_budget=200)
+        assert report.passed
+        assert report.margin < 0.0
+
+    @pytest.mark.parametrize("relative", [1e-6, 1e-10])
+    def test_a_product_beaten_at_large_p_fails(self, relative, monkeypatch):
+        # The same p = 300 pair with a search that beats the product by a relative 1e-6, or 1e-10.
+        search = fn.numeric_min_renyis
+
+        def beating(jobs, budget, seed):
+            reports = search(jobs, budget, seed)
+            for (joint, p), report in zip(jobs, reports):
+                report.best_value = fn.min_output_renyi_closed(joint, p) + math.log1p(-relative) / (p - 1.0)
+            return reports
+
+        monkeypatch.setattr(fn, "numeric_min_renyis", beating)
+        pair = [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5], [1.0])]
+        report = fn.multiplicativity_check(pair, 300.0, search_budget=200)
+        assert report.margin == pytest.approx(-relative * report.product_of_optima, rel=1e-3)
+        assert not report.passed
 
     def test_finite_fp_record_has_no_log_twins(self):
         report = fn.multiplicativity_check([identity_channel(), identity_channel()], 2.0, search_budget=300, seed=0)

@@ -75,31 +75,33 @@ COMMANDS = {
 #: The searches of one lockstep share every round's call, so a lockstep
 #: makes as many calls as its longest search has rounds.  Every command
 #: runs one lockstep but a custom ``capacity``, which runs its S_min search
-#: and then its sup search (custom2: 160 + 154 calls).
+#: (``_chart_scores``, the BFGS lockstep) and then its sup search
+#: (``_scores``, Nelder-Mead): custom2 27 + 154 calls.
 SEARCH_WORK = {
-    "multiplicativity": (160, 5976),
+    "multiplicativity": (21, 300),
     "additivity": (154, 996),
-    "custom2_analyze_numeric": (160, 1992),
-    "custom2_capacity": (314, 1992),
-    "custom1_analyze_numeric": (197, 3485),
-    "custom1_capacity": (293, 1800),
+    "custom2_analyze_numeric": (17, 106),
+    "custom2_capacity": (181, 1069),
+    "custom1_analyze_numeric": (12, 122),
+    "custom1_capacity": (158, 943),
 }
 
 #: Channel actions (``channels._act``), ``states._renyi`` calls and
 #: ``numpy.linalg.eigh`` calls made inside the objective calls of each
-#: pinned search command.  A round makes one action per group of searches
-#: with the same parameterization and mode count, at most two Renyi calls
-#: per group (its order-1 rows and its other orders), and one eigh per
-#: group, so the sup search draws both unitary factors in one call.
-#: ``verify multiplicativity`` has a two-mode and a three-mode group, and
-#: ``analyze --numeric`` an order-1 search beside its searches per ``p``.
+#: pinned search command.  A round of the pure-input search makes one
+#: action and one eigh (its Williamson frames) per mode-count group with
+#: rows, and at most two Renyi calls per group (its order-1 rows and its
+#: other orders); a round of the sup search makes one action, one Renyi
+#: call and one eigh, which draws both unitary factors.  ``verify
+#: multiplicativity`` has a two-mode and a three-mode group, and ``analyze
+#: --numeric`` an order-1 search beside its searches per ``p``.
 ROUND_WORK = {
-    "multiplicativity": {"actions": 314, "renyi": 314, "eigh": 314},
+    "multiplicativity": {"actions": 36, "renyi": 36, "eigh": 36},
     "additivity": {"actions": 154, "renyi": 154, "eigh": 154},
-    "custom2_analyze_numeric": {"actions": 160, "renyi": 320, "eigh": 160},
-    "custom2_capacity": {"actions": 314, "renyi": 314, "eigh": 314},
-    "custom1_analyze_numeric": {"actions": 197, "renyi": 389, "eigh": 197},
-    "custom1_capacity": {"actions": 293, "renyi": 293, "eigh": 293},
+    "custom2_analyze_numeric": {"actions": 17, "renyi": 32, "eigh": 17},
+    "custom2_capacity": {"actions": 181, "renyi": 181, "eigh": 181},
+    "custom1_analyze_numeric": {"actions": 12, "renyi": 23, "eigh": 12},
+    "custom1_capacity": {"actions": 158, "renyi": 158, "eigh": 158},
 }
 
 #: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
@@ -211,13 +213,16 @@ def test_search_work(name, monkeypatch):
         pytest.skip(f"counts taken on {recorded}, this is {build()}")
     rows, depth, work = [], [], collections.Counter()
 
-    def objective(*args):
-        rows.append(sum(map(len, args[-1])))
-        depth.append(None)
-        try:
-            return scores(*args)
-        finally:
-            depth.pop()
+    def objective(function, rows_of):
+        def call(*args):
+            rows.append(rows_of(args[-1]))
+            depth.append(None)
+            try:
+                return function(*args)
+            finally:
+                depth.pop()
+
+        return call
 
     def counting(key, function):
         def call(*args, **kwargs):
@@ -226,8 +231,8 @@ def test_search_work(name, monkeypatch):
 
         return call
 
-    scores = fn._scores
-    monkeypatch.setattr(fn, "_scores", objective)
+    monkeypatch.setattr(fn, "_chart_scores", objective(fn._chart_scores, lambda stacks: sum(len(v) for _, v in stacks)))
+    monkeypatch.setattr(fn, "_scores", objective(fn._scores, len))
     monkeypatch.setattr(ch, "_act", counting("actions", ch._act))
     monkeypatch.setattr(st, "_renyi", counting("renyi", st._renyi))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))

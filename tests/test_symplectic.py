@@ -278,6 +278,49 @@ class TestWilliamson:
             assert sp.symplectic_residual(dec.s) <= 1e-9
 
 
+def williamson_steps(a):
+    """Reference: ``williamson``'s construction as it was written before the kernel, one matrix at a time."""
+    n = a.shape[0] // 2
+    l = np.linalg.cholesky(a)
+    values, vectors = np.linalg.eigh(1j * (l.T @ sp.symplectic_form(n) @ l))
+    u = np.sqrt(2.0) * vectors[:, n:]
+    o = np.empty((2 * n, 2 * n))
+    o[:, 0::2] = u.imag
+    o[:, 1::2] = u.real
+    return values[n:], np.sqrt(np.repeat(values[n:], 2))[:, None] * np.linalg.solve(l.T, o).T
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFramesKernel:
+    """``_frames`` is ``williamson``'s construction unvalidated: it and
+    ``williamson`` give the construction's spectrum and frame bit for bit,
+    one matrix at a time and for every matrix of a stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_williamson_bit_for_bit(self, n):
+        mats = [sp.random_spd(n, (0.5, 4.0), seed=seed) for seed in range(200)]
+        nus, frames = sp._frames(np.array(mats))
+        assert nus.shape == (200, n) and frames.shape == (200, 2 * n, 2 * n)
+        for a, nu, s in zip(mats, nus, frames):
+            nu_ref, s_ref = williamson_steps(a)
+            dec, (nu_alone, s_alone) = sp.williamson(a), sp._frames(a)
+            assert all(same_bits(kernel, nu_ref) for kernel in (nu, nu_alone, dec.spectrum))
+            assert all(same_bits(kernel, s_ref) for kernel in (s, s_alone, dec.s))
+            assert sp.symplectic_residual(s) <= 1e-9
+
+    def test_indefinite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            sp._frames(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+    def test_williamson_names_the_failure(self):
+        # The kernel's factorization fails; the wrapper reports it with the eigenvalues of A.
+        with pytest.raises(sp.NotPositiveDefiniteError, match="minimum eigenvalue -1.000e"):
+            sp.williamson(np.diag([1.0, -1.0]))
+
+
 @st.composite
 def williamson_inputs(draw):
     """SPD matrices S^{-1} D S^{-T} with exact and near repeats in the
