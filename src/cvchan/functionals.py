@@ -5,13 +5,12 @@ Closed forms exist for classical-noise, thermal-noise and lossy channels
 and their tensor products, read leaf by leaf in mode order from one rule,
 ``_leaf_optimum`` (each leaf's optimal output spectrum, photon map and
 optimal input, each built only when a caller asks for it).  Every
-other channel goes through a search over Gaussian inputs.  The minimal
-output Renyi entropies search the pure inputs by BFGS on the analytic
-gradient, in Cayley charts of the symplectic group.  The energy-constrained
-sup of the output entropy searches physical inputs by Nelder-Mead, through
-the Euler form (two unitary factors plus squeezings), so physicality holds
-by construction, and the energy constraint is enforced by an exact
-projection, never a penalty.
+other channel goes through a search over Gaussian inputs, and every search
+runs one driver: BFGS on the analytic gradient, in Cayley charts of the
+symplectic group.  The minimal output Renyi entropies search the pure
+inputs.  The energy-constrained sup of the output entropy searches the
+physical inputs as the marginals of pure inputs on twice the modes, and an
+exact map onto the energy shell keeps each input physical, never a penalty.
 
 Numeric searches are falsification-oriented: they can certify that no
 sampled input beats a bound, not global optimality for custom channels.
@@ -30,8 +29,6 @@ from . import channels as ch
 from . import states as st
 from .symplectic import (
     _direct_sum,
-    _embed_unitary,
-    _euler_form,
     _form,
     _frames,
     _spectrum,
@@ -65,8 +62,6 @@ CONCAVITY_BOUND = 1e-9
 #: Units of eps times |ln F_p| by which a multiplicativity margin may miss 0 through rounding
 #: alone: F_p = exp(ln F_p) carries a relative error of a few eps |ln F_p|, beyond any fixed tolerance at large p.
 MARGIN_ULPS = 8.0
-#: Nelder-Mead runs per sup-entropy search; each gets an equal share of the budget.
-RESTARTS = 6
 
 
 class UnsupportedKindError(ValueError):
@@ -226,213 +221,17 @@ def min_output_entropy(channel: ch.GaussianChannel, budget: int = 20000, seed: i
         return numeric_min_renyis([(channel, 1.0)], budget, seed)[0].best_value
 
 
-# ---------------------------------------------------------------------------
-# search parameterizations
-
-@functools.cache
-def _hermitian_gather(n: int) -> np.ndarray:
-    """For each row-major entry of an n x n matrix, its index in the list of
-    the diagonal, the upper triangle and the lower triangle; the triangles
-    are in row-major order of the upper one."""
-    upper, lower = np.triu_indices(n, 1)
-    gather = np.empty(n * n, dtype=np.intp)
-    gather[np.arange(n) * (n + 1)] = np.arange(n)
-    gather[upper * n + lower] = n + np.arange(len(upper))
-    gather[lower * n + upper] = n + len(upper) + np.arange(len(upper))
-    gather.setflags(write=False)
-    return gather
-
-
-def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
-    """Map n^2 reals to a unitary through the exponential of a Hermitian,
-    along the last axis of ``theta``, so a stack of parameter vectors gives
-    a stack of unitaries.
-
-    The first n reals are the diagonal; the rest are (real, imaginary)
-    pairs of the upper triangle in row-major order.
-    """
-    re = theta[..., n : n * n : 2]
-    i_im = 1j * theta[..., n + 1 : n * n : 2]
-    h = np.concatenate([theta[..., :n], re + i_im, re - i_im], axis=-1)[..., _hermitian_gather(n)]
-    w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _phys_cov_factors(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic S and excess spectrum d >= 0 from 2n^2 + 2n parameters, stacked
-    like ``theta``; one ``_unitary_from_params`` call gives both unitary factors."""
-    t1, t2 = _embed_unitary(_unitary_from_params(np.stack([theta[..., : n * n], theta[..., n * n + n : -n]]), n))
-    z = np.exp(theta[..., n * n : n * n + n].clip(-12.0, 12.0))
-    s = _euler_form(t1, z, t2)
-    d = theta[..., 2 * n * n + n :].clip(-1e3, 1e3) ** 2
-    return s, d
-
-
-def _project_to_energy(s: np.ndarray, d: np.ndarray, budget: EnergyBudget) -> np.ndarray:
-    """Physical covariances S D S^T with the exact energy ``budget.total``,
-    one per row of the stacks s (m, 2n, 2n) and d (m, n).
-
-    Rescales the excess spectrum d of the rows whose pure part S S^T fits
-    in the budget; the other rows shrink toward the vacuum along the
-    segment to the identity (both operations preserve physicality).  Every
-    row is rescaled and the rows that do not fit, if any, are overwritten.
-    The energies are per-row dot products: a stacked matrix-vector product
-    sums in another order, and a row would then differ from its batch of one.
-    """
-    target, e_vac = budget.total, budget.zero_point
-    if target <= e_vac + 1e-12:
-        return np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
-    w = budget.omega.repeat(2)
-    gamma_pure = s @ s.swapaxes(-1, -2)
-    e0 = 0.25 * (gamma_pure.diagonal(axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
-    sq = s**2
-    coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
-    weight = (coef[:, None, :] @ d[:, :, None])[:, 0, 0]
-    flat = weight < 1e-12
-    if flat.any():
-        weight[flat], d = coef[flat].sum(axis=-1), np.where(flat[:, None], 1.0, d)
-    alpha = (target - e0) / weight
-    dd = (1.0 + alpha[:, None] * d).repeat(2, axis=-1)
-    out = (s * dd[:, None, :]) @ s.swapaxes(-1, -2)
-    mix = ~(e0 <= target)
-    if mix.any():
-        t = ((target - e_vac) / (e0[mix] - e_vac))[:, None, None]
-        out[mix] = t * gamma_pure[mix] + (1.0 - t) * np.eye(s.shape[-1])
-    return out
-
-
-def _nelder_mead(x0: np.ndarray, cap: int):
-    """scipy's ``minimize(method="Nelder-Mead")`` loop from ``x0``, with
-    ``xatol=1e-12``, ``fatol=1e-14`` and ``maxfev=cap``, written as a
-    generator: it yields each (m, dim) stack of points it needs scored and
-    is sent their m values.  Line for line it keeps scipy's initial simplex,
-    coefficients (1, 2, 0.5, 0.5), vertex sorts and convergence test, and
-    checks the cap before every evaluation, so a shrink cut short by it
-    leaves the interrupted vertex moved but with its old value.  Returns
-    the best value, its point, the evaluation count and whether the run
-    converged before its cap.
-    """
-    dim = len(x0)
-    sim = np.repeat(x0[None], dim + 1, axis=0)
-    k = np.arange(dim)
-    sim[k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(dim + 1, np.inf)
-    evals = min(cap, dim + 1)
-    fsim[:evals] = yield sim[:evals]
-    for _ in range(2):  # scipy sorts the initial simplex twice; argsort may reorder ties
-        order = fsim.argsort()
-        sim, fsim = sim.take(order, 0), fsim.take(order)
-    while evals < cap:
-        # fsim is sorted, so its spread is scipy's max |fsim[0] - fsim[1:]|; as
-        # Python floats inf - inf is nan without a warning, and fails the test
-        if float(fsim[-1]) - float(fsim[0]) <= 1e-14 and np.abs(sim[1:] - sim[0]).max() <= 1e-12:
-            return float(fsim.min()), sim[0], evals, True
-        xbar = np.add.reduce(sim[:-1], 0) / dim
-        xr = 2 * xbar - sim[-1]
-        (fxr,) = yield xr[None]
-        evals += 1
-        if fxr < fsim[0]:
-            if evals < cap:
-                xe = 3 * xbar - 2 * sim[-1]
-                (fxe,) = yield xe[None]
-                evals += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif evals < cap:
-            outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            (fxc,) = yield xc[None]
-            evals += 1
-            if fxc <= fxr if outside else fxc < fsim[-1]:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                # Shrink toward the best vertex: the vertices are scored up to
-                # the cap, and the one it interrupts moves and keeps its value.
-                scored = min(dim, cap - evals)
-                moved = min(dim, scored + 1)
-                sim[1 : moved + 1] = sim[0] + 0.5 * (sim[1 : moved + 1] - sim[0])
-                if scored:
-                    fsim[1 : scored + 1] = yield sim[1 : scored + 1]
-                    evals += scored
-        order = fsim.argsort()
-        sim, fsim = sim.take(order, 0), fsim.take(order)
-    return float(fsim.min()), sim[0], evals, False
-
-
-def _lockstep_nelder_mead(objective, searches):
-    """Budgeted Nelder-Mead for several searches at once, one (dim, budget,
-    seed) each: per search, ``RESTARTS`` runs of ``_nelder_mead``, the first
-    from the origin and the others from per-restart Philox starts.
-
-    Every round scores the pending points of every live run of every search
-    in one call ``objective(stacks)``: stacks[j] is the (m_j, dim_j) stack
-    of search j's points, m_j = 0 once search j is done, and the objective
-    returns one flat array of their values in that order, which reach the
-    runs as Python floats.  Run r's cap is min(per_run, budget - r per_run),
-    the cap it would get after r sequential runs: a cap is cut only when
-    per_run = dim + 2, and no run can converge within its first dim + 2
-    evaluations, because its initial simplex is wider than ``xatol``.
-    Returns, per search, what it returns alone: the best value, its
-    parameter vector (the earlier run wins a tie), the evaluation count, and
-    whether the run that produced the best value stopped by convergence.
-    """
-    runs = []
-    for dim, budget, seed in searches:
-        if budget < 1:
-            raise ValueError(f"search budget must be >= 1, got {budget}")
-        per_run = max(dim + 2, budget // RESTARTS)
-        caps = [min(per_run, budget - run * per_run) for run in range(RESTARTS)]
-        caps = [cap for cap in caps if cap > 0]
-        starts = [np.zeros(dim)] + [rng_stream(seed, run).normal(scale=0.8, size=dim) for run in range(1, len(caps))]
-        runs.append([_nelder_mead(start, cap) for start, cap in zip(starts, caps)])
-    pending = [{r: next(run) for r, run in enumerate(search_runs)} for search_runs in runs]
-    results = [[None] * len(search_runs) for search_runs in runs]
-    while any(pending):
-        values, end = objective([np.concatenate([np.empty((0, dim)), *points.values()])
-                                 for (dim, _, _), points in zip(searches, pending)]).tolist(), 0
-        for search_runs, points, search_results in zip(runs, pending, results):
-            for r, run_points in list(points.items()):
-                start, end = end, end + len(run_points)
-                try:
-                    points[r] = search_runs[r].send(values[start:end])
-                except StopIteration as stop:
-                    search_results[r] = stop.value
-                    del points[r]
-    bests = []
-    for (dim, _, _), search_results in zip(searches, results):
-        # min keeps the first of equal values: the earlier run wins a tie, and no finite value gives inf at 0
-        value, x, _, converged = min([(np.inf, np.zeros(dim), 0, False), *search_results], key=lambda res: res[0])
-        bests.append((value, x, sum(result[2] for result in search_results), converged))
-    return bests
-
-
-def _scores(channel: ch.GaussianChannel, cov_of, stack: np.ndarray) -> np.ndarray:
-    """Scores of one round of the sup-entropy search: minus the output entropy
-    of ``channel`` at the inputs ``cov_of(stack, channel.n)``, one per row of
-    the (m, dim) ``stack``.  A failed stacked call re-scores each row alone (a
-    stacked Cholesky fails as a whole); a lone row that fails, or a non-finite
-    score, scores +inf.
-    """
-    try:
-        gammas = cov_of(stack, channel.n)
-        values = -st._renyi(np.maximum(_spectrum(ch._act(channel.x, channel.y, gammas)), 1.0), 1.0)
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-        values = [np.inf] if len(stack) == 1 else np.concatenate([_scores(channel, cov_of, row[None]) for row in stack])
-    return np.where(np.isfinite(values), values, np.inf)
-
-
 def _gap_to_closed_form(gap) -> float | None:
-    """gap(), the search's best minus the closed form, or None for kinds
-    without a closed form."""
+    """gap(), the search's best minus the closed form, or None where no closed
+    form can be computed: a kind without one, or a closed form that fails."""
     try:
         return gap()
-    except UnsupportedKindError:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError):
         return None
 
 
 # ---------------------------------------------------------------------------
-# the pure-input search: BFGS in Cayley charts of Sp(2n)
+# the search: BFGS in Cayley charts of Sp(2n)
 
 @functools.cache
 def _chart_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -474,66 +273,121 @@ def _renyi_slope(nu: np.ndarray, p) -> np.ndarray:
     return np.where(np.isfinite(slope), slope, 0.0)
 
 
-def _chart_values(x: np.ndarray, y: np.ndarray, p: np.ndarray, t0: np.ndarray, v: np.ndarray):
-    """Values and chart gradients of stacked rows, row i the Renyi-p[i] entropy
-    of the output X_i^T gamma X_i + Y_i at the pure input gamma = T T^T of the
-    chart (t0[i], v[i]); the rows of order 1 come first.
+def _output_values(x: np.ndarray, y: np.ndarray, p: np.ndarray, gamma: np.ndarray):
+    """Values and input gradients of stacked rows, row i the Renyi-p[i] entropy
+    of the output X_i^T gamma_i X_i + Y_i; the rows of order 1 come first.
 
     With S the Williamson frame of the output, the gradient in the output is
     G = 1/2 S^T diag(phi'(nu), doubled) S (Jain and Mishra, arXiv 2004.11024),
-    in the input X G X^T, and in H it is N + N^T off the diagonal and N on it,
-    N = 2 A^-1 T^T X G X^T T0 A^-1 J.
+    and in the input X G X^T.
     """
-    n = t0.shape[-1] // 2
-    a_inv, t = _cayley(t0, v)
-    nus, s = _frames(ch._act(x, y, t @ t.swapaxes(-1, -2)))
+    nus, s = _frames(ch._act(x, y, gamma))
     nus = np.maximum(nus, 1.0)  # rounding can undercut the floor 1
     ones = int(np.count_nonzero(p == 1.0))
     parts = [(nus[:ones], 1.0), (nus[ones:], p[ones:, None])]
     values = np.concatenate([st._renyi(nu, order) for nu, order in parts if len(nu)])
     slopes = np.concatenate([_renyi_slope(nu, order) for nu, order in parts if len(nu)])
     g = (s.swapaxes(-1, -2) * (0.5 * slopes).repeat(2, axis=-1)[..., None, :]) @ s
-    k = (2.0 * (a_inv @ t.swapaxes(-1, -2))) @ (x @ g @ x.swapaxes(-1, -2)) @ (t0 @ a_inv) @ _form(n)
+    return values, x @ g @ x.swapaxes(-1, -2)
+
+
+def _chart_gradient(a_inv: np.ndarray, t: np.ndarray, t0: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient in H of a function of gamma = T T^T with gradient ``grad``
+    in gamma: N + N^T off the diagonal and N on it, N = 2 A^-1 T^T grad T0 A^-1 J.
+    t and t0 may be the first rows of T and T0, those that gamma reads."""
+    n = a_inv.shape[-1] // 2
+    k = (2.0 * (a_inv @ t.swapaxes(-1, -2))) @ grad @ (t0 @ a_inv) @ _form(n)
     _, rows, cols, weight = _chart_layout(n)
-    return values, (k[..., rows, cols] + k[..., cols, rows]) * weight
+    return (k[..., rows, cols] + k[..., cols, rows]) * weight
 
 
-def _chart_rows(x, y, p, t0, v):
-    """``_chart_values``, or, where the stacked call fails, each row alone; a
+def _chart_values(x: np.ndarray, y: np.ndarray, p: np.ndarray, t0: np.ndarray, v: np.ndarray):
+    """Values and chart gradients of stacked rows of the pure-input search, row
+    i the Renyi-p[i] entropy of the output X_i^T gamma X_i + Y_i at the pure
+    input gamma = T T^T of the chart (t0[i], v[i]); the rows of order 1 come first."""
+    a_inv, t = _cayley(t0, v)
+    values, grad = _output_values(x, y, p, t @ t.swapaxes(-1, -2))
+    return values, _chart_gradient(a_inv, t, t0, grad)
+
+
+def _energy_map(gamma: np.ndarray, w: np.ndarray, energy) -> tuple:
+    """The physical inputs P = R + alpha (gamma - R) of energy tr(W P)/4 =
+    ``energy``, W = diag(w), one per row of the physical stack gamma.
+
+    A row below the energy scales up from R = 0 (alpha >= 1); a row above it
+    mixes with the vacuum R = I (alpha in [0, 1)), which needs an energy at or
+    above the zero point tr(W)/4.  Both keep P physical; a row whose energy
+    overflows maps to NaN.  Returns P, alpha as an (m, 1, 1) stack, R, and
+    e(gamma) - e(R).
+    """
+    e = 0.25 * (gamma.diagonal(axis1=-2, axis2=-1) * w).sum(axis=-1)
+    above = e > energy
+    e_ref = np.where(above, 0.25 * w.sum(axis=-1), 0.0)
+    alpha = np.where(np.isfinite(e), (energy - e_ref) / (e - e_ref), np.nan)[..., None, None]
+    ref = above[..., None, None] * np.eye(gamma.shape[-1])
+    return alpha * gamma + (1.0 - alpha) * ref, alpha, ref, e - e_ref
+
+
+def _sup_values(x: np.ndarray, y: np.ndarray, w: np.ndarray, energy: np.ndarray, t0: np.ndarray, v: np.ndarray):
+    """Values and chart gradients of stacked rows of the sup-entropy search,
+    row i minus the output entropy of X_i^T P X_i + Y_i, P the ``_energy_map``
+    onto energy[i] of gamma = T_A T_A^T, T_A the first 2n rows of the chart
+    (t0[i], v[i]) on 2n modes: gamma is the marginal of a pure input, so it
+    is physical, and every physical input is one.
+
+    Through P the input gradient G becomes alpha (G - lambda W), lambda =
+    tr(G (gamma - R)) / (4 (e(gamma) - e(R))), the derivative of the energy
+    normalization.
+    """
+    n = x.shape[-1] // 2
+    a_inv, t = _cayley(t0, v)
+    t_a = t[..., : 2 * n, :]
+    gamma = t_a @ t_a.swapaxes(-1, -2)
+    p, alpha, ref, excess = _energy_map(gamma, w, energy)
+    values, grad = _output_values(x, y, np.ones(len(v)), p)
+    lam = (grad * (gamma - ref)).sum(axis=(-2, -1)) / (4.0 * excess)
+    grad = alpha * (grad - lam[..., None, None] * (w[..., None] * np.eye(2 * n)))
+    return -values, -_chart_gradient(a_inv, t_a, t0[..., : 2 * n, :], grad)
+
+
+def _chart_rows(values_of, *rows):
+    """``values_of(*rows)``, or, where the stacked call fails, each row alone; a
     lone row that fails scores +inf with a NaN gradient."""
     try:
-        return _chart_values(x, y, p, t0, v)
+        return values_of(*rows)
     except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+        v = rows[-1]
         if len(v) == 1:
             return np.array([np.inf]), np.full(v.shape, np.nan)
-        rows = [_chart_rows(x[i : i + 1], y[i : i + 1], p[i : i + 1], t0[i : i + 1], v[i : i + 1])
-                for i in range(len(v))]
-        return np.concatenate([value for value, _ in rows]), np.concatenate([grad for _, grad in rows])
+        parts = [_chart_rows(values_of, *(a[i : i + 1] for a in rows)) for i in range(len(v))]
+        return np.concatenate([value for value, _ in parts]), np.concatenate([grad for _, grad in parts])
 
 
 def _chart_groups(jobs) -> list:
     """The mode-count groups of a lockstep of (channel, p) jobs, built once per
-    lockstep: per mode count, its jobs' indices, the order-1 jobs first, and
-    their X, Y and p as stacks."""
+    lockstep: per mode count, its jobs' indices, the order-1 jobs first, the
+    values function ``_chart_values`` and their X, Y and p as stacks."""
     groups = {}
     for j in sorted(range(len(jobs)), key=lambda j: jobs[j][1] != 1.0):
         groups.setdefault(jobs[j][0].n, []).append(j)
-    return [(members, np.array([jobs[j][0].x for j in members]), np.array([jobs[j][0].y for j in members]),
-             np.array([jobs[j][1] for j in members])) for members in groups.values()]
+    return [(members, _chart_values, (np.array([jobs[j][0].x for j in members]),
+                                      np.array([jobs[j][0].y for j in members]),
+                                      np.array([jobs[j][1] for j in members]))) for members in groups.values()]
 
 
 def _chart_scores(groups, stacks) -> list:
     """One round of ``_lockstep_bfgs``: per search j, the values and gradients
-    of its rows stacks[j] = (t0s, vs).  Each group of ``_chart_groups`` is one
-    ``_chart_rows`` call on per-row stacks of X, Y and p; a row whose value or
-    gradient is not finite scores +inf."""
+    of its rows stacks[j] = (t0s, vs).  Each group (members, values function,
+    per-search arrays), from ``_chart_groups`` or the sup-entropy search, is
+    one ``_chart_rows`` call on the arrays stacked per row; a row whose value
+    or gradient is not finite scores +inf."""
     out = [None] * len(stacks)
-    for members, xs, ys, ps in groups:
+    for members, values_of, arrays in groups:
         counts = [len(stacks[j][1]) for j in members]
         owner = np.repeat(np.arange(len(members)), counts)
         t0, v = (np.concatenate([stacks[j][i] for j in members]) for i in (0, 1))
         if len(owner):
-            values, grads = _chart_rows(xs[owner], ys[owner], ps[owner], t0, v)
+            values, grads = _chart_rows(values_of, *(a[owner] for a in arrays), t0, v)
             values = np.where(np.isfinite(values) & np.isfinite(grads).all(axis=-1), values, np.inf)
         else:
             values, grads = np.empty(0), v
@@ -543,7 +397,7 @@ def _chart_scores(groups, stacks) -> list:
     return out
 
 
-#: Runs per pure-input search: the first from the vacuum, the others from Philox symplectic starts.
+#: Runs per search: the first from a fixed input, the others from Philox symplectic starts.
 STARTS = 4
 #: Largest entry of a chart's H, and of one step in it; a run re-centres its chart past it.
 _CHART_RADIUS = 1.0
@@ -554,9 +408,10 @@ _FTOL = 4 * np.finfo(float).eps
 
 
 def _chart_starts(n: int, count: int, seed: int) -> list[np.ndarray]:
-    """The chart centres T0 of a search's ``count`` runs: the vacuum, then one
-    symplectic per run, drawn on the lane (seed, run), so every search of a
-    mode count starts its runs from the same inputs."""
+    """The chart centres T0 of a search's ``count`` runs: the identity (the
+    vacuum of a pure-input search), then one symplectic per run, drawn on the
+    lane (seed, run), so every search of a mode count starts its runs from
+    the same inputs."""
     return [np.eye(2 * n)] + [sample_symplectics(rng_stream(seed, run), n, 1, (1.0, 2.0))[0]
                               for run in range(1, count)]
 
@@ -566,15 +421,17 @@ def _bfgs(value: float, grad: np.ndarray, cap: int):
     ``grad``, with a backtracking (Armijo) line search, written as a generator:
     it yields each trial point and is sent its (value, gradient).  A trial
     that scores +inf only shortens the step.  Steps are cut to ``_CHART_RADIUS``.
-    Returns the last point, its value and gradient, the trials scored, and
+    Until a step finds positive curvature the steps are steepest descent, and
+    each step that finds negative curvature doubles the next one, so a run on
+    a flat, concave stretch does not crawl.  Returns the last point, its value and gradient, the trials scored, and
     why it stopped: "gradient" or "stall" (converged), "radius" (the point
     left the chart) or "cap".
     """
-    x, inv, evals = np.zeros(len(grad)), None, 0
+    x, inv, scale, evals = np.zeros(len(grad)), None, 1.0, 0
     while True:
         if np.abs(grad).max() <= _GTOL:
             return x, value, grad, evals, "gradient"
-        step = -grad if inv is None else -(inv @ grad)
+        step = -scale * grad if inv is None else -(inv @ grad)
         slope = float(grad @ step)
         if slope >= 0.0:  # rounding in inv: steepest descent, and a fresh inverse
             step, slope, inv = -grad, -float(grad @ grad), None
@@ -600,6 +457,8 @@ def _bfgs(value: float, grad: np.ndarray, cap: int):
                 inv = np.eye(len(x)) * (sy / float(y @ y))
             hy = inv @ y
             inv += ((sy + float(y @ hy)) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+        elif inv is None:
+            scale *= 2.0
         if decrease <= noise:
             return x, value, grad, evals, "stall"
         if np.abs(x).max() > _CHART_RADIUS:
@@ -644,10 +503,10 @@ def _chart_run(t0: np.ndarray, cap: int):
 
 
 def _lockstep_bfgs(objective, searches):
-    """The pure-input search for several searches at once, one (n, budget,
-    seed) each: per search, ``STARTS`` runs of ``_chart_run`` from
-    ``_chart_starts``, run r capped at min(per_run, budget - r per_run) rows,
-    per_run the budget's equal share rounded up.
+    """The search for several searches at once, one (starts, budget) each: per
+    search, a run of ``_chart_run`` from each chart centre of ``starts``, run r
+    capped at min(per_run, budget - r per_run) rows, per_run the budget's
+    equal share rounded up.
 
     Every round scores the pending row of every live run of every search in
     one call ``objective(stacks)``: stacks[j] = (t0s, vs), the (m_j, 2n, 2n)
@@ -657,19 +516,20 @@ def _lockstep_bfgs(objective, searches):
     earlier run wins a tie), the rows scored, and whether the run that found
     the best value converged.
     """
-    runs = []
-    for n, budget, seed in searches:
+    runs, sizes = [], []
+    for starts, budget in searches:
         if budget < 1:
             raise ValueError(f"search budget must be >= 1, got {budget}")
-        per_run = -(-budget // STARTS)
-        caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(STARTS)) if cap > 0]
-        runs.append([_chart_run(t0, cap) for t0, cap in zip(_chart_starts(n, len(caps), seed), caps)])
+        per_run = -(-budget // len(starts))
+        caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(len(starts))) if cap > 0]
+        runs.append([_chart_run(t0, cap) for t0, cap in zip(starts, caps)])
+        sizes.append(len(starts[0]))
     pending = [{r: next(run) for r, run in enumerate(search_runs)} for search_runs in runs]
     results = [[None] * len(search_runs) for search_runs in runs]
     while any(pending):
-        stacks = [(np.array([t0 for t0, _ in rows.values()]).reshape(-1, 2 * n, 2 * n),
-                   np.array([v for _, v in rows.values()]).reshape(-1, n * (2 * n + 1)))
-                  for (n, _, _), rows in zip(searches, pending)]
+        stacks = [(np.array([t0 for t0, _ in rows.values()]).reshape(-1, size, size),
+                   np.array([v for _, v in rows.values()]).reshape(-1, size * (size + 1) // 2))
+                  for size, rows in zip(sizes, pending)]
         for search_runs, rows, search_results, (values, grads) in zip(runs, pending, results, objective(stacks)):
             for i, r in enumerate(list(rows)):
                 try:
@@ -687,7 +547,8 @@ def _lockstep_bfgs(objective, searches):
 def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]:
     """Minimization of the output Renyi-p entropy over pure inputs, p in
     (0, inf], for every (channel, p) of ``jobs``, the searches run together in
-    one ``_lockstep_bfgs`` on the analytic gradient (``_chart_values``).
+    one ``_lockstep_bfgs`` on the analytic gradient (``_chart_values``), each
+    from the vacuum and from ``_chart_starts``.
 
     The search space covers all pure Gaussian covariances of the full
     input, so entangled inputs to tensor-product channels are included.
@@ -700,7 +561,7 @@ def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]
     groups = _chart_groups(jobs)
     with np.errstate(all="ignore"):  # a row that overflows scores +inf
         results = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
-                                 [(channel.n, budget, seed) for channel, _ in jobs])
+                                 [(_chart_starts(channel.n, STARTS, seed), budget) for channel, _ in jobs])
     reports = []
     for (channel, p), (best, (t0, v), evals, converged) in zip(jobs, results):
         t = _cayley(t0[None], v[None])[1]
@@ -723,16 +584,30 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
     return report
 
 
+def _sup_starts(n: int, nu: float, seed: int) -> list[np.ndarray]:
+    """The chart centres of a sup-entropy search's ``STARTS`` runs, on 2n modes,
+    n inputs then n ancillas: the purification of the thermal input nu I, a
+    two-mode squeezer [[a I, b Z], [b Z, a I]] with a^2 = (nu + 1)/2,
+    b^2 = (nu - 1)/2 and Z = diag(1, -1) per mode, then (S_r + I) times it
+    for the symplectics S_r of ``_chart_starts``."""
+    a, b = math.sqrt(0.5 * (nu + 1.0)), math.sqrt(0.5 * (nu - 1.0))
+    z = np.diag(np.tile([b, -b], n))
+    base = np.block([[a * np.eye(2 * n), z], [z, a * np.eye(2 * n)]])
+    return [np.concatenate([s @ base[: 2 * n], base[2 * n :]]) for s in _chart_starts(n, STARTS, seed)]
+
+
 def max_output_entropy_under_energy(
     channel: ch.GaussianChannel, budget: EnergyBudget, search_budget: int = 20000, seed: int = 0
 ) -> OptimizationReport:
     """Maximize the output entropy over physical inputs at fixed energy.
 
-    The linear constraint sum_k omega_k Tr gamma_[k] = 4 E is enforced
-    exactly by ``_project_to_energy``; the origin start corresponds to the
-    mode-symmetric thermal candidate, so the result can never fall below
-    that benchmark.  The report carries the gap to the exact water-filled
-    output entropy when every leaf has one.
+    One ``_lockstep_bfgs`` search on ``_sup_values``: each physical input is
+    the marginal of a pure input on twice the modes, in a Cayley chart, and
+    the linear constraint sum_k omega_k Tr gamma_[k] = 4 E holds exactly
+    through ``_energy_map``.  The runs start from ``_sup_starts``, the first at
+    the purification of the mode-symmetric thermal input, so the result can
+    never fall below that candidate.  The report carries the gap to the exact
+    water-filled output entropy when every leaf has one.
 
     Raises
     ------
@@ -745,15 +620,17 @@ def max_output_entropy_under_energy(
     budget.check_modes(n)
     if not budget.feasible:
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
-    def cov_of(theta, n):
-        return _project_to_energy(*_phys_cov_factors(theta, n), budget)
-
-    with np.errstate(all="ignore"):  # ``_scores`` scores a row that overflows +inf
-        ((best, x, evals, converged),) = _lockstep_nelder_mead(lambda stacks: _scores(channel, cov_of, stacks[0]),
-                                                               [(2 * n * n + 2 * n, search_budget, seed)])
+    w, energy = budget.omega.repeat(2), max(budget.total, budget.zero_point)  # feasible allows 1e-12 below it
+    groups = [([0], _sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy])))]
+    with np.errstate(all="ignore"):  # a row that overflows scores +inf
+        starts = _sup_starts(n, energy / budget.zero_point, seed)
+        ((best, (t0, v), evals, converged),) = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
+                                                              [(starts, search_budget)])
+        t_a = _cayley(t0[None], v[None])[1][:, : 2 * n]
+        best_input = _energy_map(t_a @ t_a.swapaxes(-1, -2), w, energy)[0][0]
     if best == np.inf:
         raise ValueError(f"no input at energy {budget.total} has a finite output entropy")
-    return OptimizationReport(-float(best), cov_of(x[None], n)[0], evals, search_budget, converged,
+    return OptimizationReport(-float(best), best_input, evals, search_budget, converged,
                               _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))
 
 

@@ -10,21 +10,17 @@ import cvchan.functionals as fn
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """A list that gains one entry per search that a search driver runs, the
-    pure-input ``functionals._lockstep_bfgs`` or the sup-entropy
-    ``functionals._lockstep_nelder_mead``: a call that runs several searches
-    in lockstep adds one entry for each."""
+    """A list that gains one entry per search that the search driver
+    ``functionals._lockstep_bfgs`` runs, pure-input or sup-entropy: a call
+    that runs several searches in lockstep adds one entry for each."""
     calls = []
+    driver = fn._lockstep_bfgs
 
-    def counting(driver):
-        def count(objective, searches):
-            calls.extend(searches)
-            return driver(objective, searches)
+    def count(objective, searches):
+        calls.extend(searches)
+        return driver(objective, searches)
 
-        return count
-
-    for name in ("_lockstep_bfgs", "_lockstep_nelder_mead"):
-        monkeypatch.setattr(fn, name, counting(getattr(fn, name)))
+    monkeypatch.setattr(fn, "_lockstep_bfgs", count)
     return calls
 
 

@@ -1,6 +1,6 @@
 """Package surface: which names are public, each listed once in the ``__all__`` of the module that defines
 it, which signatures take a tolerance, which parameters have a default, which functions enter the search
-driver, no unused imports, no module-level definition without a caller, no scipy (so one Nelder-Mead),
+driver, no unused imports, no module-level definition without a caller, no scipy,
 nothing newer than the NumPy floor, and LAPACK QR only in ``euler_decompose``."""
 
 import ast
@@ -274,15 +274,14 @@ def test_bare_tolerance_guard_is_detected(tmp_path):
     assert _bare_tolerance_guards([module]) == {"f", "inner", "h", "<module>"}
 
 
-#: Per search driver, every function in src/cvchan that reads it: the
-#: pure-input search runs BFGS, and the energy-constrained sup search runs
-#: Nelder-Mead.  Another reader is a second entry to a search driver, or a
-#: one-search adapter around it, so a new one must show up here.
-DRIVER_CALLERS = {"_lockstep_bfgs": {"numeric_min_renyis"},
-                  "_lockstep_nelder_mead": {"max_output_entropy_under_energy"}}
+#: Per search driver, every function in src/cvchan that reads it: one BFGS
+#: lockstep runs the pure-input search and the energy-constrained sup search.
+#: Another reader is a second entry to the search driver, or a one-search
+#: adapter around it, so a new one must show up here.
+DRIVER_CALLERS = {"_lockstep_bfgs": {"numeric_min_renyis", "max_output_entropy_under_energy"}}
 
 
-def _driver_callers(paths, driver: str = "_lockstep_nelder_mead") -> set[str]:
+def _driver_callers(paths, driver: str = "_lockstep_bfgs") -> set[str]:
     """The functions around every read of the name ``driver``, bare or as an
     attribute, in the given modules."""
     return _owners(paths, lambda node: getattr(node, "id", getattr(node, "attr", None)) == driver)
@@ -295,12 +294,12 @@ def test_driver_callers_are_pinned():
 def test_driver_caller_is_detected(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
-        "def _lockstep_nelder_mead(objective, searches):\n    return []\n\n"
-        "def f(objective):\n    return _lockstep_nelder_mead(objective, [(2, 10, 0)])[0]\n\n"
-        "def g(objective):\n    def inner():\n        return fn._lockstep_nelder_mead(objective, [])\n    return inner\n\n"
-        "def h(objective):\n    return lambda: _lockstep_nelder_mead(objective, [])\n\n"
-        "def unrelated(_lockstep_nelder_mead_count):\n    return _lockstep_nelder_mead_count\n\n"
-        "DRIVER = _lockstep_nelder_mead\n"
+        "def _lockstep_bfgs(objective, searches):\n    return []\n\n"
+        "def f(objective):\n    return _lockstep_bfgs(objective, [([], 10)])[0]\n\n"
+        "def g(objective):\n    def inner():\n        return fn._lockstep_bfgs(objective, [])\n    return inner\n\n"
+        "def h(objective):\n    return lambda: _lockstep_bfgs(objective, [])\n\n"
+        "def unrelated(_lockstep_bfgs_count):\n    return _lockstep_bfgs_count\n\n"
+        "DRIVER = _lockstep_bfgs\n"
     )
     assert _driver_callers([module]) == {"f", "inner", "h", "<module>"}
 
@@ -309,7 +308,7 @@ def test_driver_caller_is_detected(tmp_path):
 #: streams by ``(seed, lane)``.  A new caller is a new family of streams, so
 #: it must show up here.
 LANE_OWNERS = {
-    "random_unitary", "random_symplectic", "random_spd", "_lockstep_nelder_mead", "_chart_starts",
+    "random_unitary", "random_symplectic", "random_spd", "_chart_starts",
     "random_majorization_pair", "theorem1_trial", "_lemma1_fold", "lemma1_campaign", "schur_campaign",
 }
 
@@ -542,8 +541,7 @@ def test_uncalled_definition_is_detected(tmp_path):
 def _scipy_uses(path: pathlib.Path) -> list[str]:
     """Imports of scipy in any form (``import``, ``from ... import``, ``__import__``
     and ``import_module`` of a scipy name) and ``optimize.minimize`` attribute
-    reads: cvchan runs on numpy alone, with its own Nelder-Mead
-    (``_nelder_mead``) and BFGS (``_bfgs``)."""
+    reads: cvchan runs on numpy alone, with its own BFGS (``_bfgs``)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

@@ -276,30 +276,30 @@ class TestNumericInfFp:
         assert np.isfinite(search.gap_to_closed_form)
         assert abs(search.gap_to_closed_form) <= 1e-6
 
-
-def unitary_from_params_loop(theta, n):
-    """Reference: the Hermitian built entry by entry, then exponentiated."""
-    h = np.zeros((n, n), dtype=complex)
-    idx = n
-    h[np.arange(n), np.arange(n)] = theta[:n]
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = theta[idx] + 1j * theta[idx + 1]
-            h[j, i] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    def test_a_closed_form_that_fails_keeps_the_search(self):
+        # The noise spectrum of this classical leaf raises, so its closed form does too; the
+        # finished searches keep their results, with no gap.
+        channel = ch.classical_noise(ILL_CONDITIONED_NOISE["numerically singular"])
+        with pytest.raises(sp.NotPositiveDefiniteError):
+            fn.min_output_renyi_closed(channel, 1.0)
+        (search,) = fn.numeric_min_renyis([(channel, 1.0)], 200, 0)
+        assert np.isfinite(search.best_value) and search.evaluations == 200
+        assert search.gap_to_closed_form is None
+        report = fn.numeric_inf_fp(channel, 2.0, budget=200, seed=0)
+        assert np.isfinite(report.best_value) and report.gap_to_closed_form is None
 
 
-def project_to_energy_loop(s, d, omega, target):
-    """Reference: per-mode energy coefficients summed one mode at a time."""
-    n = len(omega)
-    w = np.repeat(omega, 2)
-    gamma_pure = s @ s.T
-    e0 = 0.25 * float(w @ np.diag(gamma_pure))
-    coef = np.array([0.25 * float(w @ (s[:, 2 * j] ** 2 + s[:, 2 * j + 1] ** 2)) for j in range(n)])
-    alpha = (target - e0) / float(coef @ d)
-    return (s * np.repeat(1.0 + alpha * d, 2)[None, :]) @ s.T
+def energy_map_loop(gamma, omega, energy):
+    """Reference: one row at a time, its energy summed mode by mode; a row below
+    the energy scales up, a row above it mixes with the vacuum."""
+    n, zero_point, out = len(omega), 0.5 * float(np.sum(omega)), []
+    for g in gamma:
+        e = sum(0.25 * omega[k] * (g[2 * k, 2 * k] + g[2 * k + 1, 2 * k + 1]) for k in range(n))
+        if e <= energy:
+            out.append(energy / e * g)
+        else:
+            out.append(np.eye(2 * n) + (energy - zero_point) / (e - zero_point) * (g - np.eye(2 * n)))
+    return np.array(out)
 
 
 def same_bits(a, b) -> bool:
@@ -320,20 +320,6 @@ def signed_zero_stack(seed, dim, rows=12):
     return np.concatenate([random, zeros, np.zeros((1, dim))])
 
 
-def unitary_reference(theta, n):
-    """Reference: the kernel as it was first batched, filling the Hermitian
-    slot by slot; its signed zeros set the bits of ``eigh``."""
-    upper, lower = np.triu_indices(n, 1)
-    re = theta[..., n : n * n : 2]
-    im = theta[..., n + 1 : n * n : 2]
-    h = np.zeros(theta.shape[:-1] + (n * n,), dtype=complex)
-    h[..., np.arange(n) * (n + 1)] = theta[..., :n]
-    h[..., upper * n + lower] = re + 1j * im
-    h[..., lower * n + upper] = re - 1j * im
-    w, v = np.linalg.eigh(h.reshape(theta.shape[:-1] + (n, n)))
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def cayley_reference(t0, v, n):
     """Reference: per row, H filled entry by entry from its upper triangle, then
     A^-1 = (I - JH/2)^-1 and T = T0 (2 A^-1 - I)."""
@@ -349,59 +335,35 @@ def cayley_reference(t0, v, n):
     return np.array(a_invs), np.array(ts)
 
 
-def pure_cov_reference(theta, n):
-    """The Euler parameterization of a pure covariance, T Z^2 T^T from n^2 + n parameters:
-    the chart of the Renyi objectives that ``_nelder_mead`` is held to scipy on."""
-    t = sp._embed_unitary(unitary_reference(theta[..., : n * n], n))
-    zz = sp._paired_squeeze(np.exp(2.0 * np.clip(theta[..., n * n :], -12.0, 12.0)))
-    return (t * zz[..., None, :]) @ np.swapaxes(t, -1, -2)
+def sup_stack(seed, n, rows, nu=2.0, scale=0.3):
+    """``rows`` rows (t0, v) of an n-mode sup-entropy search: the centres of
+    ``_sup_starts`` at the thermal input nu I in turn, and Philox parameters on
+    their 2n-mode chart."""
+    starts = fn._sup_starts(n, nu, seed)
+    t0 = np.array([starts[i % len(starts)] for i in range(rows)])
+    return t0, sp.rng_stream(seed, n).normal(scale=scale, size=(rows, 2 * n * (4 * n + 1)))
 
 
-def phys_cov_factors_reference(theta, n):
-    t1 = sp._embed_unitary(unitary_reference(theta[..., : n * n], n))
-    z = np.exp(np.clip(theta[..., n * n : n * n + n], -12.0, 12.0))
-    t2 = sp._embed_unitary(unitary_reference(theta[..., n * n + n : 2 * n * n + n], n))
-    return sp._euler_form(t1, z, t2), np.clip(theta[..., 2 * n * n + n :], -1e3, 1e3) ** 2
+def marginals(t0, v, n):
+    """The physical inputs of sup-entropy chart rows: T_A T_A^T, T_A the first 2n rows of T."""
+    t_a = fn._cayley(t0, v)[1][:, : 2 * n]
+    return t_a @ np.swapaxes(t_a, -1, -2)
 
 
-def project_to_energy_reference(s, d, budget):
-    """Reference: the projection with every row through the boolean masks."""
-    target, e_vac = budget.total, budget.zero_point
-    eye = np.eye(2 * len(budget.omega))
-    if target <= e_vac + 1e-12:
-        return np.broadcast_to(eye, s.shape).copy()
-    w = np.repeat(budget.omega, 2)
-    gamma_pure = s @ np.swapaxes(s, -1, -2)
-    e0 = 0.25 * (np.diagonal(gamma_pure, axis1=-2, axis2=-1)[:, None, :] @ w[:, None])[:, 0, 0]
-    out = np.empty_like(gamma_pure)
-    fits = e0 <= target
-    if fits.any():
-        sf, df = s[fits], d[fits].copy()
-        sq = sf**2
-        coef = 0.25 * (w @ (sq[..., 0::2] + sq[..., 1::2]))
-        weight = (coef[:, None, :] @ df[:, :, None])[:, 0, 0]
-        flat = weight < 1e-12
-        df[flat] = 1.0
-        weight[flat] = np.sum(coef[flat], axis=-1)
-        alpha = (target - e0[fits]) / weight
-        dd = np.repeat(1.0 + alpha[:, None] * df, 2, axis=-1)
-        out[fits] = (sf * dd[:, None, :]) @ np.swapaxes(sf, -1, -2)
-    if not fits.all():
-        t = ((target - e_vac) / (e0[~fits] - e_vac))[:, None, None]
-        out[~fits] = t * gamma_pure[~fits] + (1.0 - t) * eye
-    return out
+def energies(gamma, omega):
+    """The energy tr(W gamma)/4 of each row, W = diag(omega, doubled)."""
+    return 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), gamma)
+
+
+def assert_physical(gamma):
+    """Every row a covariance with symplectic eigenvalues >= 1 - TOL_PHYS."""
+    nu = np.array([sp.symplectic_eigenvalues(0.5 * (g + g.T)) for g in gamma])
+    assert nu.min() >= 1.0 - st.TOL_PHYS
 
 
 class TestKernelBits:
     """Each search kernel gives the bits of its reference, signed zeros
     included, and every row of a stack the bits of that row alone."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_unitary(self, n):
-        theta = signed_zero_stack(21, n * n)
-        u = fn._unitary_from_params(theta, n)
-        assert same_bits(u, unitary_reference(theta, n))
-        assert all(same_bits(fn._unitary_from_params(row, n), u[i]) for i, row in enumerate(theta))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pure_cov(self, n):
@@ -418,83 +380,57 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_phys_cov_factors(self, n):
-        theta = signed_zero_stack(23, 2 * n * n + 2 * n)
-        s, d = fn._phys_cov_factors(theta, n)
-        s_ref, d_ref = phys_cov_factors_reference(theta, n)
-        assert same_bits(s, s_ref) and same_bits(d, d_ref)
-        for i, row in enumerate(theta):
-            s_row, d_row = fn._phys_cov_factors(row, n)
-            assert same_bits(s_row, s[i]) and same_bits(d_row, d[i])
+        # The factor of a physical input of the sup-entropy search: T_A, the first 2n rows of the
+        # chart T = T0 C(H) on 2n modes, centred where its runs start.  The bits of the entry-by-entry
+        # reference, every row the bits of that row alone, and every T_A T_A^T physical.
+        v = 0.25 * signed_zero_stack(23, 2 * n * (4 * n + 1))
+        t0 = sup_stack(23, n, len(v))[0]
+        t = fn._cayley(t0, v)[1]
+        assert same_bits(t, cayley_reference(t0, v, 2 * n)[1])
+        assert all(same_bits(fn._cayley(t0[i : i + 1], v[i : i + 1])[1][0], t[i]) for i in range(len(v)))
+        assert_physical(marginals(t0, v, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("excess", [0.0, 1.0, 1e3], ids=["zero-point", "some-fit", "all-fit"])
-    def test_project_to_energy(self, n, excess):
-        theta = 0.5 * signed_zero_stack(24, 2 * n * n + 2 * n)
-        theta[-4:, 2 * n * n + n :] = 0.0  # no excess spectrum: the weight falls back to the sum
-        s, d = fn._phys_cov_factors(theta, n)
-        budget = fn.EnergyBudget(0.5 * n + excess, np.linspace(1.0, 1.5, n))
-        gamma = fn._project_to_energy(s, d, budget)
-        assert same_bits(gamma, project_to_energy_reference(s, d, budget))
-        assert all(same_bits(fn._project_to_energy(s[i : i + 1], d[i : i + 1], budget)[0], gamma[i])
-                   for i in range(len(s)))
+    @pytest.mark.parametrize("energy", ["zero-point", "some-fit", "all-fit"])
+    def test_project_to_energy(self, n, energy):
+        # The energy map of the sup-entropy search puts every row at the energy exactly and keeps it
+        # physical: rows below the energy scale up (they fit), rows above it mix with the vacuum, and
+        # at the zero point every row is the vacuum.  Every row gets the bits it gets alone.
+        omega = np.linspace(1.0, 1.5, n)
+        w, gamma = np.repeat(omega, 2), marginals(*sup_stack(24, n, 25), n)
+        zero_point = 0.5 * float(np.sum(omega))
+        target = {"zero-point": zero_point, "some-fit": float(np.median(energies(gamma, omega))),
+                  "all-fit": zero_point + 1e3}[energy]
+        p, alpha, _, _ = fn._energy_map(gamma, w, target)
+        assert energies(p, omega) == pytest.approx(np.full(len(p), target), rel=1e-12)
+        assert_physical(p)
+        fits = alpha[:, 0, 0] >= 1.0
+        if energy == "zero-point":
+            assert np.array_equal(p, np.broadcast_to(np.eye(2 * n), p.shape))
+        else:
+            assert fits.all() if energy == "all-fit" else 0 < np.sum(fits) < len(p)
+        assert all(same_bits(fn._energy_map(gamma[i : i + 1], w, target)[0][0], p[i]) for i in range(len(p)))
 
 
 class TestParameterizations:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_unitary_matches_loop_reference(self, n):
-        rng = sp.rng_stream(5, n)
-        for _ in range(20):
-            theta = rng.normal(scale=2.0, size=n * n)
-            u = fn._unitary_from_params(theta, n)
-            assert np.max(np.abs(u - unitary_from_params_loop(theta, n))) <= 1e-14
-            assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_energy_projection_matches_loop_reference(self, n):
-        rng = sp.rng_stream(6, n)
-        omega = rng.uniform(0.5, 2.0, n)
-        for _ in range(20):
-            s, d = fn._phys_cov_factors(rng.normal(scale=0.3, size=2 * n * n + 2 * n), n)
-            target = 0.25 * float(np.repeat(omega, 2) @ np.diag(s @ s.T)) + 1.0
-            gamma = fn._project_to_energy(s[None], d[None], fn.EnergyBudget(target, omega))[0]
-            assert_allclose(gamma, project_to_energy_loop(s, d, omega, target), rtol=1e-12, atol=1e-12)
-            assert 0.25 * float(np.repeat(omega, 2) @ np.diag(gamma)) == pytest.approx(target, rel=1e-12)
+        omega = sp.rng_stream(6, n).uniform(0.5, 2.0, n)
+        gamma = marginals(*sup_stack(6, n, 20), n)
+        energy = float(np.median(energies(gamma, omega)))  # half the rows on each branch
+        p = fn._energy_map(gamma, np.repeat(omega, 2), energy)[0]
+        assert_allclose(p, energy_map_loop(gamma, omega, energy), rtol=1e-12, atol=1e-12)
+        assert energies(p, omega) == pytest.approx(np.full(len(p), energy), rel=1e-12)
 
     def test_energy_projection_rows_match_their_batch_of_one(self):
-        n, omega, target = 2, np.array([1.0, 1.5]), 3.0
-        thetas = sp.rng_stream(8).normal(scale=0.8, size=(40, 2 * n * n + 2 * n))
-        thetas[:2, n * n : n * n + n] = 0.0  # no squeezing: the pure part fits
-        thetas[:4, 2 * n * n + n :] = 0.0  # no excess spectrum: the weight falls back to the sum
-        s, d = fn._phys_cov_factors(thetas, n)
-        fits = 0.25 * np.einsum("k,mkk->m", np.repeat(omega, 2), s @ np.swapaxes(s, -1, -2)) <= target
-        assert 0 < np.sum(fits[:4]) and 0 < np.sum(fits) < len(fits)  # both branches, and the fallback
-        budget = fn.EnergyBudget(target, omega)
-        batch = fn._project_to_energy(s, d, budget)
-        alone = [fn._project_to_energy(s[i : i + 1], d[i : i + 1], budget)[0] for i in range(len(s))]
+        n, omega = 2, np.array([1.0, 1.5])
+        gamma = marginals(*sup_stack(8, n, 40, scale=0.8), n)
+        energy = float(np.median(energies(gamma, omega)))
+        w = np.repeat(omega, 2)
+        batch, alpha, _, _ = fn._energy_map(gamma, w, energy)
+        assert 0 < np.sum(alpha >= 1.0) < len(gamma)  # both branches
+        alone = [fn._energy_map(gamma[i : i + 1], w, energy)[0][0] for i in range(len(gamma))]
         assert np.array_equal(batch, np.array(alone))
-
-
-def restarted(objective, dim, budget, seed):
-    """``_lockstep_nelder_mead`` of one search, whose ``objective`` scores an (m, dim) stack and returns m values."""
-    return fn._lockstep_nelder_mead(lambda stacks: objective(stacks[0]), [(dim, budget, seed)])[0]
-
-
-def scipy_restarts(objective, dim, budget, seed):
-    """Reference: scipy's Nelder-Mead once per restart, in sequence, with the
-    starts, caps and tolerances of ``_lockstep_nelder_mead``."""
-    per_run = max(dim + 2, budget // fn.RESTARTS)
-    best_val, best_x, evals, converged = np.inf, np.zeros(dim), 0, False
-    for run in range(fn.RESTARTS):
-        if evals >= budget:
-            break
-        x0 = np.zeros(dim) if run == 0 else sp.rng_stream(seed, run).normal(scale=0.8, size=dim)
-        with np.errstate(invalid="ignore"):  # an all-inf simplex makes inf - inf
-            res = minimize(lambda x: objective(x[None])[0], x0, method="Nelder-Mead",
-                           options={"maxfev": min(per_run, budget - evals), "xatol": 1e-12, "fatol": 1e-14})
-        evals += res.nfev
-        if res.fun < best_val:
-            best_val, best_x, converged = float(res.fun), res.x, bool(res.success)
-    return best_val, best_x, evals, converged
 
 
 def custom_channel():
@@ -509,111 +445,31 @@ def custom_channel():
     return ch.make_channel(rot(2, 0) @ rot(3, 1) @ np.diag([0.9, 0.6, 0.7, 0.8]), np.diag([0.5, 0.8, 0.9, 0.4]))
 
 
-def walled_kink(x):
-    """Non-smooth, and +inf on a slab that some simplices start in or step into."""
-    kink = np.sum(np.abs(x - 0.1), axis=1) + 0.5 * np.abs(x[:, 0] + x[:, -1])
-    return np.where(np.abs(x[:, 0] - 0.4) < 0.25, np.inf, kink)
+def additivity_pair():
+    """The tensor product of ``verify additivity``: classical(2 I) x classical(I)."""
+    return ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))])
 
 
-class TestRestartedNelderMead:
-    def test_converged_describes_the_winning_restart(self):
-        def bowl_beside_slope(x):
-            # The origin restart converges in the bowl (value 1); a restart
-            # started off the bowl runs down the slope to its evaluation cap
-            # and wins with a lower value.
-            r = np.abs(x[:, 0])
-            return np.where(r < 0.01, 1.0 + r * r, -r)
+def sup_group(channel, energy):
+    """The one group of a sup-entropy search of ``channel`` at ``energy``, unit frequencies, as
+    ``_chart_scores`` reads it."""
+    w = np.ones(2 * channel.n)
+    return [([0], fn._sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy])))]
 
-        best, _, evals, converged = restarted(bowl_beside_slope, 1, 1200, seed=0)
-        assert best < 1.0 and evals <= 1200
-        assert converged is False
 
-    def test_converged_when_the_winner_converges(self):
-        _, x, _, converged = restarted(lambda x: np.sum(x * x, axis=1), 2, 1200, seed=0)
-        assert converged is True
-        assert np.max(np.abs(x)) <= 1e-6
-
-    def test_each_start_is_evaluated_once(self):
-        # Nelder-Mead evaluates its start as the first simplex vertex; the
-        # driver must not score the start a second time.
-        points = []
-
-        def shifted_bowl(x):
-            points.extend(x.copy())
-            return np.sum((x - 1.0) ** 2, axis=1)
-
-        _, _, evals, _ = restarted(shifted_bowl, 2, 1200, seed=0)
-        assert sum(not np.any(x) for x in points) == 1
-        assert evals == len(points)
-
-    def test_caps_below_one_step_per_restart(self):
-        # dim + 2 = 4 evaluations per run: budget 10 caps the runs at 4, 4
-        # and 2, and runs 3 to 5 never start.
-        points = []
-
-        def bowl(x):
-            points.extend(x.copy())
-            return np.sum(x * x, axis=1)
-
-        _, _, evals, converged = restarted(bowl, 2, 10, seed=4)
-        assert evals == len(points) == 10
-        assert converged is False
-        starts = [sp.rng_stream(4, run).normal(scale=0.8, size=2) for run in range(1, fn.RESTARTS)]
-        assert [sum(np.array_equal(x, start) for x in points) for start in starts] == [1, 1, 0, 0, 0]
-
-    @pytest.mark.parametrize("p, pair", [(p, pair) for _, p, pair in _builtin_channel_pairs()],
-                             ids=[label for label, _, _ in _builtin_channel_pairs()])
-    def test_matches_scipy_on_the_renyi_searches(self, p, pair):
-        joint = ch.tensor(pair)
-        n = joint.n
-
-        def objective(thetas):
-            gammas = pure_cov_reference(thetas, n)
-            return st._renyi(np.maximum(sp._spectrum(ch._act(joint.x, joint.y, gammas)), 1.0), p)
-
-        lockstep = restarted(objective, n * n + n, 2000, seed=5)
-        reference = scipy_restarts(objective, n * n + n, 2000, seed=5)
-        assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
-        assert lockstep[2:] == reference[2:]
-
-    @pytest.mark.parametrize("objective, dim, budget", [
-        (walled_kink, 3, 23),  # below RESTARTS * (dim + 2): runs cut inside their first step
-        (walled_kink, 1, 26),  # a shrink cut before its first evaluation
-        (walled_kink, 2, 36),  # a shrink cut after some of its evaluations
-        (walled_kink, 4, 5000),  # all-inf simplices, and runs that converge
-        (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200),  # the winner converges
-        (lambda x: np.full(len(x), np.inf), 2, 60),  # no finite value: inf at the zero vector
-        (lambda x: np.zeros(len(x)), 3, 500),  # every vertex ties: the f-test passes, the x-test decides
-        (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 2, 600),  # ties in the vertex sort
-        (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 4, 3000),
-    ])
-    def test_matches_scipy_on_other_objectives(self, objective, dim, budget):
-        lockstep = restarted(objective, dim, budget, seed=11)
-        reference = scipy_restarts(objective, dim, budget, seed=11)
-        assert lockstep[0] == reference[0] and np.array_equal(lockstep[1], reference[1])
-        assert lockstep[2:] == reference[2:]
-
-    @pytest.mark.parametrize("budget", [40, 300, 2000])
-    @pytest.mark.parametrize("channel, total", [
-        (custom_channel(), 2.5),
-        (ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]), 3.0),
-    ], ids=["custom", "additivity-pair"])
-    def test_matches_scipy_on_the_capacity_search(self, channel, total, budget):
-        n, omega = channel.n, np.ones(channel.n)
-
-        def objective(thetas):
-            cov_of = lambda x, n: fn._project_to_energy(*fn._phys_cov_factors(x, n), fn.EnergyBudget(total, omega))
-            return fn._scores(channel, cov_of, thetas)
-
-        searched = restarted(objective, 2 * n * n + 2 * n, budget, seed=3)
-        reference = scipy_restarts(objective, 2 * n * n + 2 * n, budget, seed=3)
-        assert searched[0] == reference[0] and np.array_equal(searched[1], reference[1])
-        assert searched[2:] == reference[2:]
+def finish(run, objective):
+    """Drive a ``_bfgs`` or ``_chart_run`` generator on ``objective`` to its end, and return its result."""
+    try:
+        point = next(run)
+        while True:
+            point = run.send(objective(point))
+    except StopIteration as stop:
+        return stop.value
 
 
 class TestLockstep:
-    """Searches run together in one ``_lockstep_nelder_mead`` return, each,
-    what they return alone."""
+    """Searches run together in one ``_lockstep_bfgs`` return, each, what
+    they return alone."""
 
     def test_the_builtin_pairs_together(self):
         # n = 2 and n = 3 joints at four orders, in one round per step.
@@ -626,36 +482,28 @@ class TestLockstep:
             assert report.gap_to_closed_form == alone.gap_to_closed_form
 
     def test_mixed_dims_and_budgets(self):
-        searches = [
-            (walled_kink, 3, 23, 11),  # below RESTARTS * (dim + 2)
-            (walled_kink, 1, 26, 11),
-            (lambda x: np.sum((x - 0.3) ** 2, axis=1), 2, 1200, 4),
-            (walled_kink, 4, 5000, 11),
-            (lambda x: np.floor(4 * np.sum(x * x, axis=1)), 2, 600, 0),
-        ]
-        calls = []
+        # Pure-input searches on 1, 2 and 3 modes and a sup-entropy search on a 4-mode chart, with
+        # a budget below one row per run (3 < STARTS runs), in one lockstep: each returns what it
+        # returns alone, and one call per round scores the rows of every search.
+        jobs = [(ch.lossy([0.6]), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 1.0), (ch.lossy([0.3, 0.6, 0.9]), 2.0)]
+        sup = custom_channel()
+        groups = [*fn._chart_groups(jobs), ([3], *sup_group(sup, 2.5)[0][1:])]
+        searches = [(fn._chart_starts(channel.n, fn.STARTS, 11), budget) for (channel, _), budget in zip(jobs, (3, 150, 40))]
+        searches.append((fn._sup_starts(2, 2.5, 11), 60))
 
-        def objective(stacks):
-            # One stack per search, each exactly its search's dim wide: nothing is padded.
-            assert [stack.shape[1] for stack in stacks] == [dim for _, dim, _, _ in searches]
-            calls.append([len(stack) for stack in stacks])
-            return np.concatenate([f(stack) for (f, _, _, _), stack in zip(searches, stacks)])
+        def counted(groups, calls):
+            return lambda stacks: calls.append(None) or fn._chart_scores(groups, stacks)
 
-        together = fn._lockstep_nelder_mead(objective, [(dim, budget, seed) for _, dim, budget, seed in searches])
-        for (f, dim, budget, seed), result in zip(searches, together):
-            alone = restarted(f, dim, budget, seed)
-            assert result[0] == alone[0] and np.array_equal(result[1], alone[1])
+        calls, rounds_alone = [], []
+        together = fn._lockstep_bfgs(counted(groups, calls), searches)
+        alone_groups = [fn._chart_groups([job]) for job in jobs] + [sup_group(sup, 2.5)]
+        for search, search_groups, result in zip(searches, alone_groups, together):
+            rounds_alone.append([])
+            (alone,) = fn._lockstep_bfgs(counted(search_groups, rounds_alone[-1]), [search])
+            assert result[0] == alone[0] and all(np.array_equal(a, b) for a, b in zip(result[1], alone[1]))
             assert result[2:] == alone[2:]
-            assert len(result[1]) == dim
-
-        def rounds_alone(f, dim, budget, seed):
-            points = []
-            restarted(lambda x: points.append(len(x)) or f(x), dim, budget, seed)
-            return len(points)
-
-        # One call per round scores every search's points: as many calls as the longest search alone.
-        assert len(calls) == max(rounds_alone(*search) for search in searches)
-        assert sum(map(sum, calls)) == sum(result[2] for result in together)
+        assert together[0][2] == 3
+        assert len(calls) == max(map(len, rounds_alone))
 
 
 def chart_stack(seed, n, rows, scale=0.3):
@@ -738,7 +586,7 @@ class TestScores:
         stacks = [chart_stack(8 + j, channel.n, 3) for j, (channel, _) in enumerate(jobs)]
         groups = fn._chart_groups(jobs)
         assert [len(members) for members, *_ in groups] == [7, 2, 2]
-        for members, _, _, ps in groups:  # the order-1 searches first
+        for members, _, (_, _, ps) in groups:  # the order-1 searches first
             assert list(ps) == sorted(ps, key=lambda p: p != 1.0)
 
         def per_search(channel, p, t0, v):
@@ -863,19 +711,165 @@ class TestChart:
                 values, grads = fn._chart_scores(fn._chart_groups([(joint, p)]), [(t0[None], v[None])])[0]
                 return float(values[0]), grads[0]
 
-            run = fn._bfgs(*objective(np.zeros(n * (2 * n + 1))), 10**6)
-            try:
-                point = next(run)
-                while True:
-                    point = run.send(objective(point))
-            except StopIteration as stop:
-                _, value, _, _, reason = stop.value
+            _, value, _, _, reason = finish(fn._bfgs(*objective(np.zeros(n * (2 * n + 1))), 10**6), objective)
             assert reason in ("gradient", "stall")
             with np.errstate(all="ignore"):
                 reference = minimize(objective, np.zeros(n * (2 * n + 1)), jac=True, method="BFGS",
                                      options={"gtol": 1e-10, "maxiter": 10**4})
             assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
             assert value <= fn._chart_values(x, y, order, t0[None], np.zeros((1, n * (2 * n + 1))))[0][0]
+
+    def test_negative_curvature_doubles_the_steepest_step(self):
+        # On a flat, concave stretch no step finds positive curvature, so every step is steepest
+        # descent, and each doubles the next: the run leaves the chart in about ten trials, where
+        # steps of the gradient's length would take a thousand.
+        def objective(v):
+            return float(-1e-3 * v[0] - 1e-4 * v[0] ** 2), np.array([-1e-3 - 2e-4 * v[0], 0.0])
+
+        x, _, _, evals, reason = finish(fn._bfgs(*objective(np.zeros(2)), 10**4), objective)
+        assert reason == "radius" and x[0] > fn._CHART_RADIUS and evals <= 12
+
+
+class TestSupObjective:
+    """The starts and the objective of the sup-entropy search, ``_sup_values``:
+    minus the output entropy at the energy-mapped marginal of each chart row,
+    with its analytic gradient."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_starts_purify_the_thermal_input(self, n):
+        # Every start is symplectic on 2n modes; the first has the marginal nu I, and start r the
+        # marginal S_r nu I S_r^T, S_r the r-th symplectic of ``_chart_starts``.
+        nu, j = 1.7, sp.symplectic_form(2 * n)
+        starts = fn._sup_starts(n, nu, 9)
+        assert len(starts) == fn.STARTS
+        for t0, s in zip(starts, fn._chart_starts(n, fn.STARTS, 9)):
+            assert np.max(np.abs(t0 @ j @ t0.T - j)) <= 1e-13
+            assert_allclose(marginals(t0[None], np.zeros((1, 2 * n * (4 * n + 1))), n)[0], nu * s @ s.T,
+                            rtol=1e-13, atol=1e-13)
+
+    @staticmethod
+    def channel(n):
+        """A mode-coupled classical channel behind a symplectic: X = S, noise from ``sample_spd``."""
+        rng = sp.rng_stream(41, n)
+        return ch.make_channel(sp.sample_symplectics(rng, n, 1, (1.0, 1.5))[0], sp.sample_spd(rng, n, 1, (0.3, 2.0))[0][0])
+
+    @staticmethod
+    def rows(channel, energy, t0, v, omega):
+        """``_sup_values`` of chart rows of ``channel`` at ``energy``, with per-row stacks of X, Y, w and energy."""
+        m, w = len(v), np.repeat(omega, 2)
+        stacked = (np.repeat(a[None], m, axis=0) for a in (channel.x, channel.y, w))
+        return fn._sup_values(*stacked, np.full(m, energy), t0, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_are_the_entropy_at_the_exact_energy(self, n):
+        # Each row scores minus the output entropy of an input at the energy exactly, and physical,
+        # on both branches of the energy map; each row gets the bits, value and gradient, it gets alone.
+        channel, omega = self.channel(n), np.linspace(1.0, 2.0, n)
+        t0, v = sup_stack(42, n, 16)
+        gamma = marginals(t0, v, n)
+        energy = float(np.median(energies(gamma, omega)))
+        values, grads = self.rows(channel, energy, t0, v, omega)
+        p, alpha, _, _ = fn._energy_map(gamma, np.repeat(omega, 2), energy)
+        assert 0 < np.sum(alpha >= 1.0) < len(v)
+        assert energies(p, omega) == pytest.approx(np.full(len(v), energy), rel=1e-12)
+        assert_physical(p)
+        entropies = [st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, 0.5 * (q + q.T)))) for q in p]
+        assert values == pytest.approx(-np.array(entropies), rel=1e-12)
+        for i in range(len(v)):
+            value, grad = self.rows(channel, energy, t0[i : i + 1], v[i : i + 1], omega)
+            assert same_bits(value[0], values[i]) and same_bits(grad[0], grads[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, n):
+        # On both branches of the energy map, at random points of the chart.
+        channel, omega = self.channel(n), np.linspace(1.0, 2.0, n)
+        t0, v = sup_stack(43, n, 6)
+        gamma = marginals(t0, v, n)
+        energy = float(np.median(energies(gamma, omega)))
+        _, grads = self.rows(channel, energy, t0, v, omega)
+        assert 0 < np.sum(fn._energy_map(gamma, np.repeat(omega, 2), energy)[1] >= 1.0) < len(v)
+        eps, dim = 1e-6, v.shape[1]
+        for i in range(len(v)):
+            steps = eps * np.eye(dim)
+            up = self.rows(channel, energy, t0[[i] * dim], v[i] + steps, omega)[0]
+            down = self.rows(channel, energy, t0[[i] * dim], v[i] - steps, omega)[0]
+            central = (up - down) / (2.0 * eps)
+            assert np.max(np.abs(central - grads[i])) <= 1e-7 * max(1.0, np.max(np.abs(grads[i])))
+            assert np.max(np.abs(grads[i])) > 1e-3
+
+    @pytest.mark.parametrize("channel, total", [(custom_channel(), 2.5), (additivity_pair(), 3.0)],
+                             ids=["custom", "additivity-pair"])
+    def test_bfgs_matches_scipy_on_the_sup_objective(self, channel, total, monkeypatch):
+        # ``_bfgs`` without its chart radius is plain BFGS: from every start of the sup-entropy search,
+        # in the chart at that start, it reaches the value of scipy's BFGS on the same objective.
+        monkeypatch.setattr(fn, "_CHART_RADIUS", math.inf)
+        n, group = channel.n, sup_group(channel, total)
+        origin = np.zeros(2 * n * (4 * n + 1))
+        for t0 in fn._sup_starts(n, total / (0.5 * n), 3):
+            def objective(v):
+                values, grads = fn._chart_scores(group, [(t0[None], v[None])])[0]
+                return float(values[0]), grads[0]
+
+            _, value, _, _, reason = finish(fn._bfgs(*objective(origin), 10**6), objective)
+            assert reason in ("gradient", "stall")
+            with np.errstate(all="ignore"):
+                reference = minimize(objective, origin, jac=True, method="BFGS", options={"gtol": 1e-10, "maxiter": 10**4})
+            assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
+            assert value <= objective(origin)[0]
+
+
+class TestExactSupSearch:
+    """The sup-entropy search lands on the water-filled output entropy."""
+
+    #: The rounding of an output entropy: a few eps of its modes' terms.
+    ROUNDING = 16 * np.finfo(float).eps
+
+    PAIRS = {
+        "readme-thermal": (ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(1.5, [1.0])),
+        "additivity-pair": (additivity_pair(), fn.EnergyBudget(3.0, np.ones(2))),
+        "thermal-x-lossy": (ch.tensor([ch.thermal_noise([0.5], [1.0]), ch.lossy([0.8])]), fn.EnergyBudget(3.0, np.ones(2))),
+        "lossy-x-lossy": (ch.tensor([ch.lossy([0.5]), ch.lossy([0.8])]), fn.EnergyBudget(3.0, [1.0, 3.0])),
+        # Water-filling leaves the classical mode empty: the optimal input is pure on it.
+        "empty-mode": (ch.tensor([ch.thermal_noise([0.7], [2.0]), ch.classical_noise(6.0 * np.eye(2)), ch.lossy([0.5])]),
+                       fn.EnergyBudget(3.5, [1.0, 2.0, 0.6])),
+        "three-lossy": (ch.lossy([0.3, 0.6, 0.9]), fn.EnergyBudget(2.5, [1.0, 1.5, 0.7])),
+        "classical-x-thermal": (ch.tensor([ch.classical_noise(np.eye(2)), ch.thermal_noise([0.5], [1.0])]),
+                                fn.EnergyBudget(3.0, np.ones(2))),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("label", PAIRS)
+    def test_reaches_the_water_filled_output(self, label, seed):
+        # Within 1e-12 relative, and never above it beyond rounding: an unphysical input, or one off
+        # the energy, could score above the sup without any failure in the spectrum.
+        channel, budget = self.PAIRS[label]
+        sup = fn._water_filled_output(channel, budget)[0]
+        search = fn.max_output_entropy_under_energy(channel, budget, search_budget=2000, seed=seed)
+        assert abs(search.gap_to_closed_form) <= 1e-12 * sup
+        assert search.gap_to_closed_form <= self.ROUNDING * sup
+        assert search.converged
+        assert energies(search.best_input[None], budget.omega)[0] == pytest.approx(budget.total, rel=1e-12)
+        assert_physical(search.best_input[None])
+
+    def test_budget_one_scores_the_thermal_candidate(self):
+        # One row: the purification of the isotropic thermal input at the energy, nu = E / e(I).
+        channel, budget = self.PAIRS["additivity-pair"]
+        search = fn.max_output_entropy_under_energy(channel, budget, search_budget=1, seed=0)
+        nu = budget.total / budget.zero_point
+        thermal = st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, nu * np.eye(4))))
+        assert (search.evaluations, search.converged) == (1, False)
+        assert search.best_value == pytest.approx(thermal, rel=1e-14)
+        assert_allclose(search.best_input, nu * np.eye(4), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("budget", [2, 3, 10, 100])
+    def test_never_below_the_thermal_candidate(self, budget):
+        # The first run scores the thermal candidate first, so no budget ends below it; a budget
+        # below STARTS runs one row in each of its first runs.
+        channel, total = custom_channel(), 2.5  # zero point 1: the thermal input is 2.5 I
+        thermal = st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, total * np.eye(4))))
+        search = fn.max_output_entropy_under_energy(channel, fn.EnergyBudget(total, np.ones(2)), budget, seed=4)
+        assert search.best_value >= thermal
+        assert search.evaluations <= budget and (budget >= fn.STARTS or search.evaluations == budget)
 
 
 class TestExactSearch:

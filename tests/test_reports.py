@@ -75,15 +75,15 @@ COMMANDS = {
 #: The searches of one lockstep share every round's call, so a lockstep
 #: makes as many calls as its longest search has rounds.  Every command
 #: runs one lockstep but a custom ``capacity``, which runs its S_min search
-#: (``_chart_scores``, the BFGS lockstep) and then its sup search
-#: (``_scores``, Nelder-Mead): custom2 27 + 154 calls.
+#: and then its sup search, each a BFGS lockstep on ``_chart_scores``:
+#: custom2 27 + 27 calls.
 SEARCH_WORK = {
     "multiplicativity": (21, 300),
-    "additivity": (154, 996),
+    "additivity": (21, 69),
     "custom2_analyze_numeric": (17, 106),
-    "custom2_capacity": (181, 1069),
+    "custom2_capacity": (54, 155),
     "custom1_analyze_numeric": (12, 122),
-    "custom1_capacity": (158, 943),
+    "custom1_capacity": (26, 89),
 }
 
 #: Channel actions (``channels._act``), ``states._renyi`` calls and
@@ -92,16 +92,16 @@ SEARCH_WORK = {
 #: action and one eigh (its Williamson frames) per mode-count group with
 #: rows, and at most two Renyi calls per group (its order-1 rows and its
 #: other orders); a round of the sup search makes one action, one Renyi
-#: call and one eigh, which draws both unitary factors.  ``verify
+#: call and one eigh (its one group, of order 1).  ``verify
 #: multiplicativity`` has a two-mode and a three-mode group, and ``analyze
 #: --numeric`` an order-1 search beside its searches per ``p``.
 ROUND_WORK = {
     "multiplicativity": {"actions": 36, "renyi": 36, "eigh": 36},
-    "additivity": {"actions": 154, "renyi": 154, "eigh": 154},
+    "additivity": {"actions": 21, "renyi": 21, "eigh": 21},
     "custom2_analyze_numeric": {"actions": 17, "renyi": 32, "eigh": 17},
-    "custom2_capacity": {"actions": 181, "renyi": 181, "eigh": 181},
+    "custom2_capacity": {"actions": 54, "renyi": 54, "eigh": 54},
     "custom1_analyze_numeric": {"actions": 12, "renyi": 23, "eigh": 12},
-    "custom1_capacity": {"actions": 158, "renyi": 158, "eigh": 158},
+    "custom1_capacity": {"actions": 26, "renyi": 26, "eigh": 26},
 }
 
 #: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
@@ -232,7 +232,6 @@ def test_search_work(name, monkeypatch):
         return call
 
     monkeypatch.setattr(fn, "_chart_scores", objective(fn._chart_scores, lambda stacks: sum(len(v) for _, v in stacks)))
-    monkeypatch.setattr(fn, "_scores", objective(fn._scores, len))
     monkeypatch.setattr(ch, "_act", counting("actions", ch._act))
     monkeypatch.setattr(st, "_renyi", counting("renyi", st._renyi))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
