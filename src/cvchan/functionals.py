@@ -423,9 +423,9 @@ def _bfgs(value: float, grad: np.ndarray, cap: int):
     that scores +inf only shortens the step.  Steps are cut to ``_CHART_RADIUS``.
     Until a step finds positive curvature the steps are steepest descent, and
     each step that finds negative curvature doubles the next one, so a run on
-    a flat, concave stretch does not crawl.  Returns the last point, its value and gradient, the trials scored, and
-    why it stopped: "gradient" or "stall" (converged), "radius" (the point
-    left the chart) or "cap".
+    a flat, concave stretch does not crawl.  Returns the last point, its value
+    and gradient, the trials scored, and why it stopped: "gradient" or
+    "stall" (converged), "radius" (the point left the chart) or "cap".
     """
     x, inv, scale, evals = np.zeros(len(grad)), None, 1.0, 0
     while True:

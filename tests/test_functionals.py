@@ -485,10 +485,12 @@ class TestLockstep:
         # Pure-input searches on 1, 2 and 3 modes and a sup-entropy search on a 4-mode chart, with
         # a budget below one row per run (3 < STARTS runs), in one lockstep: each returns what it
         # returns alone, and one call per round scores the rows of every search.
-        jobs = [(ch.lossy([0.6]), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 1.0), (ch.lossy([0.3, 0.6, 0.9]), 2.0)]
+        jobs = [(ch.lossy([0.6]), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 1.0),
+                (ch.lossy([0.3, 0.6, 0.9]), 2.0)]
         sup = custom_channel()
         groups = [*fn._chart_groups(jobs), ([3], *sup_group(sup, 2.5)[0][1:])]
-        searches = [(fn._chart_starts(channel.n, fn.STARTS, 11), budget) for (channel, _), budget in zip(jobs, (3, 150, 40))]
+        searches = [(fn._chart_starts(channel.n, fn.STARTS, 11), budget)
+                    for (channel, _), budget in zip(jobs, (3, 150, 40))]
         searches.append((fn._sup_starts(2, 2.5, 11), 60))
 
         def counted(groups, calls):
@@ -751,7 +753,8 @@ class TestSupObjective:
     def channel(n):
         """A mode-coupled classical channel behind a symplectic: X = S, noise from ``sample_spd``."""
         rng = sp.rng_stream(41, n)
-        return ch.make_channel(sp.sample_symplectics(rng, n, 1, (1.0, 1.5))[0], sp.sample_spd(rng, n, 1, (0.3, 2.0))[0][0])
+        x = sp.sample_symplectics(rng, n, 1, (1.0, 1.5))[0]
+        return ch.make_channel(x, sp.sample_spd(rng, n, 1, (0.3, 2.0))[0][0])
 
     @staticmethod
     def rows(channel, energy, t0, v, omega):
@@ -773,7 +776,8 @@ class TestSupObjective:
         assert 0 < np.sum(alpha >= 1.0) < len(v)
         assert energies(p, omega) == pytest.approx(np.full(len(v), energy), rel=1e-12)
         assert_physical(p)
-        entropies = [st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, 0.5 * (q + q.T)))) for q in p]
+        entropies = [st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, 0.5 * (q + q.T))))
+                     for q in p]
         assert values == pytest.approx(-np.array(entropies), rel=1e-12)
         for i in range(len(v)):
             value, grad = self.rows(channel, energy, t0[i : i + 1], v[i : i + 1], omega)
@@ -813,7 +817,8 @@ class TestSupObjective:
             _, value, _, _, reason = finish(fn._bfgs(*objective(origin), 10**6), objective)
             assert reason in ("gradient", "stall")
             with np.errstate(all="ignore"):
-                reference = minimize(objective, origin, jac=True, method="BFGS", options={"gtol": 1e-10, "maxiter": 10**4})
+                reference = minimize(objective, origin, jac=True, method="BFGS",
+                                     options={"gtol": 1e-10, "maxiter": 10**4})
             assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
             assert value <= objective(origin)[0]
 
@@ -827,11 +832,12 @@ class TestExactSupSearch:
     PAIRS = {
         "readme-thermal": (ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(1.5, [1.0])),
         "additivity-pair": (additivity_pair(), fn.EnergyBudget(3.0, np.ones(2))),
-        "thermal-x-lossy": (ch.tensor([ch.thermal_noise([0.5], [1.0]), ch.lossy([0.8])]), fn.EnergyBudget(3.0, np.ones(2))),
+        "thermal-x-lossy": (ch.tensor([ch.thermal_noise([0.5], [1.0]), ch.lossy([0.8])]),
+                            fn.EnergyBudget(3.0, np.ones(2))),
         "lossy-x-lossy": (ch.tensor([ch.lossy([0.5]), ch.lossy([0.8])]), fn.EnergyBudget(3.0, [1.0, 3.0])),
         # Water-filling leaves the classical mode empty: the optimal input is pure on it.
-        "empty-mode": (ch.tensor([ch.thermal_noise([0.7], [2.0]), ch.classical_noise(6.0 * np.eye(2)), ch.lossy([0.5])]),
-                       fn.EnergyBudget(3.5, [1.0, 2.0, 0.6])),
+        "empty-mode": (ch.tensor([ch.thermal_noise([0.7], [2.0]), ch.classical_noise(6.0 * np.eye(2)),
+                                  ch.lossy([0.5])]), fn.EnergyBudget(3.5, [1.0, 2.0, 0.6])),
         "three-lossy": (ch.lossy([0.3, 0.6, 0.9]), fn.EnergyBudget(2.5, [1.0, 1.5, 0.7])),
         "classical-x-thermal": (ch.tensor([ch.classical_noise(np.eye(2)), ch.thermal_noise([0.5], [1.0])]),
                                 fn.EnergyBudget(3.0, np.ones(2))),
