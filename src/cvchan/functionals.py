@@ -315,7 +315,7 @@ def _energy_map(gamma: np.ndarray, w: np.ndarray, energy) -> tuple:
     ``energy``, W = diag(w), one per row of the physical stack gamma.
 
     A row below the energy scales up from R = 0 (alpha >= 1); a row above it
-    mixes with the vacuum R = I (alpha in [0, 1)), which needs an energy at or
+    mixes with the vacuum R = I (alpha in [0, 1)), which needs an energy
     above the zero point tr(W)/4.  Both keep P physical; a row whose energy
     overflows maps to NaN.  Returns P, alpha as an (m, 1, 1) stack, R, and
     e(gamma) - e(R).
@@ -606,8 +606,9 @@ def max_output_entropy_under_energy(
     the linear constraint sum_k omega_k Tr gamma_[k] = 4 E holds exactly
     through ``_energy_map``.  The runs start from ``_sup_starts``, the first at
     the purification of the mode-symmetric thermal input, so the result can
-    never fall below that candidate.  The report carries the gap to the exact
-    water-filled output entropy when every leaf has one.
+    never fall below that candidate.  Within 1e-12 of the zero point the
+    vacuum is the one input, and no search runs.  The report carries the gap
+    to the exact water-filled output entropy when every leaf has one.
 
     Raises
     ------
@@ -620,15 +621,19 @@ def max_output_entropy_under_energy(
     budget.check_modes(n)
     if not budget.feasible:
         raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
-    w, energy = budget.omega.repeat(2), max(budget.total, budget.zero_point)  # feasible allows 1e-12 below it
+    w, energy = budget.omega.repeat(2), budget.total
     groups = [([0], _sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy])))]
     with np.errstate(all="ignore"):  # a row that overflows scores +inf
-        starts = _sup_starts(n, energy / budget.zero_point, seed)
-        ((best, (t0, v), evals, converged),) = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
-                                                              [(starts, search_budget)])
-        t_a = _cayley(t0[None], v[None])[1][:, : 2 * n]
-        best_input = _energy_map(t_a @ t_a.swapaxes(-1, -2), w, energy)[0][0]
-    if best == np.inf:
+        if energy <= budget.zero_point + 1e-12:  # only the vacuum has this energy: nothing to search
+            best_input, evals, converged = np.eye(2 * n), 0, True
+            best = -_chart_rows(_output_values, channel.x[None], channel.y[None], np.ones(1), best_input[None])[0][0]
+        else:
+            starts = _sup_starts(n, energy / budget.zero_point, seed)
+            ((best, (t0, v), evals, converged),) = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
+                                                                  [(starts, search_budget)])
+            t_a = _cayley(t0[None], v[None])[1][:, : 2 * n]
+            best_input = _energy_map(t_a @ t_a.swapaxes(-1, -2), w, energy)[0][0]
+    if not math.isfinite(best):
         raise ValueError(f"no input at energy {budget.total} has a finite output entropy")
     return OptimizationReport(-float(best), best_input, evals, search_budget, converged,
                               _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))

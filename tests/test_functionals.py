@@ -940,6 +940,18 @@ class TestMaxOutputEntropy:
         )
         assert report.best_value == pytest.approx(st.von_neumann_entropy(np.array([3.0])), abs=1e-9)
 
+    @pytest.mark.parametrize("excess", [0.0, 1e-13, -1e-13])
+    def test_zero_point_is_the_vacuum_exactly(self, excess):
+        # Within 1e-12 of the zero point the vacuum is the one input.  A search there would score
+        # inputs off the energy by rounding alone, which an anisotropic noise rewards at first order in
+        # the squeezing (1.1e-8 above the vacuum on this 3-mode channel).
+        channel = ch.classical_noise(np.kron(np.eye(3), np.diag([2.0, 0.5])) + 0.1 * np.ones((6, 6)))
+        report = fn.max_output_entropy_under_energy(channel, fn.EnergyBudget(1.5 + excess, np.ones(3)), 2000, 0)
+        vacuum = st.von_neumann_entropy(sp.symplectic_eigenvalues(ch.apply_cov(channel, np.eye(6))))
+        assert report.best_value == pytest.approx(vacuum, rel=1e-14)
+        assert np.array_equal(report.best_input, np.eye(6))
+        assert (report.evaluations, report.converged) == (0, True)
+
     def test_infeasible_raises(self):
         with pytest.raises(fn.InfeasibleEnergyError):
             fn.max_output_entropy_under_energy(
