@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,8 @@ CONCAVITY_BOUND = 1e-9
 #: Units of eps times |ln F_p| by which a multiplicativity margin may miss 0 through rounding
 #: alone: F_p = exp(ln F_p) carries a relative error of a few eps |ln F_p|, beyond any fixed tolerance at large p.
 MARGIN_ULPS = 8.0
+#: Candidates per step of the water-level search: each step narrows its bracket this many times.
+_FILL_GRID = 64
 
 
 class UnsupportedKindError(ValueError):
@@ -364,37 +367,25 @@ def _chart_rows(values_of, *rows):
 
 
 def _chart_groups(jobs) -> list:
-    """The mode-count groups of a lockstep of (channel, p) jobs, built once per
-    lockstep: per mode count, its jobs' indices, the order-1 jobs first, the
-    values function ``_chart_values`` and their X, Y and p as stacks."""
+    """The mode-count groups of the pure-input searches of (channel, p) jobs:
+    per mode count n, (n, its jobs' indices, the order-1 jobs first, and their
+    X, Y and p, each stacked one entry per job)."""
     groups = {}
     for j in sorted(range(len(jobs)), key=lambda j: jobs[j][1] != 1.0):
         groups.setdefault(jobs[j][0].n, []).append(j)
-    return [(members, _chart_values, (np.array([jobs[j][0].x for j in members]),
-                                      np.array([jobs[j][0].y for j in members]),
-                                      np.array([jobs[j][1] for j in members]))) for members in groups.values()]
+    return [(n, members, (np.array([jobs[j][0].x for j in members]), np.array([jobs[j][0].y for j in members]),
+                          np.array([jobs[j][1] for j in members]))) for n, members in groups.items()]
 
 
-def _chart_scores(groups, stacks) -> list:
-    """One round of ``_lockstep_bfgs``: per search j, the values and gradients
-    of its rows stacks[j] = (t0s, vs).  Each group (members, values function,
-    per-search arrays), from ``_chart_groups`` or the sup-entropy search, is
-    one ``_chart_rows`` call on the arrays stacked per row; a row whose value
-    or gradient is not finite scores +inf."""
-    out = [None] * len(stacks)
-    for members, values_of, arrays in groups:
-        counts = [len(stacks[j][1]) for j in members]
-        owner = np.repeat(np.arange(len(members)), counts)
-        t0, v = (np.concatenate([stacks[j][i] for j in members]) for i in (0, 1))
-        if len(owner):
-            values, grads = _chart_rows(values_of, *(a[owner] for a in arrays), t0, v)
-            values = np.where(np.isfinite(values) & np.isfinite(grads).all(axis=-1), values, np.inf)
-        else:
-            values, grads = np.empty(0), v
-        ends = np.cumsum(counts)
-        for j, start, end in zip(members, ends - counts, ends):
-            out[j] = values[start:end], grads[start:end]
-    return out
+def _chart_scores(rounds) -> list:
+    """One round of ``_lockstep_bfgs``: per group (values function, rows), one ``_chart_rows`` call on its
+    rows (the function's arrays one entry per row, centres t0, parameters v); a row whose value or gradient is
+    not finite scores +inf."""
+    scores = []
+    for values_of, rows in rounds:
+        values, grads = _chart_rows(values_of, *rows)
+        scores.append((np.where(np.isfinite(values) & np.isfinite(grads).all(axis=-1), values, np.inf), grads))
+    return scores
 
 
 #: Runs per search: the first from a fixed input, the others from Philox symplectic starts.
@@ -411,22 +402,30 @@ def _chart_starts(n: int, count: int, seed: int) -> list[np.ndarray]:
     """The chart centres T0 of a search's ``count`` runs: the identity (the
     vacuum of a pure-input search), then one symplectic per run, drawn on the
     lane (seed, run), so every search of a mode count starts its runs from
-    the same inputs."""
+    the same inputs, and a lockstep draws them once per mode count."""
     return [np.eye(2 * n)] + [sample_symplectics(rng_stream(seed, run), n, 1, (1.0, 2.0))[0]
                               for run in range(1, count)]
 
 
-def _bfgs(value: float, grad: np.ndarray, cap: int):
-    """BFGS from the origin, where the objective has ``value`` and gradient
-    ``grad``, with a backtracking (Armijo) line search, written as a generator:
-    it yields each trial point and is sent its (value, gradient).  A trial
-    that scores +inf only shortens the step.  Steps are cut to ``_CHART_RADIUS``.
-    Until a step finds positive curvature the steps are steepest descent, and
-    each step that finds negative curvature doubles the next one, so a run on
-    a flat, concave stretch does not crawl.  Returns the last point, its value
-    and gradient, the trials scored, and why it stopped: "gradient" or
-    "stall" (converged), "radius" (the point left the chart) or "cap".
-    """
+def _inverse_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+    """The BFGS update of the inverse Hessian ``inv`` in place, sy = s.y > 0 (Nocedal and Wright, eq. 6.17);
+    q + q^T, q = (inv y) s^T, has the bits of outer(inv y, s) + outer(s, inv y)."""
+    hy = inv @ y
+    q = hy[:, None] * s
+    inv += ((sy + float(y @ hy)) / sy**2) * (s[:, None] * s) - (q + q.T) / sy
+
+
+def _bfgs(t0, value: float, grad: np.ndarray, cap: int):
+    """BFGS from the origin of the chart centred at ``t0``, where the objective
+    has ``value`` and gradient ``grad``, with a backtracking (Armijo) line
+    search, written as a generator: it yields each trial row (t0, point) and
+    is sent its (value, gradient).  A trial that scores +inf only shortens the
+    step.  Steps are cut to ``_CHART_RADIUS``.  Until a step finds positive
+    curvature the steps are steepest descent, and each step along negative
+    curvature doubles the next, so a run on a flat, concave stretch does not
+    crawl.  Returns the last point, its value and gradient, the trials
+    scored, and why it stopped: "gradient" or "stall" (converged), "radius"
+    (the point left the chart) or "cap"."""
     x, inv, scale, evals = np.zeros(len(grad)), None, 1.0, 0
     while True:
         if np.abs(grad).max() <= _GTOL:
@@ -441,7 +440,7 @@ def _bfgs(value: float, grad: np.ndarray, cap: int):
             if evals == cap:
                 return x, value, grad, evals, "cap"
             trial = x + alpha * step
-            trial_value, trial_grad = yield trial
+            trial_value, trial_grad = yield t0, trial
             evals += 1
             if trial_value <= value + 1e-4 * alpha * slope + noise:
                 break
@@ -455,8 +454,7 @@ def _bfgs(value: float, grad: np.ndarray, cap: int):
         if sy > 0.0:
             if inv is None:
                 inv = np.eye(len(x)) * (sy / float(y @ y))
-            hy = inv @ y
-            inv += ((sy + float(y @ hy)) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+            _inverse_update(inv, s, y, sy)
         elif inv is None:
             scale *= 2.0
         if decrease <= noise:
@@ -469,104 +467,131 @@ def _chart_run(t0: np.ndarray, cap: int):
     """One run of ``_lockstep_bfgs``, at most ``cap`` rows: ``_bfgs`` in the
     chart centred at t0, re-centred where a BFGS run stops, until one makes no
     decrease or the cap is reached.  Yields each row (t0, v) to score and is
-    sent its (value, gradient).  Returns the best value, its row, the rows
-    scored, and whether the run stopped converged rather than at its cap.
+    sent its (value, gradient); the lockstep keeps the best row.  Returns the
+    rows scored, and whether the run stopped converged rather than at its cap.
     """
-    n = len(t0) // 2
-    dim = n * (2 * n + 1)
-    v = np.zeros(dim)
-    value, grad = yield t0, v
-    best, evals = (value, t0, v), 1
+    dim = len(t0) * (len(t0) + 1) // 2
+    value, grad = yield t0, np.zeros(dim)
+    evals = 1
     while value < np.inf:  # a start that scores +inf ends the run; a re-centred one is a scored point
         start_value = value
-        search = _bfgs(value, grad, cap - evals)
-        try:
-            point = next(search)
-            while True:
-                value, grad = yield t0, point
-                if value < best[0]:
-                    best = (value, t0, point)
-                point = search.send((value, grad))
-        except StopIteration as stop:
-            v, value, grad, used, reason = stop.value
-            evals += used
+        v, value, grad, used, reason = yield from _bfgs(t0, value, grad, cap - evals)
+        evals += used
         if reason == "cap" or (reason != "radius" and start_value - value <= _FTOL * max(1.0, abs(value))):
-            return best[0], best[1:], evals, reason != "cap"
+            return evals, reason != "cap"
         if evals == cap:
-            return best[0], best[1:], evals, False
+            return evals, False
         t0 = _cayley(t0[None], v[None])[1][0]
         value, grad = yield t0, np.zeros(dim)
         evals += 1
-        if value < best[0]:
-            best = (value, t0, np.zeros(dim))
-    return best[0], best[1:], evals, False
+    return evals, False
 
 
-def _lockstep_bfgs(objective, searches):
-    """The search for several searches at once, one (starts, budget) each: per
-    search, a run of ``_chart_run`` from each chart centre of ``starts``, run r
-    capped at min(per_run, budget - r per_run) rows, per_run the budget's
-    equal share rounded up.
-
-    Every round scores the pending row of every live run of every search in
-    one call ``objective(stacks)``: stacks[j] = (t0s, vs), the (m_j, 2n, 2n)
-    centres and (m_j, dim) parameters of search j's rows, m_j = 0 once search
-    j is done; it returns, per search, their values and gradients.  Returns,
-    per search, what it returns alone: the best value, its row (t0, v) (the
-    earlier run wins a tie), the rows scored, and whether the run that found
-    the best value converged.
-    """
-    runs, sizes = [], []
-    for starts, budget in searches:
-        if budget < 1:
-            raise ValueError(f"search budget must be >= 1, got {budget}")
-        per_run = -(-budget // len(starts))
-        caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(len(starts))) if cap > 0]
-        runs.append([_chart_run(t0, cap) for t0, cap in zip(starts, caps)])
-        sizes.append(len(starts[0]))
-    pending = [{r: next(run) for r, run in enumerate(search_runs)} for search_runs in runs]
-    results = [[None] * len(search_runs) for search_runs in runs]
-    while any(pending):
-        stacks = [(np.array([t0 for t0, _ in rows.values()]).reshape(-1, size, size),
-                   np.array([v for _, v in rows.values()]).reshape(-1, size * (size + 1) // 2))
-                  for size, rows in zip(sizes, pending)]
-        for search_runs, rows, search_results, (values, grads) in zip(runs, pending, results, objective(stacks)):
-            for i, r in enumerate(list(rows)):
+def _lockstep_bfgs(groups):
+    """The search driver.  A group is (values function, its per-search arrays
+    stacked one entry per search, each search's (starts, budget)).  A search
+    runs ``_chart_run`` from each chart centre, run r capped at min(per_run,
+    budget - r per_run) rows, per_run the budget's share rounded up.  A round
+    scores the pending row of every live run in one ``_chart_scores`` call;
+    a group's per-run arrays are built once and cut where runs end.  Returns,
+    per search in group order, what it returns alone: the best value, its row
+    (t0, v) (an earlier row or run wins a tie), the rows scored, and whether
+    the run that found it converged."""
+    runs, search_runs, live = [], [], []
+    for values_of, arrays, searches in groups:
+        owner = []
+        for j, (starts, budget) in enumerate(searches):
+            if budget < 1:
+                raise ValueError(f"search budget must be >= 1, got {budget}")
+            per_run = -(-budget // len(starts))
+            caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(len(starts))) if cap > 0]
+            search_runs.append(range(len(runs), len(runs) + len(caps)))
+            runs += [_chart_run(t0, cap) for t0, cap in zip(starts, caps)]
+            owner += [j] * len(caps)
+        live.append((values_of, [a[owner] for a in arrays], list(range(len(runs) - len(owner), len(runs)))))
+    pending = [next(run) for run in runs]
+    best, ends = [(np.inf, row) for row in pending], [None] * len(runs)
+    while live:
+        scores = _chart_scores([(values_of, (*rows, *map(np.array, zip(*(pending[r] for r in ids)))))
+                                for values_of, rows, ids in live])
+        kept = []
+        for (values_of, rows, ids), (values, grads) in zip(live, scores):
+            for r, value, grad in zip(ids, values.tolist(), grads):
+                if value < best[r][0]:
+                    best[r] = value, pending[r]
                 try:
-                    rows[r] = search_runs[r].send((float(values[i]), grads[i]))
+                    pending[r] = runs[r].send((value, grad))
                 except StopIteration as stop:
-                    search_results[r] = stop.value
-                    del rows[r]
-    bests = []
-    for search_results in results:
-        value, row, _, converged = min(search_results, key=lambda result: result[0])  # the earlier run wins a tie
-        bests.append((value, row, sum(result[2] for result in search_results), converged))
-    return bests
+                    ends[r] = stop.value
+            if any(going := [ends[r] is None for r in ids]):
+                kept.append((values_of, rows if all(going) else [a[going] for a in rows], list(compress(ids, going))))
+        live = kept
+    return [(*best[r], sum(ends[k][0] for k in ids), ends[r][1])  # min: the earlier run wins a tie
+            for ids in search_runs for r in [min(ids, key=lambda r: best[r][0])]]
+
+
+def _sup_starts(nu: float, draws: list[np.ndarray]) -> list[np.ndarray]:
+    """The chart centres of a sup-entropy search's runs on 2n modes, n inputs
+    then n ancillas: the purification of the thermal input nu I, a two-mode
+    squeezer [[a I, b Z], [b Z, a I]] with a^2 = (nu + 1)/2, b^2 = (nu - 1)/2
+    and Z = diag(1, -1) per mode, then (S_r + I) times it for the symplectics
+    S_r of ``draws``, the n-mode ``_chart_starts``."""
+    n = len(draws[0]) // 2
+    a, b = math.sqrt(0.5 * (nu + 1.0)), math.sqrt(0.5 * (nu - 1.0))
+    z = np.diag(np.tile([b, -b], n))
+    base = np.block([[a * np.eye(2 * n), z], [z, a * np.eye(2 * n)]])
+    return [np.concatenate([s @ base[: 2 * n], base[2 * n :]]) for s in draws]
+
+
+def _searches(jobs, sup, budget: int, seed: int) -> tuple[list, OptimizationReport | None]:
+    """The gapless reports of the pure-input searches of ``jobs``, (channel, p)
+    each, one group on ``_chart_values`` per mode count, and of the sup search
+    of ``sup``, None or (channel, EnergyBudget), on ``_sup_values``: one
+    ``_lockstep_bfgs``, one ``_chart_starts`` draw per mode count.  Within
+    1e-12 of the zero point the vacuum is the one input and no sup search
+    runs; below it ``InfeasibleEnergyError`` is raised, and ``ValueError``
+    where every scored input has an infinite entropy."""
+    pure, ns = _chart_groups(jobs), set()
+    if sup:
+        channel, energy = sup
+        n, w, vacuum = channel.n, energy.omega.repeat(2), energy.total <= energy.zero_point + 1e-12
+        energy.check_modes(n)
+        if not energy.feasible:
+            raise InfeasibleEnergyError(f"energy {energy.total} below zero-point {energy.zero_point}")
+        ns = set() if vacuum else {n}
+    draws = {m: _chart_starts(m, STARTS, seed) for m in ns | {m for m, _, _ in pure}}
+    groups = [(_chart_values, arrays, [(draws[m], budget)] * len(members)) for m, members, arrays in pure]
+    groups += [(_sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy.total])),
+                [(_sup_starts(energy.total / energy.zero_point, draws[n]), budget)]) for n in ns]
+    reports = [None] * len(jobs)
+    with np.errstate(all="ignore"):  # a row that overflows scores +inf
+        results = _lockstep_bfgs(groups)
+        for j, (best, (t0, v), evals, converged) in zip([j for _, members, _ in pure for j in members], results):
+            t = _cayley(t0[None], v[None])[1]
+            reports[j] = OptimizationReport(best, (t @ t.swapaxes(-1, -2))[0], evals, budget, converged)
+        if not sup:
+            return reports, None
+        if vacuum:
+            best_input, evals, converged = np.eye(2 * n), 0, True
+            best = -_chart_rows(_output_values, channel.x[None], channel.y[None], np.ones(1), best_input[None])[0][0]
+        else:
+            best, (t0, v), evals, converged = results[-1]
+            t_a = _cayley(t0[None], v[None])[1][:, : 2 * n]
+            best_input = _energy_map(t_a @ t_a.swapaxes(-1, -2), w, energy.total)[0][0]
+    if not math.isfinite(best):
+        raise ValueError(f"no input at energy {energy.total} has a finite output entropy")
+    return reports, OptimizationReport(-float(best), best_input, evals, budget, converged)
 
 
 def numeric_min_renyis(jobs, budget: int, seed: int) -> list[OptimizationReport]:
-    """Minimization of the output Renyi-p entropy over pure inputs, p in
-    (0, inf], for every (channel, p) of ``jobs``, the searches run together in
-    one ``_lockstep_bfgs`` on the analytic gradient (``_chart_values``), each
-    from the vacuum and from ``_chart_starts``.
-
-    The search space covers all pure Gaussian covariances of the full
-    input, so entangled inputs to tensor-product channels are included.
-    Each report, the one its job gets alone, carries the gap to
-    ``min_output_renyi_closed`` when one exists.
-    """
-    for _, p in jobs:
-        if not p > 0.0:
-            raise ValueError(f"order must be positive, got {p}")
-    groups = _chart_groups(jobs)
-    with np.errstate(all="ignore"):  # a row that overflows scores +inf
-        results = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
-                                 [(_chart_starts(channel.n, STARTS, seed), budget) for channel, _ in jobs])
-    reports = []
-    for (channel, p), (best, (t0, v), evals, converged) in zip(jobs, results):
-        t = _cayley(t0[None], v[None])[1]
-        gap = _gap_to_closed_form(lambda: float(best) - min_output_renyi_closed(channel, p))
-        reports.append(OptimizationReport(float(best), (t @ t.swapaxes(-1, -2))[0], evals, budget, converged, gap))
+    """Minimization of the output Renyi-p entropy over all pure Gaussian inputs, entangled ones included,
+    p in (0, inf], for every (channel, p) of ``jobs``, in one lockstep (``_searches``).  Each report, the one
+    its job gets alone, carries the gap to ``min_output_renyi_closed`` when one exists."""
+    if bad := [p for _, p in jobs if not p > 0.0]:
+        raise ValueError(f"order must be positive, got {bad[0]}")
+    reports = _searches(jobs, None, budget, seed)[0]
+    for (channel, p), report in zip(jobs, reports):
+        report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - min_output_renyi_closed(channel, p))
     return reports
 
 
@@ -584,31 +609,18 @@ def numeric_inf_fp(channel: ch.GaussianChannel, p: float, budget: int = 20000, s
     return report
 
 
-def _sup_starts(n: int, nu: float, seed: int) -> list[np.ndarray]:
-    """The chart centres of a sup-entropy search's ``STARTS`` runs, on 2n modes,
-    n inputs then n ancillas: the purification of the thermal input nu I, a
-    two-mode squeezer [[a I, b Z], [b Z, a I]] with a^2 = (nu + 1)/2,
-    b^2 = (nu - 1)/2 and Z = diag(1, -1) per mode, then (S_r + I) times it
-    for the symplectics S_r of ``_chart_starts``."""
-    a, b = math.sqrt(0.5 * (nu + 1.0)), math.sqrt(0.5 * (nu - 1.0))
-    z = np.diag(np.tile([b, -b], n))
-    base = np.block([[a * np.eye(2 * n), z], [z, a * np.eye(2 * n)]])
-    return [np.concatenate([s @ base[: 2 * n], base[2 * n :]]) for s in _chart_starts(n, STARTS, seed)]
-
-
 def max_output_entropy_under_energy(
     channel: ch.GaussianChannel, budget: EnergyBudget, search_budget: int = 20000, seed: int = 0
 ) -> OptimizationReport:
     """Maximize the output entropy over physical inputs at fixed energy.
 
-    One ``_lockstep_bfgs`` search on ``_sup_values``: each physical input is
-    the marginal of a pure input on twice the modes, in a Cayley chart, and
-    the linear constraint sum_k omega_k Tr gamma_[k] = 4 E holds exactly
-    through ``_energy_map``.  The runs start from ``_sup_starts``, the first at
-    the purification of the mode-symmetric thermal input, so the result can
-    never fall below that candidate.  Within 1e-12 of the zero point the
-    vacuum is the one input, and no search runs.  The report carries the gap
-    to the exact water-filled output entropy when every leaf has one.
+    One search on ``_sup_values`` (``_searches``): each physical input is the
+    marginal of a pure input on twice the modes, in a Cayley chart, and the
+    constraint sum_k omega_k Tr gamma_[k] = 4 E holds exactly through
+    ``_energy_map``.  The first run starts at the purification of the
+    mode-symmetric thermal input, so the result never falls below that
+    candidate.  The report carries the gap to the exact water-filled output
+    entropy when every leaf has one.
 
     Raises
     ------
@@ -617,26 +629,9 @@ def max_output_entropy_under_energy(
     ValueError
         When no input the search scores has a finite output entropy.
     """
-    n = channel.n
-    budget.check_modes(n)
-    if not budget.feasible:
-        raise InfeasibleEnergyError(f"energy {budget.total} below zero-point {budget.zero_point}")
-    w, energy = budget.omega.repeat(2), budget.total
-    groups = [([0], _sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy])))]
-    with np.errstate(all="ignore"):  # a row that overflows scores +inf
-        if energy <= budget.zero_point + 1e-12:  # only the vacuum has this energy: nothing to search
-            best_input, evals, converged = np.eye(2 * n), 0, True
-            best = -_chart_rows(_output_values, channel.x[None], channel.y[None], np.ones(1), best_input[None])[0][0]
-        else:
-            starts = _sup_starts(n, energy / budget.zero_point, seed)
-            ((best, (t0, v), evals, converged),) = _lockstep_bfgs(lambda stacks: _chart_scores(groups, stacks),
-                                                                  [(starts, search_budget)])
-            t_a = _cayley(t0[None], v[None])[1][:, : 2 * n]
-            best_input = _energy_map(t_a @ t_a.swapaxes(-1, -2), w, energy)[0][0]
-    if not math.isfinite(best):
-        raise ValueError(f"no input at energy {budget.total} has a finite output entropy")
-    return OptimizationReport(-float(best), best_input, evals, search_budget, converged,
-                              _gap_to_closed_form(lambda: -float(best) - _water_filled_output(channel, budget)[0]))
+    report = _searches([], (channel, budget), search_budget, seed)[1]
+    report.gap_to_closed_form = _gap_to_closed_form(lambda: report.best_value - _water_filled_output(channel, budget)[0])
+    return report
 
 
 @dataclass
@@ -662,42 +657,54 @@ def _photon_maps(channel: ch.GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float) -> np.ndarray:
-    """Photon numbers N >= 0 maximizing sum_k S(1 + 2 (a_k N_k + b_k)) at
-    sum_k omega_k N_k = surplus.
+    """Photon numbers N >= 0 maximizing sum_k S(1 + 2 (a_k N_k + b_k)) at sum_k omega_k N_k = surplus.
 
-    The KKT point is N_k(lam) = max(0, (1 / expm1(lam omega_k / a_k) - b_k) / a_k),
-    and sum_k omega_k N_k(lam) decreases in lam, so bisection on ln lam over
-    the positive doubles solves it.  Modes with a_k = 0 take no photons; when
-    no mode has a_k > 0 every split is optimal and the modes share the
-    photons evenly.  A surplus whose photon numbers overflow a double raises
-    ``ValueError``.
-    """
+    The KKT point is N_k = max(0, (1 / expm1(x_k) - b_k) / a_k), x_k = lam omega_k / a_k = exp(ln x_d + c_k),
+    c_k = ln(omega_k a_d / (a_k omega_d)), so neither lam nor a product of frequencies need be a double.  Each
+    step keeps the pair of ``_FILL_GRID`` candidates around the crossing of the spent share of the surplus (on
+    frexp-scaled frequencies): four over ln x_1 find the mode d that takes the most, then steps over the bit
+    patterns of N_d reach adjacent doubles, exact where d fills alone; the lower never overspends.  Modes with
+    a_k = 0 take no photons, and with no a_k > 0 the modes share them evenly.  Overflowing photons raise
+    ``ValueError``."""
     photons = np.zeros(a.shape)
     if surplus <= 0.0:
         return photons
     live = a > 0.0
     if live.any():
         a, b, w = a[live], b[live], omega[live]
+        (mant, expo), (mant_s, expo_s), cost = np.frexp(w), math.frexp(surplus), np.log(w) - np.log(a)
 
-        def fill(log_lam: float) -> np.ndarray:
-            with np.errstate(over="ignore", divide="ignore"):  # expm1 -> inf gives N_k = 0, expm1 -> 0 gives inf
-                return np.maximum((1.0 / np.expm1(np.exp(log_lam) * w / a) - b) / a, 0.0)
+        def fill(log_x: np.ndarray, d: int) -> np.ndarray:  # expm1 -> inf gives N_k = 0, expm1 -> 0 gives inf
+            return np.maximum((1.0 / np.expm1(np.exp(log_x[:, None] + (cost - cost[d]))) - b) / a, 0.0)
 
-        # The bracket runs from the smallest positive double to past the largest, where lam overflows to inf and
-        # every N_k is 0.  Bisection keeps the total at most the surplus at hi, so N(hi) never overspends; 100
-        # halvings take this bracket (1455 wide) to adjacent doubles, or to 1e-27 around ln lam = 0.  An
-        # overflowing N_k puts the total above any surplus, so N(hi) is finite, and N(lo) overflows exactly when
-        # the surplus needs more photons than a double holds.
-        lo, hi = math.log(5e-324), math.log(np.finfo(float).max) + 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if float(w @ fill(mid)) > surplus else (lo, mid)
-        photons[live], below = fill(hi), fill(lo)
+        def fill_at(n_d: np.ndarray) -> np.ndarray:  # the modes of d's cost have a_k N_k + b_k = a_d N_d + b_d
+            n, same = fill(np.log(np.log1p(1.0 / (a[d] * n_d + b[d]))), d), cost == cost[d]
+            n[:, same] = np.maximum((a[d] * n_d[:, None] + (b[d] - b[same])) / a[same], 0.0)
+            n[:, d] = n_d
+            return n
+
+        def first_over(n: np.ndarray) -> int:
+            over = np.ldexp(mant * n, expo - expo_s).sum(axis=1) > mant_s
+            return int(np.argmax(over)) if over.any() else len(n)
+
+        with np.errstate(divide="ignore", over="ignore"):
+            # ln x_1 from where nothing is spent down to where every N_k overflows
+            hi, lo = 8.0 + cost[0] - np.min(cost), -746.0 + cost[0] - np.max(cost)
+            for _ in range(4):
+                grid = np.linspace(hi, lo, _FILL_GRID)
+                k = first_over(fill(grid, 0))
+                hi, lo = grid[k - 1], grid[k]
+            n = fill(grid[[max(k - 2, 0), k, min(k + 1, _FILL_GRID - 1)]], 0)  # a cell wider on each side
+            d = int(np.argmax(np.ldexp(mant * n[1], expo)))
+            lo, hi = n[[0, 2], d].view(np.int64).tolist()
+            while hi - lo > 1:
+                grid = np.arange(lo, hi, -(-(hi - lo) // _FILL_GRID), dtype=np.int64)[1:]
+                k = first_over(fill_at(grid.view(float)))
+                lo, hi = (int(grid[k - 1]) if k else lo), (int(grid[k]) if k < len(grid) else hi)
+            photons[live], above = fill_at(np.array([lo, hi]).view(float))
     else:
-        photons[:] = below = surplus / float(np.sum(omega))
-    if not np.isfinite(below).all():
+        photons[:] = above = surplus / float(np.sum(omega))
+    if not np.isfinite(above).all():
         raise ValueError(f"the photon numbers of energy {surplus:.6g} above the zero point overflow a double")
     return photons
 
@@ -724,18 +731,25 @@ def gaussian_holevo_capacity(
 
     When every leaf is thermal, lossy or per-mode isotropic classical the
     sup is the exact water-filled value and ``search`` is None; any other
-    channel goes through ``max_output_entropy_under_energy``.  Both paths
-    subtract the one ``min_output_entropy``, the S_min that ``analyze`` reports.
+    channel searches it, in one lockstep with a searched S_min (``_searches``).
+    Both paths subtract the S_min that ``analyze`` reports.
     """
     budget.check_modes(channel.n)
-    smin = min_output_entropy(channel, budget=search_budget, seed=seed)
+    jobs, sup_job = [], None
+    try:
+        smin = min_output_renyi_closed(channel, 1.0)
+    except UnsupportedKindError:
+        jobs = [(channel, 1.0)]
+    if budget.feasible:
+        try:
+            sup = _water_filled_output(channel, budget)[0]
+        except UnsupportedKindError:
+            sup_job = (channel, budget)
+    reports, search = _searches(jobs, sup_job, search_budget, seed)
+    smin = reports[0].best_value if jobs else smin
     if not budget.feasible:
         return CapacityReport(0.0, False, smin)
-    try:
-        sup, search = _water_filled_output(channel, budget)[0], None
-    except UnsupportedKindError:
-        search = max_output_entropy_under_energy(channel, budget, search_budget=search_budget, seed=seed)
-        sup = search.best_value
+    sup = search.best_value if search else sup
     return CapacityReport(max(sup - smin, 0.0), True, smin, sup_entropy=sup, search=search)
 
 
@@ -771,16 +785,17 @@ def multiplicativity_checks(cases, search_budget: int, seed: int, tol: float) ->
     product.  Where the product overflows a double, ``margin`` and the
     witness test compare ln F_p instead.  Both tests allow ``tol`` and the
     rounding of F_p, ``MARGIN_ULPS`` eps |ln F_p| relative.  Every case is
-    checked before the searches run together in ``numeric_min_renyis``."""
+    checked, and its nu* computed once, before the searches run together in
+    one lockstep (``_searches``)."""
     if any(len(channel_list) < 2 for channel_list, _ in cases):
         raise ValueError("multiplicativity needs at least two channels")
     jobs = [(ch.tensor(channel_list), p) for channel_list, p in cases]
-    products = [min_output_fp_closed(joint, p) for joint, p in jobs]
+    spectra = [check_fp_order(p) or optimal_output_spectrum(joint) for joint, p in jobs]  # every order checked first
     reports = []
-    for (joint, p), product, search in zip(jobs, products, numeric_min_renyis(jobs, search_budget, seed)):
-        s_best = search.best_value
+    for (joint, p), nu, search in zip(jobs, spectra, _searches(jobs, None, search_budget, seed)[0]):
+        s_best, product = search.best_value, fp_product(nu, p)
         witness_nu = np.maximum(_spectrum(ch.apply_cov(joint, separable_optimal_input(joint))), 1.0)
-        s_closed = min_output_renyi_closed(joint, p)
+        s_closed = st.renyi_entropy(nu, p)
         log_product = log_fp_of_renyi(joint.n, p, s_closed)
         rounding = MARGIN_ULPS * np.finfo(float).eps * abs(log_product)
         if math.isfinite(product):
@@ -853,7 +868,7 @@ def additivity_check(
     sup, photons = _water_filled_output(joint, budget)
     best_value = max(sup - smin, 0.0)
     energies = np.split(budget.omega * (photons + 0.5), np.cumsum([c.n for c in channel_list])[:-1])
-    search = max_output_entropy_under_energy(joint, budget, search_budget=search_budget, seed=seed)
+    search = _searches([], (joint, budget), search_budget, seed)[1]  # the gap would fill the modes again
     joint_cap = max(search.best_value - smin, 0.0)
     margin = joint_cap - best_value
     return AdditivityReport(

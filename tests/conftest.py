@@ -16,9 +16,9 @@ def search_calls(monkeypatch):
     calls = []
     driver = fn._lockstep_bfgs
 
-    def count(objective, searches):
-        calls.extend(searches)
-        return driver(objective, searches)
+    def count(groups):
+        calls.extend(search for _, _, searches in groups for search in searches)
+        return driver(groups)
 
     monkeypatch.setattr(fn, "_lockstep_bfgs", count)
     return calls

@@ -275,10 +275,11 @@ def test_bare_tolerance_guard_is_detected(tmp_path):
 
 
 #: Per search driver, every function in src/cvchan that reads it: one BFGS
-#: lockstep runs the pure-input search and the energy-constrained sup search.
-#: Another reader is a second entry to the search driver, or a one-search
-#: adapter around it, so a new one must show up here.
-DRIVER_CALLERS = {"_lockstep_bfgs": {"numeric_min_renyis", "max_output_entropy_under_energy"}}
+#: lockstep runs the pure-input searches and the energy-constrained sup
+#: search, and ``_searches`` is its one entry.  Another reader is a second
+#: entry to the search driver, or a one-search adapter around it, so a new
+#: one must show up here.
+DRIVER_CALLERS = {"_lockstep_bfgs": {"_searches"}}
 
 
 def _driver_callers(paths, driver: str = "_lockstep_bfgs") -> set[str]:
@@ -294,10 +295,10 @@ def test_driver_callers_are_pinned():
 def test_driver_caller_is_detected(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
-        "def _lockstep_bfgs(objective, searches):\n    return []\n\n"
-        "def f(objective):\n    return _lockstep_bfgs(objective, [([], 10)])[0]\n\n"
-        "def g(objective):\n    def inner():\n        return fn._lockstep_bfgs(objective, [])\n    return inner\n\n"
-        "def h(objective):\n    return lambda: _lockstep_bfgs(objective, [])\n\n"
+        "def _lockstep_bfgs(groups):\n    return []\n\n"
+        "def f(values_of):\n    return _lockstep_bfgs([(values_of, (), [([], 10)])])[0]\n\n"
+        "def g(groups):\n    def inner():\n        return fn._lockstep_bfgs(groups)\n    return inner\n\n"
+        "def h(groups):\n    return lambda: _lockstep_bfgs(groups)\n\n"
         "def unrelated(_lockstep_bfgs_count):\n    return _lockstep_bfgs_count\n\n"
         "DRIVER = _lockstep_bfgs\n"
     )

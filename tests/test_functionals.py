@@ -339,7 +339,7 @@ def sup_stack(seed, n, rows, nu=2.0, scale=0.3):
     """``rows`` rows (t0, v) of an n-mode sup-entropy search: the centres of
     ``_sup_starts`` at the thermal input nu I in turn, and Philox parameters on
     their 2n-mode chart."""
-    starts = fn._sup_starts(n, nu, seed)
+    starts = fn._sup_starts(nu, fn._chart_starts(n, fn.STARTS, seed))
     t0 = np.array([starts[i % len(starts)] for i in range(rows)])
     return t0, sp.rng_stream(seed, n).normal(scale=scale, size=(rows, 2 * n * (4 * n + 1)))
 
@@ -450,19 +450,46 @@ def additivity_pair():
     return ch.tensor([ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))])
 
 
-def sup_group(channel, energy):
-    """The one group of a sup-entropy search of ``channel`` at ``energy``, unit frequencies, as
-    ``_chart_scores`` reads it."""
-    w = np.ones(2 * channel.n)
-    return [([0], fn._sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy])))]
+def sup_arrays(channel, energy):
+    """The per-search arrays of a sup-entropy search of ``channel`` at ``energy``, unit frequencies, as
+    ``_sup_values`` reads them: X, Y, w and the energy, one entry each."""
+    return channel.x[None], channel.y[None], np.ones((1, 2 * channel.n)), np.array([energy])
+
+
+def pure_groups(jobs, budgets, seed):
+    """The ``_lockstep_bfgs`` groups of the pure-input searches of ``jobs``, job j with budget
+    budgets[j] and the ``_chart_starts`` of ``seed``, and the jobs in the order of the results."""
+    groups, order = [], []
+    for n, members, arrays in fn._chart_groups(jobs):
+        groups.append((fn._chart_values, arrays, [(fn._chart_starts(n, fn.STARTS, seed), budgets[j]) for j in members]))
+        order += members
+    return groups, order
+
+
+def round_scores(jobs, stacks):
+    """``_chart_scores`` of one round of the pure-input searches ``jobs``, search j with the rows
+    stacks[j] = (t0s, vs): one group per mode count of ``_chart_groups``, its X, Y and p one entry
+    per row, as the lockstep stacks them.  Per search, its values and gradients."""
+    groups = fn._chart_groups(jobs)
+    rounds = []
+    for _, members, arrays in groups:
+        counts = [len(stacks[j][1]) for j in members]
+        rows = [np.repeat(a, counts, axis=0) for a in arrays]
+        rounds.append((fn._chart_values, (*rows, *(np.concatenate([stacks[j][i] for j in members]) for i in (0, 1)))))
+    out = [None] * len(jobs)
+    for (_, members, _), (values, grads) in zip(groups, fn._chart_scores(rounds)):
+        counts = np.array([len(stacks[j][1]) for j in members])
+        for j, end, count in zip(members, np.cumsum(counts), counts):
+            out[j] = values[end - count : end], grads[end - count : end]
+    return out
 
 
 def finish(run, objective):
-    """Drive a ``_bfgs`` or ``_chart_run`` generator on ``objective`` to its end, and return its result."""
+    """Drive a ``_bfgs`` generator on ``objective`` of its trial points to its end, and return its result."""
     try:
-        point = next(run)
+        _, point = next(run)
         while True:
-            point = run.send(objective(point))
+            _, point = run.send(objective(point))
     except StopIteration as stop:
         return stop.value
 
@@ -481,31 +508,30 @@ class TestLockstep:
             assert (report.evaluations, report.converged) == (alone.evaluations, alone.converged)
             assert report.gap_to_closed_form == alone.gap_to_closed_form
 
-    def test_mixed_dims_and_budgets(self):
+    def test_mixed_dims_and_budgets(self, monkeypatch):
         # Pure-input searches on 1, 2 and 3 modes and a sup-entropy search on a 4-mode chart, with
         # a budget below one row per run (3 < STARTS runs), in one lockstep: each returns what it
         # returns alone, and one call per round scores the rows of every search.
         jobs = [(ch.lossy([0.6]), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 1.0),
                 (ch.lossy([0.3, 0.6, 0.9]), 2.0)]
-        sup = custom_channel()
-        groups = [*fn._chart_groups(jobs), ([3], *sup_group(sup, 2.5)[0][1:])]
-        searches = [(fn._chart_starts(channel.n, fn.STARTS, 11), budget)
-                    for (channel, _), budget in zip(jobs, (3, 150, 40))]
-        searches.append((fn._sup_starts(2, 2.5, 11), 60))
-
-        def counted(groups, calls):
-            return lambda stacks: calls.append(None) or fn._chart_scores(groups, stacks)
-
-        calls, rounds_alone = [], []
-        together = fn._lockstep_bfgs(counted(groups, calls), searches)
-        alone_groups = [fn._chart_groups([job]) for job in jobs] + [sup_group(sup, 2.5)]
-        for search, search_groups, result in zip(searches, alone_groups, together):
-            rounds_alone.append([])
-            (alone,) = fn._lockstep_bfgs(counted(search_groups, rounds_alone[-1]), [search])
+        budgets = (3, 150, 40)
+        sup = (fn._sup_values, sup_arrays(custom_channel(), 2.5),
+               [(fn._sup_starts(2.5, fn._chart_starts(2, fn.STARTS, 11)), 60)])
+        calls, scores = [], fn._chart_scores
+        monkeypatch.setattr(fn, "_chart_scores", lambda rounds: calls.append(None) or scores(rounds))
+        groups, order = pure_groups(jobs, budgets, 11)
+        together = dict(zip([*order, "sup"], fn._lockstep_bfgs([*groups, sup])))
+        rounds_together, rounds_alone = len(calls), []
+        alone_groups = {j: pure_groups([jobs[j]], [budgets[j]], 11)[0] for j in range(len(jobs))} | {"sup": [sup]}
+        for key, search_groups in alone_groups.items():
+            calls.clear()
+            (alone,) = fn._lockstep_bfgs(search_groups)
+            rounds_alone.append(len(calls))
+            result = together[key]
             assert result[0] == alone[0] and all(np.array_equal(a, b) for a, b in zip(result[1], alone[1]))
             assert result[2:] == alone[2:]
         assert together[0][2] == 3
-        assert len(calls) == max(map(len, rounds_alone))
+        assert rounds_together == max(rounds_alone)
 
 
 def chart_stack(seed, n, rows, scale=0.3):
@@ -517,8 +543,9 @@ def chart_stack(seed, n, rows, scale=0.3):
 class TestScores:
     """The objective of the pure-input search, ``_chart_scores``: one
     ``_chart_values`` call per mode-count group, on per-row stacks of X, Y
-    and p with the order-1 rows first, where each search's rows get what
-    they get alone, and a failing row scores +inf alone."""
+    and p with the order-1 rows first (stacked by ``_lockstep_bfgs``), where
+    each search's rows get what they get alone, and a failing row scores
+    +inf alone."""
 
     N = 2
 
@@ -535,11 +562,10 @@ class TestScores:
     @pytest.mark.parametrize("cov_name", ["cov_of", "cov_or_raise"])
     def test_a_failing_row_scores_inf_alone(self, cov_name):
         jobs = [(identity_channel(self.N), 2.0)]
-        groups = fn._chart_groups(jobs)
         t0, v = chart_stack(7, self.N, 5)
 
         def scores(t0, v):
-            ((values, grads),) = fn._chart_scores(groups, [(t0, v)])
+            ((values, grads),) = round_scores(jobs, [(t0, v)])
             return values, grads
 
         alone = [scores(t0[i : i + 1], v[i : i + 1]) for i in range(5)]
@@ -559,16 +585,15 @@ class TestScores:
         # Two 2-mode searches share one group call; the 3-mode search has its own.
         jobs = [(identity_channel(2), 2.0), (ch.classical_noise(np.diag([0.3, 0.3, 0.2, 0.2])), 3.0),
                 (identity_channel(3), 1.0)]
-        groups = fn._chart_groups(jobs)
         stacks = [chart_stack(7, 2, 5), chart_stack(8, 2, 4), chart_stack(9, 3, 3)]
-        alone = [fn._chart_scores(fn._chart_groups([job]), [(t0[i : i + 1], v[i : i + 1])])[0]
+        alone = [round_scores([job], [(t0[i : i + 1], v[i : i + 1])])[0]
                  for job, (t0, v) in zip(jobs, stacks) for i in range(len(v))]
         assert all(np.isfinite(values[0]) for values, _ in alone)
-        together = fn._chart_scores(groups, stacks)
+        together = round_scores(jobs, stacks)
         assert same_bits(np.concatenate([values for values, _ in together]), np.concatenate([a for a, _ in alone]))
         search, i = (0, row) if row < 5 else (1, row - 5) if row < 9 else (2, row - 9)
         getattr(self, cov_name)(stacks[search][0][i], stacks[search][1][i])
-        marked = np.concatenate([values for values, _ in fn._chart_scores(groups, stacks)])
+        marked = np.concatenate([values for values, _ in round_scores(jobs, stacks)])
         assert marked[row] == np.inf
         assert same_bits(np.delete(marked, row), np.delete(np.concatenate([a for a, _ in alone]), row))
 
@@ -587,8 +612,8 @@ class TestScores:
         ]
         stacks = [chart_stack(8 + j, channel.n, 3) for j, (channel, _) in enumerate(jobs)]
         groups = fn._chart_groups(jobs)
-        assert [len(members) for members, *_ in groups] == [7, 2, 2]
-        for members, _, (_, _, ps) in groups:  # the order-1 searches first
+        assert [len(members) for _, members, _ in groups] == [7, 2, 2]
+        for _, _, (_, _, ps) in groups:  # the order-1 searches first
             assert list(ps) == sorted(ps, key=lambda p: p != 1.0)
 
         def per_search(channel, p, t0, v):
@@ -601,10 +626,10 @@ class TestScores:
         tiny = per_search(*jobs[7], *stacks[7])[0]
         assert large.min() > 1e4
         assert np.all(np.abs(-1e-12 * np.log1p(2.0 / (tiny - 1.0))) < np.finfo(float).tiny)
-        alone = [fn._chart_scores(fn._chart_groups([job]), [stack])[0] for job, stack in zip(jobs, stacks)]
+        alone = [round_scores([job], [stack])[0] for job, stack in zip(jobs, stacks)]
         for job, stack, (values, _) in zip(jobs, stacks, alone):
             assert same_bits(values, per_search(*job, *stack)[1])
-        together = fn._chart_scores(groups, stacks)
+        together = round_scores(jobs, stacks)
         for (values, grads), (values_alone, grads_alone) in zip(together, alone):
             assert same_bits(values, values_alone) and same_bits(grads, grads_alone)
 
@@ -618,18 +643,24 @@ class TestScores:
             return values, grads
 
         monkeypatch.setattr(fn, "_chart_rows", nan_gradient)
-        ((values, _),) = fn._chart_scores(fn._chart_groups([(custom_channel(), 2.0)]), [chart_stack(3, 2, 3)])
+        ((values, _),) = round_scores([(custom_channel(), 2.0)], [chart_stack(3, 2, 3)])
         assert np.isfinite(values[[0, 2]]).all() and values[1] == np.inf
 
     def test_x_and_y_are_per_row_stacks(self, monkeypatch):
-        # One channel action per group, on X and Y stacked row by row from the group's searches.
+        # One channel action per group, on X and Y stacked one entry per live run of the group's
+        # searches, the first search's rows first: every run's in the first round, and cut where
+        # runs end.
         jobs = [(custom_channel(), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 2.0)]
         actions, act = [], ch._act
         monkeypatch.setattr(ch, "_act", lambda x, y, gamma: actions.append((x, y)) or act(x, y, gamma))
-        fn._chart_scores(fn._chart_groups(jobs), [chart_stack(3, 2, 2), chart_stack(4, 2, 3)])
-        ((x, y),) = actions
-        assert same_bits(x, np.array([jobs[0][0].x] * 2 + [jobs[1][0].x] * 3))
-        assert same_bits(y, np.array([jobs[0][0].y] * 2 + [jobs[1][0].y] * 3))
+        fn.numeric_min_renyis(jobs, 40, 3)
+        first, *_ = actions
+        assert same_bits(first[0], np.array([jobs[0][0].x] * fn.STARTS + [jobs[1][0].x] * fn.STARTS))
+        assert same_bits(first[1], np.array([jobs[0][0].y] * fn.STARTS + [jobs[1][0].y] * fn.STARTS))
+        owners = [[next(j for j, (channel, _) in enumerate(jobs) if np.array_equal(x, channel.x)) for x in xs]
+                  for xs, _ in actions]
+        assert all(rows == sorted(rows) for rows in owners)
+        assert len(owners[-1]) < len(owners[0])
 
 
 def conformal_channel(n, c2, seed):
@@ -710,10 +741,10 @@ class TestChart:
         n, x, y, order = joint.n, joint.x[None], joint.y[None], np.array([p])
         for t0 in fn._chart_starts(n, fn.STARTS, 5):
             def objective(v):
-                values, grads = fn._chart_scores(fn._chart_groups([(joint, p)]), [(t0[None], v[None])])[0]
+                ((values, grads),) = fn._chart_scores([(fn._chart_values, (x, y, order, t0[None], v[None]))])
                 return float(values[0]), grads[0]
 
-            _, value, _, _, reason = finish(fn._bfgs(*objective(np.zeros(n * (2 * n + 1))), 10**6), objective)
+            _, value, _, _, reason = finish(fn._bfgs(t0, *objective(np.zeros(n * (2 * n + 1))), 10**6), objective)
             assert reason in ("gradient", "stall")
             with np.errstate(all="ignore"):
                 reference = minimize(objective, np.zeros(n * (2 * n + 1)), jac=True, method="BFGS",
@@ -728,8 +759,21 @@ class TestChart:
         def objective(v):
             return float(-1e-3 * v[0] - 1e-4 * v[0] ** 2), np.array([-1e-3 - 2e-4 * v[0], 0.0])
 
-        x, _, _, evals, reason = finish(fn._bfgs(*objective(np.zeros(2)), 10**4), objective)
+        x, _, _, evals, reason = finish(fn._bfgs(None, *objective(np.zeros(2)), 10**4), objective)
         assert reason == "radius" and x[0] > fn._CHART_RADIUS and evals <= 12
+
+    @pytest.mark.parametrize("d", [1, 3, 10, 36])
+    def test_inverse_update_has_the_bits_of_the_outer_products(self, d):
+        # One outer product q = (inv y) s^T serves both cross terms: the bits of the np.outer formula.
+        rng = sp.rng_stream(31, d)
+        a = rng.normal(size=(d, d))
+        inv, s = a @ a.T + np.eye(d), rng.normal(size=d)
+        y = 2.0 * s + 0.1 * rng.normal(size=d)
+        sy, hy = float(s @ y), inv @ y
+        assert sy > 0.0
+        reference = inv + (((sy + float(y @ hy)) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        fn._inverse_update(inv, s, y, sy)
+        assert same_bits(inv, reference)
 
 
 class TestSupObjective:
@@ -742,9 +786,10 @@ class TestSupObjective:
         # Every start is symplectic on 2n modes; the first has the marginal nu I, and start r the
         # marginal S_r nu I S_r^T, S_r the r-th symplectic of ``_chart_starts``.
         nu, j = 1.7, sp.symplectic_form(2 * n)
-        starts = fn._sup_starts(n, nu, 9)
+        draws = fn._chart_starts(n, fn.STARTS, 9)
+        starts = fn._sup_starts(nu, draws)
         assert len(starts) == fn.STARTS
-        for t0, s in zip(starts, fn._chart_starts(n, fn.STARTS, 9)):
+        for t0, s in zip(starts, draws):
             assert np.max(np.abs(t0 @ j @ t0.T - j)) <= 1e-13
             assert_allclose(marginals(t0[None], np.zeros((1, 2 * n * (4 * n + 1))), n)[0], nu * s @ s.T,
                             rtol=1e-13, atol=1e-13)
@@ -807,14 +852,14 @@ class TestSupObjective:
         # ``_bfgs`` without its chart radius is plain BFGS: from every start of the sup-entropy search,
         # in the chart at that start, it reaches the value of scipy's BFGS on the same objective.
         monkeypatch.setattr(fn, "_CHART_RADIUS", math.inf)
-        n, group = channel.n, sup_group(channel, total)
+        n, arrays = channel.n, sup_arrays(channel, total)
         origin = np.zeros(2 * n * (4 * n + 1))
-        for t0 in fn._sup_starts(n, total / (0.5 * n), 3):
+        for t0 in fn._sup_starts(total / (0.5 * n), fn._chart_starts(n, fn.STARTS, 3)):
             def objective(v):
-                values, grads = fn._chart_scores(group, [(t0[None], v[None])])[0]
+                ((values, grads),) = fn._chart_scores([(fn._sup_values, (*arrays, t0[None], v[None]))])
                 return float(values[0]), grads[0]
 
-            _, value, _, _, reason = finish(fn._bfgs(*objective(origin), 10**6), objective)
+            _, value, _, _, reason = finish(fn._bfgs(t0, *objective(origin), 10**6), objective)
             assert reason in ("gradient", "stall")
             with np.errstate(all="ignore"):
                 reference = minimize(objective, origin, jac=True, method="BFGS",
@@ -1060,6 +1105,18 @@ class TestCapacity:
         assert len(search_calls) == 2
         assert record_of(cap)["evaluations"] == cap.search.evaluations > 0
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_lockstep_gives_each_search_its_bits_alone(self, seed):
+        # The S_min search and the sup search share the rounds of one lockstep, and each keeps the
+        # bits it gets alone.
+        channel, budget = custom_channel(), fn.EnergyBudget(2.5, np.ones(2))
+        cap = fn.gaussian_holevo_capacity(channel, budget, search_budget=1000, seed=seed)
+        (smin,) = fn.numeric_min_renyis([(channel, 1.0)], 1000, seed)
+        sup = fn.max_output_entropy_under_energy(channel, budget, search_budget=1000, seed=seed)
+        assert cap.min_entropy == smin.best_value and cap.sup_entropy == sup.best_value
+        assert np.array_equal(cap.search.best_input, sup.best_input)
+        assert (cap.search.evaluations, cap.search.converged) == (sup.evaluations, sup.converged)
+
     def test_frequency_count_checked_before_feasibility(self):
         # Energy 1.0 lies below the zero point 1.5 of the frequencies (1, 2), one too many for one mode.
         with pytest.raises(ValueError, match="frequencies"):
@@ -1073,6 +1130,14 @@ class TestCapacity:
 
 
 class TestMultiplicativity:
+    def test_one_optimal_spectrum_per_joint(self, monkeypatch):
+        # nu* of each joint channel is computed once: the product, the closed S_p and no search gap.
+        spectra, spectrum = [], fn.optimal_output_spectrum
+        monkeypatch.setattr(fn, "optimal_output_spectrum", lambda channel: spectra.append(None) or spectrum(channel))
+        cases = [(pair, p) for _, p, pair in _builtin_channel_pairs()]
+        assert all(report.passed for report in fn.multiplicativity_checks(cases, 300, 0, fn.TOL_OPT_CLOSED))
+        assert len(spectra) == len(cases)
+
     def test_identity_pair(self):
         report = fn.multiplicativity_check(
             [identity_channel(), identity_channel()], 2.0, search_budget=4000, seed=0
@@ -1154,15 +1219,15 @@ class TestMultiplicativity:
     @pytest.mark.parametrize("relative", [1e-6, 1e-10])
     def test_a_product_beaten_at_large_p_fails(self, relative, monkeypatch):
         # The same p = 300 pair with a search that beats the product by a relative 1e-6, or 1e-10.
-        search = fn.numeric_min_renyis
+        searches = fn._searches
 
-        def beating(jobs, budget, seed):
-            reports = search(jobs, budget, seed)
+        def beating(jobs, sup, budget, seed):
+            reports, sup_report = searches(jobs, sup, budget, seed)
             for (joint, p), report in zip(jobs, reports):
                 report.best_value = fn.min_output_renyi_closed(joint, p) + math.log1p(-relative) / (p - 1.0)
-            return reports
+            return reports, sup_report
 
-        monkeypatch.setattr(fn, "numeric_min_renyis", beating)
+        monkeypatch.setattr(fn, "_searches", beating)
         pair = [ch.thermal_noise([0.5], [1.0]), ch.thermal_noise([0.5], [1.0])]
         report = fn.multiplicativity_check(pair, 300.0, search_budget=200)
         assert report.margin == pytest.approx(-relative * report.product_of_optima, rel=1e-3)
@@ -1239,6 +1304,14 @@ class TestAdditivity:
         pair = [identity_channel(), identity_channel()]
         with pytest.raises(fn.InfeasibleEnergyError):
             fn.additivity_check(pair, fn.EnergyBudget(0.5, np.ones(2)))
+
+    def test_one_water_fill(self, monkeypatch):
+        # The best split's water-filling is the one the report reads; the search computes no gap.
+        fills, fill = [], fn._water_fill
+        monkeypatch.setattr(fn, "_water_fill", lambda *args: fills.append(None) or fill(*args))
+        pair = [ch.classical_noise(np.diag([2.0, 2.0])), ch.classical_noise(np.diag([1.0, 1.0]))]
+        fn.additivity_check(pair, fn.EnergyBudget(3.0, np.ones(2)), search_budget=200, seed=0)
+        assert len(fills) == 1
 
     def test_one_search(self, search_calls):
         # The best split is exact, so the joint capacity search is the only one.
@@ -1323,7 +1396,7 @@ class TestWaterFilling:
         surplus = energy - 0.5 * float(np.sum(omega))
         _, filled = fn._water_filled_output(channel, fn.EnergyBudget(energy, omega))
         assert filled == pytest.approx(photons, rel=1e-12, abs=1e-12)
-        assert float(omega @ filled) == pytest.approx(surplus, rel=1e-12, abs=1e-12)
+        assert float(omega @ filled) == pytest.approx(surplus, rel=1e-12, abs=0.0)
         assert float(omega @ filled) <= surplus
 
     def test_subnormal_gain_keeps_the_bracket(self):
@@ -1336,14 +1409,36 @@ class TestWaterFilling:
         assert cap.value == pytest.approx(expected, rel=1e-9)
 
     def test_subnormal_surplus_keeps_the_bracket(self):
-        # count / surplus overflows.  At omega = 1e-300, ln lam is near 690, where the
-        # spacing of doubles (1e-13) resolves N = 1e-10 photons to about 1e-2 relative.
+        # count / surplus overflows.  At omega = 1e-300, ln lam is near 690, where doubles are
+        # 1.1e-13 apart; the water level holds N = 1e-10 photons to its last bits, so what is left
+        # is the capacity's own rounding, a difference of two entropies 5e-11 apart (about 2e-6),
+        # and the surplus that the stored energy keeps (4e-7 short of 1e-310).
         omega, surplus = 1e-300, 1e-310
         cap = fn.gaussian_holevo_capacity(
             ch.thermal_noise([0.5], [1.0]), fn.EnergyBudget(0.5 * omega + surplus, [omega])
         )
         expected = holevo_werner_g(0.5 * surplus / omega + 0.5) - holevo_werner_g(0.5)
-        assert cap.value == pytest.approx(expected, rel=1e-2)
+        assert cap.value == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "channel, omega, surplus",
+        [
+            # ln lam near 690, where doubles are 1.1e-13 apart: N = 1e-10 photons, 5e-11 per mode in the pair.
+            (ch.thermal_noise([0.5], [1.0]), [1e-300], 1e-310),
+            (ch.thermal_noise([0.5, 0.5], [1.0, 1.0]), [1e-300, 1e-300], 1e-310),
+            # The root lam, about 1e315, lies above the doubles: N = 1e5 photons.
+            (ch.lossy([1.0]), [1e-320], 1e-315),
+            # The root lam, about 4e-621, lies below the doubles: N = 1 photon.
+            (ch.thermal_noise([5e-324], [0.0]), [1e300], 1e300),
+        ],
+        ids=["tiny-omega", "tiny-omega-pair", "root-above-the-doubles", "root-below-the-doubles"],
+    )
+    def test_roots_outside_the_doubles_of_lam(self, channel, omega, surplus):
+        # Equal modes share the surplus evenly, so each takes surplus / (n omega) photons: the
+        # reference, in logs, within 1e-12.
+        photons = fn._water_fill(*fn._photon_maps(channel), np.array(omega), surplus)
+        reference = math.exp(math.log(surplus) - math.log(len(omega) * omega[0]))
+        assert photons == pytest.approx(np.full(len(omega), reference), rel=1e-12, abs=0.0)
 
     def test_vanishing_gain_at_a_huge_frequency_is_silent(self):
         # a / omega underflows to 0, where a bracket read off it would take ln 0.  The

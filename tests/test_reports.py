@@ -74,16 +74,17 @@ COMMANDS = {
 #: command: a driver that splits or merges its rounds changes the calls.
 #: The searches of one lockstep share every round's call, so a lockstep
 #: makes as many calls as its longest search has rounds.  Every command
-#: runs one lockstep but a custom ``capacity``, which runs its S_min search
-#: and then its sup search, each a BFGS lockstep on ``_chart_scores``:
-#: custom2 27 + 27 calls.
+#: runs one lockstep, a custom ``capacity`` too: its S_min search and its
+#: sup search share the rounds of one BFGS lockstep on ``_chart_scores``,
+#: so custom2 makes 27 calls (27 rounds each) and custom1 14 (S_min 12,
+#: sup 14), with the rows of both searches.
 SEARCH_WORK = {
     "multiplicativity": (21, 300),
     "additivity": (21, 69),
     "custom2_analyze_numeric": (17, 106),
-    "custom2_capacity": (54, 155),
+    "custom2_capacity": (27, 155),
     "custom1_analyze_numeric": (12, 122),
-    "custom1_capacity": (26, 89),
+    "custom1_capacity": (14, 89),
 }
 
 #: Channel actions (``channels._act``), ``states._renyi`` calls and
@@ -102,6 +103,21 @@ ROUND_WORK = {
     "custom2_capacity": {"actions": 54, "renyi": 54, "eigh": 54},
     "custom1_analyze_numeric": {"actions": 12, "renyi": 23, "eigh": 12},
     "custom1_capacity": {"actions": 26, "renyi": 26, "eigh": 26},
+}
+
+#: Single-matrix ``sample_symplectics`` draws of each pinned search command:
+#: ``_chart_starts`` draws STARTS - 1 = 3 starts once per mode count of a
+#: lockstep, which every search of that mode count shares.  ``verify
+#: multiplicativity`` has a two-mode and a three-mode group (18 draws when
+#: each of its six searches drew its own), and a custom ``capacity``'s S_min
+#: and sup searches share their mode count's draws (6 when they did not).
+START_DRAWS = {
+    "multiplicativity": 6,
+    "additivity": 3,
+    "custom2_analyze_numeric": 3,
+    "custom2_capacity": 3,
+    "custom1_analyze_numeric": 3,
+    "custom1_capacity": 3,
 }
 
 #: ``numpy.linalg`` calls (see the ``linalg_calls`` fixture) of each
@@ -231,13 +247,35 @@ def test_search_work(name, monkeypatch):
 
         return call
 
-    monkeypatch.setattr(fn, "_chart_scores", objective(fn._chart_scores, lambda stacks: sum(len(v) for _, v in stacks)))
+    monkeypatch.setattr(fn, "_chart_scores", objective(fn._chart_scores, lambda rounds: sum(len(rows[-1]) for _, rows in rounds)))
     monkeypatch.setattr(ch, "_act", counting("actions", ch._act))
     monkeypatch.setattr(st, "_renyi", counting("renyi", st._renyi))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     assert run.__wrapped__(name, "json")[0] == 0
     assert (len(rows), sum(rows)) == SEARCH_WORK[name]
     assert work == ROUND_WORK[name]
+
+
+@pytest.mark.parametrize("name", START_DRAWS)
+def test_start_draws(name, monkeypatch):
+    draws, sample = [], fn.sample_symplectics
+    monkeypatch.setattr(fn, "sample_symplectics", lambda *args: draws.append(args[2]) or sample(*args))
+    assert run.__wrapped__(name, "json")[0] == 0
+    assert (len(draws), set(draws)) == (START_DRAWS[name], {1})
+
+
+@pytest.mark.parametrize("name", ["multiplicativity", "custom2_capacity"])
+def test_seeds_in_one_process_keep_their_bytes(name):
+    # Seeds 1, 2 and 1 again in one process: the third run has the first run's bytes, so no
+    # start draw outlives the command that made it.
+    argv = [str(REPORTS / "channels" / f"{arg[1:-1]}.json") if arg.startswith("{") else arg for arg in COMMANDS[name][0]]
+    outputs = []
+    for seed in (1, 2, 1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([*argv, "--seed", str(seed), "--format", "json"]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[2] == outputs[0] != outputs[1]
 
 
 @pytest.mark.parametrize("name", EIGEN_WORK)
