@@ -381,11 +381,9 @@ def _chart_scores(rounds) -> list:
     """One round of ``_lockstep_bfgs``: per group (values function, rows), one ``_chart_rows`` call on its
     rows (the function's arrays one entry per row, centres t0, parameters v); a row whose value or gradient is
     not finite scores +inf."""
-    scores = []
-    for values_of, rows in rounds:
-        values, grads = _chart_rows(values_of, *rows)
-        scores.append((np.where(np.isfinite(values) & np.isfinite(grads).all(axis=-1), values, np.inf), grads))
-    return scores
+    scored = [_chart_rows(values_of, *rows) for values_of, rows in rounds]
+    return [(np.where(np.isfinite(values) & np.isfinite(grads).all(axis=-1), values, np.inf), grads)
+            for values, grads in scored]
 
 
 #: Runs per search: the first from a fixed input, the others from Philox symplectic starts.
@@ -674,12 +672,13 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
         a, b, w = a[live], b[live], omega[live]
         (mant, expo), (mant_s, expo_s), cost = np.frexp(w), math.frexp(surplus), np.log(w) - np.log(a)
 
-        def fill(log_x: np.ndarray, d: int) -> np.ndarray:  # expm1 -> inf gives N_k = 0, expm1 -> 0 gives inf
-            return np.maximum((1.0 / np.expm1(np.exp(log_x[:, None] + (cost - cost[d]))) - b) / a, 0.0)
+        def fill(log_x: np.ndarray, c: np.ndarray) -> np.ndarray:  # expm1 -> inf gives N_k = 0, -> 0 gives inf
+            return np.maximum((1.0 / np.expm1(np.exp(log_x[:, None] + c)) - b) / a, 0.0)
 
-        def fill_at(n_d: np.ndarray) -> np.ndarray:  # the modes of d's cost have a_k N_k + b_k = a_d N_d + b_d
-            n, same = fill(np.log(np.log1p(1.0 / (a[d] * n_d + b[d]))), d), cost == cost[d]
-            n[:, same] = np.maximum((a[d] * n_d[:, None] + (b[d] - b[same])) / a[same], 0.0)
+        def fill_at(n_d: np.ndarray) -> np.ndarray:  # the other modes of d's cost: a_k N_k + b_k = a_d N_d + b_d
+            n = fill(np.log(np.log1p(1.0 / (a[d] * n_d + b[d]))), c)
+            if len(same):
+                n[:, same] = np.maximum((a[d] * n_d[:, None] + (b[d] - b[same])) / a[same], 0.0)
             n[:, d] = n_d
             return n
 
@@ -689,14 +688,15 @@ def _water_fill(a: np.ndarray, b: np.ndarray, omega: np.ndarray, surplus: float)
 
         with np.errstate(divide="ignore", over="ignore"):
             # ln x_1 from where nothing is spent down to where every N_k overflows
-            hi, lo = 8.0 + cost[0] - np.min(cost), -746.0 + cost[0] - np.max(cost)
+            hi, lo = 8.0 - np.min(c := cost - cost[0]), -746.0 - np.max(c)
             for _ in range(4):
                 grid = np.linspace(hi, lo, _FILL_GRID)
-                k = first_over(fill(grid, 0))
+                k = first_over(fill(grid, c))
                 hi, lo = grid[k - 1], grid[k]
-            n = fill(grid[[max(k - 2, 0), k, min(k + 1, _FILL_GRID - 1)]], 0)  # a cell wider on each side
+            n = fill(grid[[max(k - 2, 0), k, min(k + 1, _FILL_GRID - 1)]], c)  # a cell wider on each side
             d = int(np.argmax(np.ldexp(mant * n[1], expo)))
-            lo, hi = n[[0, 2], d].view(np.int64).tolist()
+            c, lo, hi = cost - cost[d], *n[[0, 2], d].view(np.int64).tolist()
+            same = np.flatnonzero((c == 0.0) & (np.arange(len(c)) != d))
             while hi - lo > 1:
                 grid = np.arange(lo, hi, -(-(hi - lo) // _FILL_GRID), dtype=np.int64)[1:]
                 k = first_over(fill_at(grid.view(float)))
