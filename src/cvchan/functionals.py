@@ -394,15 +394,17 @@ _CHART_RADIUS = 1.0
 #: step that lowers the value by at most ``_FTOL`` times max(1, |value|).
 _GTOL = 1e-10
 _FTOL = 4 * np.finfo(float).eps
+#: The backtracking line search's step scales, halved down to the last above 1e-10.
+_STEP_SCALES = [0.5**k for k in range(34)]
 
 
-def _chart_starts(n: int, count: int, seed: int) -> list[np.ndarray]:
-    """The chart centres T0 of a search's ``count`` runs: the identity (the
+def _chart_starts(n: int, seed: int) -> list[np.ndarray]:
+    """The chart centres T0 of a search's ``STARTS`` runs: the identity (the
     vacuum of a pure-input search), then one symplectic per run, drawn on the
     lane (seed, run), so every search of a mode count starts its runs from
     the same inputs, and a lockstep draws them once per mode count."""
     return [np.eye(2 * n)] + [sample_symplectics(rng_stream(seed, run), n, 1, (1.0, 2.0))[0]
-                              for run in range(1, count)]
+                              for run in range(1, STARTS)]
 
 
 def _inverse_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> None:
@@ -413,100 +415,86 @@ def _inverse_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) ->
     inv += ((sy + float(y @ hy)) / sy**2) * (s[:, None] * s) - (q + q.T) / sy
 
 
-def _bfgs(t0, value: float, grad: np.ndarray, cap: int):
-    """BFGS from the origin of the chart centred at ``t0``, where the objective
-    has ``value`` and gradient ``grad``, with a backtracking (Armijo) line
-    search, written as a generator: it yields each trial row (t0, point) and
-    is sent its (value, gradient).  A trial that scores +inf only shortens the
-    step.  Steps are cut to ``_CHART_RADIUS``.  Until a step finds positive
-    curvature the steps are steepest descent, and each step along negative
-    curvature doubles the next, so a run on a flat, concave stretch does not
-    crawl.  Returns the last point, its value and gradient, the trials
-    scored, and why it stopped: "gradient" or "stall" (converged), "radius"
-    (the point left the chart) or "cap"."""
-    x, inv, scale, evals = np.zeros(len(grad)), None, 1.0, 0
-    while True:
-        if np.abs(grad).max() <= _GTOL:
-            return x, value, grad, evals, "gradient"
-        step = -scale * grad if inv is None else -(inv @ grad)
-        slope = float(grad @ step)
-        if slope >= 0.0:  # rounding in inv: steepest descent, and a fresh inverse
-            step, slope, inv = -grad, -float(grad @ grad), None
-        step *= min(1.0, _CHART_RADIUS / np.abs(step).max())
-        alpha, noise = 1.0, _FTOL * max(1.0, abs(value))
-        while True:
-            if evals == cap:
-                return x, value, grad, evals, "cap"
-            trial = x + alpha * step
-            trial_value, trial_grad = yield t0, trial
-            evals += 1
-            if trial_value <= value + 1e-4 * alpha * slope + noise:
-                break
-            alpha *= 0.5
-            if alpha < 1e-10:
-                return x, value, grad, evals, "stall"
-        s, y = trial - x, trial_grad - grad
-        decrease = value - trial_value
-        x, value, grad = trial, trial_value, trial_grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            if inv is None:
-                inv = np.eye(len(x)) * (sy / float(y @ y))
-            _inverse_update(inv, s, y, sy)
-        elif inv is None:
-            scale *= 2.0
-        if decrease <= noise:
-            return x, value, grad, evals, "stall"
-        if np.abs(x).max() > _CHART_RADIUS:
-            return x, value, grad, evals, "radius"
-
-
 def _chart_run(t0: np.ndarray, cap: int):
-    """One run of ``_lockstep_bfgs``, at most ``cap`` rows: ``_bfgs`` in the
-    chart centred at t0, re-centred where a BFGS run stops, until one makes no
-    decrease or the cap is reached.  Yields each row (t0, v) to score and is
-    sent its (value, gradient); the lockstep keeps the best row.  Returns the
-    rows scored, and whether the run stopped converged rather than at its cap.
-    """
+    """One run of ``_lockstep_bfgs``, at most ``cap`` rows, written as a
+    generator: it yields each row (t0, v) to score and is sent its (value,
+    gradient); the lockstep keeps the best row.  In the chart centred at t0,
+    BFGS from the origin with a backtracking (Armijo) line search over
+    ``_STEP_SCALES``; a trial that scores +inf only shortens the step.  Steps
+    are cut to ``_CHART_RADIUS``.  Until a step finds positive curvature the
+    steps are steepest descent, and each step along negative curvature
+    doubles the next, so a run on a flat, concave stretch does not crawl.
+    BFGS in a chart stops on a small gradient, on a step that makes no
+    decrease, or where the point leaves the chart; the run then re-centres
+    there, until a chart makes no decrease or the cap is reached.  Returns
+    the rows scored, and whether the run stopped converged rather than at
+    its cap."""
     dim = len(t0) * (len(t0) + 1) // 2
     value, grad = yield t0, np.zeros(dim)
     evals = 1
     while value < np.inf:  # a start that scores +inf ends the run; a re-centred one is a scored point
-        start_value = value
-        v, value, grad, used, reason = yield from _bfgs(t0, value, grad, cap - evals)
-        evals += used
-        if reason == "cap" or (reason != "radius" and start_value - value <= _FTOL * max(1.0, abs(value))):
-            return evals, reason != "cap"
+        start_value, x, inv, scale, left = value, np.zeros(dim), None, 1.0, False
+        while not left and np.abs(grad).max() > _GTOL:
+            step = -scale * grad if inv is None else -(inv @ grad)
+            slope = float(grad @ step)
+            if slope >= 0.0:  # rounding in inv: steepest descent, and a fresh inverse
+                step, slope, inv = -grad, -float(grad @ grad), None
+            step *= min(1.0, _CHART_RADIUS / np.abs(step).max())
+            noise = _FTOL * max(1.0, abs(value))
+            for alpha in _STEP_SCALES:
+                if evals == cap:
+                    return evals, False
+                trial = x + alpha * step
+                trial_value, trial_grad = yield t0, trial
+                evals += 1
+                if trial_value <= value + 1e-4 * alpha * slope + noise:
+                    break
+            else:  # no step scale decreases the value: BFGS in this chart has stalled
+                break
+            s, y = trial - x, trial_grad - grad
+            decrease = value - trial_value
+            x, value, grad = trial, trial_value, trial_grad
+            sy = float(s @ y)
+            if sy > 0.0:
+                if inv is None:
+                    inv = np.eye(dim) * (sy / float(y @ y))
+                _inverse_update(inv, s, y, sy)
+            elif inv is None:
+                scale *= 2.0
+            if decrease <= noise:
+                break
+            left = np.abs(x).max() > _CHART_RADIUS
+        if not left and start_value - value <= _FTOL * max(1.0, abs(value)):
+            return evals, True
         if evals == cap:
             return evals, False
-        t0 = _cayley(t0[None], v[None])[1][0]
+        t0 = _cayley(t0[None], x[None])[1][0]
         value, grad = yield t0, np.zeros(dim)
         evals += 1
     return evals, False
 
 
-def _lockstep_bfgs(groups):
+def _lockstep_bfgs(groups, budget: int):
     """The search driver.  A group is (values function, its per-search arrays
-    stacked one entry per search, each search's (starts, budget)).  A search
-    runs ``_chart_run`` from each chart centre, run r capped at min(per_run,
-    budget - r per_run) rows, per_run the budget's share rounded up.  A round
-    scores the pending row of every live run in one ``_chart_scores`` call;
-    a group's per-run arrays are built once and cut where runs end.  Returns,
-    per search in group order, what it returns alone: the best value, its row
-    (t0, v) (an earlier row or run wins a tie), the rows scored, and whether
-    the run that found it converged."""
+    stacked one entry per search, the chart centres every search of the
+    group starts its runs from).  A search runs ``_chart_run`` from each
+    centre, run r capped at min(per_run, budget - r per_run) rows, per_run
+    the budget's share rounded up.  A round scores the pending row of every
+    live run in one ``_chart_scores`` call; a group's per-run arrays are
+    built once and cut where runs end.  Returns, per search in group order,
+    what it returns alone: the best value, its row (t0, v) (an earlier row
+    or run wins a tie), the rows scored, and whether the run that found it
+    converged."""
+    if groups and budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {budget}")
     runs, search_runs, live = [], [], []
-    for values_of, arrays, searches in groups:
-        owner = []
-        for j, (starts, budget) in enumerate(searches):
-            if budget < 1:
-                raise ValueError(f"search budget must be >= 1, got {budget}")
-            per_run = -(-budget // len(starts))
-            caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(len(starts))) if cap > 0]
-            search_runs.append(range(len(runs), len(runs) + len(caps)))
-            runs += [_chart_run(t0, cap) for t0, cap in zip(starts, caps)]
-            owner += [j] * len(caps)
-        live.append((values_of, [a[owner] for a in arrays], list(range(len(runs) - len(owner), len(runs)))))
+    for values_of, arrays, starts in groups:
+        per_run = -(-budget // len(starts))
+        caps = [cap for cap in (min(per_run, budget - run * per_run) for run in range(len(starts))) if cap > 0]
+        first, searches = len(runs), len(arrays[0])
+        search_runs += [range(first + j * len(caps), first + (j + 1) * len(caps)) for j in range(searches)]
+        runs += [_chart_run(t0, cap) for _ in range(searches) for t0, cap in zip(starts, caps)]
+        live.append((values_of, [a.repeat(len(caps), axis=0) for a in arrays], list(range(first, len(runs)))))
     pending = [next(run) for run in runs]
     best, ends = [(np.inf, row) for row in pending], [None] * len(runs)
     while live:
@@ -557,13 +545,13 @@ def _searches(jobs, sup, budget: int, seed: int) -> tuple[list, OptimizationRepo
         if not energy.feasible:
             raise InfeasibleEnergyError(f"energy {energy.total} below zero-point {energy.zero_point}")
         ns = set() if vacuum else {n}
-    draws = {m: _chart_starts(m, STARTS, seed) for m in ns | {m for m, _, _ in pure}}
-    groups = [(_chart_values, arrays, [(draws[m], budget)] * len(members)) for m, members, arrays in pure]
+    draws = {m: _chart_starts(m, seed) for m in ns | {m for m, _, _ in pure}}
+    groups = [(_chart_values, arrays, draws[m]) for m, _, arrays in pure]
     groups += [(_sup_values, (channel.x[None], channel.y[None], w[None], np.array([energy.total])),
-                [(_sup_starts(energy.total / energy.zero_point, draws[n]), budget)]) for n in ns]
+                _sup_starts(energy.total / energy.zero_point, draws[n])) for n in ns]
     reports = [None] * len(jobs)
     with np.errstate(all="ignore"):  # a row that overflows scores +inf
-        results = _lockstep_bfgs(groups)
+        results = _lockstep_bfgs(groups, budget)
         for j, (best, (t0, v), evals, converged) in zip([j for _, members, _ in pure for j in members], results):
             t = _cayley(t0[None], v[None])[1]
             reports[j] = OptimizationReport(best, (t @ t.swapaxes(-1, -2))[0], evals, budget, converged)

@@ -16,9 +16,9 @@ def search_calls(monkeypatch):
     calls = []
     driver = fn._lockstep_bfgs
 
-    def count(groups):
-        calls.extend(search for _, _, searches in groups for search in searches)
-        return driver(groups)
+    def count(groups, budget):
+        calls.extend(values_of for values_of, arrays, _ in groups for _ in arrays[0])
+        return driver(groups, budget)
 
     monkeypatch.setattr(fn, "_lockstep_bfgs", count)
     return calls

@@ -1,6 +1,6 @@
 """Package surface: which names are public, each listed once in the ``__all__`` of the module that defines
 it, which signatures take a tolerance, which parameters have a default, which functions enter the search
-driver, no unused imports, no module-level definition without a caller, no scipy,
+driver, which functions are generators, no unused imports, no module-level definition without a caller, no scipy,
 nothing newer than the NumPy floor, and LAPACK QR only in ``euler_decompose``."""
 
 import ast
@@ -296,13 +296,39 @@ def test_driver_caller_is_detected(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
         "def _lockstep_bfgs(groups):\n    return []\n\n"
-        "def f(values_of):\n    return _lockstep_bfgs([(values_of, (), [([], 10)])])[0]\n\n"
+        "def f(values_of):\n    return _lockstep_bfgs([(values_of, (), [])], 10)[0]\n\n"
         "def g(groups):\n    def inner():\n        return fn._lockstep_bfgs(groups)\n    return inner\n\n"
         "def h(groups):\n    return lambda: _lockstep_bfgs(groups)\n\n"
         "def unrelated(_lockstep_bfgs_count):\n    return _lockstep_bfgs_count\n\n"
         "DRIVER = _lockstep_bfgs\n"
     )
     assert _driver_callers([module]) == {"f", "inner", "h", "<module>"}
+
+
+#: Every generator function in src/cvchan: ``_chart_run``, one search run that
+#: yields its rows to the lockstep and is sent their scores.  A generator is a
+#: layer of the search driver that a round resumes once per row, so a new one
+#: must show up here.
+GENERATORS = {"_chart_run"}
+
+
+def _generators(paths) -> set[str]:
+    """The functions around every ``yield`` and ``yield from`` in the given modules."""
+    return _owners(paths, lambda node: isinstance(node, (ast.Yield, ast.YieldFrom)))
+
+
+def test_generators_are_pinned():
+    assert _generators(sorted(SOURCE.glob("*.py"))) == GENERATORS
+
+
+def test_generator_is_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def run(t0):\n    value = yield t0\n    return value\n\n"
+        "def outer(t0):\n    def step():\n        yield from run(t0)\n    return step\n\n"
+        "def rows(n):\n    return list(i for i in range(n))\n"
+    )
+    assert _generators([module]) == {"run", "step"}
 
 
 #: Every function in src/cvchan that calls ``rng_stream``, each keying its
@@ -542,7 +568,7 @@ def test_uncalled_definition_is_detected(tmp_path):
 def _scipy_uses(path: pathlib.Path) -> list[str]:
     """Imports of scipy in any form (``import``, ``from ... import``, ``__import__``
     and ``import_module`` of a scipy name) and ``optimize.minimize`` attribute
-    reads: cvchan runs on numpy alone, with its own BFGS (``_bfgs``)."""
+    reads: cvchan runs on numpy alone, with its own BFGS (``_chart_run``)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

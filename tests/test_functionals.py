@@ -96,6 +96,13 @@ class TestClosedForms:
         with pytest.raises(fn.UnsupportedKindError):
             fn.min_output_fp_closed(channel, 2.0)
 
+    def test_custom_kind_entropy_is_searched(self, search_calls):
+        # Without a closed form the minimal output entropy is one entropy search's best, bit for bit.
+        channel = custom_channel()
+        value = fn.min_output_entropy(channel, 300, 4)
+        assert len(search_calls) == 1
+        assert value == fn.numeric_min_renyis([(channel, 1.0)], 300, 4)[0].best_value
+
     def test_p_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             fn.min_output_fp_closed(identity_channel(), 1.0)
@@ -339,7 +346,7 @@ def sup_stack(seed, n, rows, nu=2.0, scale=0.3):
     """``rows`` rows (t0, v) of an n-mode sup-entropy search: the centres of
     ``_sup_starts`` at the thermal input nu I in turn, and Philox parameters on
     their 2n-mode chart."""
-    starts = fn._sup_starts(nu, fn._chart_starts(n, fn.STARTS, seed))
+    starts = fn._sup_starts(nu, fn._chart_starts(n, seed))
     t0 = np.array([starts[i % len(starts)] for i in range(rows)])
     return t0, sp.rng_stream(seed, n).normal(scale=scale, size=(rows, 2 * n * (4 * n + 1)))
 
@@ -456,12 +463,12 @@ def sup_arrays(channel, energy):
     return channel.x[None], channel.y[None], np.ones((1, 2 * channel.n)), np.array([energy])
 
 
-def pure_groups(jobs, budgets, seed):
-    """The ``_lockstep_bfgs`` groups of the pure-input searches of ``jobs``, job j with budget
-    budgets[j] and the ``_chart_starts`` of ``seed``, and the jobs in the order of the results."""
+def pure_groups(jobs, seed):
+    """The ``_lockstep_bfgs`` groups of the pure-input searches of ``jobs``, each from the
+    ``_chart_starts`` of ``seed``, and the jobs in the order of the results."""
     groups, order = [], []
     for n, members, arrays in fn._chart_groups(jobs):
-        groups.append((fn._chart_values, arrays, [(fn._chart_starts(n, fn.STARTS, seed), budgets[j]) for j in members]))
+        groups.append((fn._chart_values, arrays, fn._chart_starts(n, seed)))
         order += members
     return groups, order
 
@@ -485,13 +492,15 @@ def round_scores(jobs, stacks):
 
 
 def finish(run, objective):
-    """Drive a ``_bfgs`` generator on ``objective`` of its trial points to its end, and return its result."""
+    """Drive a ``_chart_run`` on ``objective`` of its rows (t0, v) to its end.  Returns the best
+    value it is sent, the rows it scored, and what it returns: the row count and whether it converged."""
+    rows, values = [next(run)], []
     try:
-        _, point = next(run)
         while True:
-            _, point = run.send(objective(point))
+            values.append(objective(*rows[-1]))
+            rows.append(run.send(values[-1]))
     except StopIteration as stop:
-        return stop.value
+        return min(value for value, _ in values), rows, stop.value
 
 
 class TestLockstep:
@@ -509,29 +518,31 @@ class TestLockstep:
             assert report.gap_to_closed_form == alone.gap_to_closed_form
 
     def test_mixed_dims_and_budgets(self, monkeypatch):
-        # Pure-input searches on 1, 2 and 3 modes and a sup-entropy search on a 4-mode chart, with
-        # a budget below one row per run (3 < STARTS runs), in one lockstep: each returns what it
-        # returns alone, and one call per round scores the rows of every search.
+        # Pure-input searches on 1, 2 and 3 modes and a sup-entropy search on a 4-mode chart in one
+        # lockstep, at a budget below one row per run (3 < STARTS runs) and at one whose runs end
+        # apart: each returns what it returns alone, and one call per round scores the rows of
+        # every search.
         jobs = [(ch.lossy([0.6]), 2.0), (ch.thermal_noise([0.5, 0.8], [1.0, 0.3]), 1.0),
                 (ch.lossy([0.3, 0.6, 0.9]), 2.0)]
-        budgets = (3, 150, 40)
-        sup = (fn._sup_values, sup_arrays(custom_channel(), 2.5),
-               [(fn._sup_starts(2.5, fn._chart_starts(2, fn.STARTS, 11)), 60)])
+        sup = (fn._sup_values, sup_arrays(custom_channel(), 2.5), fn._sup_starts(2.5, fn._chart_starts(2, 11)))
         calls, scores = [], fn._chart_scores
         monkeypatch.setattr(fn, "_chart_scores", lambda rounds: calls.append(None) or scores(rounds))
-        groups, order = pure_groups(jobs, budgets, 11)
-        together = dict(zip([*order, "sup"], fn._lockstep_bfgs([*groups, sup])))
-        rounds_together, rounds_alone = len(calls), []
-        alone_groups = {j: pure_groups([jobs[j]], [budgets[j]], 11)[0] for j in range(len(jobs))} | {"sup": [sup]}
-        for key, search_groups in alone_groups.items():
+        groups, order = pure_groups(jobs, 11)
+        alone_groups = {j: pure_groups([jobs[j]], 11)[0] for j in range(len(jobs))} | {"sup": [sup]}
+        for budget in (3, 150):
             calls.clear()
-            (alone,) = fn._lockstep_bfgs(search_groups)
-            rounds_alone.append(len(calls))
-            result = together[key]
-            assert result[0] == alone[0] and all(np.array_equal(a, b) for a, b in zip(result[1], alone[1]))
-            assert result[2:] == alone[2:]
-        assert together[0][2] == 3
-        assert rounds_together == max(rounds_alone)
+            together = dict(zip([*order, "sup"], fn._lockstep_bfgs([*groups, sup], budget)))
+            rounds_together, rounds_alone = len(calls), []
+            for key, search_groups in alone_groups.items():
+                calls.clear()
+                (alone,) = fn._lockstep_bfgs(search_groups, budget)
+                rounds_alone.append(len(calls))
+                result = together[key]
+                assert result[0] == alone[0] and all(np.array_equal(a, b) for a, b in zip(result[1], alone[1]))
+                assert result[2:] == alone[2:]
+            assert rounds_together == max(rounds_alone)
+            used = {result[2] for result in together.values()}
+            assert used == {3} if budget == 3 else len(used) > 1
 
 
 def chart_stack(seed, n, rows, scale=0.3):
@@ -734,20 +745,21 @@ class TestChart:
     @pytest.mark.parametrize("p, pair", [(p, pair) for _, p, pair in _builtin_channel_pairs()],
                              ids=[label for label, _, _ in _builtin_channel_pairs()])
     def test_bfgs_matches_scipy(self, p, pair, monkeypatch):
-        # ``_bfgs`` without its chart radius is plain BFGS: from every start of the search, in the
-        # chart at that start, it reaches the value of scipy's BFGS on the same objective.
+        # ``_chart_run`` without its chart radius is plain BFGS in the chart at its start until it
+        # stops: from every start of the search, the best value the run is sent is the value of
+        # scipy's BFGS on the same objective in that chart.
         monkeypatch.setattr(fn, "_CHART_RADIUS", math.inf)
         joint = ch.tensor(pair)
         n, x, y, order = joint.n, joint.x[None], joint.y[None], np.array([p])
-        for t0 in fn._chart_starts(n, fn.STARTS, 5):
-            def objective(v):
-                ((values, grads),) = fn._chart_scores([(fn._chart_values, (x, y, order, t0[None], v[None]))])
+        for t0 in fn._chart_starts(n, 5):
+            def objective(centre, v):
+                ((values, grads),) = fn._chart_scores([(fn._chart_values, (x, y, order, centre[None], v[None]))])
                 return float(values[0]), grads[0]
 
-            _, value, _, _, reason = finish(fn._bfgs(t0, *objective(np.zeros(n * (2 * n + 1))), 10**6), objective)
-            assert reason in ("gradient", "stall")
+            value, _, (_, converged) = finish(fn._chart_run(t0, 10**6), objective)
+            assert converged
             with np.errstate(all="ignore"):
-                reference = minimize(objective, np.zeros(n * (2 * n + 1)), jac=True, method="BFGS",
+                reference = minimize(lambda v: objective(t0, v), np.zeros(n * (2 * n + 1)), jac=True, method="BFGS",
                                      options={"gtol": 1e-10, "maxiter": 10**4})
             assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
             assert value <= fn._chart_values(x, y, order, t0[None], np.zeros((1, n * (2 * n + 1))))[0][0]
@@ -756,11 +768,39 @@ class TestChart:
         # On a flat, concave stretch no step finds positive curvature, so every step is steepest
         # descent, and each doubles the next: the run leaves the chart in about ten trials, where
         # steps of the gradient's length would take a thousand.
-        def objective(v):
-            return float(-1e-3 * v[0] - 1e-4 * v[0] ** 2), np.array([-1e-3 - 2e-4 * v[0], 0.0])
+        rows = self.rows_to_recentre()
+        assert rows[-1][1][0] > fn._CHART_RADIUS and len(rows) <= 12
 
-        x, _, _, evals, reason = finish(fn._bfgs(None, *objective(np.zeros(2)), 10**4), objective)
-        assert reason == "radius" and x[0] > fn._CHART_RADIUS and evals <= 12
+    @staticmethod
+    def concave(t0, v):
+        """A flat, concave stretch along v[0] of a 1-mode chart, the same in every chart."""
+        return float(-1e-3 * v[0] - 1e-4 * v[0] ** 2), np.array([-1e-3 - 2e-4 * v[0], 0.0, 0.0])
+
+    def rows_to_recentre(self):
+        """The rows a ``_chart_run`` on ``concave`` scores in its first chart, up to its re-centre."""
+        run, rows = fn._chart_run(np.eye(2), 10**4), []
+        row = next(run)
+        while np.array_equal(row[0], np.eye(2)):
+            rows.append(row)
+            row = run.send(self.concave(*row))
+        assert not row[1].any()  # the new chart's origin
+        return rows
+
+    def test_cap_reached_at_a_recentre_ends_the_run_unconverged(self):
+        # A cap of exactly the rows before the run leaves its first chart ends the run there.
+        cap = len(self.rows_to_recentre())
+        _, rows, end = finish(fn._chart_run(np.eye(2), cap), self.concave)
+        assert end == (cap, False) and len(rows) == cap
+
+    def test_line_search_stall_ends_the_run_converged(self):
+        # A gradient that points uphill: no step scale decreases the value, so after its start
+        # row and one trial per scale, 0.5**k for k = 0..33, the run ends converged at its start.
+        def uphill(t0, v):
+            return float(v[0]), np.array([-1.0, 0.0, 0.0])
+
+        value, rows, end = finish(fn._chart_run(np.eye(2), 10**4), uphill)
+        assert end == (35, True) and value == 0.0
+        assert [v[0] for _, v in rows[1:]] == [0.5**k for k in range(34)]
 
     @pytest.mark.parametrize("d", [1, 3, 10, 36])
     def test_inverse_update_has_the_bits_of_the_outer_products(self, d):
@@ -786,7 +826,7 @@ class TestSupObjective:
         # Every start is symplectic on 2n modes; the first has the marginal nu I, and start r the
         # marginal S_r nu I S_r^T, S_r the r-th symplectic of ``_chart_starts``.
         nu, j = 1.7, sp.symplectic_form(2 * n)
-        draws = fn._chart_starts(n, fn.STARTS, 9)
+        draws = fn._chart_starts(n, 9)
         starts = fn._sup_starts(nu, draws)
         assert len(starts) == fn.STARTS
         for t0, s in zip(starts, draws):
@@ -849,23 +889,24 @@ class TestSupObjective:
     @pytest.mark.parametrize("channel, total", [(custom_channel(), 2.5), (additivity_pair(), 3.0)],
                              ids=["custom", "additivity-pair"])
     def test_bfgs_matches_scipy_on_the_sup_objective(self, channel, total, monkeypatch):
-        # ``_bfgs`` without its chart radius is plain BFGS: from every start of the sup-entropy search,
-        # in the chart at that start, it reaches the value of scipy's BFGS on the same objective.
+        # ``_chart_run`` without its chart radius is plain BFGS in the chart at its start until it
+        # stops: from every start of the sup-entropy search, the best value the run is sent is the
+        # value of scipy's BFGS on the same objective in that chart.
         monkeypatch.setattr(fn, "_CHART_RADIUS", math.inf)
         n, arrays = channel.n, sup_arrays(channel, total)
         origin = np.zeros(2 * n * (4 * n + 1))
-        for t0 in fn._sup_starts(total / (0.5 * n), fn._chart_starts(n, fn.STARTS, 3)):
-            def objective(v):
-                ((values, grads),) = fn._chart_scores([(fn._sup_values, (*arrays, t0[None], v[None]))])
+        for t0 in fn._sup_starts(total / (0.5 * n), fn._chart_starts(n, 3)):
+            def objective(centre, v):
+                ((values, grads),) = fn._chart_scores([(fn._sup_values, (*arrays, centre[None], v[None]))])
                 return float(values[0]), grads[0]
 
-            _, value, _, _, reason = finish(fn._bfgs(t0, *objective(origin), 10**6), objective)
-            assert reason in ("gradient", "stall")
+            value, _, (_, converged) = finish(fn._chart_run(t0, 10**6), objective)
+            assert converged
             with np.errstate(all="ignore"):
-                reference = minimize(objective, origin, jac=True, method="BFGS",
+                reference = minimize(lambda v: objective(t0, v), origin, jac=True, method="BFGS",
                                      options={"gtol": 1e-10, "maxiter": 10**4})
             assert abs(value - reference.fun) <= 1e-12 * max(1.0, abs(reference.fun))
-            assert value <= objective(origin)[0]
+            assert value <= objective(t0, origin)[0]
 
 
 class TestExactSupSearch:
